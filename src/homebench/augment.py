@@ -33,7 +33,7 @@ from .core import (
     serialize_output,
 )
 from .loop import Instruction, replay_instructions, stable_seed
-from .sim import Scene, load_scene
+from .sim import Scene, load_named_scene
 
 
 def _is_end_text(text: str) -> bool:
@@ -338,14 +338,18 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
     ordered = sorted(trajectories, key=lambda t: (t.task_id, t.run_index))
     samples = []
     pairs = []
+    templates: dict = {}  # scene_ref -> template Scene, parsed once
     for trajectory in ordered:
         task = tasks.get(trajectory.task_id)
         if task is None:
             raise MissingTask(trajectory.task_id)
+        doc = (config.scene_docs or {}).get(task.scene_ref)
+        if doc is not None and task.scene_ref not in templates:
+            templates[task.scene_ref] = load_named_scene(task.scene_ref, doc)
+        template = templates.get(task.scene_ref)
 
         def fresh_scene() -> Optional[Scene]:
-            doc = (config.scene_docs or {}).get(task.scene_ref)
-            return load_scene(doc) if doc is not None else None
+            return template.clone() if template is not None else None
 
         samples.extend(
             sft_convert(trajectory, task, fresh_scene(), config.system_info)

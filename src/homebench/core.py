@@ -640,9 +640,6 @@ def parse_trajectory_log(data) -> Trajectory:
     if not isinstance(raw_steps, list):
         raise SchemaError("log.steps: expected a list")
     steps = [_parse_step(step, pos) for pos, step in enumerate(raw_steps)]
-    for pos, step in enumerate(steps):
-        if step.index != pos + 1:
-            raise SchemaError(f"steps[{pos}].index: expected {pos + 1}, got {step.index} (gap)")
 
     terminated_by = str(_require(doc, "terminated_by", "log"))
     if terminated_by not in ("end", "budget"):

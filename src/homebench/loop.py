@@ -32,7 +32,7 @@ from .core import (
     failure,
 )
 from . import sim
-from .sim import ExecOutcome, Scene, execute, load_scene, observe
+from .sim import ExecOutcome, Scene, execute, load_named_scene, observe
 
 
 def _load_text(name: str) -> str:
@@ -440,11 +440,20 @@ def run_benchmark(
     """Run every task ``runs_per_task`` times, each episode against a fresh
     scene and fresh state.
 
+    Each scene document the tasks reference is parsed and validated once,
+    before any episode runs; every episode plays on its own clone of it.
     ``planner_factory(task, run_index)`` must hand back a planner that is
     private to that episode. Transport failures are recorded on their
     RunResult and the benchmark continues. Results come back in stable
     (task order, run index) order regardless of ``jobs``.
     """
+    templates = {}
+    for task in tasks:
+        if task.scene_ref not in templates:
+            doc = scene_docs.get(task.scene_ref)
+            if doc is None:
+                raise HomebenchError(f"task {task.id!r}: unknown scene {task.scene_ref!r}")
+            templates[task.scene_ref] = load_named_scene(task.scene_ref, doc)
     specs = [
         (task, run_index)
         for task in tasks
@@ -453,11 +462,8 @@ def run_benchmark(
 
     def one(spec):
         task, run_index = spec
-        doc = scene_docs.get(task.scene_ref)
-        if doc is None:
-            raise HomebenchError(f"task {task.id!r}: unknown scene {task.scene_ref!r}")
         scene_seed = None if seed is None else stable_seed(seed, task.id, run_index)
-        scene = load_scene(doc, seed=scene_seed)
+        scene = templates[task.scene_ref].clone(seed=scene_seed)
         planner = planner_factory(task, run_index)
         try:
             trajectory = run_episode(

@@ -2,8 +2,9 @@
 small entity graph, produces every error code with its canonical message,
 and renders four-direction textual observations.
 
-A Scene is mutable single-episode state; give each episode its own copy
-(reload from the document) and never share one across threads.
+A Scene is mutable single-episode state. Parse each scene document once
+with ``load_scene``, give each episode its own ``clone()`` of that template,
+and never share one episode's copy across threads.
 """
 
 from __future__ import annotations
@@ -93,6 +94,10 @@ class ExecOutcome(Feedback):
 
 @dataclass
 class Scene:
+    """One episode's world. ``spot_order`` and ``directions`` are never
+    mutated; everything else is episode state, so run each episode on a
+    ``clone()`` of a template scene rather than on the template itself."""
+
     id: str
     entities: dict  # normalized name -> Entity (spots included), insertion-ordered
     spot_order: tuple
@@ -102,6 +107,26 @@ class Scene:
     rates: dict
     seed: int
     rng: random.Random
+
+    def clone(self, seed: Optional[int] = None) -> "Scene":
+        """Fresh episode copy with its own entities, pose, schedule, rates and
+        rng (seeded with ``seed``, or the template's seed when None). Equal to
+        reloading the same document with ``load_scene(doc, seed=seed)``."""
+        scene_seed = self.seed if seed is None else int(seed)
+        return Scene(
+            id=self.id,
+            entities={
+                name: Entity(e.name, e.kind, e.location, e.open_state, e.interactive)
+                for name, e in self.entities.items()
+            },
+            spot_order=self.spot_order,
+            directions=self.directions,
+            agent=AgentPose(self.agent.at, dict(self.agent.band_overrides)),
+            schedule={key: list(pending) for key, pending in self.schedule.items()},
+            rates=dict(self.rates),
+            seed=scene_seed,
+            rng=random.Random(scene_seed),
+        )
 
     # -- queries ------------------------------------------------------------
 
@@ -296,6 +321,15 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
     return scene
 
 
+def load_named_scene(name: str, data) -> Scene:
+    """``load_scene`` for the scene document called ``name`` (its scene
+    reference); a schema error names the scene it came from."""
+    try:
+        return load_scene(data)
+    except SchemaError as exc:
+        raise SchemaError(f"scene {name!r}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # observations
 
@@ -307,16 +341,14 @@ _BAND_TEXT = {
 }
 
 
-def _render_entity(scene: Scene, entity: Entity) -> str:
+def _render_entity(scene: Scene, entity: Entity, children: dict) -> str:
     band = _BAND_TEXT[scene.band(entity.name)]
     if entity.kind is EntityKind.CONTAINER:
         bits = [entity.open_state.value, band]
         if entity.open_state is OpenState.OPEN:
-            contents = [
-                e.name for e in scene.entities.values() if e.location == entity.name
-            ]
+            contents = children.get(entity.name)
             if contents:
-                bits.append("contains: " + ", ".join(contents))
+                bits.append("contains: " + ", ".join(e.name for e in contents))
         return f"{entity.name} ({', '.join(bits)})"
     return f"{entity.name} ({band})"
 
@@ -325,15 +357,20 @@ def observe(scene: Scene) -> tuple:
     """Deterministic four-direction observation texts (front, left, back,
     right). Objects inside a closed container are not visible; contents of
     open containers are listed nested under the container."""
+    # one pass groups every non-spot entity under its location, keeping
+    # scene insertion order within each group
+    children: dict = {}
+    for entity in scene.entities.values():
+        if entity.kind is not EntityKind.SPOT:
+            children.setdefault(entity.location, []).append(entity)
     table = scene.directions.get(scene.agent.at, {})
     texts = []
     for direction in DIRECTIONS:
         parts = []
         for spot_name in table.get(direction, ()):
-            parts.append(_render_entity(scene, scene.entities[spot_name]))
-            for entity in scene.entities.values():
-                if entity.kind is not EntityKind.SPOT and entity.location == spot_name:
-                    parts.append(_render_entity(scene, entity))
+            parts.append(_render_entity(scene, scene.entities[spot_name], children))
+            for entity in children.get(spot_name, ()):
+                parts.append(_render_entity(scene, entity, children))
         texts.append("; ".join(parts) if parts else "nothing notable")
     return tuple(texts)
 

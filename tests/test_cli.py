@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 from pathlib import Path
 
 from homebench.cli import EXIT_CONFIG, EXIT_OK, main
@@ -34,6 +35,25 @@ def test_run_bundled_cardinality(tmp_path, capsys):
 def test_run_missing_scenes_dir(tmp_path):
     code = main(["run", "--scenes", str(tmp_path / "nowhere"), "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
+
+
+def test_run_bad_scene_named_before_any_episode(tmp_path, capsys):
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    for path in Path(str(resources.files("homebench").joinpath("data/scenes"))).glob("*.json"):
+        (scenes / path.name).write_bytes(path.read_bytes())
+    doc = json.loads((scenes / "kitchen_home.json").read_text(encoding="utf-8"))
+    doc["entities"][0]["kind"] = "blob"
+    (scenes / "kitchen_home.json").write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "runs"
+    code = main(["run", "--scenes", str(scenes), "--runs", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert ("error: scene 'kitchen_home': entities[0].kind: unknown kind 'blob'"
+            in captured.err.splitlines())
+    assert "Traceback" not in captured.err
+    assert " run 0:" not in captured.out  # no episode started
+    assert not list(out.glob("*.json"))
 
 
 def test_run_budget_flag_caps_steps(tmp_path):
@@ -272,7 +292,8 @@ def test_run_with_remote_profile(tmp_path):
     import threading
 
     server = HTTPServer(("127.0.0.1", 0), StubHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                     daemon=True).start()
     StubHandler.script = []
     StubHandler.requests_seen = []
     endpoint = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
@@ -287,6 +308,7 @@ def test_run_with_remote_profile(tmp_path):
                      "--runs", "1", "--budget", "2", "--out", str(out)])
     finally:
         server.shutdown()
+        server.server_close()
     assert code == EXIT_OK
     logs = list(out.glob("*__run*.json"))
     assert len(logs) == 12
