@@ -28,17 +28,21 @@ from .core import (
     ModelChoice,
     PlannerOutput,
     RewriterTransportError,
-    Task,
     Trajectory,
     serialize_output,
 )
-from .loop import Instruction, replay_instructions, stable_seed
-from .sim import Scene, load_named_scene
+from .loop import (
+    Instruction,
+    ParseFailure,
+    parse_planner_output,
+    render_history,
+    replay_instructions,
+    stable_seed,
+)
+from .sim import load_named_scene
 
 
 def _is_end_text(text: str) -> bool:
-    from .loop import ParseFailure, parse_planner_output
-
     output = parse_planner_output(text)
     return not isinstance(output, ParseFailure) and output.action_type is ActionType.END
 
@@ -74,8 +78,6 @@ class PreferencePair:
     def __post_init__(self):
         if self.chosen == self.rejected:
             raise InvariantError("preference pair requires chosen != rejected")
-        if _is_end_text(self.chosen):
-            raise InvariantError("End outputs may only appear as rejected")
 
 
 def _make_sample(instruction: Instruction, output: PlannerOutput, task_id: str) -> ConversationSample:
@@ -92,23 +94,19 @@ def _make_sample(instruction: Instruction, output: PlannerOutput, task_id: str) 
 # supervised samples
 
 
-def sft_convert(
-    trajectory: Trajectory,
-    task: Task,
-    scene: Optional[Scene] = None,
-    system_info: Optional[str] = None,
-) -> list:
-    """One sample per successful step. Each prompt is rebuilt from the state
-    as of that step, with failed steps scrubbed from the replayed history."""
-    prompts = replay_instructions(
-        trajectory, task, scene=scene, system_info=system_info,
-        skip_failed_history=True,
-    )
-    return [
-        _make_sample(instruction, step.output, trajectory.task_id)
-        for step, instruction in zip(trajectory.steps, prompts)
-        if step.feedback.ok
-    ]
+def sft_convert(trajectory: Trajectory, prompts: Sequence[Instruction]) -> list:
+    """One sample per successful step. ``prompts`` are the trajectory's
+    replayed instructions (``replay_instructions``); each sample keeps its
+    step's prompt but re-renders the history with the failed steps scrubbed.
+    The feedback line still reports the failure that preceded the step."""
+    samples = []
+    kept = []  # (output, feedback) of the successful steps so far
+    for step, prompt in zip(trajectory.steps, prompts):
+        if step.feedback.ok:
+            instruction = dataclasses.replace(prompt, history=render_history(kept))
+            samples.append(_make_sample(instruction, step.output, trajectory.task_id))
+            kept.append((step.output, step.feedback))
+    return samples
 
 
 def expand_with_rewrites(samples: Sequence, rewriter: Callable, n: int):
@@ -143,35 +141,23 @@ def identity_rewriter(text: str) -> str:
 # preference pairs
 
 
-def _full_prompts(trajectory, task, scene, system_info):
-    return replay_instructions(
-        trajectory, task, scene=scene, system_info=system_info,
-        skip_failed_history=False,
-    )
-
-
 def _pair(prompts, i, chosen_output, rejected_output, source, task_id):
     """Build a pair anchored at step i, or None when it would violate the
     chosen != rejected or End-as-rejected rules (e.g. a re-plan whose
     successor is End, or two byte-identical adjacent outputs)."""
+    if chosen_output.action_type is ActionType.END:
+        return None
     chosen = serialize_output(chosen_output)
     rejected = serialize_output(rejected_output)
-    if chosen == rejected or _is_end_text(chosen):
+    if chosen == rejected:
         return None
     return PreferencePair(prompts[i].text, chosen, rejected, source, task_id)
 
 
-def dpo_sift(
-    trajectory: Trajectory,
-    task: Task,
-    scene: Optional[Scene] = None,
-    system_info: Optional[str] = None,
-    prompts: Optional[list] = None,
-) -> list:
+def dpo_sift(trajectory: Trajectory, prompts: Sequence[Instruction]) -> list:
     """Re-plan pairs: wherever step i failed and step i+1 succeeded, the
     step-i prompt prefers the re-planned output over the failed one."""
     steps = trajectory.steps
-    prompts = prompts or _full_prompts(trajectory, task, scene, system_info)
     pairs = []
     for i in range(len(steps) - 1):
         if not steps[i].feedback.ok and steps[i + 1].feedback.ok:
@@ -184,19 +170,12 @@ def dpo_sift(
     return pairs
 
 
-def dpo_order_change(
-    trajectory: Trajectory,
-    task: Task,
-    scene: Optional[Scene] = None,
-    system_info: Optional[str] = None,
-    prompts: Optional[list] = None,
-) -> list:
+def dpo_order_change(trajectory: Trajectory, prompts: Sequence[Instruction]) -> list:
     """Ordering pairs: for adjacent successful steps, the step-i prompt
     prefers the step-i output over the (premature) step-i+1 output. A
     trailing End lands on the rejected side, which is exactly the intended
     pressure against ending early."""
     steps = trajectory.steps
-    prompts = prompts or _full_prompts(trajectory, task, scene, system_info)
     pairs = []
     for i in range(len(steps) - 1):
         if steps[i].feedback.ok and steps[i + 1].feedback.ok:
@@ -218,12 +197,9 @@ def load_default_lexicon() -> list:
 
 def dpo_action_change(
     trajectory: Trajectory,
-    task: Task,
+    prompts: Sequence[Instruction],
     lexicon: Sequence[str],
     rng: random.Random,
-    scene: Optional[Scene] = None,
-    system_info: Optional[str] = None,
-    prompts: Optional[list] = None,
 ) -> list:
     """Format pairs: each successful non-End output is preferred over a copy
     whose action is replaced by a non-standard name drawn from the lexicon.
@@ -231,7 +207,6 @@ def dpo_action_change(
     if not lexicon:
         raise EmptyLexicon("action corruption needs a non-empty lexicon")
     steps = trajectory.steps
-    prompts = prompts or _full_prompts(trajectory, task, scene, system_info)
     pairs = []
     for i, step in enumerate(steps):
         if not step.feedback.ok or step.output.action_type is ActionType.END:
@@ -249,18 +224,11 @@ def dpo_action_change(
     return pairs
 
 
-def dpo_model_change(
-    trajectory: Trajectory,
-    task: Task,
-    scene: Optional[Scene] = None,
-    system_info: Optional[str] = None,
-    prompts: Optional[list] = None,
-) -> list:
+def dpo_model_change(trajectory: Trajectory, prompts: Sequence[Instruction]) -> list:
     """Dispatch pairs: each successful non-End output is preferred over a
     copy whose model is swapped for the other model of the same category.
     Steps using the only model of a category (M3) are skipped."""
     steps = trajectory.steps
-    prompts = prompts or _full_prompts(trajectory, task, scene, system_info)
     pairs = []
     for i, step in enumerate(steps):
         if not step.feedback.ok or step.output.action_type is ActionType.END:
@@ -347,23 +315,20 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
         if doc is not None and task.scene_ref not in templates:
             templates[task.scene_ref] = load_named_scene(task.scene_ref, doc)
         template = templates.get(task.scene_ref)
-
-        def fresh_scene() -> Optional[Scene]:
-            return template.clone() if template is not None else None
-
-        samples.extend(
-            sft_convert(trajectory, task, fresh_scene(), config.system_info)
+        prompts = replay_instructions(
+            trajectory, task, template.clone() if template is not None else None,
+            config.system_info,
         )
-        prompts = _full_prompts(trajectory, task, fresh_scene(), config.system_info)
-        pairs.extend(dpo_sift(trajectory, task, prompts=prompts))
-        pairs.extend(dpo_order_change(trajectory, task, prompts=prompts))
+        samples.extend(sft_convert(trajectory, prompts))
+        pairs.extend(dpo_sift(trajectory, prompts))
+        pairs.extend(dpo_order_change(trajectory, prompts))
         # corruption draws are seeded per trajectory identity, so ingesting
         # the same log twice yields the same pairs (and dedup removes them)
         draw_rng = random.Random(
             stable_seed(config.seed, trajectory.task_id, trajectory.run_index)
         )
-        pairs.extend(dpo_action_change(trajectory, task, lexicon, draw_rng, prompts=prompts))
-        pairs.extend(dpo_model_change(trajectory, task, prompts=prompts))
+        pairs.extend(dpo_action_change(trajectory, prompts, lexicon, draw_rng))
+        pairs.extend(dpo_model_change(trajectory, prompts))
 
     base_count = len(samples)
     samples, rewrite_failures = expand_with_rewrites(samples, rewriter, config.rewrites)
@@ -387,8 +352,8 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
         pairs = deduped
     post_dedup = per_source(pairs)
 
-    # the pair constructor already forbids End on the chosen side; scan the
-    # final corpus anyway and report the (expected zero) violation count
+    # _pair already keeps End off the chosen side; audit the written text
+    # anyway and report the (expected zero) violation count
     violations = sum(1 for pair in pairs if _is_end_text(pair.chosen))
 
     lexicon_hash = hashlib.sha256(

@@ -34,6 +34,7 @@ from .metrics import (
 )
 from .planners import (
     ConsolePlanner,
+    RecordingPlanner,
     RemotePlanner,
     RemotePlannerConfig,
     RemoteRewriter,
@@ -61,7 +62,12 @@ def _setting(flag_value, env_key: str, config: dict, config_key: str, default, c
         except ValueError:
             raise ConfigError(f"bad value for {ENV_PREFIX + env_key}: {env_value!r}") from None
     if config_key in config:
-        return cast(config[config_key])
+        try:
+            return cast(config[config_key])
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"bad value for config key {config_key!r}: {config[config_key]!r}"
+            ) from None
     return default
 
 
@@ -91,7 +97,10 @@ def _load_task_map(tasks_dir: Path) -> dict:
     overlay = None
     overlay_path = tasks_dir / "keypaths.json"
     if overlay_path.exists():
-        overlay = json.loads(overlay_path.read_text(encoding="utf-8"))
+        try:
+            overlay = json.loads(overlay_path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"key path file {overlay_path} is not valid JSON: {exc}") from exc
     paths = sorted(p for p in tasks_dir.glob("*.json") if p.name != "keypaths.json")
     if not paths:
         raise ConfigError(f"no task files in {tasks_dir}")
@@ -173,29 +182,38 @@ def _parse_logs(logs_dir: Path):
     return trajectories, corrupt
 
 
-def _report_corrupt(corrupt) -> None:
+def _load_corpus(args, config: dict):
+    """Resolve --logs and --tasks, load the task map and parse the logs,
+    warning about the corrupt ones. Returns (logs_dir, tasks, trajectories,
+    corrupt) for the log-reading commands."""
+    logs_dir = _require_dir(
+        _setting(args.logs, "LOGS", config, "logs", None) or _fail_opt("--logs"), "logs")
+    tasks_dir = _require_dir(
+        _setting(args.tasks, "TASKS", config, "tasks", _bundled("tasks")), "tasks")
+    tasks = _load_task_map(tasks_dir)
+    trajectories, corrupt = _parse_logs(logs_dir)
     if corrupt:
         print(f"warning: excluded {len(corrupt)} corrupt log(s):")
         for name, reason in corrupt:
             print(f"  {name}: {reason}")
+    return logs_dir, tasks, trajectories, corrupt
+
+
+def _load_lexicon(path: Path) -> list:
+    if not path.exists():
+        raise ConfigError(f"lexicon file not found: {path}")
+    try:
+        lexicon = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"lexicon file {path} is not valid JSON: {exc}") from exc
+    if (not isinstance(lexicon, list) or not lexicon
+            or not all(isinstance(entry, str) for entry in lexicon)):
+        raise ConfigError(f"lexicon file {path} must hold a non-empty JSON list of strings")
+    return lexicon
 
 
 # ---------------------------------------------------------------------------
 # commands
-
-
-class _RecordingPlanner:
-    """Wraps a planner to capture instruction/response pairs for the
-    optional debug transcripts."""
-
-    def __init__(self, inner, sink: list):
-        self._inner = inner
-        self._sink = sink
-
-    def next(self, instruction):
-        raw = self._inner.next(instruction)
-        self._sink.append({"instruction": instruction.text, "response": raw})
-        return raw
 
 
 def cmd_run(args, config: dict) -> int:
@@ -212,6 +230,9 @@ def cmd_run(args, config: dict) -> int:
         raise ConfigError("--retries must be between 1 and 3 (attempts per step)")
     seed = _setting(args.seed, "SEED", config, "seed", None, int)
     jobs = _setting(args.jobs, "JOBS", config, "jobs", 1, int)
+    for name, value in (("--runs", runs), ("--budget", budget), ("--jobs", jobs)):
+        if value < 1:
+            raise ConfigError(f"{name} must be at least 1, got {value}")
 
     tasks = _load_task_map(tasks_dir)
     scene_docs = _load_scene_docs(scenes_dir)
@@ -221,7 +242,6 @@ def cmd_run(args, config: dict) -> int:
                               f"not found in {scenes_dir}")
     factory = _planner_factory(planner_spec, config)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     task_list = [tasks[task_id] for task_id in sorted(tasks)]
 
     transcripts: dict = {}
@@ -230,7 +250,7 @@ def cmd_run(args, config: dict) -> int:
 
         def factory(task, run_index):
             sink = transcripts.setdefault((task.id, run_index), [])
-            return _RecordingPlanner(inner_factory(task, run_index), sink)
+            return RecordingPlanner(inner_factory(task, run_index), sink)
 
     def progress(result):
         if result.error is not None:
@@ -247,6 +267,7 @@ def cmd_run(args, config: dict) -> int:
         seed=seed, jobs=jobs, progress=progress,
     )
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = 0
     failed = []
     transcript_dir = out_dir / "transcripts"
@@ -273,13 +294,7 @@ def cmd_run(args, config: dict) -> int:
 
 
 def cmd_evaluate(args, config: dict) -> int:
-    logs_dir = _require_dir(
-        _setting(args.logs, "LOGS", config, "logs", None) or _fail_opt("--logs"), "logs")
-    tasks_dir = _require_dir(
-        _setting(args.tasks, "TASKS", config, "tasks", _bundled("tasks")), "tasks")
-    tasks = _load_task_map(tasks_dir)
-    trajectories, corrupt = _parse_logs(logs_dir)
-    _report_corrupt(corrupt)
+    logs_dir, tasks, trajectories, corrupt = _load_corpus(args, config)
     if not trajectories:
         print("warning: no parseable logs found; report contains zeros")
 
@@ -302,13 +317,7 @@ def cmd_evaluate(args, config: dict) -> int:
 
 
 def cmd_report_errors(args, config: dict) -> int:
-    logs_dir = _require_dir(
-        _setting(args.logs, "LOGS", config, "logs", None) or _fail_opt("--logs"), "logs")
-    tasks_dir = _require_dir(
-        _setting(args.tasks, "TASKS", config, "tasks", _bundled("tasks")), "tasks")
-    tasks = _load_task_map(tasks_dir)
-    trajectories, corrupt = _parse_logs(logs_dir)
-    _report_corrupt(corrupt)
+    _, tasks, trajectories, _ = _load_corpus(args, config)
 
     report = build_report(trajectories, tasks)
     print(render_error_table(report.error_stats["successful"],
@@ -332,17 +341,10 @@ def cmd_report_errors(args, config: dict) -> int:
 
 
 def cmd_augment(args, config: dict) -> int:
-    logs_dir = _require_dir(
-        _setting(args.logs, "LOGS", config, "logs", None) or _fail_opt("--logs"), "logs")
-    tasks_dir = _require_dir(
-        _setting(args.tasks, "TASKS", config, "tasks", _bundled("tasks")), "tasks")
+    logs_dir, tasks, trajectories, _ = _load_corpus(args, config)
     scenes_dir = _setting(args.scenes, "SCENES", config, "scenes", _bundled("scenes"))
     out_dir = Path(_setting(args.out, "OUT", config, "output", "datasets"))
     seed = _setting(args.seed, "SEED", config, "seed", 0, int) or 0
-
-    tasks = _load_task_map(tasks_dir)
-    trajectories, corrupt = _parse_logs(logs_dir)
-    _report_corrupt(corrupt)
     if not trajectories:
         raise ConfigError(f"no parseable logs in {logs_dir}")
 
@@ -359,12 +361,7 @@ def cmd_augment(args, config: dict) -> int:
             raise ConfigError(f"unknown rewriter spec {args.rewriter!r}")
         rewriter = RemoteRewriter(_remote_config(arg, config))
 
-    lexicon = None
-    if args.lexicon:
-        lexicon_path = Path(args.lexicon)
-        if not lexicon_path.exists():
-            raise ConfigError(f"lexicon file not found: {lexicon_path}")
-        lexicon = json.loads(lexicon_path.read_text(encoding="utf-8"))
+    lexicon = _load_lexicon(Path(args.lexicon)) if args.lexicon else None
 
     manifest = build_datasets(trajectories, tasks, AugmentConfig(
         out_dir=out_dir,

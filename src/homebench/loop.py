@@ -112,17 +112,14 @@ def render_feedback(feedback: Optional[Feedback]) -> str:
     return f"failure ({feedback.code.value}): {feedback.message}"
 
 
-def render_history(entries: Sequence, skip_failed: bool = False) -> str:
+def render_history(entries: Sequence) -> str:
     """Numbered step summaries. Analysis text is deliberately left out so
     long episodes do not balloon the prompt; only what was attempted and how
     it went is replayed."""
-    lines = []
-    for output, feedback in entries:
-        if skip_failed and not feedback.ok:
-            continue
-        lines.append(
-            f"{len(lines) + 1}. {describe_output(output)} -> {render_feedback(feedback)}"
-        )
+    lines = [
+        f"{n}. {describe_output(output)} -> {render_feedback(feedback)}"
+        for n, (output, feedback) in enumerate(entries, 1)
+    ]
     return "\n".join(lines) if lines else "none"
 
 
@@ -149,14 +146,14 @@ class EpisodeState:
     budget_remaining: int = 20
 
 
-def assemble_instruction(state: EpisodeState, skip_failed_history: bool = False) -> Instruction:
+def assemble_instruction(state: EpisodeState) -> Instruction:
     """Deterministic instruction for the current state. No scene state leaks
     into the prompt beyond the observation texts."""
     return Instruction(
         system=state.system_info,
         task=state.task_text,
         inventory=state.inventory.held if state.inventory.held else "empty",
-        history=render_history(state.history, skip_failed=skip_failed_history),
+        history=render_history(state.history),
         feedback=render_feedback(state.last_feedback),
         observations=render_observations(state.observations),
     )
@@ -326,7 +323,6 @@ def run_episode(
     retries: int = 3,
     run_index: int = 0,
     system_info: Optional[str] = None,
-    transcript: Optional[list] = None,
 ) -> Trajectory:
     """Drive one episode to termination.
 
@@ -358,8 +354,6 @@ def run_episode(
                 task.id, tuple(steps), False, False, run_index=run_index
             )
             raise
-        if transcript is not None:
-            transcript.append((instruction.text, raw))
 
         index = len(steps) + 1
         parsed = parse_planner_output(raw)
@@ -493,17 +487,16 @@ def replay_instructions(
     task: Task,
     scene: Optional[Scene] = None,
     system_info: Optional[str] = None,
-    skip_failed_history: bool = False,
 ) -> list:
-    """Reconstruct the instruction that preceded each logged step.
+    """Reconstruct the instruction that preceded each logged step, exactly
+    as the planner saw it, full history included.
 
     Inventory, feedback, and history fold directly from the log. The
     observation blocks fold too when a fresh copy of the task's scene is
     supplied (logged successful mutations replay deterministically against
-    it); without one they render as a fixed placeholder.
-
-    ``skip_failed_history`` renders each prompt's history without failed
-    steps, which is how supervised training prompts are built.
+    it); without one they render as a fixed placeholder. Supervised
+    prompts, whose history leaves out the failed steps, are derived from
+    these by re-rendering only the history field (``augment.sft_convert``).
     """
     state = EpisodeState(
         system_info=system_info if system_info is not None else DEFAULT_SYSTEM_INFO,
@@ -513,9 +506,7 @@ def replay_instructions(
     )
     instructions = []
     for step in trajectory.steps:
-        instructions.append(
-            assemble_instruction(state, skip_failed_history=skip_failed_history)
-        )
+        instructions.append(assemble_instruction(state))
         feedback: Feedback = step.feedback
         if scene is not None:
             if step.feedback.ok and not step.output.is_end:

@@ -124,6 +124,25 @@ def load_scripted_plan(data) -> ScriptedPlanner:
 
 
 # ---------------------------------------------------------------------------
+# transcript recording
+
+
+class RecordingPlanner:
+    """Wraps a planner and appends each exchange to ``sink`` as
+    ``{"instruction": <prompt text>, "response": <raw output>}``. A query
+    whose transport fails records nothing."""
+
+    def __init__(self, inner, sink: list):
+        self._inner = inner
+        self._sink = sink
+
+    def next(self, instruction: Instruction) -> str:
+        raw = self._inner.next(instruction)
+        self._sink.append({"instruction": instruction.text, "response": raw})
+        return raw
+
+
+# ---------------------------------------------------------------------------
 # console planner
 
 

@@ -1,12 +1,17 @@
+import dataclasses
 import itertools
 import json
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from homebench.augment import (
     AugmentConfig,
     PairSource,
+    _is_end_text,
+    _pair,
     build_datasets,
     dpo_action_change,
     dpo_model_change,
@@ -22,10 +27,13 @@ from homebench.core import (
     ActionType,
     EmptyLexicon,
     ErrorCode,
+    ModelChoice,
+    PlannerOutput,
     RewriterTransportError,
+    serialize_output,
 )
-from homebench.loop import run_episode
-from homebench.planners import ScriptedPlanner
+from homebench.loop import ParseFailure, parse_planner_output, replay_instructions, run_episode
+from homebench.planners import RecordingPlanner, ScriptedPlanner
 from homebench.sim import load_scene
 
 from conftest import make_task, node, random_trajectory, traj
@@ -47,19 +55,19 @@ def test_sft_skips_failed_steps():
         ("Open", "drawer", True),
         ("Place", "drawer", True),
     ], budget=True)  # 4 steps, 1 failure
-    samples = sft_convert(trajectory, TASK)
+    samples = sft_convert(trajectory, replay_instructions(trajectory, TASK))
     assert len(samples) == 3
     assert all(json.loads(s.response)["subtask"][0] != "Place" or True for s in samples)
 
 
 def test_sft_all_failed_is_empty():
     trajectory = traj([("Pick", "apple", False, ErrorCode.E1)] * 3, budget=True)
-    assert sft_convert(trajectory, TASK) == []
+    assert sft_convert(trajectory, replay_instructions(trajectory, TASK)) == []
 
 
 def test_sft_prompts_embed_growing_history():
     trajectory = traj([("Go to", f"spot_{i}", True) for i in range(9)])  # + End = 10
-    samples = sft_convert(trajectory, TASK)
+    samples = sft_convert(trajectory, replay_instructions(trajectory, TASK))
     assert len(samples) == 10
     for k, sample in enumerate(samples):
         history = sample.instruction.history
@@ -77,12 +85,13 @@ def test_sft_prompt_matches_live_rendering():
         plan_entry("End", ""),
     ])
     transcript = []
-    trajectory = run_episode(load_scene(scene_doc()), planner, task,
-                             transcript=transcript, system_info="SYS")
-    samples = sft_convert(trajectory, task, scene=load_scene(scene_doc()),
-                          system_info="SYS")
-    assert [s.prompt for s in samples] == [prompt for prompt, _ in transcript]
-    assert [s.response for s in samples] == [raw for _, raw in transcript]
+    trajectory = run_episode(load_scene(scene_doc()),
+                             RecordingPlanner(planner, transcript), task,
+                             system_info="SYS")
+    prompts = replay_instructions(trajectory, task, load_scene(scene_doc()), "SYS")
+    samples = sft_convert(trajectory, prompts)
+    assert [s.prompt for s in samples] == [e["instruction"] for e in transcript]
+    assert [s.response for s in samples] == [e["response"] for e in transcript]
 
 
 def test_sft_history_scrubbed_but_feedback_kept():
@@ -91,7 +100,7 @@ def test_sft_history_scrubbed_but_feedback_kept():
         ("Place", "drawer", False, ErrorCode.L3),
         ("Open", "drawer", True),
     ], budget=True)
-    samples = sft_convert(trajectory, TASK)
+    samples = sft_convert(trajectory, replay_instructions(trajectory, TASK))
     prompt_for_step3 = samples[1].instruction
     assert "Place" not in prompt_for_step3.history  # failed step scrubbed
     assert "1. Pick apple -> success" in prompt_for_step3.history
@@ -103,14 +112,16 @@ def test_sft_history_scrubbed_but_feedback_kept():
 
 
 def test_expand_zero_is_identity():
-    samples = sft_convert(traj([("Pick", "apple", True)]), TASK)
+    trajectory = traj([("Pick", "apple", True)])
+    samples = sft_convert(trajectory, replay_instructions(trajectory, TASK))
     expanded, failures = expand_with_rewrites(samples, identity_rewriter, 0)
     assert expanded == samples
     assert failures == 0
 
 
 def test_expand_identity_triplicates_with_fixed_fields():
-    samples = sft_convert(traj([("Pick", "apple", True), ("Open", "drawer", True)]), TASK)
+    trajectory = traj([("Pick", "apple", True), ("Open", "drawer", True)])
+    samples = sft_convert(trajectory, replay_instructions(trajectory, TASK))
     expanded, _ = expand_with_rewrites(samples, identity_rewriter, 2)
     assert len(expanded) == len(samples) * 3
     assert expanded[: len(samples)] == samples  # originals first
@@ -120,7 +131,8 @@ def test_expand_identity_triplicates_with_fixed_fields():
 
 
 def test_expand_rewrites_only_text_fields():
-    samples = sft_convert(traj([("Pick", "apple", True)]), TASK)
+    trajectory = traj([("Pick", "apple", True)])
+    samples = sft_convert(trajectory, replay_instructions(trajectory, TASK))
     expanded, _ = expand_with_rewrites(samples, lambda s: s.upper(), 1)
     original, rewritten = expanded[0], expanded[len(samples)]
     o_body, r_body = json.loads(original.response), json.loads(rewritten.response)
@@ -133,7 +145,7 @@ def test_expand_rewrites_only_text_fields():
 
 def test_expand_count_formula():
     trajectory = traj([("Go to", f"s{i}", True) for i in range(5)], budget=True)
-    samples = sft_convert(trajectory, TASK)
+    samples = sft_convert(trajectory, replay_instructions(trajectory, TASK))
     expanded, failures = expand_with_rewrites(samples, identity_rewriter, 3)
     assert len(expanded) == len(samples) * 4
     assert failures == 0
@@ -148,7 +160,8 @@ def test_expand_survives_rewriter_failures():
             raise RewriterTransportError("down")
         return text
 
-    samples = sft_convert(traj([("Pick", "apple", True), ("Open", "drawer", True)]), TASK)
+    trajectory = traj([("Pick", "apple", True), ("Open", "drawer", True)])
+    samples = sft_convert(trajectory, replay_instructions(trajectory, TASK))
     expanded, failures = expand_with_rewrites(samples, flaky, 1)
     assert failures > 0
     assert len(expanded) == len(samples) * 2 - failures
@@ -164,7 +177,7 @@ def test_sift_basic_rule():
         ("Pick", "banana", False, ErrorCode.D1),
         ("Go to", "table", True),
     ], budget=True)
-    pairs = dpo_sift(trajectory, TASK)
+    pairs = dpo_sift(trajectory, replay_instructions(trajectory, TASK))
     assert len(pairs) == 1
     pair = pairs[0]
     assert pair.source is PairSource.SIFT
@@ -182,19 +195,20 @@ def test_sift_consecutive_failures():
         ("Pick", "b", False, ErrorCode.E1),
         ("Pick", "c", True),
     ], budget=True)
-    pairs = dpo_sift(trajectory, TASK)
+    pairs = dpo_sift(trajectory, replay_instructions(trajectory, TASK))
     assert len(pairs) == 1
     assert json.loads(pairs[0].rejected)["subtask"] == ["Pick", "b"]
 
 
 def test_sift_all_success_empty():
-    assert dpo_sift(traj([("Pick", "a", True)] * 3), TASK) == []
+    trajectory = traj([("Pick", "a", True)] * 3)
+    assert dpo_sift(trajectory, replay_instructions(trajectory, TASK)) == []
 
 
 def test_sift_skips_end_as_chosen():
     trajectory = traj([("Pick", "a", False, ErrorCode.E1)])  # failure then End
     assert trajectory.steps[-1].output.is_end
-    assert dpo_sift(trajectory, TASK) == []
+    assert dpo_sift(trajectory, replay_instructions(trajectory, TASK)) == []
 
 
 def test_sift_enumeration_over_short_status_strings():
@@ -210,14 +224,15 @@ def test_sift_enumeration_over_short_status_strings():
                 1 for i in range(length - 1)
                 if not statuses[i] and statuses[i + 1]
             )
-            assert len(dpo_sift(trajectory, TASK)) == expected
+            prompts = replay_instructions(trajectory, TASK)
+            assert len(dpo_sift(trajectory, prompts)) == expected
 
 
 def test_order_change_adjacent_successes():
     trajectory = traj([
         ("Pick", "a", True), ("Place", "drawer", True), ("Go to", "sofa", True),
     ], budget=True)
-    pairs = dpo_order_change(trajectory, TASK)
+    pairs = dpo_order_change(trajectory, replay_instructions(trajectory, TASK))
     assert len(pairs) == 2
     assert json.loads(pairs[0].chosen)["subtask"] == ["Pick", "a"]
     assert json.loads(pairs[0].rejected)["subtask"] == ["Place", "drawer"]
@@ -225,7 +240,7 @@ def test_order_change_adjacent_successes():
 
 def test_order_change_end_lands_rejected():
     trajectory = traj([("Pick", "a", True)])  # Pick then End
-    pairs = dpo_order_change(trajectory, TASK)
+    pairs = dpo_order_change(trajectory, replay_instructions(trajectory, TASK))
     assert len(pairs) == 1
     assert json.loads(pairs[0].rejected)["subtask"] == ["End"]
     assert json.loads(pairs[0].chosen)["subtask"] == ["Pick", "a"]
@@ -236,12 +251,13 @@ def test_order_change_alternating_none():
         ("Pick", "a", True), ("Pick", "b", False, ErrorCode.E1),
         ("Pick", "c", True), ("Pick", "d", False, ErrorCode.E1),
     ], budget=True)
-    assert dpo_order_change(trajectory, TASK) == []
+    assert dpo_order_change(trajectory, replay_instructions(trajectory, TASK)) == []
 
 
 def test_action_change_seeded_golden():
     trajectory = traj([("Pick", "apple", True)], budget=True)
-    pairs = dpo_action_change(trajectory, TASK, load_default_lexicon(),
+    pairs = dpo_action_change(trajectory, replay_instructions(trajectory, TASK),
+                              load_default_lexicon(),
                               random.Random(7))
     assert len(pairs) == 1
     rejected = json.loads(pairs[0].rejected)
@@ -254,26 +270,30 @@ def test_action_change_seeded_golden():
 
 def test_action_change_skips_end():
     trajectory = traj([("Pick", "apple", True)])  # + End
-    pairs = dpo_action_change(trajectory, TASK, ["grab"], random.Random(0))
+    pairs = dpo_action_change(trajectory, replay_instructions(trajectory, TASK),
+                              ["grab"], random.Random(0))
     assert len(pairs) == 1  # only the Pick step
 
 
 def test_action_change_one_pair_per_success():
     trajectory = traj([("Go to", f"s{i}", True) for i in range(6)], budget=True)
-    pairs = dpo_action_change(trajectory, TASK, ["grab", "take"], random.Random(0))
+    pairs = dpo_action_change(trajectory, replay_instructions(trajectory, TASK),
+                              ["grab", "take"], random.Random(0))
     assert len(pairs) == 6
 
 
 def test_action_change_empty_lexicon():
     with pytest.raises(EmptyLexicon):
-        dpo_action_change(traj([("Pick", "a", True)]), TASK, [], random.Random(0))
+        trajectory = traj([("Pick", "a", True)])
+        dpo_action_change(trajectory, replay_instructions(trajectory, TASK), [],
+                          random.Random(0))
 
 
 def test_model_change_same_category_swaps():
     trajectory = traj([
         ("Go to", "sofa", True), ("Pick", "apple", True),
     ], budget=True)
-    pairs = dpo_model_change(trajectory, TASK)
+    pairs = dpo_model_change(trajectory, replay_instructions(trajectory, TASK))
     assert len(pairs) == 2
     first, second = (json.loads(p.rejected) for p in pairs)
     assert first["model"] == "PixNav"   # NoMaD -> PixNav
@@ -286,20 +306,69 @@ def test_model_change_skips_sole_category_member():
 
     steps = (step(1, ActionType.PICK, "apple", ok=True, model="M3"),)
     trajectory = Trajectory("t1", steps, False, True)
-    assert dpo_model_change(trajectory, TASK) == []
+    assert dpo_model_change(trajectory, replay_instructions(trajectory, TASK)) == []
+
+
+def end_by_reparse(output: PlannerOutput) -> bool:
+    """Reference End check on the text: parse the serialized output back."""
+    parsed = parse_planner_output(serialize_output(output))
+    return not isinstance(parsed, ParseFailure) and parsed.action_type is ActionType.END
+
+
+@st.composite
+def styled_label(draw, label):
+    """An action label in random case, with random separators and padding."""
+    words = [
+        "".join(c.upper() if draw(st.booleans()) else c.lower() for c in word)
+        for word in label.split()
+    ]
+    sep = draw(st.sampled_from([" ", "  ", "_", "-", "\t"]))
+    pad = st.sampled_from(["", " ", "  ", "\n"])
+    return draw(pad) + sep.join(words) + draw(pad)
+
+
+actions = st.one_of(
+    st.sampled_from([a.label for a in ActionType]).flatmap(styled_label),
+    st.sampled_from(load_default_lexicon()),
+    st.just(""),
+    st.text(max_size=12),
+)
+planner_outputs = st.builds(
+    PlannerOutput,
+    analysis=st.text(max_size=20),
+    action=actions,
+    target=st.one_of(st.just(""), st.sampled_from(["apple", "kitchen table"]),
+                     st.text(max_size=12)),
+    model=st.one_of(st.sampled_from([m.label for m in ModelChoice]), st.text(max_size=8)),
+)
+
+
+@given(planner_outputs)
+@example(PlannerOutput("done", "End", "", "M3"))
+@example(PlannerOutput("done", " eND ", "apple", "M3"))  # End with a target
+def test_end_on_structured_output_equals_text_reparse(output):
+    expected = end_by_reparse(output)
+    assert (output.action_type is ActionType.END) == expected
+    assert _is_end_text(serialize_output(output)) == expected
+    # _pair refuses exactly the End-chosen pairs (the rejected side differs)
+    rejected = dataclasses.replace(output, analysis=output.analysis + "!")
+    prompts = replay_instructions(traj([("Pick", "apple", True)], budget=True), TASK)
+    pair = _pair(prompts, 0, output, rejected, PairSource.SIFT, "t1")
+    assert (pair is None) == expected
 
 
 def test_rejected_differs_only_in_mandated_field(rng):
     lexicon = load_default_lexicon()
     for _ in range(60):
         trajectory = random_trajectory(rng)
-        for pair in dpo_action_change(trajectory, TASK, lexicon, rng):
+        prompts = replay_instructions(trajectory, TASK)
+        for pair in dpo_action_change(trajectory, prompts, lexicon, rng):
             chosen, rejected = json.loads(pair.chosen), json.loads(pair.rejected)
             assert chosen["subtask"][0] != rejected["subtask"][0]
             assert chosen["subtask"][1:] == rejected["subtask"][1:]
             assert chosen["analysis"] == rejected["analysis"]
             assert chosen["model"] == rejected["model"]
-        for pair in dpo_model_change(trajectory, TASK):
+        for pair in dpo_model_change(trajectory, prompts):
             chosen, rejected = json.loads(pair.chosen), json.loads(pair.rejected)
             assert chosen["model"] != rejected["model"]
             assert chosen["subtask"] == rejected["subtask"]

@@ -2,6 +2,8 @@ import json
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 from homebench.cli import EXIT_CONFIG, EXIT_OK, main
 from homebench.core import ErrorCode, parse_trajectory_log, serialize_task, serialize_trajectory
 
@@ -53,7 +55,7 @@ def test_run_bad_scene_named_before_any_episode(tmp_path, capsys):
             in captured.err.splitlines())
     assert "Traceback" not in captured.err
     assert " run 0:" not in captured.out  # no episode started
-    assert not list(out.glob("*.json"))
+    assert not out.exists()  # refused runs leave no output directory behind
 
 
 def test_run_budget_flag_caps_steps(tmp_path):
@@ -66,6 +68,21 @@ def test_run_budget_flag_caps_steps(tmp_path):
 
 def test_run_unknown_planner_spec(tmp_path):
     assert main(["run", "--planner", "psychic", "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--runs", "0"],
+    ["run", "--runs", "-1"],
+    ["run", "--budget", "0"],
+    ["--jobs", "0", "run"],
+    ["--jobs", "-3", "run"],
+])
+def test_run_refuses_counts_below_one(tmp_path, capsys, argv):
+    out = tmp_path / "runs"
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be at least 1" in err
+    assert not out.exists()  # no log written
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +238,20 @@ def test_augment_no_dedup_flag(tmp_path):
     assert with_dedup["dpo"]["post_dedup"]["total"] <= without["dpo"]["post_dedup"]["total"]
 
 
+@pytest.mark.parametrize("lexicon", ["[\"grab\",", "[1, 2]", "{\"x\": 1}"])
+def test_augment_bad_lexicon_is_config_error(tmp_path, capsys, lexicon):
+    augment_fixture(tmp_path)
+    path = tmp_path / "lexicon.json"
+    path.write_text(lexicon, encoding="utf-8")
+    code = main(["augment", "--logs", str(tmp_path / "logs"),
+                 "--tasks", str(tmp_path / "tasks"),
+                 "--out", str(tmp_path / "ds"), "--lexicon", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert any(line.startswith("error: lexicon file") for line in err.splitlines())
+    assert "Traceback" not in err
+
+
 def test_augment_empty_logs_config_error(tmp_path):
     (tmp_path / "logs").mkdir()
     assert main(["augment", "--logs", str(tmp_path / "logs"),
@@ -261,6 +292,16 @@ def test_config_file_missing(tmp_path):
     assert main(["--config", str(tmp_path / "nope.json"), "evaluate"]) == EXIT_CONFIG
 
 
+def test_config_file_bad_value_names_the_key(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"runs_per_task": "x"}), encoding="utf-8")
+    code = main(["--config", str(config), "run", "--out", str(tmp_path / "runs")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "error: bad value for config key 'runs_per_task': 'x'" in err.splitlines()
+    assert "Traceback" not in err
+
+
 def test_run_transcripts_flag(tmp_path):
     out = tmp_path / "runs"
     assert main(["run", "--runs", "1", "--out", str(out), "--transcripts"]) == EXIT_OK
@@ -284,6 +325,19 @@ def test_keypaths_overlay_file(tmp_path, capsys):
                  "--tasks", str(tmp_path / "tasks")]) == EXIT_OK
     report = json.loads((tmp_path / "logs" / "report.json").read_text())
     assert report["sr"] == 0.0  # the overlay keypath does not match
+
+
+def test_keypaths_overlay_invalid_json(tmp_path, capsys):
+    write_tasks(tmp_path / "tasks", [make_task(task_id="t1")])
+    overlay = tmp_path / "tasks" / "keypaths.json"
+    overlay.write_text("{not json", encoding="utf-8")
+    write_logs(tmp_path / "logs", [traj([("Pick", "apple", True)], task_id="t1")])
+    code = main(["evaluate", "--logs", str(tmp_path / "logs"),
+                 "--tasks", str(tmp_path / "tasks")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"error: key path file {overlay} is not valid JSON")
+    assert "Traceback" not in err
 
 
 def test_run_with_remote_profile(tmp_path):

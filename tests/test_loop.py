@@ -28,7 +28,7 @@ from homebench.loop import (
     stable_seed,
     validate_output,
 )
-from homebench.planners import ScriptedPlanner
+from homebench.planners import RecordingPlanner, ScriptedPlanner
 from homebench.sim import ExecOutcome, load_scene, observe
 
 from conftest import make_task
@@ -360,14 +360,14 @@ def test_episode_history_fidelity():
         plan_entry("End", ""),
     ])
     trajectory = run_episode(
-        load_scene(scene_doc()), planner, task, transcript=transcript,
+        load_scene(scene_doc()), RecordingPlanner(planner, transcript), task,
         system_info="SYSTEM",
     )
     assert len(transcript) == len(trajectory.steps)
     replayed = replay_instructions(
         trajectory, task, scene=load_scene(scene_doc()), system_info="SYSTEM",
     )
-    assert [i.text for i in replayed] == [prompt for prompt, _ in transcript]
+    assert [i.text for i in replayed] == [e["instruction"] for e in transcript]
 
 
 def test_replay_without_scene_uses_placeholder():
