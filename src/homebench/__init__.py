@@ -33,7 +33,6 @@ from .loop import (
     parse_planner_output,
     run_benchmark,
     run_episode,
-    validate_output,
 )
 from .metrics import (
     BenchmarkReport,

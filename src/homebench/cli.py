@@ -341,18 +341,19 @@ def cmd_report_errors(args, config: dict) -> int:
 
 
 def cmd_augment(args, config: dict) -> int:
+    if args.rewrites < 0:
+        raise ConfigError(f"--rewrites must be at least 0, got {args.rewrites}")
+    if args.train_split is not None and not 0 <= args.train_split <= 1:
+        raise ConfigError(f"--train-split must be between 0 and 1, got {args.train_split}")
     logs_dir, tasks, trajectories, _ = _load_corpus(args, config)
-    scenes_dir = _setting(args.scenes, "SCENES", config, "scenes", _bundled("scenes"))
+    scenes_dir = _require_dir(
+        _setting(args.scenes, "SCENES", config, "scenes", _bundled("scenes")), "scenes")
     out_dir = Path(_setting(args.out, "OUT", config, "output", "datasets"))
-    seed = _setting(args.seed, "SEED", config, "seed", 0, int) or 0
+    seed = _setting(args.seed, "SEED", config, "seed", 0, int)
     if not trajectories:
         raise ConfigError(f"no parseable logs in {logs_dir}")
 
-    scene_docs = None
-    if scenes_dir is not None:
-        scenes_path = Path(scenes_dir)
-        if scenes_path.is_dir():
-            scene_docs = _load_scene_docs(scenes_path)
+    scene_docs = _load_scene_docs(scenes_dir)
 
     rewriter = identity_rewriter
     if args.rewriter and args.rewriter != "identity":
@@ -462,9 +463,6 @@ def main(argv=None) -> int:
         config_path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
         config = _load_config_file(config_path)
         return COMMANDS[args.command](args, config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except HomebenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,6 +1,6 @@
-"""The planner/executor protocol engine: assemble instructions, parse and
-validate planner emissions, apply feedback to episode state, enforce step
-budgets, and drive whole episodes and benchmarks.
+"""The planner/executor protocol engine: assemble instructions, parse
+planner emissions, apply feedback to episode state, enforce step budgets,
+and drive whole episodes and benchmarks.
 
 One episode is strictly sequential; distinct episodes are independent and
 may run concurrently as long as they never share a scene or state.
@@ -19,6 +19,7 @@ from typing import Optional, Protocol, Sequence
 from .core import (
     SUCCESS,
     ActionType,
+    ConfigError,
     ErrorCode,
     Feedback,
     HomebenchError,
@@ -32,7 +33,7 @@ from .core import (
     failure,
 )
 from . import sim
-from .sim import ExecOutcome, Scene, execute, load_named_scene, observe
+from .sim import Scene, execute, load_named_scene, observe
 
 
 def _load_text(name: str) -> str:
@@ -160,7 +161,7 @@ def assemble_instruction(state: EpisodeState) -> Instruction:
 
 
 # ---------------------------------------------------------------------------
-# output parsing and validation
+# output parsing
 
 
 class ParseFailureReason(Enum):
@@ -212,7 +213,8 @@ def parse_planner_output(raw: str):
     analysis/subtask/model fields and a subtask of the shape
     [action] / [action, target] / {"action": ..., "target": ...}.
     Returns a PlannerOutput (fields normalized but not yet checked against
-    the closed lists) or a ParseFailure value.
+    the closed lists; its ``subtask`` is None when they fail) or a
+    ParseFailure value.
     """
     from .core import normalize_name, parse_action, parse_model
 
@@ -251,38 +253,18 @@ def parse_planner_output(raw: str):
     )
 
 
-def validate_output(output: PlannerOutput) -> Optional[Feedback]:
-    """Screen a parsed output against the closed action/model lists.
-
-    Returns None when the output is dispatchable, or an F1 failure value
-    when the action or model is unknown, End carries a target, or a
-    non-End action lacks one. Scene grounding (F2) is the executor's job,
-    never checked here.
-    """
-    action = output.action_type
-    if action is None or output.model_choice is None:
-        return failure(ErrorCode.F1)
-    if (output.target == "") != (action is ActionType.END):
-        return failure(ErrorCode.F1)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # state transitions
-
-
-def _plain(feedback: Feedback) -> Feedback:
-    return Feedback(feedback.status, feedback.code, feedback.message)
 
 
 def apply_feedback(state: EpisodeState, output: PlannerOutput, feedback: Feedback) -> EpisodeState:
     """Fold one executed step into the episode state.
 
     Inventory follows the action type: a successful Pick fills the hand, a
-    successful Place empties it, an E2 failure adopts the executor's
-    authoritative correction (the hand ends up empty), and everything else
-    leaves it alone. Observations refresh whenever the executor supplied
-    post-step views.
+    successful Place empties it, an E2 failure empties it (the executor
+    dropped the held object), and everything else leaves it alone. The
+    feedback joins the history and becomes the last feedback. Observations
+    are not touched here: the caller renders them after the step.
     """
     if feedback.ok:
         action = output.action_type
@@ -295,14 +277,10 @@ def apply_feedback(state: EpisodeState, output: PlannerOutput, feedback: Feedbac
         elif action is ActionType.PLACE:
             state.inventory = Inventory()
     elif feedback.code is ErrorCode.E2:
-        correction = getattr(feedback, "inventory_correction", None)
-        state.inventory = correction if correction is not None else Inventory()
+        state.inventory = Inventory()
 
-    plain = _plain(feedback)
-    state.history.append((output, plain))
-    state.last_feedback = plain
-    if isinstance(feedback, ExecOutcome):
-        state.observations = feedback.observations
+    state.history.append((output, feedback))
+    state.last_feedback = feedback
     return state
 
 
@@ -328,14 +306,17 @@ def run_episode(
 
     Every planner query consumes one budget step, including emissions that
     fail to parse or validate (logged as F1). Executor attempts within a
-    step retry only on E1, up to ``retries`` attempts total; logical,
+    step retry only on E1, up to ``retries`` (1..3) attempts total; logical,
     distance, and format failures are deterministic for a given state, so
-    they are final immediately. The episode stops at a valid End or when
+    they are final immediately. The observations are rendered once after a
+    step's last executor attempt. The episode stops at a valid End or when
     the budget runs out.
 
     If the planner transport fails, the raised error carries the partial
     trajectory on its ``trajectory`` attribute.
     """
+    if not 1 <= retries <= 3:
+        raise ConfigError(f"retries must be between 1 and 3 attempts per step, got {retries}")
     state = EpisodeState(
         system_info=system_info if system_info is not None else DEFAULT_SYSTEM_INFO,
         task_text=task.instruction,
@@ -355,37 +336,28 @@ def run_episode(
             )
             raise
 
-        index = len(steps) + 1
-        parsed = parse_planner_output(raw)
-        if isinstance(parsed, ParseFailure):
+        output = parse_planner_output(raw)
+        if isinstance(output, ParseFailure):
             output = PlannerOutput(analysis=raw, action="", target="", model="")
-            feedback: Feedback = failure(ErrorCode.F1)
-            retries_used = 0
+        subtask = output.subtask
+        retries_used = 0
+        if subtask is None:
+            feedback = failure(ErrorCode.F1)
+        elif subtask.action is ActionType.END:
+            feedback = SUCCESS
+            terminated_by_end = True
         else:
-            output = parsed
-            verdict = validate_output(parsed)
-            if verdict is not None:
-                feedback = verdict
-                retries_used = 0
-            elif parsed.is_end:
-                feedback = SUCCESS
-                retries_used = 0
-            else:
-                subtask = parsed.subtask
-                attempts = 0
-                while True:
-                    attempts += 1
-                    outcome = execute(scene, subtask, state.inventory)
-                    if outcome.ok or outcome.code is not ErrorCode.E1 or attempts >= retries:
-                        break
-                feedback = outcome
-                retries_used = attempts - 1
+            # the first attempt is unconditional, so feedback is always bound
+            feedback = execute(scene, subtask, state.inventory)
+            while feedback.code is ErrorCode.E1 and retries_used + 1 < retries:
+                retries_used += 1
+                feedback = execute(scene, subtask, state.inventory)
+            state.observations = observe(scene)
 
-        steps.append(StepRecord(index, output, _plain(feedback), retries_used))
+        steps.append(StepRecord(len(steps) + 1, output, feedback, retries_used))
         apply_feedback(state, output, feedback)
         state.budget_remaining -= 1
-        if not isinstance(parsed, ParseFailure) and parsed.is_end and feedback.ok:
-            terminated_by_end = True
+        if terminated_by_end:
             break
 
     return Trajectory(
@@ -507,7 +479,6 @@ def replay_instructions(
     instructions = []
     for step in trajectory.steps:
         instructions.append(assemble_instruction(state))
-        feedback: Feedback = step.feedback
         if scene is not None:
             if step.feedback.ok and not step.output.is_end:
                 subtask = step.output.subtask
@@ -517,11 +488,7 @@ def replay_instructions(
                     )
             elif step.feedback.code is ErrorCode.E2:
                 sim.relocate_lost_object(scene, state.inventory.held)
-            feedback = ExecOutcome(
-                step.feedback.status, step.feedback.code, step.feedback.message,
-                observations=observe(scene),
-                inventory_correction=Inventory() if step.feedback.code is ErrorCode.E2 else None,
-            )
+            state.observations = observe(scene)
         # the log is authoritative in replay: a successful Pick overwrites
         # whatever the folded hand state says, even for histories this
         # executor could not have produced
@@ -531,6 +498,6 @@ def replay_instructions(
             and not state.inventory.empty
         ):
             state.inventory = Inventory()
-        apply_feedback(state, step.output, feedback)
+        apply_feedback(state, step.output, step.feedback)
         state.budget_remaining -= 1
     return instructions

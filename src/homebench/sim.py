@@ -16,13 +16,12 @@ from enum import Enum
 from typing import Optional, Union
 
 from .core import (
+    SUCCESS,
     ActionType,
-    CANONICAL_MESSAGES,
     ErrorCode,
     Feedback,
     Inventory,
     SchemaError,
-    StepStatus,
     Subtask,
     failure,
     normalize_name,
@@ -80,16 +79,6 @@ class Entity:
 class AgentPose:
     at: str  # current spot ("" in a degenerate empty scene)
     band_overrides: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ExecOutcome(Feedback):
-    """Executor feedback plus the post-step observations. ``inventory_correction``
-    is set only on E2, where the executor reports the authoritative hand state
-    after a botched placement."""
-
-    observations: tuple = ("", "", "", "")
-    inventory_correction: Optional[Inventory] = None
 
 
 @dataclass
@@ -408,13 +397,6 @@ def _outcome_draw(scene: Scene, action: ActionType, target: str) -> str:
     return "ok"
 
 
-def _fail(scene: Scene, code: ErrorCode, correction: Optional[Inventory] = None) -> ExecOutcome:
-    return ExecOutcome(
-        StepStatus.FAILURE, code, CANONICAL_MESSAGES[code],
-        observations=observe(scene), inventory_correction=correction,
-    )
-
-
 def _enclosing_closed_container(scene: Scene, entity: Entity) -> bool:
     location = entity.location
     while location not in (HAND, ""):
@@ -473,58 +455,61 @@ def replay_step_mutation(scene: Scene, action: ActionType, target: str,
         _mutate_success(scene, action, target, held)
 
 
-def execute(scene: Scene, subtask: Subtask, inventory: Inventory) -> ExecOutcome:
-    """Run one validated subtask against the scene.
+def execute(scene: Scene, subtask: Subtask, inventory: Inventory) -> Feedback:
+    """Run one validated subtask against the scene and return its feedback:
+    ``SUCCESS`` or the failure value of one error code.
 
     Checks apply in fixed precedence: F2, L4, L1, L2, L3, D2, D1, then the
     scheduled/stochastic execution outcome. Navigation skips the hand and
     distance preconditions entirely, so GoTo can only fail with F2 or E1.
     An E1 here is a single failed attempt; the caller owns the three-attempt
-    retry budget.
+    retry budget. An E2 drops the held object nearby, so the hand is empty
+    afterwards. Rendering the post-step observations is the caller's job
+    (``observe``).
     """
     action = subtask.action
     if action is ActionType.END:
-        return ExecOutcome(StepStatus.SUCCESS, observations=observe(scene))
+        return SUCCESS
     target = resolve_target(scene, subtask.target)
     if isinstance(target, Feedback):
-        return _fail(scene, ErrorCode.F2)
+        return target
 
     if action is not ActionType.GO_TO:
         if action in (ActionType.OPEN, ActionType.CLOSE):
             if target.kind is not EntityKind.CONTAINER or not target.interactive:
-                return _fail(scene, ErrorCode.L4)
+                return failure(ErrorCode.L4)
         elif action is ActionType.PICK:
             if target.kind is not EntityKind.OBJECT or not target.interactive:
-                return _fail(scene, ErrorCode.L4)
+                return failure(ErrorCode.L4)
         elif action is ActionType.PLACE:
             if target.kind is EntityKind.OBJECT or not target.interactive:
-                return _fail(scene, ErrorCode.L4)
+                return failure(ErrorCode.L4)
 
         if action in (ActionType.PICK, ActionType.OPEN, ActionType.CLOSE) and not inventory.empty:
-            return _fail(scene, ErrorCode.L1)
+            return failure(ErrorCode.L1)
         if action is ActionType.PLACE and inventory.empty:
-            return _fail(scene, ErrorCode.L2)
+            return failure(ErrorCode.L2)
         if action is ActionType.PICK and _enclosing_closed_container(scene, target):
-            return _fail(scene, ErrorCode.L3)
+            return failure(ErrorCode.L3)
         if (
             action is ActionType.PLACE
             and target.kind is EntityKind.CONTAINER
             and target.open_state is OpenState.CLOSED
         ):
-            return _fail(scene, ErrorCode.L3)
+            return failure(ErrorCode.L3)
 
         band = scene.band(target.name)
         if band is DistanceBand.TOO_CLOSE:
-            return _fail(scene, ErrorCode.D2)
+            return failure(ErrorCode.D2)
         if band is DistanceBand.TOO_FAR:
-            return _fail(scene, ErrorCode.D1)
+            return failure(ErrorCode.D1)
 
     drawn = _outcome_draw(scene, action, target.name)
     if drawn == "E1":
-        return _fail(scene, ErrorCode.E1)
+        return failure(ErrorCode.E1)
     if drawn == "E2":
         relocate_lost_object(scene, inventory.held)
-        return _fail(scene, ErrorCode.E2, correction=Inventory())
+        return failure(ErrorCode.E2)
 
     _mutate_success(scene, action, target.name, inventory.held)
-    return ExecOutcome(StepStatus.SUCCESS, observations=observe(scene))
+    return SUCCESS

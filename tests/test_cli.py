@@ -252,6 +252,27 @@ def test_augment_bad_lexicon_is_config_error(tmp_path, capsys, lexicon):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--scenes", "nowhere"], "scenes directory not found"),
+    (["--rewrites", "-1"], "--rewrites must be at least 0"),
+    (["--train-split", "1.5"], "--train-split must be between 0 and 1"),
+    (["--train-split", "-0.1"], "--train-split must be between 0 and 1"),
+    (["--train-split", "nan"], "--train-split must be between 0 and 1"),
+], ids=["missing-scenes", "negative-rewrites", "split-above-one", "negative-split",
+        "nan-split"])
+def test_augment_refuses_bad_options(tmp_path, capsys, argv, message):
+    augment_fixture(tmp_path)
+    out = tmp_path / "ds"
+    argv = [str(tmp_path / arg) if arg == "nowhere" else arg for arg in argv]
+    code = main(["augment", "--logs", str(tmp_path / "logs"),
+                 "--tasks", str(tmp_path / "tasks"), "--out", str(out)] + argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()  # refused before any output is written
+
+
 def test_augment_empty_logs_config_error(tmp_path):
     (tmp_path / "logs").mkdir()
     assert main(["augment", "--logs", str(tmp_path / "logs"),

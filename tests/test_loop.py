@@ -4,6 +4,7 @@ import pytest
 
 from homebench.core import (
     ActionType,
+    ConfigError,
     ErrorCode,
     Feedback,
     Inventory,
@@ -26,10 +27,9 @@ from homebench.loop import (
     run_benchmark,
     run_episode,
     stable_seed,
-    validate_output,
 )
 from homebench.planners import RecordingPlanner, ScriptedPlanner
-from homebench.sim import ExecOutcome, load_scene, observe
+from homebench.sim import load_scene, observe
 
 from conftest import make_task
 from test_sim import scene_doc
@@ -159,7 +159,7 @@ def test_parse_malformed_subtask():
 def test_parse_preserves_unknown_action_for_validation():
     output = parse_planner_output('{"analysis":"a","subtask":["grab","apple"],"model":"M3"}')
     assert output.action == "grab"
-    assert validate_output(output).code is ErrorCode.F1
+    assert output.subtask is None
 
 
 def test_parse_subtask_dict_form():
@@ -171,7 +171,7 @@ def test_parse_subtask_dict_form():
 def test_parse_end_single_element():
     output = parse_planner_output('{"analysis":"done","subtask":["End"],"model":"M3"}')
     assert output.is_end
-    assert validate_output(output) is None
+    assert output.subtask is not None
 
 
 # ---------------------------------------------------------------------------
@@ -179,25 +179,28 @@ def test_parse_end_single_element():
 
 
 def test_validate_ok():
-    assert validate_output(out("Pick", "apple")) is None
+    assert out("Pick", "apple").subtask is not None
 
 
 def test_validate_unknown_action_message():
-    verdict = validate_output(out("Jump", "sofa"))
+    assert out("Jump", "sofa").subtask is None
+    task = make_task(task_id="demo")
+    planner = ScriptedPlanner([plan_entry("Jump", "sofa"), plan_entry("End", "")])
+    verdict = run_episode(load_scene(scene_doc()), planner, task).steps[0].feedback
     assert verdict.code is ErrorCode.F1
     assert verdict.message == "You should only choose actions in the list"
 
 
 def test_validate_unknown_model():
-    assert validate_output(out("Pick", "apple", model="GPT-hands")).code is ErrorCode.F1
+    assert out("Pick", "apple", model="GPT-hands").subtask is None
 
 
 def test_validate_end_with_target_demoted():
-    assert validate_output(out("End", "kitchen", model="M3")).code is ErrorCode.F1
+    assert out("End", "kitchen", model="M3").subtask is None
 
 
 def test_validate_missing_target():
-    assert validate_output(out("Pick", "")).code is ErrorCode.F1
+    assert out("Pick", "").subtask is None
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +221,10 @@ def test_apply_place_clears_inventory():
 
 def test_apply_e2_adopts_correction():
     state = fresh_state(inventory=Inventory("apple"))
-    outcome = ExecOutcome(
-        StepStatus.FAILURE, ErrorCode.E2, "the object is missing",
-        observations=("a", "b", "c", "d"), inventory_correction=Inventory(),
-    )
-    apply_feedback(state, out("Place", "table"), outcome)
+    before_obs = state.observations
+    apply_feedback(state, out("Place", "table"), failure(ErrorCode.E2))
     assert state.inventory == Inventory()
-    assert state.observations == ("a", "b", "c", "d")
+    assert state.observations == before_obs
     assert "the object is missing" in assemble_instruction(state).feedback
 
 
@@ -350,24 +350,67 @@ def test_episode_f2_only_from_executor_f1_only_from_loop():
     assert trajectory.steps[1].feedback.code is ErrorCode.F1
 
 
-def test_episode_history_fidelity():
+FAILING_SCENE = dict(
+    failure_rates={"e1_manipulation": 0.2, "e1_navigation": 0.2, "e2_place": 0.3},
+    outcome_schedule={"pick apple": ["E1", "E1", "E1", "E1", "ok"],
+                      "place drawer": ["E2"]},
+)
+
+
+@pytest.mark.parametrize("overrides", [{}, FAILING_SCENE], ids=["plain", "e1-e2"])
+def test_episode_history_fidelity(overrides):
+    # live prompts must equal the replayed ones, also across E1 retries
+    # and an E2 that drops the held object
     task = make_task(task_id="demo")
     transcript = []
     planner = ScriptedPlanner([
         plan_entry("Open", "fridge", "Octo"),
+        plan_entry("Pick", "apple"),
+        plan_entry("Pick", "apple"),
+        plan_entry("Go to", "table", "NoMaD"),
+        plan_entry("Place", "drawer"),
+        plan_entry("Pick", "apple"),
+        plan_entry("Place", "drawer"),
         plan_entry("Pick", "banana"),
         plan_entry("Pick", "unicorn"),
+        "gibberish",
         plan_entry("End", ""),
     ])
     trajectory = run_episode(
-        load_scene(scene_doc()), RecordingPlanner(planner, transcript), task,
+        load_scene(scene_doc(**overrides)), RecordingPlanner(planner, transcript), task,
         system_info="SYSTEM",
     )
+    assert trajectory.terminated_by_end
     assert len(transcript) == len(trajectory.steps)
+    if overrides:
+        codes = [s.feedback.code for s in trajectory.steps]
+        assert ErrorCode.E1 in codes and ErrorCode.E2 in codes
+        assert any(s.feedback.ok and s.retries_used for s in trajectory.steps)
     replayed = replay_instructions(
-        trajectory, task, scene=load_scene(scene_doc()), system_info="SYSTEM",
+        trajectory, task, scene=load_scene(scene_doc(**overrides)), system_info="SYSTEM",
     )
     assert [i.text for i in replayed] == [e["instruction"] for e in transcript]
+
+
+@pytest.mark.parametrize("retries", [1, 2, 3])
+def test_episode_one_attempt_per_retry_slot(retries):
+    task = make_task(task_id="demo")
+    scene = load_scene(scene_doc(outcome_schedule={"pick apple": ["E1"] * 4}))
+    planner = ScriptedPlanner([plan_entry("Pick", "apple"), plan_entry("End", "")])
+    trajectory = run_episode(scene, planner, task, retries=retries)
+    assert trajectory.steps[0].feedback.code is ErrorCode.E1
+    assert trajectory.steps[0].retries_used == retries - 1
+    assert scene.schedule["pick apple"] == ["E1"] * (4 - retries)
+
+
+@pytest.mark.parametrize("retries", [-1, 0, 4])
+def test_episode_refuses_retries_outside_one_to_three(retries):
+    task = make_task(task_id="demo")
+    scene = load_scene(scene_doc(outcome_schedule={"pick apple": ["E1"] * 4}))
+    planner = ScriptedPlanner([plan_entry("Pick", "apple"), plan_entry("End", "")])
+    with pytest.raises(ConfigError, match="retries must be between 1 and 3"):
+        run_episode(scene, planner, task, retries=retries)
+    assert scene.schedule["pick apple"] == ["E1"] * 4
 
 
 def test_replay_without_scene_uses_placeholder():

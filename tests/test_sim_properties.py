@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homebench.core import ActionType, Inventory, ModelChoice, Subtask
+from homebench.core import ActionType, ErrorCode, Inventory, ModelChoice, Subtask
 from homebench.sim import (
     DIRECTIONS,
     DistanceBand,
@@ -170,18 +170,19 @@ SEQUENCE = [
 
 def play(scene) -> list:
     """Initial observations, then every outcome of SEQUENCE (with seeded E1
-    and E2 draws) as the executor reports it."""
+    and E2 draws) as the executor reports it, each paired with the
+    observations after it."""
     inventory = Inventory()
     outcomes = [observe(scene)]
     for action, target in SEQUENCE:
         outcome = execute(scene, Subtask(action, target, ModelChoice.M3), inventory)
-        if outcome.inventory_correction is not None:
-            inventory = outcome.inventory_correction
+        if outcome.code is ErrorCode.E2:
+            inventory = Inventory()
         elif outcome.ok and action is ActionType.PICK:
             inventory = Inventory(target)
         elif outcome.ok and action is ActionType.PLACE:
             inventory = Inventory()
-        outcomes.append(outcome)
+        outcomes.append((outcome, observe(scene)))
     return outcomes
 
 
