@@ -100,12 +100,12 @@ def sft_convert(trajectory: Trajectory, prompts: Sequence[Instruction]) -> list:
     step's prompt but re-renders the history with the failed steps scrubbed.
     The feedback line still reports the failure that preceded the step."""
     samples = []
-    kept = []  # (output, feedback) of the successful steps so far
+    kept = []  # the successful steps so far
     for step, prompt in zip(trajectory.steps, prompts):
         if step.feedback.ok:
             instruction = dataclasses.replace(prompt, history=render_history(kept))
             samples.append(_make_sample(instruction, step.output, trajectory.task_id))
-            kept.append((step.output, step.feedback))
+            kept.append(step)
     return samples
 
 
@@ -272,7 +272,6 @@ class AugmentConfig:
     lexicon: Optional[list] = None
     dedup: bool = True
     scene_docs: Optional[dict] = None  # scene_ref -> raw scene document
-    system_info: Optional[str] = None
     train_split: Optional[float] = None
 
 
@@ -317,7 +316,6 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
         template = templates.get(task.scene_ref)
         prompts = replay_instructions(
             trajectory, task, template.clone() if template is not None else None,
-            config.system_info,
         )
         samples.extend(sft_convert(trajectory, prompts))
         pairs.extend(dpo_sift(trajectory, prompts))

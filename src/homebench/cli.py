@@ -79,7 +79,7 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -99,7 +99,7 @@ def _load_task_map(tasks_dir: Path) -> dict:
     if overlay_path.exists():
         try:
             overlay = json.loads(overlay_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"key path file {overlay_path} is not valid JSON: {exc}") from exc
     paths = sorted(p for p in tasks_dir.glob("*.json") if p.name != "keypaths.json")
     if not paths:
@@ -115,7 +115,7 @@ def _load_scene_docs(scenes_dir: Path) -> dict:
     for path in sorted(scenes_dir.glob("*.json")):
         try:
             docs[path.stem] = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"scene file {path} is not valid JSON: {exc}") from exc
     if not docs:
         raise ConfigError(f"no scene files in {scenes_dir}")
@@ -154,11 +154,11 @@ def _planner_factory(spec: str, config: dict):
                 plan_path = base / f"{task.id}.json"
                 if not plan_path.exists():
                     raise ConfigError(f"no scripted plan for task {task.id!r} in {base}")
-                return load_scripted_plan(plan_path.read_text(encoding="utf-8"))
+                return load_scripted_plan(plan_path.read_bytes())
             return factory
         if base.exists():
-            text = base.read_text(encoding="utf-8")
-            return lambda task, run_index: load_scripted_plan(text)
+            data = base.read_bytes()
+            return lambda task, run_index: load_scripted_plan(data)
         raise ConfigError(f"scripted plan path not found: {base}")
     if kind == "remote":
         remote = _remote_config(arg, config)
@@ -204,7 +204,7 @@ def _load_lexicon(path: Path) -> list:
         raise ConfigError(f"lexicon file not found: {path}")
     try:
         lexicon = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"lexicon file {path} is not valid JSON: {exc}") from exc
     if (not isinstance(lexicon, list) or not lexicon
             or not all(isinstance(entry, str) for entry in lexicon)):
@@ -222,6 +222,8 @@ def cmd_run(args, config: dict) -> int:
     scenes_dir = _require_dir(
         _setting(args.scenes, "SCENES", config, "scenes", _bundled("scenes")), "scenes")
     out_dir = Path(_setting(args.out, "OUT", config, "output", "runs"))
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ConfigError(f"--out {out_dir} exists and is not a directory")
     planner_spec = _setting(args.planner, "PLANNER", config, "planner", "scripted:")
     runs = _setting(args.runs, "RUNS", config, "runs_per_task", 3, int)
     budget = _setting(args.budget, "BUDGET", config, "budget", 20, int)
@@ -463,7 +465,7 @@ def main(argv=None) -> int:
         config_path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
         config = _load_config_file(config_path)
         return COMMANDS[args.command](args, config)
-    except HomebenchError as exc:
+    except (HomebenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -360,20 +360,18 @@ SUCCESS = Feedback(StepStatus.SUCCESS)
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One planner turn: what was emitted and how it went.
+    """One planner turn: what was emitted and how it went. Its index is its
+    1-based position in the trajectory.
 
     ``retries_used`` counts extra executor attempts within the step; each
     step gets at most three attempts total.
     """
 
-    index: int
     output: PlannerOutput
     feedback: Feedback
     retries_used: int = 0
 
     def __post_init__(self):
-        if self.index < 1:
-            raise InvariantError(f"step index must be >= 1 (got {self.index})")
         if not 0 <= self.retries_used <= 2:
             raise InvariantError(f"retries_used must be 0..2 (got {self.retries_used})")
 
@@ -396,11 +394,6 @@ class Trajectory:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        for pos, step in enumerate(self.steps):
-            if step.index != pos + 1:
-                raise SchemaError(
-                    f"steps[{pos}].index: expected {pos + 1}, got {step.index}"
-                )
         if self.terminated_by_end and self.terminated_by_budget:
             raise InvariantError("trajectory cannot terminate by both end and budget")
         # A terminating End is a *valid, accepted* End emission; End-shaped
@@ -511,7 +504,7 @@ def parse_task_file(data) -> Task:
     offending path on any violation."""
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise SchemaError(f"task document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("task document must be a JSON object")
@@ -564,6 +557,8 @@ def _parse_step(doc, pos: int) -> StepRecord:
     index = _require(doc, "index", where)
     if not isinstance(index, int):
         raise SchemaError(f"{where}.index: expected an integer")
+    if index != pos + 1:
+        raise SchemaError(f"{where}.index: expected {pos + 1}, got {index}")
     analysis = str(_require(doc, "analysis", where))
     raw_action = str(_require(doc, "action", where))
     raw_target = str(_require(doc, "target", where))
@@ -613,7 +608,7 @@ def _parse_step(doc, pos: int) -> StepRecord:
     output = PlannerOutput(analysis, action, target, model)
     try:
         feedback = Feedback(status, code, CANONICAL_MESSAGES[code] if code else "")
-        return StepRecord(index, output, feedback, retries)
+        return StepRecord(output, feedback, retries)
     except InvariantError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
@@ -621,13 +616,14 @@ def _parse_step(doc, pos: int) -> StepRecord:
 def parse_trajectory_log(data) -> Trajectory:
     """Parse a trajectory log (bytes or str).
 
-    Raises SchemaError on malformed documents (including step index gaps)
-    and InvariantError on structurally impossible trajectories such as an
-    End step followed by more steps.
+    Raises SchemaError on malformed documents, including bytes that are not
+    UTF-8 and a step whose index is not its 1-based position, and
+    InvariantError on structurally impossible trajectories such as an End
+    step followed by more steps.
     """
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise SchemaError(f"trajectory log is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("trajectory log must be a JSON object")
@@ -658,9 +654,9 @@ def serialize_trajectory(trajectory: Trajectory) -> str:
     if not trajectory.finished:
         raise InvariantError("only finished trajectories can be serialized")
     steps = []
-    for step in trajectory.steps:
+    for index, step in enumerate(trajectory.steps, 1):
         doc = {
-            "index": step.index,
+            "index": index,
             "analysis": step.output.analysis,
             "action": step.output.action,
             "target": step.output.target,

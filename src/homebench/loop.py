@@ -113,50 +113,49 @@ def render_feedback(feedback: Optional[Feedback]) -> str:
     return f"failure ({feedback.code.value}): {feedback.message}"
 
 
-def render_history(entries: Sequence) -> str:
+def render_history(steps: Sequence[StepRecord]) -> str:
     """Numbered step summaries. Analysis text is deliberately left out so
     long episodes do not balloon the prompt; only what was attempted and how
     it went is replayed."""
     lines = [
-        f"{n}. {describe_output(output)} -> {render_feedback(feedback)}"
-        for n, (output, feedback) in enumerate(entries, 1)
+        f"{n}. {describe_output(step.output)} -> {render_feedback(step.feedback)}"
+        for n, step in enumerate(steps, 1)
     ]
     return "\n".join(lines) if lines else "none"
 
 
-def render_observations(observations: Optional[tuple]) -> str:
-    if observations is None:
+def render_observations(scene: Optional[Scene]) -> str:
+    if scene is None:
         return OBSERVATIONS_UNAVAILABLE
     return "\n".join(
         f"{direction}: {text}"
-        for direction, text in zip(sim.DIRECTIONS, observations)
+        for direction, text in zip(sim.DIRECTIONS, observe(scene))
     )
 
 
 @dataclass
 class EpisodeState:
-    """Mutable per-episode protocol state. ``system_info`` and ``task_text``
-    never change within an episode; everything else evolves with feedback."""
+    """Mutable per-episode protocol state: the task, the scene (None when a
+    log is replayed without one), the hand, and the steps taken so far."""
 
-    system_info: str
     task_text: str
+    scene: Optional[Scene] = None
     inventory: Inventory = field(default_factory=Inventory)
-    history: list = field(default_factory=list)  # [(PlannerOutput, Feedback)]
-    last_feedback: Optional[Feedback] = None
-    observations: Optional[tuple] = None
-    budget_remaining: int = 20
+    steps: list = field(default_factory=list)  # [StepRecord]
 
 
 def assemble_instruction(state: EpisodeState) -> Instruction:
-    """Deterministic instruction for the current state. No scene state leaks
-    into the prompt beyond the observation texts."""
+    """Deterministic instruction rendered from the state's steps and the
+    scene as it is now. No scene state leaks into the prompt beyond the
+    observation texts."""
+    steps = state.steps
     return Instruction(
-        system=state.system_info,
+        system=DEFAULT_SYSTEM_INFO,
         task=state.task_text,
         inventory=state.inventory.held if state.inventory.held else "empty",
-        history=render_history(state.history),
-        feedback=render_feedback(state.last_feedback),
-        observations=render_observations(state.observations),
+        history=render_history(steps),
+        feedback=render_feedback(steps[-1].feedback if steps else None),
+        observations=render_observations(state.scene),
     )
 
 
@@ -257,30 +256,28 @@ def parse_planner_output(raw: str):
 # state transitions
 
 
-def apply_feedback(state: EpisodeState, output: PlannerOutput, feedback: Feedback) -> EpisodeState:
+def apply_feedback(state: EpisodeState, step: StepRecord) -> EpisodeState:
     """Fold one executed step into the episode state.
 
     Inventory follows the action type: a successful Pick fills the hand, a
     successful Place empties it, an E2 failure empties it (the executor
-    dropped the held object), and everything else leaves it alone. The
-    feedback joins the history and becomes the last feedback. Observations
-    are not touched here: the caller renders them after the step.
+    dropped the held object), and everything else leaves it alone. The step
+    joins the state's steps; the scene is not touched here.
     """
-    if feedback.ok:
-        action = output.action_type
+    if step.feedback.ok:
+        action = step.output.action_type
         if action is ActionType.PICK:
             if not state.inventory.empty:
                 raise InvariantError(
                     "executor reported a successful Pick while the hand was full"
                 )
-            state.inventory = Inventory(output.target)
+            state.inventory = Inventory(step.output.target)
         elif action is ActionType.PLACE:
             state.inventory = Inventory()
-    elif feedback.code is ErrorCode.E2:
+    elif step.feedback.code is ErrorCode.E2:
         state.inventory = Inventory()
 
-    state.history.append((output, feedback))
-    state.last_feedback = feedback
+    state.steps.append(step)
     return state
 
 
@@ -300,7 +297,6 @@ def run_episode(
     budget: int = 20,
     retries: int = 3,
     run_index: int = 0,
-    system_info: Optional[str] = None,
 ) -> Trajectory:
     """Drive one episode to termination.
 
@@ -308,8 +304,8 @@ def run_episode(
     fail to parse or validate (logged as F1). Executor attempts within a
     step retry only on E1, up to ``retries`` (1..3) attempts total; logical,
     distance, and format failures are deterministic for a given state, so
-    they are final immediately. The observations are rendered once after a
-    step's last executor attempt. The episode stops at a valid End or when
+    they are final immediately. The observations are rendered from the scene
+    when each prompt is assembled. The episode stops at a valid End or when
     the budget runs out.
 
     If the planner transport fails, the raised error carries the partial
@@ -317,22 +313,16 @@ def run_episode(
     """
     if not 1 <= retries <= 3:
         raise ConfigError(f"retries must be between 1 and 3 attempts per step, got {retries}")
-    state = EpisodeState(
-        system_info=system_info if system_info is not None else DEFAULT_SYSTEM_INFO,
-        task_text=task.instruction,
-        observations=observe(scene),
-        budget_remaining=budget,
-    )
-    steps: list = []
+    state = EpisodeState(task.instruction, scene)
     terminated_by_end = False
 
-    while state.budget_remaining > 0:
+    for _ in range(budget):
         instruction = assemble_instruction(state)
         try:
             raw = planner.next(instruction)
         except PlannerTransportError as exc:
             exc.trajectory = Trajectory(
-                task.id, tuple(steps), False, False, run_index=run_index
+                task.id, tuple(state.steps), False, False, run_index=run_index
             )
             raise
 
@@ -352,17 +342,14 @@ def run_episode(
             while feedback.code is ErrorCode.E1 and retries_used + 1 < retries:
                 retries_used += 1
                 feedback = execute(scene, subtask, state.inventory)
-            state.observations = observe(scene)
 
-        steps.append(StepRecord(len(steps) + 1, output, feedback, retries_used))
-        apply_feedback(state, output, feedback)
-        state.budget_remaining -= 1
+        apply_feedback(state, StepRecord(output, feedback, retries_used))
         if terminated_by_end:
             break
 
     return Trajectory(
         task_id=task.id,
-        steps=tuple(steps),
+        steps=tuple(state.steps),
         terminated_by_end=terminated_by_end,
         terminated_by_budget=not terminated_by_end,
         run_index=run_index,
@@ -400,7 +387,6 @@ def run_benchmark(
     retries: int = 3,
     seed: Optional[int] = None,
     jobs: int = 1,
-    system_info: Optional[str] = None,
     progress=None,
 ) -> list:
     """Run every task ``runs_per_task`` times, each episode against a fresh
@@ -435,7 +421,6 @@ def run_benchmark(
             trajectory = run_episode(
                 scene, planner, task,
                 budget=budget, retries=retries, run_index=run_index,
-                system_info=system_info,
             )
             result = RunResult(task.id, run_index, trajectory)
         except PlannerTransportError as exc:
@@ -458,24 +443,18 @@ def replay_instructions(
     trajectory: Trajectory,
     task: Task,
     scene: Optional[Scene] = None,
-    system_info: Optional[str] = None,
 ) -> list:
     """Reconstruct the instruction that preceded each logged step, exactly
     as the planner saw it, full history included.
 
-    Inventory, feedback, and history fold directly from the log. The
-    observation blocks fold too when a fresh copy of the task's scene is
-    supplied (logged successful mutations replay deterministically against
-    it); without one they render as a fixed placeholder. Supervised
-    prompts, whose history leaves out the failed steps, are derived from
-    these by re-rendering only the history field (``augment.sft_convert``).
+    Inventory, feedback, and history fold directly from the log. When a
+    fresh copy of the task's scene is supplied, the logged mutations replay
+    against it and each prompt observes it as it was at that step; without
+    one the observations render as a fixed placeholder. Supervised prompts,
+    whose history leaves out the failed steps, are derived from these by
+    re-rendering only the history field (``augment.sft_convert``).
     """
-    state = EpisodeState(
-        system_info=system_info if system_info is not None else DEFAULT_SYSTEM_INFO,
-        task_text=task.instruction,
-        observations=observe(scene) if scene is not None else None,
-        budget_remaining=len(trajectory.steps),
-    )
+    state = EpisodeState(task.instruction, scene)
     instructions = []
     for step in trajectory.steps:
         instructions.append(assemble_instruction(state))
@@ -488,7 +467,6 @@ def replay_instructions(
                     )
             elif step.feedback.code is ErrorCode.E2:
                 sim.relocate_lost_object(scene, state.inventory.held)
-            state.observations = observe(scene)
         # the log is authoritative in replay: a successful Pick overwrites
         # whatever the folded hand state says, even for histories this
         # executor could not have produced
@@ -498,6 +476,5 @@ def replay_instructions(
             and not state.inventory.empty
         ):
             state.inventory = Inventory()
-        apply_feedback(state, step.output, step.feedback)
-        state.budget_remaining -= 1
+        apply_feedback(state, step)
     return instructions

@@ -106,7 +106,7 @@ def load_scripted_plan(data) -> ScriptedPlanner:
     if isinstance(data, (bytes, str)):
         try:
             doc = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise SchemaError(f"plan document is not valid JSON: {exc}") from exc
     else:
         doc = data
@@ -193,10 +193,16 @@ class RemotePlannerConfig:
             raise ConfigError("remote planner max_retries must be >= 0")
 
 
+# 4xx statuses that a later attempt can still turn into a success
+_RETRYABLE_4XX = (408, 429)
+
+
 def _post_chat(config: RemotePlannerConfig, messages, session) -> str:
     """POST one chat request, retrying with exponential backoff on transport
-    failures (connection errors, timeouts, non-2xx statuses, malformed
-    response envelopes). Returns the assistant text verbatim."""
+    failures (connection errors, timeouts, 5xx and other non-2xx statuses,
+    malformed response envelopes). A 4xx status other than 408 and 429
+    cannot succeed on a retry, so it fails at once. Returns the assistant
+    text verbatim."""
     body = {
         "model": config.model,
         "messages": messages,
@@ -220,6 +226,8 @@ def _post_chat(config: RemotePlannerConfig, messages, session) -> str:
             continue
         if response.status_code // 100 != 2:
             last_error = f"endpoint returned status {response.status_code}"
+            if response.status_code // 100 == 4 and response.status_code not in _RETRYABLE_4XX:
+                raise PlannerTransportError(f"{last_error} (after {attempt + 1} attempts)")
             continue
         try:
             content = response.json()["choices"][0]["message"]["content"]

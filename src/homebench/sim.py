@@ -166,7 +166,7 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
     if isinstance(data, (bytes, str)):
         try:
             doc = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise SchemaError(f"scene document is not valid JSON: {exc}") from exc
     else:
         doc = data

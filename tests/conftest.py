@@ -34,7 +34,7 @@ MODEL_FOR = {
 }
 
 
-def step(index, action, target, ok=True, code=None, retries=0, analysis="", model=None):
+def step(action, target, ok=True, code=None, retries=0, analysis="", model=None):
     """Build a StepRecord from a compact spec. ``action`` may be an
     ActionType, a canonical label, or a raw invalid string (F1 steps)."""
     if isinstance(action, ActionType):
@@ -52,19 +52,19 @@ def step(index, action, target, ok=True, code=None, retries=0, analysis="", mode
         feedback = SUCCESS
     else:
         feedback = failure(code or ErrorCode.E1)
-    return StepRecord(index, output, feedback, retries)
+    return StepRecord(output, feedback, retries)
 
 
 def traj(specs, task_id="t1", run_index=0, budget=False):
     """Build a finished trajectory from (action, target, ok[, code]) specs.
     Appends an End step unless ``budget`` is true."""
     steps = []
-    for i, spec in enumerate(specs):
+    for spec in specs:
         action, target, ok = spec[0], spec[1], spec[2]
         code = spec[3] if len(spec) > 3 else None
-        steps.append(step(i + 1, action, target, ok=ok, code=code))
+        steps.append(step(action, target, ok=ok, code=code))
     if not budget:
-        steps.append(step(len(steps) + 1, ActionType.END, "", ok=True))
+        steps.append(step(ActionType.END, "", ok=True))
     return Trajectory(
         task_id=task_id,
         steps=tuple(steps),
@@ -120,7 +120,7 @@ def random_trajectory(rng: random.Random, max_steps=12, task_id="t1", run_index=
     for i in range(n):
         action = rng.choice(ACTIONS)
         steps.append(step(
-            i + 1, action, rng.choice(TARGETS),
+            action, rng.choice(TARGETS),
             ok=rng.random() < 0.6,
             code=rng.choice(list(ErrorCode)),
             analysis=f"step {i + 1} of {task_id}/{run_index}",
@@ -128,7 +128,7 @@ def random_trajectory(rng: random.Random, max_steps=12, task_id="t1", run_index=
         ))
     budget = rng.random() < 0.4
     if not budget:
-        steps.append(step(len(steps) + 1, ActionType.END, "", ok=True,
+        steps.append(step(ActionType.END, "", ok=True,
                           analysis=f"end of {task_id}/{run_index}"))
     return Trajectory(
         task_id=task_id,

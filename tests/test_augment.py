@@ -86,9 +86,8 @@ def test_sft_prompt_matches_live_rendering():
     ])
     transcript = []
     trajectory = run_episode(load_scene(scene_doc()),
-                             RecordingPlanner(planner, transcript), task,
-                             system_info="SYS")
-    prompts = replay_instructions(trajectory, task, load_scene(scene_doc()), "SYS")
+                             RecordingPlanner(planner, transcript), task)
+    prompts = replay_instructions(trajectory, task, load_scene(scene_doc()))
     samples = sft_convert(trajectory, prompts)
     assert [s.prompt for s in samples] == [e["instruction"] for e in transcript]
     assert [s.response for s in samples] == [e["response"] for e in transcript]
@@ -304,7 +303,7 @@ def test_model_change_skips_sole_category_member():
     from conftest import step
     from homebench.core import Trajectory
 
-    steps = (step(1, ActionType.PICK, "apple", ok=True, model="M3"),)
+    steps = (step(ActionType.PICK, "apple", ok=True, model="M3"),)
     trajectory = Trajectory("t1", steps, False, True)
     assert dpo_model_change(trajectory, replay_instructions(trajectory, TASK)) == []
 

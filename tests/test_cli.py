@@ -437,3 +437,105 @@ def test_evaluate_plwsr_literal_flag(tmp_path):
                  "--tasks", str(tmp_path / "tasks"), "--plwsr-literal"]) == EXIT_OK
     literal = json.loads((tmp_path / "logs" / "report.json").read_text())
     assert literal["plwsr"] == 100.0
+
+
+# ---------------------------------------------------------------------------
+# undecodable input and unwritable output
+
+NOT_UTF8 = b'{"id": "\x80"}'
+
+
+def _corpus(tmp_path):
+    augment_fixture(tmp_path)
+    return ["--logs", str(tmp_path / "logs"), "--tasks", str(tmp_path / "tasks")]
+
+
+def _bad_log(command):
+    def build(tmp_path):
+        argv = [command] + _corpus(tmp_path)
+        (tmp_path / "logs" / "bad.json").write_bytes(NOT_UTF8)
+        return argv + (["--out", str(tmp_path / "out")] if command == "augment" else [])
+    return build
+
+
+def _bad_tasks_dir(name):
+    def build(tmp_path):
+        write_tasks(tmp_path / "tasks", [make_task(task_id="t1")])
+        (tmp_path / "tasks" / name).write_bytes(NOT_UTF8)
+        return ["run", "--tasks", str(tmp_path / "tasks"), "--out", str(tmp_path / "out")]
+    return build
+
+
+def _bad_scene(tmp_path):
+    (tmp_path / "scenes").mkdir()
+    (tmp_path / "scenes" / "kitchen_home.json").write_bytes(NOT_UTF8)
+    return ["run", "--scenes", str(tmp_path / "scenes"), "--out", str(tmp_path / "out")]
+
+
+def _bad_plan(tmp_path):
+    (tmp_path / "plan.json").write_bytes(NOT_UTF8)
+    return ["run", "--planner", f"scripted:{tmp_path / 'plan.json'}", "--runs", "1",
+            "--out", str(tmp_path / "out")]
+
+
+def _bad_lexicon(tmp_path):
+    (tmp_path / "lexicon.json").write_bytes(NOT_UTF8)
+    return (["augment"] + _corpus(tmp_path)
+            + ["--lexicon", str(tmp_path / "lexicon.json"), "--out", str(tmp_path / "out")])
+
+
+def _bad_config(tmp_path):
+    (tmp_path / "config.json").write_bytes(NOT_UTF8)
+    return ["--config", str(tmp_path / "config.json"), "run", "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("build, code, expected", [
+    (_bad_log("evaluate"), EXIT_OK, "excluded 1 corrupt log(s)"),
+    (_bad_log("report-errors"), EXIT_OK, "excluded 1 corrupt log(s)"),
+    (_bad_log("augment"), EXIT_OK, "excluded 1 corrupt log(s)"),
+    (_bad_tasks_dir("t2.json"), EXIT_CONFIG, "error: bad task file in"),
+    (_bad_tasks_dir("keypaths.json"), EXIT_CONFIG, "error: key path file"),
+    (_bad_scene, EXIT_CONFIG, "error: scene file"),
+    (_bad_plan, EXIT_CONFIG, "error: plan document is not valid JSON"),
+    (_bad_lexicon, EXIT_CONFIG, "error: lexicon file"),
+    (_bad_config, EXIT_CONFIG, "error: config file is not valid JSON"),
+], ids=["evaluate-log", "report-errors-log", "augment-log", "task", "keypaths", "scene",
+        "plan", "lexicon", "config"])
+def test_non_utf8_input_is_named(tmp_path, capsys, build, code, expected):
+    assert main(build(tmp_path)) == code
+    captured = capsys.readouterr()
+    assert expected in captured.out + captured.err
+    assert "Traceback" not in captured.out + captured.err
+    if code == EXIT_CONFIG:
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["evaluate", "--out", "{tmp}/missing/report.json"], "missing/report.json"),
+    (["report-errors", "--plot-data", "{tmp}/missing/p.json"], "missing/p.json"),
+    (["augment", "--out", "{tmp}/file"], "file"),
+], ids=["evaluate-out", "report-errors-plot-data", "augment-out"])
+def test_unwritable_output_is_named(tmp_path, capsys, argv, written):
+    augment_fixture(tmp_path)
+    (tmp_path / "file").write_text("keep", encoding="utf-8")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code = main(argv[:1] + ["--logs", str(tmp_path / "logs"),
+                            "--tasks", str(tmp_path / "tasks")] + argv[1:])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and written in err
+    assert "Traceback" not in err
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "keep"
+
+
+def test_run_refuses_file_as_out_before_any_episode(tmp_path, capsys):
+    out = tmp_path / "runs"
+    out.write_text("keep", encoding="utf-8")
+    code = main(["run", "--runs", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert f"error: --out {out} exists and is not a directory" in captured.err.splitlines()
+    assert "Traceback" not in captured.err
+    assert " run 0:" not in captured.out  # no episode started
+    assert out.read_text(encoding="utf-8") == "keep"
+    assert sorted(tmp_path.iterdir()) == [out]

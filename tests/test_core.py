@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homebench.core import (
     ActionType,
@@ -20,7 +22,7 @@ from homebench.core import (
     serialize_trajectory,
 )
 
-from conftest import step, traj
+from conftest import random_trajectory, step, traj
 
 
 # ---------------------------------------------------------------------------
@@ -265,27 +267,37 @@ def test_log_roundtrip_with_failures_and_f1():
     assert serialize_trajectory(parse_trajectory_log(text)) == text
 
 
+@settings(max_examples=150, deadline=None)
+@given(rng=st.randoms(use_true_random=False), run_index=st.integers(0, 9))
+def test_log_parse_inverts_serialize(rng, run_index):
+    trajectory = random_trajectory(rng, run_index=run_index)
+    text = serialize_trajectory(trajectory)
+    assert [s["index"] for s in json.loads(text)["steps"]] == list(
+        range(1, len(trajectory.steps) + 1))
+    assert parse_trajectory_log(text) == trajectory
+
+
 # ---------------------------------------------------------------------------
 # trajectory construction invariants
 
 
 def test_trajectory_end_must_be_final():
     steps = (
-        step(1, ActionType.END, "", ok=True),
-        step(2, ActionType.PICK, "apple", ok=True),
+        step(ActionType.END, "", ok=True),
+        step(ActionType.PICK, "apple", ok=True),
     )
     with pytest.raises(InvariantError):
         Trajectory("t", steps, terminated_by_end=True, terminated_by_budget=False)
 
 
 def test_trajectory_flags_exclusive():
-    steps = (step(1, ActionType.PICK, "apple", ok=True),)
+    steps = (step(ActionType.PICK, "apple", ok=True),)
     with pytest.raises(InvariantError):
         Trajectory("t", steps, terminated_by_end=True, terminated_by_budget=True)
 
 
 def test_trajectory_end_flag_requires_end_step():
-    steps = (step(1, ActionType.PICK, "apple", ok=True),)
+    steps = (step(ActionType.PICK, "apple", ok=True),)
     with pytest.raises(InvariantError):
         Trajectory("t", steps, terminated_by_end=True, terminated_by_budget=False)
 
@@ -294,8 +306,8 @@ def test_trajectory_rejected_f1_end_is_not_termination():
     # an End-shaped emission rejected as F1 (e.g. bad model) must not count
     # as the terminating End
     steps = (
-        step(1, "End", "kitchen", ok=False, code=ErrorCode.F1),
-        step(2, ActionType.PICK, "apple", ok=True),
+        step("End", "kitchen", ok=False, code=ErrorCode.F1),
+        step(ActionType.PICK, "apple", ok=True),
     )
     trajectory = Trajectory("t", steps, terminated_by_end=False, terminated_by_budget=True)
     assert trajectory.terminated_by_budget

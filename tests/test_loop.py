@@ -11,12 +11,15 @@ from homebench.core import (
     InvariantError,
     PlannerOutput,
     PlannerTransportError,
+    StepRecord,
     StepStatus,
     failure,
     make_end_output,
     serialize_output,
 )
+from homebench import loop
 from homebench.loop import (
+    DEFAULT_SYSTEM_INFO,
     EpisodeState,
     ParseFailure,
     ParseFailureReason,
@@ -40,11 +43,9 @@ def out(action, target, model="RT-1-X", analysis="because"):
 
 
 def fresh_state(**overrides):
-    scene = load_scene(scene_doc())
     defaults = dict(
-        system_info="SYSTEM",
         task_text="put the apple on the table",
-        observations=observe(scene),
+        scene=load_scene(scene_doc()),
     )
     defaults.update(overrides)
     return EpisodeState(**defaults)
@@ -55,7 +56,7 @@ def fresh_state(**overrides):
 
 
 def test_fresh_instruction_placeholders():
-    state = EpisodeState(system_info="SYSTEM", task_text="tidy up")
+    state = EpisodeState(task_text="tidy up")
     text = assemble_instruction(state).text
     assert "Inventory: empty" in text
     assert "History:\nnone" in text
@@ -66,7 +67,7 @@ def test_fresh_instruction_placeholders():
 def test_instruction_reflects_pick_and_history():
     state = fresh_state()
     output = out("Pick", "apple")
-    apply_feedback(state, output, Feedback(StepStatus.SUCCESS))
+    apply_feedback(state, StepRecord(output, Feedback(StepStatus.SUCCESS)))
     text = assemble_instruction(state).text
     assert "Inventory: apple" in text
     assert "1. Pick apple -> success" in text
@@ -82,8 +83,9 @@ def test_instruction_deterministic_bytes():
 def test_instruction_parts_order():
     state = fresh_state()
     text = assemble_instruction(state).text
+    assert text.startswith(DEFAULT_SYSTEM_INFO)
     positions = [
-        text.index("SYSTEM"),
+        len(DEFAULT_SYSTEM_INFO),
         text.index("Task:"),
         text.index("Inventory:"),
         text.index("History:"),
@@ -96,7 +98,7 @@ def test_instruction_parts_order():
 
 def test_feedback_code_embedded_and_recoverable():
     state = fresh_state()
-    apply_feedback(state, out("Pick", "drawer"), failure(ErrorCode.D1))
+    apply_feedback(state, StepRecord(out("Pick", "drawer"), failure(ErrorCode.D1)))
     instruction = assemble_instruction(state)
     assert "failure (D1): the target is far away" in instruction.feedback
     assert instruction.feedback_code is ErrorCode.D1
@@ -104,8 +106,8 @@ def test_feedback_code_embedded_and_recoverable():
 
 def test_history_analysis_not_replayed():
     state = fresh_state()
-    apply_feedback(state, out("Pick", "apple", analysis="SECRET-REASONING"),
-                   Feedback(StepStatus.SUCCESS))
+    apply_feedback(state, StepRecord(out("Pick", "apple", analysis="SECRET-REASONING"),
+                                     Feedback(StepStatus.SUCCESS)))
     assert "SECRET-REASONING" not in assemble_instruction(state).text
 
 
@@ -209,38 +211,38 @@ def test_validate_missing_target():
 
 def test_apply_pick_sets_inventory():
     state = fresh_state()
-    apply_feedback(state, out("Pick", "apple"), Feedback(StepStatus.SUCCESS))
+    apply_feedback(state, StepRecord(out("Pick", "apple"), Feedback(StepStatus.SUCCESS)))
     assert state.inventory == Inventory("apple")
 
 
 def test_apply_place_clears_inventory():
     state = fresh_state(inventory=Inventory("apple"))
-    apply_feedback(state, out("Place", "table"), Feedback(StepStatus.SUCCESS))
+    apply_feedback(state, StepRecord(out("Place", "table"), Feedback(StepStatus.SUCCESS)))
     assert state.inventory == Inventory()
 
 
 def test_apply_e2_adopts_correction():
     state = fresh_state(inventory=Inventory("apple"))
-    before_obs = state.observations
-    apply_feedback(state, out("Place", "table"), failure(ErrorCode.E2))
+    before_obs = observe(state.scene)
+    apply_feedback(state, StepRecord(out("Place", "table"), failure(ErrorCode.E2)))
     assert state.inventory == Inventory()
-    assert state.observations == before_obs
+    assert observe(state.scene) == before_obs
     assert "the object is missing" in assemble_instruction(state).feedback
 
 
 def test_apply_double_pick_raises():
     state = fresh_state(inventory=Inventory("banana"))
     with pytest.raises(InvariantError):
-        apply_feedback(state, out("Pick", "apple"), Feedback(StepStatus.SUCCESS))
+        apply_feedback(state, StepRecord(out("Pick", "apple"), Feedback(StepStatus.SUCCESS)))
 
 
 def test_apply_failure_leaves_inventory_and_observations():
     state = fresh_state(inventory=Inventory("apple"))
-    before_obs = state.observations
-    apply_feedback(state, out("dance", "floor", model=""), failure(ErrorCode.F1))
+    before_obs = observe(state.scene)
+    apply_feedback(state, StepRecord(out("dance", "floor", model=""), failure(ErrorCode.F1)))
     assert state.inventory == Inventory("apple")
-    assert state.observations == before_obs
-    assert len(state.history) == 1
+    assert observe(state.scene) == before_obs
+    assert len(state.steps) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +380,6 @@ def test_episode_history_fidelity(overrides):
     ])
     trajectory = run_episode(
         load_scene(scene_doc(**overrides)), RecordingPlanner(planner, transcript), task,
-        system_info="SYSTEM",
     )
     assert trajectory.terminated_by_end
     assert len(transcript) == len(trajectory.steps)
@@ -387,9 +388,42 @@ def test_episode_history_fidelity(overrides):
         assert ErrorCode.E1 in codes and ErrorCode.E2 in codes
         assert any(s.feedback.ok and s.retries_used for s in trajectory.steps)
     replayed = replay_instructions(
-        trajectory, task, scene=load_scene(scene_doc(**overrides)), system_info="SYSTEM",
+        trajectory, task, scene=load_scene(scene_doc(**overrides)),
     )
     assert [i.text for i in replayed] == [e["instruction"] for e in transcript]
+
+
+def test_one_observe_per_prompt(monkeypatch):
+    # observations are rendered when a prompt is assembled and nowhere else:
+    # not at episode start, not after the step that exhausts the budget
+    calls = []
+
+    def counting_observe(scene):
+        calls.append(scene)
+        return observe(scene)
+
+    monkeypatch.setattr(loop, "observe", counting_observe)
+    task = make_task(task_id="demo")
+    transcript = []
+    planner = ScriptedPlanner([
+        plan_entry("Open", "fridge", "Octo"),
+        plan_entry("Pick", "apple"),
+        plan_entry("Pick", "apple"),
+        plan_entry("Go to", "table", "NoMaD"),
+        plan_entry("Place", "drawer"),
+    ])
+    trajectory = run_episode(
+        load_scene(scene_doc(**FAILING_SCENE)), RecordingPlanner(planner, transcript), task,
+        budget=5,
+    )
+    assert trajectory.terminated_by_budget
+    codes = [s.feedback.code for s in trajectory.steps]
+    assert ErrorCode.E1 in codes and codes[-1] is ErrorCode.E2
+    assert len(calls) == len(transcript) == 5
+
+    calls.clear()
+    replayed = replay_instructions(trajectory, task, scene=load_scene(scene_doc(**FAILING_SCENE)))
+    assert len(calls) == len(replayed) == 5
 
 
 @pytest.mark.parametrize("retries", [1, 2, 3])

@@ -369,7 +369,7 @@ def test_action_stats_attempts_count_steps_not_retries():
     # one step with retries_used=2 is still one attempt
     from conftest import step as make_step
     from homebench.core import Trajectory
-    s = make_step(1, "Pick", "a", ok=True, retries=2)
+    s = make_step("Pick", "a", ok=True, retries=2)
     trajectory = Trajectory("t1", (s,), False, True)
     stats = per_action_stats([trajectory])
     assert stats[ActionType.PICK].attempts == 1

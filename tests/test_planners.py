@@ -199,6 +199,18 @@ def test_remote_retry_budget_exhausted(stub_server):
     assert len(StubHandler.requests_seen) == 2
 
 
+@pytest.mark.parametrize("status, requests_made", [
+    (401, 1), (400, 1), (404, 1), (408, 3), (429, 3),
+])
+def test_remote_4xx_fails_without_retry(stub_server, status, requests_made):
+    # a 4xx cannot succeed on a retry, except a timeout (408) or a rate limit (429)
+    StubHandler.script = [(status, {})] * 3
+    planner = RemotePlanner(config(stub_server, max_retries=2))
+    with pytest.raises(PlannerTransportError, match=str(status)):
+        planner.next(instruction())
+    assert len(StubHandler.requests_seen) == requests_made
+
+
 def test_remote_timeout_no_retries():
     # unroutable address per RFC 5737
     planner = RemotePlanner(config("http://192.0.2.1:9/v1/chat", max_retries=0,
