@@ -233,7 +233,7 @@ def dpo_model_change(trajectory: Trajectory, prompts: Sequence[Instruction]) -> 
     for i, step in enumerate(steps):
         if not step.feedback.ok or step.output.action_type is ActionType.END:
             continue
-        model = step.output.model_choice
+        model = step.output.subtask.model
         alternatives = [
             m for m in ModelChoice if m.category is model.category and m is not model
         ]
@@ -296,7 +296,6 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
     manifest records counts before and after.
     """
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rewriter = config.rewriter if config.rewriter is not None else identity_rewriter
     lexicon = config.lexicon if config.lexicon is not None else load_default_lexicon()
     if not lexicon:
@@ -358,6 +357,8 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
         json.dumps(list(lexicon), ensure_ascii=False).encode("utf-8")
     ).hexdigest()
 
+    # created only now, so a corpus refused above leaves no directory behind
+    out_dir.mkdir(parents=True, exist_ok=True)
     split = None
     if config.train_split is not None:
         train_ids, val_ids = split_task_ids(

@@ -101,6 +101,8 @@ def _load_task_map(tasks_dir: Path) -> dict:
             overlay = json.loads(overlay_path.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise ConfigError(f"key path file {overlay_path} is not valid JSON: {exc}") from exc
+        if not isinstance(overlay, dict):
+            raise ConfigError(f"key path file {overlay_path} must hold a JSON object")
     paths = sorted(p for p in tasks_dir.glob("*.json") if p.name != "keypaths.json")
     if not paths:
         raise ConfigError(f"no task files in {tasks_dir}")
@@ -124,18 +126,29 @@ def _load_scene_docs(scenes_dir: Path) -> dict:
 
 def _remote_config(profile: str, config: dict) -> RemotePlannerConfig:
     profiles = config.get("profiles", {})
+    if not isinstance(profiles, dict):
+        raise ConfigError("config key 'profiles' must hold a JSON object")
     if profile not in profiles:
         raise ConfigError(f"remote profile {profile!r} not found in config file")
     spec = profiles[profile]
+    if not isinstance(spec, dict):
+        raise ConfigError(f"remote profile {profile!r} must be a JSON object")
+    numbers = {}
+    for key, cast, default in (("timeout", float, 30.0), ("max_retries", int, 2),
+                               ("temperature", float, 0.0)):
+        try:
+            numbers[key] = cast(spec.get(key, default))
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"remote profile {profile!r}: bad value for {key!r}: {spec[key]!r}"
+            ) from None
     try:
         return RemotePlannerConfig(
             endpoint=spec["endpoint"],
             model=spec.get("model", "default"),
-            timeout=float(spec.get("timeout", 30.0)),
-            max_retries=int(spec.get("max_retries", 2)),
-            temperature=float(spec.get("temperature", 0.0)),
             template=spec.get("template", "default"),
             api_key_env=spec.get("api_key_env", "HOMEBENCH_API_KEY"),
+            **numbers,
         )
     except KeyError as exc:
         raise ConfigError(f"remote profile {profile!r} is missing {exc}") from None
@@ -235,6 +248,8 @@ def cmd_run(args, config: dict) -> int:
     for name, value in (("--runs", runs), ("--budget", budget), ("--jobs", jobs)):
         if value < 1:
             raise ConfigError(f"{name} must be at least 1, got {value}")
+    if planner_spec == "console" and jobs > 1:  # episodes would share one terminal
+        raise ConfigError(f"--planner console needs --jobs 1, got {jobs}")
 
     tasks = _load_task_map(tasks_dir)
     scene_docs = _load_scene_docs(scenes_dir)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -253,47 +253,32 @@ class Subtask:
 
 @dataclass(frozen=True)
 class PlannerOutput:
-    """A parsed planner emission.
-
-    Field values are normalized strings. ``action`` and ``model`` are
-    canonicalized when they belong to the known lists but are preserved
-    verbatim otherwise, so invalid emissions (F1 steps) survive logging
-    and round-trip intact. Membership checking is validation's job, not
-    parsing's.
+    """A parsed planner emission. Construction keeps the four strings as
+    given, so invalid emissions (F1 steps) survive logging and round-trip
+    intact. ``action_type`` and ``subtask`` (None unless the strings name a
+    valid subtask) are derived once, at construction and in ``dataclasses.replace``.
     """
 
     analysis: str
     action: str
     target: str
     model: str
+    action_type: Optional[ActionType] = field(init=False, compare=False, repr=False)
+    subtask: Optional[Subtask] = field(init=False, compare=False, repr=False)
 
-    @property
-    def action_type(self) -> Optional[ActionType]:
-        return parse_action(self.action) if self.action else None
-
-    @property
-    def model_choice(self) -> Optional[ModelChoice]:
-        return parse_model(self.model) if self.model else None
+    def __post_init__(self):
+        action = parse_action(self.action) if self.action else None
+        model = parse_model(self.model) if self.model else None
+        subtask = None
+        if (action is not None and model is not None
+                and (self.target == "") == (action is ActionType.END)):
+            subtask = Subtask(action, self.target, model)
+        object.__setattr__(self, "action_type", action)
+        object.__setattr__(self, "subtask", subtask)
 
     @property
     def is_end(self) -> bool:
         return self.action_type is ActionType.END and self.target == ""
-
-    @property
-    def subtask(self) -> Optional[Subtask]:
-        """Typed subtask, or None while the output has not passed
-        validation (unknown action/model, or End with a target)."""
-        action = self.action_type
-        model = self.model_choice
-        if action is None or model is None:
-            return None
-        if (self.target == "") != (action is ActionType.END):
-            return None
-        return Subtask(action, self.target, model)
-
-
-def make_output(analysis: str, action: ActionType, target: str, model: ModelChoice) -> PlannerOutput:
-    return PlannerOutput(analysis, action.label, normalize_name(target), model.label)
 
 
 def make_end_output(analysis: str = "The task is complete.") -> PlannerOutput:
@@ -374,6 +359,8 @@ class StepRecord:
     def __post_init__(self):
         if not 0 <= self.retries_used <= 2:
             raise InvariantError(f"retries_used must be 0..2 (got {self.retries_used})")
+        if self.feedback.ok and self.output.subtask is None:
+            raise InvariantError("a successful step needs a valid subtask")
 
 
 @dataclass(frozen=True)
@@ -585,27 +572,27 @@ def _parse_step(doc, pos: int) -> StepRecord:
         raise SchemaError(f"{where}: success steps carry no error_code/message")
 
     # F1 steps keep whatever string the planner emitted; everything else must
-    # use the closed action/model lists.
+    # name a valid subtask, and is kept in its canonical spelling.
     if code is ErrorCode.F1:
-        action, target, model = raw_action, raw_target, raw_model
+        output = PlannerOutput(analysis, raw_action, raw_target, raw_model)
     else:
-        action_type = parse_action(raw_action)
-        if action_type is None:
-            raise SchemaError(f"{where}.action: unknown action {raw_action!r}")
-        model_choice = parse_model(raw_model)
-        if model_choice is None:
-            raise SchemaError(f"{where}.model: unknown model {raw_model!r}")
-        action = action_type.label
-        model = model_choice.label
-        target = normalize_name(raw_target)
-        if (target == "") != (action_type is ActionType.END):
+        output = PlannerOutput(analysis, raw_action, normalize_name(raw_target), raw_model)
+        subtask = output.subtask
+        if subtask is None:
+            if output.action_type is None:
+                raise SchemaError(f"{where}.action: unknown action {raw_action!r}")
+            if parse_model(raw_model) is None:
+                raise SchemaError(f"{where}.model: unknown model {raw_model!r}")
             raise SchemaError(f"{where}.target: target must be non-empty iff action is not End")
+        if (output.action, output.model) != (subtask.action.label, subtask.model.label):
+            output = PlannerOutput(
+                analysis, subtask.action.label, subtask.target, subtask.model.label
+            )
 
     retries = _require(doc, "retries_used", where)
     if not isinstance(retries, int) or not 0 <= retries <= 2:
         raise SchemaError(f"{where}.retries_used: expected an integer in 0..2")
 
-    output = PlannerOutput(analysis, action, target, model)
     try:
         feedback = Feedback(status, code, CANONICAL_MESSAGES[code] if code else "")
         return StepRecord(output, feedback, retries)

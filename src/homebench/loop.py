@@ -56,9 +56,8 @@ class Instruction:
     split it into chat roles. Equal episode states render to byte-identical
     instructions.
 
-    ``images`` carries optional observation image references (paths/URLs).
-    The simulator is text-only and never sets it; it exists so logs from
-    image-producing environments stay usable with the remote client.
+    ``feedback_code`` is the last step's error code, or None; scripted
+    planners branch on it.
     """
 
     system: str
@@ -67,22 +66,11 @@ class Instruction:
     history: str
     feedback: str
     observations: str
-    images: tuple = ()
+    feedback_code: Optional[ErrorCode] = None
 
     @property
     def text(self) -> str:
         return render_template(DEFAULT_TEMPLATE, self)
-
-    @property
-    def feedback_code(self) -> Optional[ErrorCode]:
-        """Error code embedded in the feedback line, if the last step failed."""
-        if self.feedback.startswith("failure ("):
-            token = self.feedback[len("failure ("):].split(")", 1)[0]
-            try:
-                return ErrorCode(token)
-            except ValueError:
-                return None
-        return None
 
 
 def render_template(template: str, instruction: Instruction) -> str:
@@ -149,13 +137,15 @@ def assemble_instruction(state: EpisodeState) -> Instruction:
     scene as it is now. No scene state leaks into the prompt beyond the
     observation texts."""
     steps = state.steps
+    feedback = steps[-1].feedback if steps else None
     return Instruction(
         system=DEFAULT_SYSTEM_INFO,
         task=state.task_text,
         inventory=state.inventory.held if state.inventory.held else "empty",
         history=render_history(steps),
-        feedback=render_feedback(steps[-1].feedback if steps else None),
+        feedback=render_feedback(feedback),
         observations=render_observations(state.scene),
+        feedback_code=feedback.code if feedback else None,
     )
 
 
@@ -242,13 +232,13 @@ def parse_planner_output(raw: str):
     if action_raw is None or target_raw is None:
         return ParseFailure(ParseFailureReason.MALFORMED_SUBTASK, raw=raw)
 
-    action_type = parse_action(action_raw)
-    model_choice = parse_model(model_raw)
+    action = parse_action(action_raw)
+    model = parse_model(model_raw)
     return PlannerOutput(
         analysis=analysis,
-        action=action_type.label if action_type else action_raw.strip(),
+        action=action.label if action else action_raw.strip(),
         target=normalize_name(target_raw),
-        model=model_choice.label if model_choice else model_raw.strip(),
+        model=model.label if model else model_raw.strip(),
     )
 
 
@@ -265,7 +255,7 @@ def apply_feedback(state: EpisodeState, step: StepRecord) -> EpisodeState:
     joins the state's steps; the scene is not touched here.
     """
     if step.feedback.ok:
-        action = step.output.action_type
+        action = step.output.subtask.action
         if action is ActionType.PICK:
             if not state.inventory.empty:
                 raise InvariantError(
@@ -458,23 +448,18 @@ def replay_instructions(
     instructions = []
     for step in trajectory.steps:
         instructions.append(assemble_instruction(state))
-        if scene is not None:
-            if step.feedback.ok and not step.output.is_end:
-                subtask = step.output.subtask
-                if subtask is not None:
-                    sim.replay_step_mutation(
-                        scene, subtask.action, subtask.target, state.inventory.held
-                    )
-            elif step.feedback.code is ErrorCode.E2:
-                sim.relocate_lost_object(scene, state.inventory.held)
-        # the log is authoritative in replay: a successful Pick overwrites
-        # whatever the folded hand state says, even for histories this
-        # executor could not have produced
-        if (
-            step.feedback.ok
-            and step.output.action_type is ActionType.PICK
-            and not state.inventory.empty
-        ):
-            state.inventory = Inventory()
+        if step.feedback.ok:
+            subtask = step.output.subtask
+            if scene is not None and subtask.action is not ActionType.END:
+                sim.replay_step_mutation(
+                    scene, subtask.action, subtask.target, state.inventory.held
+                )
+            # the log is authoritative in replay: a successful Pick overwrites
+            # whatever the folded hand state says, even for histories this
+            # executor could not have produced
+            if subtask.action is ActionType.PICK:
+                state.inventory = Inventory()
+        elif scene is not None and step.feedback.code is ErrorCode.E2:
+            sim.relocate_lost_object(scene, state.inventory.held)
         apply_feedback(state, step)
     return instructions

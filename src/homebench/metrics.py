@@ -70,10 +70,9 @@ def _successful_pairs(trajectory: Trajectory):
     for step in trajectory.steps:
         if not step.feedback.ok:
             continue
-        action = step.output.action_type
-        if action is None or action is ActionType.END:
-            continue
-        yield action, step.output.target
+        subtask = step.output.subtask
+        if subtask.action is not ActionType.END:
+            yield subtask.action, subtask.target
 
 
 def match_keypath(trajectory: Trajectory, keypath: Sequence[KeypathNode]) -> MatchState:

@@ -73,10 +73,10 @@ def _entry_text(entry) -> str:
 class ScriptedPlanner:
     """Replays a fixed list of raw output texts, one per query.
 
-    When the instruction's feedback line carries an error code with a
-    matching branch, the branch text is returned instead and the cursor
-    stays put, so the pre-planned subtask is re-emitted on the next query
-    (this is what makes deterministic failure->replan tests possible).
+    When the instruction's feedback code has a matching branch, the branch
+    text is returned instead and the cursor stays put, so the pre-planned
+    subtask is re-emitted on the next query (this is what makes
+    deterministic failure->replan tests possible).
     An exhausted plan yields End outputs forever.
     """
 
@@ -187,7 +187,7 @@ class RemotePlannerConfig:
     backoff: float = 0.25
 
     def __post_init__(self):
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # NaN too
             raise ConfigError("remote planner timeout must be positive")
         if self.max_retries < 0:
             raise ConfigError("remote planner max_retries must be >= 0")
@@ -258,16 +258,9 @@ class RemotePlanner:
         return render_template(self._user_template, instruction)
 
     def next(self, instruction: Instruction) -> str:
-        content = self.user_message(instruction)
-        if instruction.images:
-            # multi-part content: the text plus any attached image references
-            content = [{"type": "text", "text": content}] + [
-                {"type": "image_url", "image_url": {"url": url}}
-                for url in instruction.images
-            ]
         messages = [
             {"role": "system", "content": instruction.system},
-            {"role": "user", "content": content},
+            {"role": "user", "content": self.user_message(instruction)},
         ]
         return _post_chat(self.config, messages, self.session)
 

@@ -157,6 +157,16 @@ def _parse_band(raw: str, where: str) -> DistanceBand:
         raise SchemaError(f"{where}: unknown distance band {raw!r}") from None
 
 
+def _section(doc: dict, key: str, kind: type, where: Optional[str] = None):
+    """The field ``key`` (named ``where`` in errors), which must hold a JSON
+    list or object; absent or null reads as empty."""
+    value = doc.get(key)
+    if value is not None and not isinstance(value, kind):
+        what = "list" if kind is list else "object"
+        raise SchemaError(f"{where or key}: expected a JSON {what}")
+    return value or kind()
+
+
 def load_scene(data, seed: Optional[int] = None) -> Scene:
     """Build a Scene from a scene document (dict, JSON str, or bytes).
 
@@ -178,7 +188,7 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
     spot_order = []
     directions = {}
 
-    for i, spot_doc in enumerate(doc.get("spots", [])):
+    for i, spot_doc in enumerate(_section(doc, "spots", list)):
         where = f"spots[{i}]"
         if not isinstance(spot_doc, dict) or "name" not in spot_doc:
             raise SchemaError(f"{where}: expected an object with a name")
@@ -192,17 +202,17 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
             interactive=bool(spot_doc.get("interactive", True)),
         )
         spot_order.append(name)
-        table = spot_doc.get("directions", {})
-        if not isinstance(table, dict):
-            raise SchemaError(f"{where}.directions: expected an object")
+        table = _section(spot_doc, "directions", dict, f"{where}.directions")
         parsed = {}
         for direction, names in table.items():
             if direction not in DIRECTIONS:
                 raise SchemaError(f"{where}.directions: unknown direction {direction!r}")
+            if not isinstance(names, list):
+                raise SchemaError(f"{where}.directions.{direction}: expected a list of spots")
             parsed[direction] = tuple(normalize_name(str(n)) for n in names)
         directions[name] = parsed
 
-    for i, ent_doc in enumerate(doc.get("entities", [])):
+    for i, ent_doc in enumerate(_section(doc, "entities", list)):
         where = f"entities[{i}]"
         if not isinstance(ent_doc, dict):
             raise SchemaError(f"{where}: expected an object")
@@ -266,19 +276,21 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
         raise SchemaError("agent_start: scene has no spots")
     agent = AgentPose(at=agent_start)
 
-    for name, band_raw in (doc.get("bands") or {}).items():
+    for name, band_raw in _section(doc, "bands", dict).items():
         norm = normalize_name(str(name))
         if norm not in entities:
             raise SchemaError(f"bands: unknown entity {name!r}")
         agent.band_overrides[norm] = _parse_band(band_raw, f"bands[{name!r}]")
 
     schedule = {}
-    for key, outcomes in (doc.get("outcome_schedule") or {}).items():
+    for key, outcomes in _section(doc, "outcome_schedule", dict).items():
         token, _, target = str(key).partition(" ")
         if token not in ("go_to", "pick", "place", "open", "close") or not target:
             raise SchemaError(
                 f"outcome_schedule: key {key!r} must look like 'pick apple'"
             )
+        if not isinstance(outcomes, list):
+            raise SchemaError(f"outcome_schedule[{key!r}]: expected a list of outcomes")
         entries = [str(o) for o in outcomes]
         for entry in entries:
             if entry not in ("ok", "E1", "E2"):
@@ -288,12 +300,17 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
         schedule[f"{token} {normalize_name(target)}"] = entries
 
     rates = dict(DEFAULT_RATES)
-    for key, value in (doc.get("failure_rates") or {}).items():
+    for key, value in _section(doc, "failure_rates", dict).items():
         if key not in DEFAULT_RATES:
             raise SchemaError(f"failure_rates: unknown rate {key!r}")
+        if type(value) not in (int, float) or not 0 <= value <= 1:
+            raise SchemaError(f"failure_rates.{key}: expected a number in [0, 1], got {value!r}")
         rates[key] = float(value)
 
-    scene_seed = int(doc.get("seed", 0)) if seed is None else int(seed)
+    doc_seed = doc.get("seed", 0)
+    if type(doc_seed) is not int:  # bool is an int subclass, and not a seed
+        raise SchemaError(f"seed: expected an integer, got {doc_seed!r}")
+    scene_seed = doc_seed if seed is None else int(seed)
     scene = Scene(
         id=scene_id,
         entities=entities,

@@ -30,6 +30,9 @@ from homebench.core import (
     ModelChoice,
     PlannerOutput,
     RewriterTransportError,
+    Subtask,
+    parse_action,
+    parse_model,
     serialize_output,
 )
 from homebench.loop import ParseFailure, parse_planner_output, replay_instructions, run_episode
@@ -354,6 +357,28 @@ def test_end_on_structured_output_equals_text_reparse(output):
     prompts = replay_instructions(traj([("Pick", "apple", True)], budget=True), TASK)
     pair = _pair(prompts, 0, output, rejected, PairSource.SIFT, "t1")
     assert (pair is None) == expected
+
+
+def derive_by_reparse(output: PlannerOutput):
+    """Reference derivation: parse the strings again on every call."""
+    action = parse_action(output.action) if output.action else None
+    model = parse_model(output.model) if output.model else None
+    if action is None or model is None or (output.target == "") != (action is ActionType.END):
+        return action, None
+    return action, Subtask(action, output.target, model)
+
+
+@given(planner_outputs, st.sampled_from(load_default_lexicon()))
+@example(PlannerOutput("a", "pIck", "apple", "rt1x"), "GOTO")
+def test_derived_subtask_equals_reparse(output, entry):
+    corrupted = dataclasses.replace(output, action=entry)
+    for derived in (output, corrupted):
+        action, subtask = derive_by_reparse(derived)
+        assert derived.action_type is action
+        assert derived.subtask == subtask
+        assert derived.is_end == (action is ActionType.END and derived.target == "")
+    # construction keeps the strings verbatim, canonical or not
+    assert (corrupted.action, corrupted.model) == (entry, output.model)
 
 
 def test_rejected_differs_only_in_mandated_field(rng):

@@ -58,6 +58,55 @@ def test_run_bad_scene_named_before_any_episode(tmp_path, capsys):
     assert not out.exists()  # refused runs leave no output directory behind
 
 
+def _set(path, value):
+    """Edit a scene document: set the field at ``path`` (keys and indices)."""
+    def edit(doc):
+        holder = doc
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("command", ["run", "augment"])
+@pytest.mark.parametrize("edit, message", [
+    (_set(["failure_rates"], {"e1_manipulation": "abc"}),
+     "failure_rates.e1_manipulation: expected a number in [0, 1], got 'abc'"),
+    (_set(["failure_rates"], {"e1_manipulation": 7}),
+     "failure_rates.e1_manipulation: expected a number in [0, 1], got 7"),
+    (_set(["failure_rates"], {"e2_place": -1}),
+     "failure_rates.e2_place: expected a number in [0, 1], got -1"),
+    (_set(["failure_rates"], [1]), "failure_rates: expected a JSON object"),
+    (_set(["seed"], "x"), "seed: expected an integer, got 'x'"),
+    (_set(["outcome_schedule"], {"pick apple": 3}),
+     "outcome_schedule['pick apple']: expected a list of outcomes"),
+    (_set(["spots"], 5), "spots: expected a JSON list"),
+    (_set(["spots", 0, "directions"], {"front": 3}),
+     "spots[0].directions.front: expected a list of spots"),
+    (_set(["bands"], ["a"]), "bands: expected a JSON object"),
+], ids=["rate-text", "rate-above-one", "rate-negative", "rates-list", "seed-text",
+        "schedule-entry-number", "spots-number", "direction-number", "bands-list"])
+def test_bad_scene_field_is_named(tmp_path, capsys, command, edit, message):
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    for path in Path(str(resources.files("homebench").joinpath("data/scenes"))).glob("*.json"):
+        (scenes / path.name).write_bytes(path.read_bytes())
+    doc = json.loads((scenes / "kitchen_home.json").read_text(encoding="utf-8"))
+    edit(doc)
+    (scenes / "kitchen_home.json").write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "run":
+        argv = ["run", "--runs", "1"]
+    else:
+        argv = ["augment"] + _corpus(tmp_path)  # the corpus's task plays in kitchen_home
+    code = main(argv + ["--scenes", str(scenes), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert f"error: scene 'kitchen_home': {message}" in err.splitlines()
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_budget_flag_caps_steps(tmp_path):
     out = tmp_path / "runs"
     assert main(["run", "--runs", "1", "--budget", "5", "--out", str(out)]) == EXIT_OK
@@ -359,6 +408,61 @@ def test_keypaths_overlay_invalid_json(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert err.startswith(f"error: key path file {overlay} is not valid JSON")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("overlay", ["[1, 2]", "null"])
+def test_keypaths_overlay_not_an_object(tmp_path, capsys, overlay):
+    write_tasks(tmp_path / "tasks", [make_task(task_id="t1")])
+    path = tmp_path / "tasks" / "keypaths.json"
+    path.write_text(overlay, encoding="utf-8")
+    write_logs(tmp_path / "logs", [traj([("Pick", "apple", True)], task_id="t1")])
+    code = main(["evaluate", "--logs", str(tmp_path / "logs"),
+                 "--tasks", str(tmp_path / "tasks")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert f"error: key path file {path} must hold a JSON object" in err.splitlines()
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("profiles, message", [
+    (["p"], "config key 'profiles' must hold a JSON object"),
+    ({"p": "x"}, "remote profile 'p' must be a JSON object"),
+    ({"p": {"endpoint": "http://127.0.0.1:9/v1", "timeout": "abc"}},
+     "remote profile 'p': bad value for 'timeout': 'abc'"),
+    ({"p": {"endpoint": "http://127.0.0.1:9/v1", "max_retries": [2]}},
+     "remote profile 'p': bad value for 'max_retries': [2]"),
+    ({"p": {"endpoint": "http://127.0.0.1:9/v1", "timeout": float("nan")}},
+     "remote planner timeout must be positive"),
+], ids=["profiles-list", "profile-text", "timeout-text", "retries-list", "timeout-nan"])
+@pytest.mark.parametrize("command", ["run", "augment"])
+def test_bad_remote_profile_is_named(tmp_path, capsys, profiles, message, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"profiles": profiles}), encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "run":
+        argv = ["run", "--planner", "remote:p", "--runs", "1"]
+    else:
+        argv = ["augment", "--rewriter", "remote:p"] + _corpus(tmp_path)
+    code = main(["--config", str(config)] + argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert f"error: {message}" in captured.err.splitlines()
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_console_planner_refuses_parallel_jobs(tmp_path, capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))  # each episode would End at once
+    out = tmp_path / "runs"
+    code = main(["--jobs", "2", "run", "--planner", "console", "--runs", "1",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err.startswith("error: --planner console needs --jobs 1, got 2")
+    assert " run 0:" not in captured.out  # no episode started
+    assert not out.exists()
 
 
 def test_run_with_remote_profile(tmp_path):

@@ -11,8 +11,12 @@ from homebench.core import (
     InvariantError,
     ModelCategory,
     ModelChoice,
+    PlannerOutput,
+    SUCCESS,
     SchemaError,
+    StepRecord,
     Trajectory,
+    failure,
     normalize_name,
     parse_action,
     parse_model,
@@ -237,6 +241,32 @@ def test_parse_log_unknown_action_outside_f1():
         parse_trajectory_log(json.dumps(doc))
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"action": "Dance"}, "steps[0].action: unknown action 'Dance'"),
+    # the action is checked first
+    ({"action": "Dance", "model": "GPT-hands"}, "steps[0].action: unknown action 'Dance'"),
+    ({"model": "GPT-hands"}, "steps[0].model: unknown model 'GPT-hands'"),
+    ({"action": "End", "target": "kitchen", "model": "M3"},
+     "steps[0].target: target must be non-empty iff action is not End"),
+    ({"target": ""}, "steps[0].target: target must be non-empty iff action is not End"),
+    # the rule applies to the normalized target
+    ({"target": " __ "}, "steps[0].target: target must be non-empty iff action is not End"),
+])
+def test_parse_log_subtask_messages(fields, message):
+    doc = log_doc()
+    doc["steps"][0].update(fields)
+    with pytest.raises(SchemaError) as info:
+        parse_trajectory_log(json.dumps(doc))
+    assert str(info.value) == message
+
+
+def test_parse_log_canonicalizes_outside_f1():
+    doc = log_doc()
+    doc["steps"][0].update(action=" pIck ", target="Kitchen-Table", model="rt1x")
+    output = parse_trajectory_log(json.dumps(doc)).steps[0].output
+    assert (output.action, output.target, output.model) == ("Pick", "kitchen_table", "RT-1-X")
+
+
 def test_parse_log_wrong_canonical_message():
     doc = log_doc(statuses=("failure",))
     doc["steps"][0]["message"] = "too hard"
@@ -300,6 +330,20 @@ def test_trajectory_end_flag_requires_end_step():
     steps = (step(ActionType.PICK, "apple", ok=True),)
     with pytest.raises(InvariantError):
         Trajectory("t", steps, terminated_by_end=True, terminated_by_budget=False)
+
+
+@pytest.mark.parametrize("fields", [
+    ("Dance", "apple", "RT-1-X"),
+    ("Pick", "apple", "GPT-hands"),
+    ("End", "kitchen", "M3"),
+    ("Pick", "", "RT-1-X"),
+], ids=["unknown-action", "unknown-model", "end-with-target", "pick-without-target"])
+def test_success_step_needs_valid_subtask(fields):
+    output = PlannerOutput("a", *fields)
+    assert output.subtask is None
+    with pytest.raises(InvariantError, match="valid subtask"):
+        StepRecord(output, SUCCESS)
+    assert StepRecord(output, failure(ErrorCode.F1)).output is output
 
 
 def test_trajectory_rejected_f1_end_is_not_termination():

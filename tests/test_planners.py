@@ -23,10 +23,11 @@ from test_loop import plan_entry
 from test_sim import scene_doc
 
 
-def instruction(feedback="none"):
+def instruction(feedback="none", feedback_code=None):
     return Instruction(
         system="SYSTEM", task="tidy", inventory="empty", history="none",
         feedback=feedback, observations="front: nothing notable",
+        feedback_code=feedback_code,
     )
 
 
@@ -51,7 +52,8 @@ def test_scripted_exhaustion_yields_end():
 def test_scripted_branch_fires_on_feedback_code_without_consuming():
     planner = ScriptedPlanner(["a", "b"], branches={"D1": "sidestep"})
     assert planner.next(instruction()) == "a"
-    assert planner.next(instruction("failure (D1): the target is far away")) == "sidestep"
+    assert planner.next(instruction("failure (D1): the target is far away",
+                                    feedback_code=ErrorCode.D1)) == "sidestep"
     assert planner.next(instruction()) == "b"
 
 
@@ -273,20 +275,6 @@ def test_template_rendering_deterministic():
     a = render_template(template, instruction())
     b = render_template(template, instruction())
     assert a == b
-
-
-def test_remote_image_attachments_pass_through(stub_server):
-    import dataclasses
-
-    StubHandler.script = [(200, completion("seen"))]
-    planner = RemotePlanner(config(stub_server))
-    with_images = dataclasses.replace(instruction(), images=("file:///obs/front.png",))
-    assert planner.next(with_images) == "seen"
-    content = StubHandler.requests_seen[0]["messages"][1]["content"]
-    assert isinstance(content, list)
-    assert content[0]["type"] == "text"
-    assert content[1] == {"type": "image_url",
-                          "image_url": {"url": "file:///obs/front.png"}}
 
 
 def test_load_template_from_path(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homebench.core import ActionType, ErrorCode, Inventory, ModelChoice, Subtask
+from homebench.core import ActionType, ErrorCode, Inventory, ModelChoice, SchemaError, Subtask
 from homebench.sim import (
     DIRECTIONS,
     DistanceBand,
@@ -198,3 +198,42 @@ def test_clone_matches_reload(seed):
     clone, expected = template.clone(seed=seed), load_scene(doc, seed=seed)
     assert clone.seed == expected.seed
     assert play(clone) == play(expected)
+
+
+# ---------------------------------------------------------------------------
+# load_scene on damaged documents
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+
+# every field of a valid document, nested ones included, as a key path
+FIELD_PATHS = [
+    ("id",), ("seed",), ("agent_start",), ("spots",), ("entities",), ("bands",),
+    ("outcome_schedule",), ("failure_rates",),
+    ("failure_rates", "e1_manipulation"), ("bands", "apple"),
+    ("outcome_schedule", "open fridge"),
+    ("spots", 0), ("spots", 0, "name"), ("spots", 0, "interactive"),
+    ("spots", 0, "directions"), ("spots", 0, "directions", "front"),
+    ("entities", 0), ("entities", 0, "name"), ("entities", 0, "kind"),
+    ("entities", 0, "location"), ("entities", 0, "open_state"),
+    ("entities", 0, "interactive"),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(FIELD_PATHS), value=json_values)
+def test_load_scene_damaged_field_is_a_schema_error(path, value):
+    doc = scene_doc(outcome_schedule={"open fridge": ["E1"]}, bands={"apple": "too_close"})
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    try:
+        load_scene(doc)
+    except SchemaError:
+        pass
