@@ -39,7 +39,6 @@ from .loop import (
     replay_instructions,
     stable_seed,
 )
-from .sim import load_named_scene
 
 
 def _is_end_text(text: str) -> bool:
@@ -271,7 +270,7 @@ class AugmentConfig:
     rewriter: Optional[Callable] = None
     lexicon: Optional[list] = None
     dedup: bool = True
-    scene_docs: Optional[dict] = None  # scene_ref -> raw scene document
+    scenes: Optional[dict] = None  # scene_ref -> template Scene
     train_split: Optional[float] = None
 
 
@@ -293,7 +292,9 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
     Deterministic given the corpus and seed: re-running produces
     byte-identical files. Preference pairs are deduplicated by
     (prompt, chosen, rejected) content hash unless ``dedup`` is off; the
-    manifest records counts before and after.
+    manifest records counts before and after. Each trajectory replays on a
+    clone of its task's template scene in ``config.scenes``; without one its
+    prompts show the observations-unavailable placeholder.
     """
     out_dir = Path(config.out_dir)
     rewriter = config.rewriter if config.rewriter is not None else identity_rewriter
@@ -304,15 +305,11 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
     ordered = sorted(trajectories, key=lambda t: (t.task_id, t.run_index))
     samples = []
     pairs = []
-    templates: dict = {}  # scene_ref -> template Scene, parsed once
     for trajectory in ordered:
         task = tasks.get(trajectory.task_id)
         if task is None:
             raise MissingTask(trajectory.task_id)
-        doc = (config.scene_docs or {}).get(task.scene_ref)
-        if doc is not None and task.scene_ref not in templates:
-            templates[task.scene_ref] = load_named_scene(task.scene_ref, doc)
-        template = templates.get(task.scene_ref)
+        template = (config.scenes or {}).get(task.scene_ref)
         prompts = replay_instructions(
             trajectory, task, template.clone() if template is not None else None,
         )

@@ -9,6 +9,7 @@ configuration error, 3 transport-level abort.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import sys
@@ -34,12 +35,12 @@ from .metrics import (
 )
 from .planners import (
     ConsolePlanner,
-    RecordingPlanner,
     RemotePlanner,
     RemotePlannerConfig,
     RemoteRewriter,
     load_scripted_plan,
 )
+from .sim import load_scene
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,16 +113,26 @@ def _load_task_map(tasks_dir: Path) -> dict:
         raise ConfigError(f"bad task file in {tasks_dir}: {exc}") from exc
 
 
-def _load_scene_docs(scenes_dir: Path) -> dict:
-    docs = {}
+def _load_scenes(scenes_dir: Path, tasks: dict) -> dict:
+    """Parse every scene file in a directory once into a template Scene,
+    keyed by file stem, and require the scene of every task."""
+    scenes = {}
     for path in sorted(scenes_dir.glob("*.json")):
         try:
-            docs[path.stem] = json.loads(path.read_text(encoding="utf-8"))
+            doc = json.loads(path.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise ConfigError(f"scene file {path} is not valid JSON: {exc}") from exc
-    if not docs:
+        try:
+            scenes[path.stem] = load_scene(doc)
+        except SchemaError as exc:
+            raise ConfigError(f"scene {path.stem!r}: {exc}") from exc
+    if not scenes:
         raise ConfigError(f"no scene files in {scenes_dir}")
-    return docs
+    for task in tasks.values():
+        if task.scene_ref not in scenes:
+            raise ConfigError(f"task {task.id!r} needs scene {task.scene_ref!r}, "
+                              f"not found in {scenes_dir}")
+    return scenes
 
 
 def _remote_config(profile: str, config: dict) -> RemotePlannerConfig:
@@ -154,25 +165,29 @@ def _remote_config(profile: str, config: dict) -> RemotePlannerConfig:
         raise ConfigError(f"remote profile {profile!r} is missing {exc}") from None
 
 
-def _planner_factory(spec: str, config: dict):
+def _planner_factory(spec: str, config: dict, tasks: dict):
     """Turn a planner spec (scripted:PATH | console | remote:PROFILE) into a
-    per-episode planner factory."""
+    per-episode planner factory. A scripted plan is read and parsed once per
+    file, before any episode; each episode replays it from the start."""
     if spec == "console":
         return lambda task, run_index: ConsolePlanner()
     kind, _, arg = spec.partition(":")
     if kind == "scripted":
         base = Path(arg) if arg else _bundled("plans")
-        if base.is_dir():
-            def factory(task, run_index):
-                plan_path = base / f"{task.id}.json"
-                if not plan_path.exists():
-                    raise ConfigError(f"no scripted plan for task {task.id!r} in {base}")
-                return load_scripted_plan(plan_path.read_bytes())
-            return factory
-        if base.exists():
-            data = base.read_bytes()
-            return lambda task, run_index: load_scripted_plan(data)
-        raise ConfigError(f"scripted plan path not found: {base}")
+        if not base.exists():
+            raise ConfigError(f"scripted plan path not found: {base}")
+        paths = {task_id: base / f"{task_id}.json" if base.is_dir() else base
+                 for task_id in tasks}
+        plans = {}  # path -> a parsed plan that is never queried, only copied
+        for task_id, path in paths.items():
+            if not path.is_file():
+                raise ConfigError(f"no scripted plan for task {task_id!r} in {base}")
+            if path not in plans:
+                try:
+                    plans[path] = load_scripted_plan(path.read_bytes())
+                except SchemaError as exc:
+                    raise ConfigError(f"{exc} (scripted plan {path})") from exc
+        return lambda task, run_index: copy.copy(plans[paths[task.id]])
     if kind == "remote":
         remote = _remote_config(arg, config)
         return lambda task, run_index: RemotePlanner(remote)
@@ -252,22 +267,10 @@ def cmd_run(args, config: dict) -> int:
         raise ConfigError(f"--planner console needs --jobs 1, got {jobs}")
 
     tasks = _load_task_map(tasks_dir)
-    scene_docs = _load_scene_docs(scenes_dir)
-    for task in tasks.values():
-        if task.scene_ref not in scene_docs:
-            raise ConfigError(f"task {task.id!r} needs scene {task.scene_ref!r}, "
-                              f"not found in {scenes_dir}")
-    factory = _planner_factory(planner_spec, config)
+    scenes = _load_scenes(scenes_dir, tasks)
+    factory = _planner_factory(planner_spec, config, tasks)
 
     task_list = [tasks[task_id] for task_id in sorted(tasks)]
-
-    transcripts: dict = {}
-    if args.transcripts:
-        inner_factory = factory
-
-        def factory(task, run_index):
-            sink = transcripts.setdefault((task.id, run_index), [])
-            return RecordingPlanner(inner_factory(task, run_index), sink)
 
     def progress(result):
         if result.error is not None:
@@ -279,9 +282,9 @@ def cmd_run(args, config: dict) -> int:
         print(f"  {result.task_id} run {result.run_index}: {detail}")
 
     results = run_benchmark(
-        task_list, factory, scene_docs,
+        task_list, factory, scenes,
         runs_per_task=runs, budget=budget, retries=retries,
-        seed=seed, jobs=jobs, progress=progress,
+        seed=seed, jobs=jobs, progress=progress, transcripts=args.transcripts,
     )
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -293,11 +296,10 @@ def cmd_run(args, config: dict) -> int:
             path = out_dir / f"{result.task_id}__run{result.run_index}.json"
             path.write_text(serialize_trajectory(result.trajectory), encoding="utf-8")
             written += 1
-            recorded = transcripts.get((result.task_id, result.run_index))
-            if recorded is not None:
+            if result.transcript is not None:
                 transcript_dir.mkdir(exist_ok=True)
-                (transcript_dir / f"{result.task_id}__run{result.run_index}.json").write_text(
-                    json.dumps(recorded, indent=2, ensure_ascii=False) + "\n",
+                (transcript_dir / path.name).write_text(
+                    json.dumps(result.transcript, indent=2, ensure_ascii=False) + "\n",
                     encoding="utf-8")
         else:
             failed.append(result)
@@ -370,7 +372,7 @@ def cmd_augment(args, config: dict) -> int:
     if not trajectories:
         raise ConfigError(f"no parseable logs in {logs_dir}")
 
-    scene_docs = _load_scene_docs(scenes_dir)
+    scenes = _load_scenes(scenes_dir, tasks)
 
     rewriter = identity_rewriter
     if args.rewriter and args.rewriter != "identity":
@@ -388,7 +390,7 @@ def cmd_augment(args, config: dict) -> int:
         rewriter=rewriter,
         lexicon=lexicon,
         dedup=not args.no_dedup,
-        scene_docs=scene_docs,
+        scenes=scenes,
         train_split=args.train_split,
     ))
 

@@ -457,16 +457,23 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _require_text(obj: dict, key: str, where: str) -> str:
+    value = _require(obj, key, where)
+    if not isinstance(value, str):
+        raise SchemaError(f"{where}.{key}: expected a JSON string")
+    return value
+
+
 def _parse_keypath_node(node, where: str) -> KeypathNode:
     if not isinstance(node, dict):
         raise SchemaError(f"{where}: keypath node must be an object")
-    raw_action = str(_require(node, "action", where))
+    raw_action = _require_text(node, "action", where)
     action = parse_action(raw_action)
     if action is None:
         raise SchemaError(f"{where}.action: unknown action {raw_action!r}")
     if action is ActionType.END:
         raise SchemaError(f"{where}.action: keypath nodes never contain End")
-    target = normalize_name(str(_require(node, "target", where)))
+    target = normalize_name(_require_text(node, "target", where))
     if not target:
         raise SchemaError(f"{where}.target: empty target")
     return KeypathNode(action, target)
@@ -496,9 +503,9 @@ def parse_task_file(data) -> Task:
     if not isinstance(doc, dict):
         raise SchemaError("task document must be a JSON object")
 
-    task_id = str(_require(doc, "id", "task"))
+    task_id = _require_text(doc, "id", "task")
     where = f"task {task_id!r}"
-    instruction = str(_require(doc, "instruction", where))
+    instruction = _require_text(doc, "instruction", where)
     raw_attrs = _require(doc, "attributes", where)
     if not isinstance(raw_attrs, list) or not raw_attrs:
         raise SchemaError(f"{where}.attributes: expected a non-empty list")
@@ -511,7 +518,7 @@ def parse_task_file(data) -> Task:
     expert_length = _require(doc, "expert_length", where)
     if not isinstance(expert_length, int) or expert_length < 1:
         raise SchemaError(f"{where}.expert_length: expected a positive integer")
-    scene_ref = str(_require(doc, "scene", where))
+    scene_ref = _require_text(doc, "scene", where)
     keypaths = parse_keypaths(_require(doc, "keypaths", where), f"{where}.keypaths")
     return Task(task_id, instruction, frozenset(attributes), keypaths, expert_length, scene_ref)
 

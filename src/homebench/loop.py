@@ -22,7 +22,6 @@ from .core import (
     ConfigError,
     ErrorCode,
     Feedback,
-    HomebenchError,
     Inventory,
     InvariantError,
     PlannerOutput,
@@ -33,7 +32,7 @@ from .core import (
     failure,
 )
 from . import sim
-from .sim import Scene, execute, load_named_scene, observe
+from .sim import Scene, execute, observe
 
 
 def _load_text(name: str) -> str:
@@ -287,6 +286,7 @@ def run_episode(
     budget: int = 20,
     retries: int = 3,
     run_index: int = 0,
+    transcript: Optional[list] = None,
 ) -> Trajectory:
     """Drive one episode to termination.
 
@@ -296,7 +296,9 @@ def run_episode(
     distance, and format failures are deterministic for a given state, so
     they are final immediately. The observations are rendered from the scene
     when each prompt is assembled. The episode stops at a valid End or when
-    the budget runs out.
+    the budget runs out. Each answered query is appended to ``transcript``,
+    when one is given, as ``{"instruction": <prompt text>, "response": <raw
+    output>}``.
 
     If the planner transport fails, the raised error carries the partial
     trajectory on its ``trajectory`` attribute.
@@ -315,6 +317,8 @@ def run_episode(
                 task.id, tuple(state.steps), False, False, run_index=run_index
             )
             raise
+        if transcript is not None:
+            transcript.append({"instruction": instruction.text, "response": raw})
 
         output = parse_planner_output(raw)
         if isinstance(output, ParseFailure):
@@ -355,13 +359,15 @@ def stable_seed(*parts) -> int:
 
 @dataclass
 class RunResult:
-    """One benchmark episode: its trajectory (possibly partial) and the
-    transport error that interrupted it, if any."""
+    """One benchmark episode: its trajectory (possibly partial), the
+    transport error that interrupted it, if any, and its transcript when
+    one was recorded."""
 
     task_id: str
     run_index: int
     trajectory: Optional[Trajectory]
     error: Optional[str] = None
+    transcript: Optional[list] = None
 
     @property
     def complete(self) -> bool:
@@ -371,31 +377,26 @@ class RunResult:
 def run_benchmark(
     tasks: Sequence[Task],
     planner_factory,
-    scene_docs: dict,
+    scenes: dict,
     runs_per_task: int = 3,
     budget: int = 20,
     retries: int = 3,
     seed: Optional[int] = None,
     jobs: int = 1,
     progress=None,
+    transcripts: bool = False,
 ) -> list:
     """Run every task ``runs_per_task`` times, each episode against a fresh
     scene and fresh state.
 
-    Each scene document the tasks reference is parsed and validated once,
-    before any episode runs; every episode plays on its own clone of it.
-    ``planner_factory(task, run_index)`` must hand back a planner that is
-    private to that episode. Transport failures are recorded on their
-    RunResult and the benchmark continues. Results come back in stable
-    (task order, run index) order regardless of ``jobs``.
+    ``scenes`` maps each task's scene reference to a template Scene; every
+    episode plays on its own clone of it. ``planner_factory(task,
+    run_index)`` must hand back a planner that is private to that episode.
+    Transport failures are recorded on their RunResult and the benchmark
+    continues. With ``transcripts`` on, each RunResult carries its episode's
+    transcript. Results come back in stable (task order, run index) order
+    regardless of ``jobs``.
     """
-    templates = {}
-    for task in tasks:
-        if task.scene_ref not in templates:
-            doc = scene_docs.get(task.scene_ref)
-            if doc is None:
-                raise HomebenchError(f"task {task.id!r}: unknown scene {task.scene_ref!r}")
-            templates[task.scene_ref] = load_named_scene(task.scene_ref, doc)
     specs = [
         (task, run_index)
         for task in tasks
@@ -405,16 +406,17 @@ def run_benchmark(
     def one(spec):
         task, run_index = spec
         scene_seed = None if seed is None else stable_seed(seed, task.id, run_index)
-        scene = templates[task.scene_ref].clone(seed=scene_seed)
+        scene = scenes[task.scene_ref].clone(seed=scene_seed)
         planner = planner_factory(task, run_index)
+        transcript = [] if transcripts else None
         try:
             trajectory = run_episode(
-                scene, planner, task,
-                budget=budget, retries=retries, run_index=run_index,
+                scene, planner, task, budget=budget, retries=retries,
+                run_index=run_index, transcript=transcript,
             )
-            result = RunResult(task.id, run_index, trajectory)
+            result = RunResult(task.id, run_index, trajectory, transcript=transcript)
         except PlannerTransportError as exc:
-            result = RunResult(task.id, run_index, exc.trajectory, error=str(exc))
+            result = RunResult(task.id, run_index, exc.trajectory, str(exc), transcript)
         if progress is not None:
             progress(result)
         return result

@@ -77,7 +77,8 @@ class ScriptedPlanner:
     text is returned instead and the cursor stays put, so the pre-planned
     subtask is re-emitted on the next query (this is what makes
     deterministic failure->replan tests possible).
-    An exhausted plan yields End outputs forever.
+    An exhausted plan yields End outputs forever. A ``copy.copy`` of a
+    planner shares its parsed plan and keeps its own cursor.
     """
 
     def __init__(self, outputs, branches: Optional[dict] = None):
@@ -121,25 +122,6 @@ def load_scripted_plan(data) -> ScriptedPlanner:
         return ScriptedPlanner(doc["outputs"], branches)
     except ValueError as exc:
         raise SchemaError(f"plan branches: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# transcript recording
-
-
-class RecordingPlanner:
-    """Wraps a planner and appends each exchange to ``sink`` as
-    ``{"instruction": <prompt text>, "response": <raw output>}``. A query
-    whose transport fails records nothing."""
-
-    def __init__(self, inner, sink: list):
-        self._inner = inner
-        self._sink = sink
-
-    def next(self, instruction: Instruction) -> str:
-        raw = self._inner.next(instruction)
-        self._sink.append({"instruction": instruction.text, "response": raw})
-        return raw
 
 
 # ---------------------------------------------------------------------------

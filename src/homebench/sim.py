@@ -157,14 +157,22 @@ def _parse_band(raw: str, where: str) -> DistanceBand:
         raise SchemaError(f"{where}: unknown distance band {raw!r}") from None
 
 
+_JSON_TYPES = {list: "list", dict: "object", str: "string", bool: "boolean"}
+
+
+def _typed(value, kind: type, where: str):
+    """``value``, which must be of the JSON type ``kind`` (named ``where``
+    in errors)."""
+    if not isinstance(value, kind):
+        raise SchemaError(f"{where}: expected a JSON {_JSON_TYPES[kind]}")
+    return value
+
+
 def _section(doc: dict, key: str, kind: type, where: Optional[str] = None):
     """The field ``key`` (named ``where`` in errors), which must hold a JSON
     list or object; absent or null reads as empty."""
     value = doc.get(key)
-    if value is not None and not isinstance(value, kind):
-        what = "list" if kind is list else "object"
-        raise SchemaError(f"{where or key}: expected a JSON {what}")
-    return value or kind()
+    return kind() if value is None else _typed(value, kind, where or key)
 
 
 def load_scene(data, seed: Optional[int] = None) -> Scene:
@@ -183,7 +191,7 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
     if not isinstance(doc, dict):
         raise SchemaError("scene document must be a JSON object")
 
-    scene_id = str(doc.get("id", "scene"))
+    scene_id = _typed(doc.get("id", "scene"), str, "id")
     entities: dict = {}
     spot_order = []
     directions = {}
@@ -192,14 +200,14 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
         where = f"spots[{i}]"
         if not isinstance(spot_doc, dict) or "name" not in spot_doc:
             raise SchemaError(f"{where}: expected an object with a name")
-        name = normalize_name(str(spot_doc["name"]))
+        name = normalize_name(_typed(spot_doc["name"], str, f"{where}.name"))
         if not name:
             raise SchemaError(f"{where}.name: empty name")
         if name in entities:
             raise DuplicateName(f"{where}.name: duplicate entity name {name!r}")
         entities[name] = Entity(
             name, EntityKind.SPOT, "",
-            interactive=bool(spot_doc.get("interactive", True)),
+            interactive=_typed(spot_doc.get("interactive", True), bool, f"{where}.interactive"),
         )
         spot_order.append(name)
         table = _section(spot_doc, "directions", dict, f"{where}.directions")
@@ -209,19 +217,22 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
                 raise SchemaError(f"{where}.directions: unknown direction {direction!r}")
             if not isinstance(names, list):
                 raise SchemaError(f"{where}.directions.{direction}: expected a list of spots")
-            parsed[direction] = tuple(normalize_name(str(n)) for n in names)
+            parsed[direction] = tuple(
+                normalize_name(_typed(n, str, f"{where}.directions.{direction}[{j}]"))
+                for j, n in enumerate(names)
+            )
         directions[name] = parsed
 
     for i, ent_doc in enumerate(_section(doc, "entities", list)):
         where = f"entities[{i}]"
         if not isinstance(ent_doc, dict):
             raise SchemaError(f"{where}: expected an object")
-        name = normalize_name(str(ent_doc.get("name", "")))
+        name = normalize_name(_typed(ent_doc.get("name", ""), str, f"{where}.name"))
         if not name:
             raise SchemaError(f"{where}.name: missing or empty name")
         if name in entities:
             raise DuplicateName(f"{where}.name: duplicate entity name {name!r}")
-        kind_raw = str(ent_doc.get("kind", ""))
+        kind_raw = _typed(ent_doc.get("kind", ""), str, f"{where}.kind")
         try:
             kind = EntityKind(kind_raw)
         except ValueError:
@@ -230,19 +241,19 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
             raise SchemaError(f"{where}.kind: declare spots in the spots section")
         open_state = None
         if kind is EntityKind.CONTAINER:
-            open_raw = str(ent_doc.get("open_state", "closed"))
+            open_raw = _typed(ent_doc.get("open_state", "closed"), str, f"{where}.open_state")
             try:
                 open_state = OpenState(open_raw)
             except ValueError:
                 raise SchemaError(f"{where}.open_state: unknown state {open_raw!r}") from None
         elif "open_state" in ent_doc:
             raise SchemaError(f"{where}.open_state: only containers have an open state")
-        location = normalize_name(str(ent_doc.get("location", "")))
+        location = normalize_name(_typed(ent_doc.get("location", ""), str, f"{where}.location"))
         if not location:
             raise SchemaError(f"{where}.location: missing or empty location")
         entities[name] = Entity(
             name, kind, location, open_state,
-            interactive=bool(ent_doc.get("interactive", True)),
+            interactive=_typed(ent_doc.get("interactive", True), bool, f"{where}.interactive"),
         )
 
     # locations must resolve to a declared spot or container
@@ -268,7 +279,7 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
                 f"spot {spot!r}: direction table must place every spot exactly once"
             )
 
-    agent_start = normalize_name(str(doc.get("agent_start", "")))
+    agent_start = normalize_name(_typed(doc.get("agent_start", ""), str, "agent_start"))
     if spot_order:
         if agent_start not in spot_order:
             raise SchemaError(f"agent_start: {agent_start!r} is not a spot")
@@ -325,15 +336,6 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
     for name in entities:
         scene.spot_of(name)  # raises on containment cycles
     return scene
-
-
-def load_named_scene(name: str, data) -> Scene:
-    """``load_scene`` for the scene document called ``name`` (its scene
-    reference); a schema error names the scene it came from."""
-    try:
-        return load_scene(data)
-    except SchemaError as exc:
-        raise SchemaError(f"scene {name!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

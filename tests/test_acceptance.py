@@ -186,7 +186,7 @@ def test_criterion_4_protocol_end_to_end():
 
 def test_criterion_5_budget_and_averaging(tmp_path, capsys):
     tasks = [make_task(task_id=f"budget{i}", scene="s") for i in range(2)]
-    docs = {"s": scene_doc()}
+    docs = {"s": load_scene(scene_doc())}
 
     class Refuser:
         def next(self, instruction):

@@ -36,7 +36,7 @@ from homebench.core import (
     serialize_output,
 )
 from homebench.loop import ParseFailure, parse_planner_output, replay_instructions, run_episode
-from homebench.planners import RecordingPlanner, ScriptedPlanner
+from homebench.planners import ScriptedPlanner
 from homebench.sim import load_scene
 
 from conftest import make_task, node, random_trajectory, traj
@@ -88,8 +88,7 @@ def test_sft_prompt_matches_live_rendering():
         plan_entry("End", ""),
     ])
     transcript = []
-    trajectory = run_episode(load_scene(scene_doc()),
-                             RecordingPlanner(planner, transcript), task)
+    trajectory = run_episode(load_scene(scene_doc()), planner, task, transcript=transcript)
     prompts = replay_instructions(trajectory, task, load_scene(scene_doc()))
     samples = sft_convert(trajectory, prompts)
     assert [s.prompt for s in samples] == [e["instruction"] for e in transcript]

@@ -59,7 +59,7 @@ def test_run_bad_scene_named_before_any_episode(tmp_path, capsys):
 
 
 def _set(path, value):
-    """Edit a scene document: set the field at ``path`` (keys and indices)."""
+    """Edit a scene or task document: set the field at ``path`` (keys and indices)."""
     def edit(doc):
         holder = doc
         for key in path[:-1]:
@@ -84,8 +84,19 @@ def _set(path, value):
     (_set(["spots", 0, "directions"], {"front": 3}),
      "spots[0].directions.front: expected a list of spots"),
     (_set(["bands"], ["a"]), "bands: expected a JSON object"),
+    (_set(["entities", 0, "interactive"], "no"),
+     "entities[0].interactive: expected a JSON boolean"),
+    (_set(["spots", 0, "interactive"], "false"),
+     "spots[0].interactive: expected a JSON boolean"),
+    (_set(["entities", 0, "name"], {"x": 1}), "entities[0].name: expected a JSON string"),
+    (_set(["entities", 0, "location"], 3), "entities[0].location: expected a JSON string"),
+    (_set(["spots", 0, "directions", "front", 0], 1),
+     "spots[0].directions.front[0]: expected a JSON string"),
+    (_set(["agent_start"], None), "agent_start: expected a JSON string"),
 ], ids=["rate-text", "rate-above-one", "rate-negative", "rates-list", "seed-text",
-        "schedule-entry-number", "spots-number", "direction-number", "bands-list"])
+        "schedule-entry-number", "spots-number", "direction-number", "bands-list",
+        "interactive-text", "spot-interactive-text", "name-object", "location-number",
+        "direction-entry-number", "agent-start-null"])
 def test_bad_scene_field_is_named(tmp_path, capsys, command, edit, message):
     scenes = tmp_path / "scenes"
     scenes.mkdir()
@@ -103,6 +114,86 @@ def test_bad_scene_field_is_named(tmp_path, capsys, command, edit, message):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert f"error: scene 'kitchen_home': {message}" in err.splitlines()
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _bundled_copy(tmp_path, subdir):
+    copy = tmp_path / subdir
+    copy.mkdir()
+    for path in Path(str(resources.files("homebench").joinpath(f"data/{subdir}"))).glob("*"):
+        (copy / path.name).write_bytes(path.read_bytes())
+    return copy
+
+
+@pytest.mark.parametrize("command", ["run", "augment"])
+def test_unreferenced_bad_scene_is_named(tmp_path, capsys, command):
+    # every scene file is validated, not only those a task plays in
+    scenes = _bundled_copy(tmp_path, "scenes")
+    (scenes / "spare.json").write_text(json.dumps({"id": "spare", "spots": 5}),
+                                       encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", "--runs", "1"] if command == "run" else ["augment"] + _corpus(tmp_path)
+    code = main(argv + ["--scenes", str(scenes), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert "error: scene 'spare': spots: expected a JSON list" in captured.err.splitlines()
+    assert "Traceback" not in captured.err
+    assert " run 0:" not in captured.out
+    assert not out.exists()
+
+
+def test_augment_refuses_missing_scene_before_any_output(tmp_path, capsys):
+    scenes = _bundled_copy(tmp_path, "scenes")
+    (scenes / "kitchen_home.json").unlink()  # the corpus's task plays there
+    out = tmp_path / "out"
+    code = main(["augment"] + _corpus(tmp_path) + ["--scenes", str(scenes), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert f"error: task 't1' needs scene 'kitchen_home', not found in {scenes}" \
+        in err.splitlines()
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("damage", ["missing", "not-json"])
+def test_run_refuses_bad_plan_before_any_episode(tmp_path, capsys, damage):
+    plans = _bundled_copy(tmp_path, "plans")
+    plan = plans / "towel_to_laundry.json"
+    if damage == "missing":
+        plan.unlink()
+    else:
+        plan.write_text("{not json", encoding="utf-8")
+    out = tmp_path / "runs"
+    code = main(["run", "--planner", f"scripted:{plans}", "--runs", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err.startswith("error: ")
+    assert "towel_to_laundry" in captured.err
+    assert "Traceback" not in captured.err
+    assert " run 0:" not in captured.out  # no episode started
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path, value, where", [
+    (["id"], 3, "task.id"),
+    (["instruction"], ["a", "b"], "task 't1'.instruction"),
+    (["scene"], 5, "task 't1'.scene"),
+    (["keypaths", 0, 0, "target"], 7, "task 't1'.keypaths[0][0].target"),
+], ids=["id", "instruction", "scene", "keypath-target"])
+def test_run_bad_task_field_type_is_named(tmp_path, capsys, path, value, where):
+    # a JSON value of another type is refused, not coerced to its str()
+    tasks = tmp_path / "tasks"
+    tasks.mkdir()
+    doc = json.loads(serialize_task(make_task(task_id="t1")))
+    _set(path, value)(doc)
+    (tasks / "t1.json").write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "runs"
+    code = main(["run", "--tasks", str(tasks), "--runs", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert (f"error: bad task file in {tasks}: {where}: expected a JSON string"
+            in err.splitlines())
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -383,6 +474,27 @@ def test_run_transcripts_flag(tmp_path):
     assert main(["evaluate", "--logs", str(out)]) == EXIT_OK
 
 
+def test_run_transcripts_match_replayed_prompts(tmp_path):
+    from homebench.core import load_tasks
+    from homebench.loop import replay_instructions
+    from homebench.sim import load_scene
+
+    out = tmp_path / "runs"
+    assert main(["--seed", "9", "run", "--runs", "2", "--out", str(out),
+                 "--transcripts"]) == EXIT_OK
+    data = Path(str(resources.files("homebench").joinpath("data")))
+    tasks = load_tasks(sorted((data / "tasks").glob("*.json")))
+    logs = sorted(out.glob("*__run*.json"))
+    assert len(logs) == 24
+    for log in logs:
+        trajectory = parse_trajectory_log(log.read_bytes())
+        task = tasks[trajectory.task_id]
+        scene = load_scene((data / "scenes" / f"{task.scene_ref}.json").read_bytes())
+        transcript = json.loads((out / "transcripts" / log.name).read_text(encoding="utf-8"))
+        assert [e["instruction"] for e in transcript] == \
+            [i.text for i in replay_instructions(trajectory, task, scene)]
+
+
 def test_keypaths_overlay_file(tmp_path, capsys):
     task = make_task(task_id="t1", keypaths=((node("Pick", "apple"),),))
     write_tasks(tmp_path / "tasks", [task])
@@ -495,13 +607,46 @@ def test_run_with_remote_profile(tmp_path):
     assert all(s.feedback.code is ErrorCode.F1 for s in trajectory.steps)
 
 
+def test_run_transport_failure_writes_no_transcript(tmp_path):
+    from test_planners import StubHandler, completion
+    from http.server import HTTPServer
+    import threading
+
+    server = HTTPServer(("127.0.0.1", 0), StubHandler)
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                     daemon=True).start()
+    # the first episode has its first query answered, then its second fails
+    StubHandler.script = [(200, completion("not a plan")), (500, {})]
+    StubHandler.requests_seen = []
+    endpoint = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "profiles": {"stub": {"endpoint": endpoint, "timeout": 5, "max_retries": 0}},
+    }), encoding="utf-8")
+    out = tmp_path / "runs"
+    try:
+        code = main(["--config", str(config_path), "run", "--planner", "remote:stub",
+                     "--runs", "1", "--budget", "2", "--out", str(out), "--transcripts"])
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert code == EXIT_OK
+    logs = sorted(p.name for p in out.glob("*__run*.json"))
+    transcripts = sorted(p.name for p in (out / "transcripts").glob("*.json"))
+    assert len(logs) == 11 and "bedtime_prep__run0.json" not in logs
+    assert transcripts == logs
+
+
 def test_run_jobs_parallel_matches_sequential(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["--seed", "5", "run", "--runs", "2", "--out", str(a)]) == EXIT_OK
+    assert main(["--seed", "5", "run", "--runs", "2", "--out", str(a),
+                 "--transcripts"]) == EXIT_OK
     assert main(["--seed", "5", "--jobs", "4", "run", "--runs", "2",
-                 "--out", str(b)]) == EXIT_OK
-    for path in sorted(a.glob("*.json")):
-        assert (b / path.name).read_bytes() == path.read_bytes()
+                 "--out", str(b), "--transcripts"]) == EXIT_OK
+    written = sorted(a.glob("*.json")) + sorted(a.glob("transcripts/*.json"))
+    assert len(written) == 48
+    for path in written:
+        assert (b / path.relative_to(a)).read_bytes() == path.read_bytes()
 
 
 def test_run_retries_validated(tmp_path):

@@ -31,7 +31,7 @@ from homebench.loop import (
     run_episode,
     stable_seed,
 )
-from homebench.planners import RecordingPlanner, ScriptedPlanner
+from homebench.planners import ScriptedPlanner
 from homebench.sim import load_scene, observe
 
 from conftest import make_task
@@ -379,7 +379,7 @@ def test_episode_history_fidelity(overrides):
         plan_entry("End", ""),
     ])
     trajectory = run_episode(
-        load_scene(scene_doc(**overrides)), RecordingPlanner(planner, transcript), task,
+        load_scene(scene_doc(**overrides)), planner, task, transcript=transcript,
     )
     assert trajectory.terminated_by_end
     assert len(transcript) == len(trajectory.steps)
@@ -413,7 +413,7 @@ def test_one_observe_per_prompt(monkeypatch):
         plan_entry("Place", "drawer"),
     ])
     trajectory = run_episode(
-        load_scene(scene_doc(**FAILING_SCENE)), RecordingPlanner(planner, transcript), task,
+        load_scene(scene_doc(**FAILING_SCENE)), planner, task, transcript=transcript,
         budget=5,
     )
     assert trajectory.terminated_by_budget
@@ -461,7 +461,7 @@ def test_replay_without_scene_uses_placeholder():
 
 def bench_fixtures():
     tasks = [make_task(task_id=f"task{i:02d}", scene="s") for i in range(10)]
-    docs = {"s": scene_doc()}
+    docs = {"s": load_scene(scene_doc())}
 
     def factory(task, run_index):
         return ScriptedPlanner([plan_entry("Pick", "apple"), plan_entry("End", "")])
@@ -481,8 +481,8 @@ def test_benchmark_deterministic_given_seed():
     from homebench.core import serialize_trajectory
 
     tasks, docs, factory = bench_fixtures()
-    docs = {"s": scene_doc(failure_rates={"e1_manipulation": 0.4,
-                                          "e1_navigation": 0.0, "e2_place": 0.0})}
+    docs = {"s": load_scene(scene_doc(failure_rates={"e1_manipulation": 0.4,
+                                                     "e1_navigation": 0.0, "e2_place": 0.0}))}
 
     def snapshot():
         results = run_benchmark(tasks, factory, docs, runs_per_task=2, seed=77)
@@ -515,6 +515,34 @@ def test_benchmark_isolates_transport_failures():
     assert len(failed) == 1
     assert failed[0].task_id == "task03"
     assert sum(1 for r in results if r.complete) == 19
+
+
+def test_benchmark_carries_transcripts_when_asked():
+    tasks, docs, _ = bench_fixtures()
+
+    def factory(task, run_index):
+        if task.id == "task03" and run_index == 1:
+            class DiesOnSecondQuery:
+                calls = 0
+
+                def next(self, instruction):
+                    self.calls += 1
+                    if self.calls == 2:
+                        raise PlannerTransportError("endpoint down")
+                    return plan_entry("Pick", "apple")
+            return DiesOnSecondQuery()
+        return ScriptedPlanner([plan_entry("Pick", "apple"), plan_entry("End", "")])
+
+    untraced = run_benchmark(tasks, factory, docs, runs_per_task=2)
+    assert all(r.transcript is None for r in untraced)
+    results = run_benchmark(tasks, factory, docs, runs_per_task=2, transcripts=True)
+    by_id = {task.id: task for task in tasks}
+    for result in results:
+        prompts = replay_instructions(
+            result.trajectory, by_id[result.task_id], load_scene(scene_doc()))
+        assert [e["instruction"] for e in result.transcript] == [i.text for i in prompts]
+    failed = [r for r in results if not r.complete]
+    assert len(failed) == 1 and len(failed[0].transcript) == 1  # the answered query only
 
 
 def test_stable_seed_is_stable():

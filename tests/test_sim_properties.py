@@ -1,7 +1,7 @@
 """Property tests for observation rendering and per-episode scene clones."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homebench.core import ActionType, ErrorCode, Inventory, ModelChoice, SchemaError, Subtask
@@ -237,3 +237,40 @@ def test_load_scene_damaged_field_is_a_schema_error(path, value):
         load_scene(doc)
     except SchemaError:
         pass
+
+
+def json_type(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "array", dict: "object"}.get(type(value), "null")
+
+
+# fields with one JSON type each, and that type
+TYPED_FIELDS = [
+    (("id",), "string"), (("agent_start",), "string"), (("seed",), "number"),
+    (("failure_rates", "e1_manipulation"), "number"), (("bands", "apple"), "string"),
+    (("outcome_schedule", "open fridge", 0), "string"),
+    (("spots", 0, "name"), "string"), (("spots", 0, "interactive"), "boolean"),
+    (("spots", 0, "directions", "front", 0), "string"),
+    (("entities", 0, "name"), "string"), (("entities", 0, "kind"), "string"),
+    (("entities", 0, "location"), "string"), (("entities", 0, "open_state"), "string"),
+    (("entities", 4, "interactive"), "boolean"),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(TYPED_FIELDS), value=json_values)
+def test_load_scene_field_of_another_type_is_a_schema_error(field, value):
+    # a value of another JSON type is refused, never coerced: bool("no") is
+    # true and str({"x": 1}) is a name
+    path, kind = field
+    assume(json_type(value) != kind)
+    doc = scene_doc(outcome_schedule={"open fridge": ["E1"]}, bands={"apple": "too_close"})
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    with pytest.raises(SchemaError):
+        load_scene(doc)
