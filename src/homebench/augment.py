@@ -279,6 +279,15 @@ def _pair_key(pair: PreferencePair) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _sft_record(sample: ConversationSample) -> dict:
+    return {"prompt": sample.prompt, "response": sample.response}
+
+
+def _dpo_record(pair: PreferencePair) -> dict:
+    return {"prompt": pair.prompt, "chosen": pair.chosen, "rejected": pair.rejected,
+            "source": pair.source.value}
+
+
 def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
     with path.open("w", encoding="utf-8") as handle:
         for record in records:
@@ -367,27 +376,13 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
             "val_tasks": val_ids,
         }
         train_set = set(train_ids)
-        _write_jsonl(out_dir / "sft_train.jsonl",
-                     ({"prompt": s.prompt, "response": s.response}
-                      for s in samples if s.task_id in train_set))
-        _write_jsonl(out_dir / "sft_val.jsonl",
-                     ({"prompt": s.prompt, "response": s.response}
-                      for s in samples if s.task_id not in train_set))
-        _write_jsonl(out_dir / "dpo_train.jsonl",
-                     ({"prompt": p.prompt, "chosen": p.chosen,
-                       "rejected": p.rejected, "source": p.source.value}
-                      for p in pairs if p.task_id in train_set))
-        _write_jsonl(out_dir / "dpo_val.jsonl",
-                     ({"prompt": p.prompt, "chosen": p.chosen,
-                       "rejected": p.rejected, "source": p.source.value}
-                      for p in pairs if p.task_id not in train_set))
-
-    _write_jsonl(out_dir / "sft.jsonl",
-                 ({"prompt": s.prompt, "response": s.response} for s in samples))
-    _write_jsonl(out_dir / "dpo.jsonl",
-                 ({"prompt": p.prompt, "chosen": p.chosen,
-                   "rejected": p.rejected, "source": p.source.value}
-                  for p in pairs))
+    for name, items, record in (("sft", samples, _sft_record), ("dpo", pairs, _dpo_record)):
+        _write_jsonl(out_dir / f"{name}.jsonl", map(record, items))
+        if split is not None:
+            _write_jsonl(out_dir / f"{name}_train.jsonl",
+                         (record(x) for x in items if x.task_id in train_set))
+            _write_jsonl(out_dir / f"{name}_val.jsonl",
+                         (record(x) for x in items if x.task_id not in train_set))
 
     manifest = {
         "seed": config.seed,

@@ -349,10 +349,7 @@ def cmd_report_errors(args, config: dict) -> int:
     print(render_action_table(report.action_stats))
 
     if args.plot_data:
-        doc = {
-            "successful": report.error_stats["successful"].to_dict(),
-            "failed": report.error_stats["failed"].to_dict(),
-        }
+        doc = report.to_dict()["error_stats"]
         Path(args.plot_data).write_text(
             json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
         print(f"plot data written to {args.plot_data}")

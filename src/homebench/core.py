@@ -553,11 +553,11 @@ def _parse_step(doc, pos: int) -> StepRecord:
         raise SchemaError(f"{where}.index: expected an integer")
     if index != pos + 1:
         raise SchemaError(f"{where}.index: expected {pos + 1}, got {index}")
-    analysis = str(_require(doc, "analysis", where))
-    raw_action = str(_require(doc, "action", where))
-    raw_target = str(_require(doc, "target", where))
-    raw_model = str(_require(doc, "model", where))
-    status_str = str(_require(doc, "status", where))
+    analysis = _require_text(doc, "analysis", where)
+    raw_action = _require_text(doc, "action", where)
+    raw_target = _require_text(doc, "target", where)
+    raw_model = _require_text(doc, "model", where)
+    status_str = _require_text(doc, "status", where)
     try:
         status = StepStatus(status_str)
     except ValueError:
@@ -565,9 +565,9 @@ def _parse_step(doc, pos: int) -> StepRecord:
 
     code = None
     if status is StepStatus.FAILURE:
-        code_str = _require(doc, "error_code", where)
+        code_str = _require_text(doc, "error_code", where)
         try:
-            code = ErrorCode(str(code_str))
+            code = ErrorCode(code_str)
         except ValueError:
             raise SchemaError(f"{where}.error_code: unknown code {code_str!r}") from None
         message = doc.get("message", CANONICAL_MESSAGES[code])
@@ -622,7 +622,7 @@ def parse_trajectory_log(data) -> Trajectory:
     if not isinstance(doc, dict):
         raise SchemaError("trajectory log must be a JSON object")
 
-    task_id = str(_require(doc, "task_id", "log"))
+    task_id = _require_text(doc, "task_id", "log")
     run_index = _require(doc, "run_index", "log")
     if not isinstance(run_index, int) or run_index < 0:
         raise SchemaError("log.run_index: expected a non-negative integer")
@@ -631,7 +631,7 @@ def parse_trajectory_log(data) -> Trajectory:
         raise SchemaError("log.steps: expected a list")
     steps = [_parse_step(step, pos) for pos, step in enumerate(raw_steps)]
 
-    terminated_by = str(_require(doc, "terminated_by", "log"))
+    terminated_by = _require_text(doc, "terminated_by", "log")
     if terminated_by not in ("end", "budget"):
         raise SchemaError(f"log.terminated_by: expected 'end' or 'budget', got {terminated_by!r}")
     return Trajectory(

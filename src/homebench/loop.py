@@ -395,7 +395,8 @@ def run_benchmark(
     Transport failures are recorded on their RunResult and the benchmark
     continues. With ``transcripts`` on, each RunResult carries its episode's
     transcript. Results come back in stable (task order, run index) order
-    regardless of ``jobs``.
+    regardless of ``jobs``, and ``progress(result)`` is called with each one
+    in that order, on the calling thread.
     """
     specs = [
         (task, run_index)
@@ -414,17 +415,18 @@ def run_benchmark(
                 scene, planner, task, budget=budget, retries=retries,
                 run_index=run_index, transcript=transcript,
             )
-            result = RunResult(task.id, run_index, trajectory, transcript=transcript)
+            return RunResult(task.id, run_index, trajectory, transcript=transcript)
         except PlannerTransportError as exc:
-            result = RunResult(task.id, run_index, exc.trajectory, str(exc), transcript)
-        if progress is not None:
-            progress(result)
-        return result
+            return RunResult(task.id, run_index, exc.trajectory, str(exc), transcript)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, specs))
-    return [one(spec) for spec in specs]
+    results = []
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        # at jobs 1 every episode runs on this thread and the pool starts no worker
+        for result in (pool.map(one, specs) if jobs > 1 else map(one, specs)):
+            if progress is not None:
+                progress(result)
+            results.append(result)
+    return results
 
 
 # ---------------------------------------------------------------------------

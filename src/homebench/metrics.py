@@ -45,53 +45,26 @@ def _pct(numerator: int, denominator: int) -> Fraction:
 # keypath matching
 
 
-@dataclass
-class MatchState:
-    """Progress of one keypath against a trajectory: ``checked`` is always a
-    prefix of ``keypath`` and ``cursor`` equals its length."""
-
-    keypath: tuple
-    checked: list = field(default_factory=list)
-
-    @property
-    def cursor(self) -> int:
-        return len(self.checked)
-
-    @property
-    def complete(self) -> bool:
-        return self.cursor == len(self.keypath)
-
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.cursor, len(self.keypath))
-
-
-def _successful_pairs(trajectory: Trajectory):
-    for step in trajectory.steps:
-        if not step.feedback.ok:
-            continue
-        subtask = step.output.subtask
-        if subtask.action is not ActionType.END:
-            yield subtask.action, subtask.target
-
-
-def match_keypath(trajectory: Trajectory, keypath: Sequence[KeypathNode]) -> MatchState:
-    """Scan the trajectory once, left to right, advancing the cursor whenever
-    a *successful* step equals the next unmatched node. Failed steps and
-    non-matching steps are skipped; the cursor never retreats.
+def match_keypath(trajectory: Trajectory, keypath: Sequence[KeypathNode]) -> int:
+    """Number of keypath nodes matched: scan the trajectory once, left to
+    right, advancing past the next unmatched node whenever a *successful*
+    step equals it. Failed steps and non-matching steps are skipped (an End
+    step never matches, since keypath nodes never contain End); the match
+    never retreats.
 
     Because the node order is fixed, this greedy earliest match yields the
-    longest prefix of the keypath that occurs as a subsequence of the
-    successful steps.
+    length of the longest prefix of the keypath that occurs as a
+    subsequence of the successful steps.
     """
-    state = MatchState(tuple(keypath))
-    for action, target in _successful_pairs(trajectory):
-        if state.complete:
+    matched = 0
+    for step in trajectory.steps:
+        if matched == len(keypath):
             break
-        node = state.keypath[state.cursor]
-        if node.action is action and node.target == target:
-            state.checked.append(node)
-    return state
+        node = keypath[matched]
+        subtask = step.output.subtask
+        if step.feedback.ok and (subtask.action, subtask.target) == (node.action, node.target):
+            matched += 1
+    return matched
 
 
 def compute_tp(trajectory: Trajectory, keypaths: Sequence) -> Fraction:
@@ -99,7 +72,7 @@ def compute_tp(trajectory: Trajectory, keypaths: Sequence) -> Fraction:
     as an exact rational in [0, 1]."""
     if not keypaths:
         raise EmptyKeypathSet("task progress needs at least one keypath")
-    return max(match_keypath(trajectory, keypath).ratio for keypath in keypaths)
+    return max(Fraction(match_keypath(trajectory, k), len(k)) for k in keypaths)
 
 
 def count_replans(trajectory: Trajectory) -> int:
@@ -179,63 +152,76 @@ def compute_srr(results: Iterable[EpisodeResult]):
     return _pct(in_success, total), False
 
 
+@dataclass(frozen=True)
+class _TaskScore:
+    """One task's runs averaged: SR, PLWSR and TP as exact fractions in
+    [0, 1]."""
+
+    runs: int
+    sr: Fraction
+    plwsr: Fraction
+    tp: Fraction
+
+
+def _task_table(results: Iterable[EpisodeResult], expert_lengths: dict,
+                literal: bool = False) -> dict:
+    """Group the runs by task once and average each task's runs, in task-id
+    order.
+
+    Per successful run the PLWSR weight is expert / max(expert, actual), so a
+    path longer than the expert's is penalized proportionally; failures
+    weigh zero. ``literal=True`` switches the numerator to the actual
+    length (which saturates at 1 for any path at least expert length).
+    """
+    by_task: dict = {}
+    for r in results:
+        by_task.setdefault(r.task_id, []).append(r)
+    table = {}
+    for task_id, runs in sorted(by_task.items()):
+        expert = expert_lengths.get(task_id)
+        if expert is None or expert < 1:
+            raise MissingExpertLength(f"no expert length for task {task_id!r}")
+        weights = (
+            Fraction(r.length if literal else expert, max(expert, r.length))
+            for r in runs if r.success
+        )
+        table[task_id] = _TaskScore(
+            runs=len(runs),
+            sr=Fraction(sum(1 for r in runs if r.success), len(runs)),
+            plwsr=sum(weights, Fraction(0)) / len(runs),
+            tp=sum((r.tp for r in runs), Fraction(0)) / len(runs),
+        )
+    return table
+
+
+def _task_means(table: dict):
+    """SR, PLWSR and TP as percentages over a per-task table, each task
+    weighing the same whatever its run count; zeros for an empty table."""
+    if not table:
+        return Fraction(0), Fraction(0), Fraction(0)
+
+    def mean(values):
+        return Fraction(100) * sum(values, Fraction(0)) / len(table)
+
+    scores = table.values()
+    return (mean(s.sr for s in scores), mean(s.plwsr for s in scores),
+            mean(s.tp for s in scores))
+
+
 def compute_sr_plwsr(
     results: Iterable[EpisodeResult],
     expert_lengths: dict,
     literal: bool = False,
 ):
     """Success rate and path-length-weighted success rate, both as exact
-    percentage rationals.
-
-    Per successful episode the weight is expert / max(expert, actual) so a
-    path longer than the expert's is penalized proportionally; failures
-    weigh zero. ``literal=True`` switches the numerator to the actual
-    length (which saturates at 1 for any path at least expert length).
-    Episodes average within their task first, then across tasks.
-    """
-    by_task: dict = {}
-    for r in results:
-        by_task.setdefault(r.task_id, []).append(r)
-    if not by_task:
-        return Fraction(0), Fraction(0)
-
-    sr_terms = []
-    plw_terms = []
-    for task_id, runs in sorted(by_task.items()):
-        expert = expert_lengths.get(task_id)
-        if expert is None or expert < 1:
-            raise MissingExpertLength(f"no expert length for task {task_id!r}")
-        sr_terms.append(Fraction(sum(1 for r in runs if r.success), len(runs)))
-        weights = []
-        for r in runs:
-            if not r.success:
-                weights.append(Fraction(0))
-                continue
-            denom = max(expert, r.length)
-            numer = r.length if literal else expert
-            weights.append(Fraction(numer, denom) if denom else Fraction(1))
-        plw_terms.append(sum(weights, Fraction(0)) / len(runs))
-
-    n = len(sr_terms)
-    sr = Fraction(100) * sum(sr_terms, Fraction(0)) / n
-    plwsr = Fraction(100) * sum(plw_terms, Fraction(0)) / n
+    percentage rationals. Episodes average within their task first, then
+    across tasks; see ``_task_table`` for the PLWSR weight."""
+    sr, plwsr, _ = _task_means(_task_table(results, expert_lengths, literal))
     return sr, plwsr
 
 
 # ---------------------------------------------------------------------------
 # error statistics
-
-
-CODE_ORDER = [
-    ErrorCode.L1, ErrorCode.L2, ErrorCode.L3, ErrorCode.L4,
-    ErrorCode.D1, ErrorCode.D2,
-    ErrorCode.F1, ErrorCode.F2,
-    ErrorCode.E1, ErrorCode.E2,
-]
-CATEGORY_ORDER = [
-    ErrorCategory.LOGICAL, ErrorCategory.DISTANCE,
-    ErrorCategory.FORMAT, ErrorCategory.EXECUTION,
-]
 
 
 @dataclass
@@ -276,13 +262,13 @@ class PartitionStats:
             "failed_steps": self.failed_steps,
             "total_steps": self.total_steps,
             "failed_step_share": round2(self.failed_step_share),
-            "counts": {code.value: self.count(code) for code in CODE_ORDER},
-            "percent": {code.value: round2(self.percent(code)) for code in CODE_ORDER},
+            "counts": {code.value: self.count(code) for code in ErrorCode},
+            "percent": {code.value: round2(self.percent(code)) for code in ErrorCode},
             "category_counts": {
-                cat.value: self.category_count(cat) for cat in CATEGORY_ORDER
+                cat.value: self.category_count(cat) for cat in ErrorCategory
             },
             "category_percent": {
-                cat.value: round2(self.category_percent(cat)) for cat in CATEGORY_ORDER
+                cat.value: round2(self.category_percent(cat)) for cat in ErrorCategory
             },
         }
 
@@ -347,19 +333,6 @@ def action_error_share(stats: dict, action: ActionType) -> Fraction:
 # benchmark report
 
 
-ATTRIBUTE_ORDER = [
-    TaskAttribute.SHORT_HORIZON, TaskAttribute.LONG_HORIZON,
-    TaskAttribute.OPEN_ENDED, TaskAttribute.LOGICAL, TaskAttribute.HUMAN_STYLE,
-]
-ATTRIBUTE_HEADERS = {
-    TaskAttribute.SHORT_HORIZON: "Short-Horizon",
-    TaskAttribute.LONG_HORIZON: "Long-Horizon",
-    TaskAttribute.OPEN_ENDED: "Open-Ended",
-    TaskAttribute.LOGICAL: "Logical",
-    TaskAttribute.HUMAN_STYLE: "Human-Style",
-}
-
-
 @dataclass
 class BenchmarkReport:
     """Everything the evaluate command prints and writes: headline metrics,
@@ -381,9 +354,7 @@ class BenchmarkReport:
 
     def to_dict(self) -> dict:
         per_action = {}
-        for action in [a for a in ActionType if a is not ActionType.END]:
-            if action not in self.action_stats:
-                continue
+        for action in [a for a in ActionType if a in self.action_stats]:
             entry = self.action_stats[action]
             per_action[action.label] = {
                 "attempts": entry.attempts,
@@ -430,38 +401,20 @@ def build_report(
             raise MissingTask(trajectory.task_id)
         results.append(episode_result(trajectory, task))
 
-    expert_lengths = {t.id: t.expert_length for t in tasks.values()}
-    if results:
-        sr, plwsr = compute_sr_plwsr(results, expert_lengths, literal=plwsr_literal)
-    else:
-        sr, plwsr = Fraction(0), Fraction(0)
+    table = _task_table(
+        results, {t.id: t.expert_length for t in tasks.values()}, plwsr_literal
+    )
+    sr, plwsr, tp_mean = _task_means(table)
     ser, ser_flag = compute_ser(results)
     srr, srr_flag = compute_srr(results)
-
-    by_task: dict = {}
-    for r in results:
-        by_task.setdefault(r.task_id, []).append(r)
-    task_sr = {}
-    task_tp = {}
-    per_task = {}
-    for task_id, runs in sorted(by_task.items()):
-        task_sr[task_id] = _pct(sum(1 for r in runs if r.success), len(runs))
-        task_tp[task_id] = Fraction(100) * sum((r.tp for r in runs), Fraction(0)) / len(runs)
-        per_task[task_id] = {
-            "runs": len(runs),
-            "sr": round2(task_sr[task_id]),
-            "tp": round2(task_tp[task_id]),
-        }
-    tp_mean = (
-        sum(task_tp.values(), Fraction(0)) / len(task_tp) if task_tp else Fraction(0)
-    )
-
+    per_task = {
+        task_id: {"runs": score.runs, "sr": round2(100 * score.sr), "tp": round2(100 * score.tp)}
+        for task_id, score in table.items()
+    }
     per_attribute: dict = {}
-    for attr in ATTRIBUTE_ORDER:
-        values = [task_sr[tid] for tid in task_sr if attr in tasks[tid].attributes]
-        per_attribute[attr] = (
-            sum(values, Fraction(0)) / len(values) if values else None
-        )
+    for attr in TaskAttribute:
+        carriers = {tid: score for tid, score in table.items() if attr in tasks[tid].attributes}
+        per_attribute[attr] = _task_means(carriers)[0] if carriers else None
 
     error_stats = aggregate_error_stats(
         (trajectory, result.success)
@@ -481,7 +434,7 @@ def build_report(
         per_task=per_task,
         error_stats=error_stats,
         action_stats=action_stats,
-        n_tasks=len(by_task),
+        n_tasks=len(table),
         n_runs=len(results),
     )
 
@@ -522,25 +475,29 @@ def render_summary_table(report: BenchmarkReport) -> str:
 
 
 def render_attribute_table(report: BenchmarkReport) -> str:
+    headers = []
     row = []
-    for attr in ATTRIBUTE_ORDER:
+    for attr in TaskAttribute:
+        headers.append(attr.value.replace("_", "-").title())  # short_horizon -> Short-Horizon
         value = report.per_attribute_sr.get(attr)
         row.append(_fmt(value) if value is not None else "-")
-    return _table([ATTRIBUTE_HEADERS[a] for a in ATTRIBUTE_ORDER], [row])
+    return _table(headers, [row])
 
 
 def render_error_table(stats: PartitionStats, title: str) -> str:
-    headers = ["", "L1", "L2", "L3", "L4", "L", "D1", "D2", "D",
-               "F1", "F2", "F", "E1", "E2", "E", "All"]
+    headers = [""]
     count_row = ["count"]
     pct_row = ["pct"]
-    for category in CATEGORY_ORDER:
-        for code in CODE_ORDER:
+    for category in ErrorCategory:
+        for code in ErrorCode:
             if code.category is category:
+                headers.append(code.value)
                 count_row.append(stats.count(code))
                 pct_row.append(_fmt(stats.percent(code)))
+        headers.append(category.value)
         count_row.append(stats.category_count(category))
         pct_row.append(_fmt(stats.category_percent(category)))
+    headers.append("All")
     count_row.append(f"{stats.failed_steps}/{stats.total_steps}")
     pct_row.append(_fmt(stats.failed_step_share))
     return f"{title}\n" + _table(headers, [count_row, pct_row])
@@ -549,9 +506,7 @@ def render_error_table(stats: PartitionStats, title: str) -> str:
 def render_action_table(action_stats: dict) -> str:
     headers = ["Action", "Attempts", "Successes", "SR", "P"]
     rows = []
-    for action in [a for a in ActionType if a is not ActionType.END]:
-        if action not in action_stats:
-            continue
+    for action in [a for a in ActionType if a in action_stats]:
         entry = action_stats[action]
         rows.append([
             action.label, entry.attempts, entry.successes,

@@ -69,7 +69,7 @@ def test_criterion_1_tp_worked_example():
     )
     from homebench.metrics import match_keypath
 
-    ratios = [match_keypath(trajectory, k).ratio for k in keypaths]
+    ratios = [Fraction(match_keypath(trajectory, k), len(k)) for k in keypaths]
     assert ratios == [Fraction(1, 3), Fraction(1, 4), Fraction(1, 2), Fraction(2, 5)]
     tp = compute_tp(trajectory, keypaths)
     assert isinstance(tp, Fraction)

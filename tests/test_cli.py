@@ -34,6 +34,17 @@ def test_run_bundled_cardinality(tmp_path, capsys):
     assert len(logs) == 36  # 12 bundled tasks x 3 runs
 
 
+def test_run_progress_lines_in_order_for_any_jobs(tmp_path, capsys):
+    out = tmp_path / "runs"
+    stdout = {}
+    for jobs in ("1", "4"):
+        assert main(["--seed", "7", "--jobs", jobs, "run", "--runs", "3",
+                     "--out", str(out)]) == EXIT_OK
+        stdout[jobs] = capsys.readouterr().out
+    assert stdout["4"] == stdout["1"]
+    assert len(stdout["1"].splitlines()) == 36 + 1  # one line per episode, then the summary
+
+
 def test_run_missing_scenes_dir(tmp_path):
     code = main(["run", "--scenes", str(tmp_path / "nowhere"), "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
@@ -281,6 +292,21 @@ def test_evaluate_excludes_corrupt_logs(tmp_path, capsys):
                  "--tasks", str(tmp_path / "tasks")]) == EXIT_OK
     output = capsys.readouterr().out
     assert "excluded 1 corrupt" in output
+
+
+def test_evaluate_excludes_log_with_non_string_field(tmp_path, capsys):
+    write_tasks(tmp_path / "tasks", [make_task(task_id="t1")])
+    write_logs(tmp_path / "logs", [traj([("Pick", "apple", True)], task_id="t1")])
+    doc = json.loads(serialize_trajectory(traj([("Pick", "apple", True)], task_id="t1")))
+    doc["steps"][0]["target"] = 7  # would otherwise score as a valid "Pick 7"
+    (tmp_path / "logs" / "typed.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["evaluate", "--logs", str(tmp_path / "logs"),
+                 "--tasks", str(tmp_path / "tasks")]) == EXIT_OK
+    output = capsys.readouterr().out
+    assert "excluded 1 corrupt log(s):" in output
+    assert "  typed.json: steps[0].target: expected a JSON string" in output.splitlines()
+    report = json.loads((tmp_path / "logs" / "report.json").read_text())
+    assert (report["runs"], report["excluded_logs"]) == (1, 1)
 
 
 def test_evaluate_separate_dirs_comparable(tmp_path, capsys):

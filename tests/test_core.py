@@ -260,6 +260,40 @@ def test_parse_log_subtask_messages(fields, message):
     assert str(info.value) == message
 
 
+F1_STEP = {
+    "index": 1, "analysis": "??", "action": "Dance", "target": "floor",
+    "model": "GPT-hands", "status": "failure", "error_code": "F1",
+    "message": "You should only choose actions in the list", "retries_used": 0,
+}
+E1_STEP = {
+    "index": 1, "analysis": "try", "action": "Pick", "target": "apple",
+    "model": "RT-1-X", "status": "failure", "error_code": "E1",
+    "message": "the subtask is too difficult to perform", "retries_used": 0,
+}
+NOT_STRINGS = [["a"], {"x": 1}, 7, None]
+
+
+@pytest.mark.parametrize("value", NOT_STRINGS, ids=["list", "object", "number", "null"])
+@pytest.mark.parametrize("field", ["analysis", "action", "target", "model", "status",
+                                   "error_code"])
+@pytest.mark.parametrize("first", [F1_STEP, E1_STEP], ids=["f1", "e1"])
+def test_parse_log_step_text_fields_must_be_strings(first, field, value):
+    doc = {"task_id": "sample", "run_index": 0, "terminated_by": "budget",
+           "steps": [dict(first, **{field: value})]}
+    with pytest.raises(SchemaError) as info:
+        parse_trajectory_log(json.dumps(doc))
+    assert str(info.value) == f"steps[0].{field}: expected a JSON string"
+
+
+@pytest.mark.parametrize("value", NOT_STRINGS, ids=["list", "object", "number", "null"])
+@pytest.mark.parametrize("field", ["task_id", "terminated_by"])
+def test_parse_log_text_fields_must_be_strings(field, value):
+    doc = dict(log_doc(), **{field: value})
+    with pytest.raises(SchemaError) as info:
+        parse_trajectory_log(json.dumps(doc))
+    assert str(info.value) == f"log.{field}: expected a JSON string"
+
+
 def test_parse_log_canonicalizes_outside_f1():
     doc = log_doc()
     doc["steps"][0].update(action=" pIck ", target="Kitchen-Table", model="rt1x")

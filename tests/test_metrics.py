@@ -2,11 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from homebench.core import ActionType, EmptyKeypathSet, ErrorCode, MissingExpertLength
+from homebench.core import (
+    ActionType,
+    EmptyKeypathSet,
+    ErrorCode,
+    MissingExpertLength,
+    TaskAttribute,
+)
 from homebench.metrics import (
     EpisodeResult,
     action_error_share,
     aggregate_error_stats,
+    build_report,
     compute_ser,
     compute_sr_plwsr,
     compute_srr,
@@ -49,37 +56,37 @@ def test_match_skips_failures_and_interleaved_steps():
         ("Place", "drawer", True),
     ])
     keypath = (node("Open", "drawer"), node("Place", "drawer"))
-    state = match_keypath(trajectory, keypath)
-    assert state.cursor == 2
-    assert state.cursor == prefix_subsequence_oracle(successful_pairs(trajectory), keypath)
+    matched = match_keypath(trajectory, keypath)
+    assert matched == 2
+    assert matched == prefix_subsequence_oracle(successful_pairs(trajectory), keypath)
 
 
 def test_match_empty_trajectory():
     trajectory = traj([], budget=True)
     keypath = (node("Pick", "apple"),)
-    assert match_keypath(trajectory, keypath).cursor == 0
+    assert match_keypath(trajectory, keypath) == 0
 
 
 def test_match_reversed_order_matches_only_first_node():
     keypath = (node("Open", "drawer"), node("Pick", "apple"))
     trajectory = traj([("Pick", "apple", True), ("Open", "drawer", True)])
-    state = match_keypath(trajectory, keypath)
-    assert state.cursor == 1
-    assert state.cursor == prefix_subsequence_oracle(successful_pairs(trajectory), keypath)
+    matched = match_keypath(trajectory, keypath)
+    assert matched == 1
+    assert matched == prefix_subsequence_oracle(successful_pairs(trajectory), keypath)
 
 
 def test_match_failed_steps_never_advance():
     keypath = (node("Pick", "apple"),)
     trajectory = traj([("Pick", "apple", False, ErrorCode.D1)], budget=True)
-    assert match_keypath(trajectory, keypath).cursor == 0
+    assert match_keypath(trajectory, keypath) == 0
 
 
-def test_checked_is_prefix_and_cursor_consistent(rng):
+def test_match_equals_prefix_oracle(rng):
     for _ in range(200):
         trajectory = random_trajectory(rng)
         for keypath in random_keypaths(rng):
-            state = match_keypath(trajectory, keypath)
-            assert tuple(state.checked) == tuple(keypath[: state.cursor])
+            assert match_keypath(trajectory, keypath) == prefix_subsequence_oracle(
+                successful_pairs(trajectory), keypath)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +108,7 @@ def test_tp_picks_best_ratio():
         (node("Open", "drawer"), node("Place", "sofa"), node("Pick", "short_can"),
          node("Place", "drawer"), node("Close", "drawer")),
     )
-    ratios = [match_keypath(trajectory, k).ratio for k in keypaths]
+    ratios = [Fraction(match_keypath(trajectory, k), len(k)) for k in keypaths]
     assert ratios == [Fraction(1, 3), Fraction(1, 4), Fraction(1, 2), Fraction(2, 5)]
     assert compute_tp(trajectory, keypaths) == Fraction(1, 2)
 
@@ -453,3 +460,82 @@ def test_error_partition_uses_each_trajectorys_own_result():
     assert report.error_stats["successful"].count(ErrorCode.D1) == 1
     assert report.error_stats["successful"].count(ErrorCode.L1) == 0
     assert report.error_stats["failed"].count(ErrorCode.L1) == 1
+
+
+# ---------------------------------------------------------------------------
+# report aggregates
+
+
+def report_oracle(trajectories, tasks, literal):
+    """The report's task-averaged aggregates, recomputed from each run's
+    EpisodeResult with nothing shared with build_report."""
+    by_task = {}
+    for trajectory in trajectories:
+        result = episode_result(trajectory, tasks[trajectory.task_id])
+        by_task.setdefault(trajectory.task_id, []).append(result)
+
+    def mean(values):
+        values = list(values)
+        return sum(values, Fraction(0)) / len(values)
+
+    sr, plw, tp = {}, {}, {}
+    for task_id, runs in by_task.items():
+        expert = tasks[task_id].expert_length
+        sr[task_id] = mean(Fraction(int(r.success)) for r in runs)
+        plw[task_id] = mean(
+            Fraction(r.length if literal else expert, max(expert, r.length))
+            if r.success else Fraction(0)
+            for r in runs
+        )
+        tp[task_id] = mean(r.tp for r in runs)
+    per_attribute = {}
+    for attr in TaskAttribute:
+        carried = [sr[t] for t in by_task if attr in tasks[t].attributes]
+        per_attribute[attr.value] = round2(100 * mean(carried)) if carried else None
+    return {
+        "sr": round2(100 * mean(sr.values())),
+        "plwsr": round2(100 * mean(plw.values())),
+        "tp": round2(100 * mean(tp.values())),
+        "per_task": {
+            t: {"runs": len(by_task[t]), "sr": round2(100 * sr[t]), "tp": round2(100 * tp[t])}
+            for t in sorted(by_task)
+        },
+        "per_attribute_sr": per_attribute,
+    }
+
+
+@pytest.mark.parametrize("literal", [False, True])
+def test_report_aggregates_match_oracle(rng, literal):
+    attributes = list(TaskAttribute)
+    successes = 0
+    for _ in range(60):
+        # one attribute at least is carried by no scored task; the unscored
+        # task may carry it, which must not give it a value
+        carried = rng.sample(attributes, rng.randrange(1, len(attributes)))
+        unused = [a for a in attributes if a not in carried]
+        tasks = {}
+        trajectories = []
+        for i in range(rng.randrange(1, 6)):
+            keypaths = random_keypaths(rng, max_paths=2, max_nodes=2)
+            longest = max(len(k) for k in keypaths)
+            task = make_task(
+                task_id=f"task{i}", keypaths=keypaths,
+                expert_length=longest + rng.randrange(0, 4),
+                attributes=rng.sample(carried, rng.randrange(1, len(carried) + 1)),
+            )
+            tasks[task.id] = task
+            for run in range(rng.randrange(1, 5)):
+                trajectories.append(
+                    random_trajectory(rng, max_steps=8, task_id=task.id, run_index=run))
+        tasks["unscored"] = make_task(task_id="unscored", attributes=unused)
+        rng.shuffle(trajectories)
+
+        doc = build_report(trajectories, tasks, plwsr_literal=literal).to_dict()
+        expected = report_oracle(trajectories, tasks, literal)
+        assert {key: doc[key] for key in expected} == expected
+        assert list(doc["per_task"]) == list(expected["per_task"])
+        assert list(doc["per_attribute_sr"]) == [a.value for a in attributes]
+        for attr in unused:
+            assert doc["per_attribute_sr"][attr.value] is None
+        successes += sum(1 for v in doc["per_task"].values() if v["sr"] > 0)
+    assert successes > 0
