@@ -5,10 +5,16 @@ and renders four-direction textual observations.
 A Scene is mutable single-episode state. Parse each scene document once
 with ``load_scene``, give each episode its own ``clone()`` of that template,
 and never share one episode's copy across threads.
+
+Entity locations change only through ``Scene.move``, which keeps the
+scene's location -> children index (``Scene.children``) current; ``observe``
+renders from that index, so an assignment to ``Entity.location`` anywhere
+else would leave it stale.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import random
 from dataclasses import dataclass, field
@@ -83,9 +89,9 @@ class AgentPose:
 
 @dataclass
 class Scene:
-    """One episode's world. ``spot_order`` and ``directions`` are never
-    mutated; everything else is episode state, so run each episode on a
-    ``clone()`` of a template scene rather than on the template itself."""
+    """One episode's world. ``spot_order``, ``directions`` and ``positions``
+    are never mutated; everything else is episode state, so run each episode
+    on a ``clone()`` of a template scene rather than on the template itself."""
 
     id: str
     entities: dict  # normalized name -> Entity (spots included), insertion-ordered
@@ -96,6 +102,8 @@ class Scene:
     rates: dict
     seed: int
     rng: random.Random
+    children: dict  # location -> names of the non-spot entities there, in insertion order
+    positions: dict  # name -> insertion index in ``entities``
 
     def clone(self, seed: Optional[int] = None) -> "Scene":
         """Fresh episode copy with its own entities, pose, schedule, rates and
@@ -115,7 +123,18 @@ class Scene:
             rates=dict(self.rates),
             seed=scene_seed,
             rng=random.Random(scene_seed),
+            children={location: list(names) for location, names in self.children.items()},
+            positions=self.positions,
         )
+
+    def move(self, name: str, location: str) -> None:
+        """Put the non-spot entity ``name`` at ``location`` (a spot, a
+        container or HAND); the one way an entity's location changes."""
+        entity = self.entities[name]
+        self.children[entity.location].remove(name)
+        entity.location = location
+        bisect.insort(self.children.setdefault(location, []), name,
+                      key=self.positions.__getitem__)
 
     # -- queries ------------------------------------------------------------
 
@@ -322,6 +341,10 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
     if type(doc_seed) is not int:  # bool is an int subclass, and not a seed
         raise SchemaError(f"seed: expected an integer, got {doc_seed!r}")
     scene_seed = doc_seed if seed is None else int(seed)
+    children: dict = {}
+    for name, entity in entities.items():
+        if entity.kind is not EntityKind.SPOT:
+            children.setdefault(entity.location, []).append(name)
     scene = Scene(
         id=scene_id,
         entities=entities,
@@ -332,6 +355,8 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
         rates=rates,
         seed=scene_seed,
         rng=random.Random(scene_seed),
+        children=children,
+        positions={name: i for i, name in enumerate(entities)},
     )
     for name in entities:
         scene.spot_of(name)  # raises on containment cycles
@@ -349,36 +374,34 @@ _BAND_TEXT = {
 }
 
 
-def _render_entity(scene: Scene, entity: Entity, children: dict) -> str:
-    band = _BAND_TEXT[scene.band(entity.name)]
+def _render_entity(entity: Entity, band: DistanceBand, children: dict) -> str:
+    text = _BAND_TEXT[band]
     if entity.kind is EntityKind.CONTAINER:
-        bits = [entity.open_state.value, band]
+        bits = [entity.open_state.value, text]
         if entity.open_state is OpenState.OPEN:
             contents = children.get(entity.name)
             if contents:
-                bits.append("contains: " + ", ".join(e.name for e in contents))
+                bits.append("contains: " + ", ".join(contents))
         return f"{entity.name} ({', '.join(bits)})"
-    return f"{entity.name} ({band})"
+    return f"{entity.name} ({text})"
 
 
 def observe(scene: Scene) -> tuple:
     """Deterministic four-direction observation texts (front, left, back,
     right). Objects inside a closed container are not visible; contents of
     open containers are listed nested under the container."""
-    # one pass groups every non-spot entity under its location, keeping
-    # scene insertion order within each group
-    children: dict = {}
-    for entity in scene.entities.values():
-        if entity.kind is not EntityKind.SPOT:
-            children.setdefault(entity.location, []).append(entity)
-    table = scene.directions.get(scene.agent.at, {})
+    entities, children = scene.entities, scene.children
+    at, overrides = scene.agent.at, scene.agent.band_overrides
+    table = scene.directions.get(at, {})
     texts = []
     for direction in DIRECTIONS:
         parts = []
         for spot_name in table.get(direction, ()):
-            parts.append(_render_entity(scene, scene.entities[spot_name], children))
-            for entity in children.get(spot_name, ()):
-                parts.append(_render_entity(scene, entity, children))
+            # a spot and everything listed under it share that spot as their
+            # root, so each band is its override or the spot's distance
+            near = DistanceBand.REACHABLE if spot_name == at else DistanceBand.TOO_FAR
+            for name in (spot_name, *children.get(spot_name, ())):
+                parts.append(_render_entity(entities[name], overrides.get(name, near), children))
         texts.append("; ".join(parts) if parts else "nothing notable")
     return tuple(texts)
 
@@ -431,9 +454,9 @@ def _mutate_success(scene: Scene, action: ActionType, target: str, held: Optiona
     log replay so both produce identical post-step observations."""
     entity = scene.entities[target]
     if action is ActionType.PICK:
-        entity.location = HAND
+        scene.move(target, HAND)
     elif action is ActionType.PLACE:
-        scene.entities[held].location = target
+        scene.move(held, target)
     elif action is ActionType.OPEN:
         entity.open_state = OpenState.OPEN
     elif action is ActionType.CLOSE:
@@ -446,11 +469,17 @@ def _mutate_success(scene: Scene, action: ActionType, target: str, held: Optiona
         scene.agent.band_overrides[target] = DistanceBand.REACHABLE
 
 
+def _is_object(scene: Scene, name: Optional[str]) -> bool:
+    entity = scene.entities.get(name) if name else None
+    return entity is not None and entity.kind is EntityKind.OBJECT
+
+
 def relocate_lost_object(scene: Scene, held: Optional[str]) -> None:
     """E2 aftermath: the held object lands somewhere unintended nearby (the
-    agent's current spot), leaving the hand empty."""
-    if held and held in scene.entities:
-        scene.entities[held].location = scene.agent.at or ""
+    agent's current spot), leaving the hand empty. Anything but an object
+    stays where it is."""
+    if _is_object(scene, held):
+        scene.move(held, scene.agent.at)
 
 
 def replay_step_mutation(scene: Scene, action: ActionType, target: str,
@@ -459,18 +488,22 @@ def replay_step_mutation(scene: Scene, action: ActionType, target: str,
 
     Logs produced by this executor always satisfy the guards, reproducing
     the live mutations exactly; foreign or hand-crafted logs that do not
-    line up with the scene degrade to no-ops instead of corrupting it.
+    line up with the scene degrade to no-ops instead of corrupting it. Only
+    objects ever move: a Pick of anything else, or a Place of anything else
+    or onto an object, changes nothing.
     """
     entity = scene.entities.get(target)
     if entity is None:
         return
     if action in (ActionType.OPEN, ActionType.CLOSE):
-        if entity.kind is EntityKind.CONTAINER:
-            _mutate_success(scene, action, target, held)
+        applies = entity.kind is EntityKind.CONTAINER
+    elif action is ActionType.PICK:
+        applies = entity.kind is EntityKind.OBJECT
     elif action is ActionType.PLACE:
-        if held and held in scene.entities and entity.kind is not EntityKind.OBJECT:
-            _mutate_success(scene, action, target, held)
+        applies = _is_object(scene, held) and entity.kind is not EntityKind.OBJECT
     else:
+        applies = True
+    if applies:
         _mutate_success(scene, action, target, held)
 
 

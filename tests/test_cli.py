@@ -439,6 +439,20 @@ def test_augment_refuses_bad_options(tmp_path, capsys, argv, message):
     assert not out.exists()  # refused before any output is written
 
 
+def test_augment_replays_non_object_moves_as_no_ops(tmp_path, capsys):
+    # picking the fridge and placing it in itself would close a containment
+    # cycle that the Go to below walks; replay moves only objects
+    task = make_task(task_id="t1", keypaths=((node("Pick", "apple"),),))
+    write_tasks(tmp_path / "tasks", [task])
+    write_logs(tmp_path / "logs", [traj([
+        ("Pick", "fridge", True), ("Place", "fridge", True), ("Go to", "apple", True),
+    ], task_id="t1")])
+    assert main(["augment", "--logs", str(tmp_path / "logs"),
+                 "--tasks", str(tmp_path / "tasks"),
+                 "--out", str(tmp_path / "ds")]) == EXIT_OK
+    assert "error" not in capsys.readouterr().err
+
+
 def test_augment_empty_logs_config_error(tmp_path):
     (tmp_path / "logs").mkdir()
     assert main(["augment", "--logs", str(tmp_path / "logs"),

@@ -34,7 +34,7 @@ from homebench.loop import (
 from homebench.planners import ScriptedPlanner
 from homebench.sim import load_scene, observe
 
-from conftest import make_task
+from conftest import make_task, traj
 from test_sim import scene_doc
 
 
@@ -453,6 +453,22 @@ def test_replay_without_scene_uses_placeholder():
     trajectory = run_episode(load_scene(scene_doc()), planner, task)
     replayed = replay_instructions(trajectory, task)
     assert "(observations unavailable)" in replayed[0].observations
+
+
+@pytest.mark.parametrize("specs", [
+    [("Pick", "counter", True), ("Place", "table", False, ErrorCode.E2)],
+    [("Pick", "fridge", True), ("Place", "fridge", True), ("Go to", "banana", True)],
+], ids=["e2-after-pick-of-a-spot", "container-placed-in-itself"])
+def test_replay_moves_only_objects(specs):
+    # a hand-made log can "pick" a spot or a container; replaying it leaves
+    # every entity where it was instead of corrupting the scene
+    task = make_task(task_id="demo")
+    scene = load_scene(scene_doc())
+    replay_instructions(traj(specs, task_id="demo"), task, scene=scene)
+    untouched = load_scene(scene_doc())
+    assert ({name: e.location for name, e in scene.entities.items()}
+            == {name: e.location for name, e in untouched.entities.items()})
+    assert scene.children == untouched.children
 
 
 # ---------------------------------------------------------------------------

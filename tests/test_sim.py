@@ -222,9 +222,9 @@ def test_e1_scheduled_attempts():
 def test_e2_place_loses_object():
     doc = scene_doc(outcome_schedule={"place counter": ["E2"]})
     scene = load_scene(doc)
-    held = Inventory("apple")
-    scene.entities["apple"].location = "@hand"
-    outcome = execute(scene, sub(PLACE, "counter"), held)
+    assert execute(scene, sub(PICK, "apple"), EMPTY).ok
+    assert scene.entities["apple"].location == "@hand"
+    outcome = execute(scene, sub(PLACE, "counter"), Inventory("apple"))
     assert outcome.code is ErrorCode.E2
     assert outcome == failure(ErrorCode.E2)
     assert scene.entities["apple"].location == "counter"  # fell nearby

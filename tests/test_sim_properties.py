@@ -99,21 +99,31 @@ MUTATIONS = [ActionType.PICK, ActionType.PLACE, ActionType.OPEN, ActionType.CLOS
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_observe_matches_oracle_under_random_mutations(data):
-    scene = load_scene(data.draw(scene_docs()))
-    names = list(scene.entities)
-    objects = [n for n, e in scene.entities.items() if e.kind is EntityKind.OBJECT]
-    assert observe(scene) == oracle_observe(scene)
+    doc = data.draw(scene_docs())
+    template = load_scene(doc)
+    # the same mutations run on a loaded scene and on a clone; the template
+    # and a sibling clone must not see them
+    scenes = [load_scene(doc), template.clone()]
+    sibling = template.clone()
+    pristine = oracle_observe(load_scene(doc))
+    names = list(template.entities)
+    objects = [n for n, e in template.entities.items() if e.kind is EntityKind.OBJECT]
+    for scene in scenes:
+        assert observe(scene) == oracle_observe(scene)
     steps = data.draw(st.lists(
         st.tuples(st.sampled_from(MUTATIONS), st.sampled_from(names),
                   st.sampled_from([None] + objects)),
         max_size=20))
     for action, target, held in steps:
-        # only objects are ever held, so a place cannot close a containment cycle
-        if action == "lost":
-            relocate_lost_object(scene, held)
-        else:
-            replay_step_mutation(scene, action, target, held)
-        assert observe(scene) == oracle_observe(scene)
+        for scene in scenes:
+            # only objects are ever held, so a place cannot close a containment cycle
+            if action == "lost":
+                relocate_lost_object(scene, held)
+            else:
+                replay_step_mutation(scene, action, target, held)
+            assert observe(scene) == oracle_observe(scene)
+        assert observe(template) == pristine
+        assert observe(sibling) == pristine
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +167,7 @@ def test_clone_mutations_stay_private():
     assert snapshot(sibling) == before
     assert observe(sibling) == observe(load_scene(scene_doc()))
     assert template.spot_order is clone.spot_order
+    assert template.positions is clone.positions
     assert template.directions is clone.directions
 
 
