@@ -29,7 +29,6 @@ from .core import (
     PlannerOutput,
     RewriterTransportError,
     Trajectory,
-    serialize_output,
 )
 from .loop import (
     Instruction,
@@ -82,7 +81,7 @@ class PreferencePair:
 def _make_sample(instruction: Instruction, output: PlannerOutput, task_id: str) -> ConversationSample:
     return ConversationSample(
         prompt=instruction.text,
-        response=serialize_output(output),
+        response=output.text,
         instruction=instruction,
         output=output,
         task_id=task_id,
@@ -97,15 +96,35 @@ def sft_convert(trajectory: Trajectory, prompts: Sequence[Instruction]) -> list:
     """One sample per successful step. ``prompts`` are the trajectory's
     replayed instructions (``replay_instructions``); each sample keeps its
     step's prompt but re-renders the history with the failed steps scrubbed.
-    The feedback line still reports the failure that preceded the step."""
+    The feedback line still reports the failure that preceded the step.
+    While no step has failed the scrubbed history is the step's own, and the
+    sample shares its prompt's instruction."""
     samples = []
     kept = []  # the successful steps so far
     for step, prompt in zip(trajectory.steps, prompts):
         if step.feedback.ok:
-            instruction = dataclasses.replace(prompt, history=render_history(kept))
+            history = render_history(kept)
+            instruction = (prompt if history == prompt.history
+                           else dataclasses.replace(prompt, history=history))
             samples.append(_make_sample(instruction, step.output, trajectory.task_id))
             kept.append(step)
     return samples
+
+
+def _rewritten(sample: ConversationSample, task: str, analysis: str) -> ConversationSample:
+    """``sample`` with the given task and analysis. A part the rewriter
+    returned unchanged is shared with the original, so its text is neither
+    re-derived nor rendered again; with both unchanged the variant is the
+    original sample itself."""
+    instruction = sample.instruction
+    if task != instruction.task:
+        instruction = dataclasses.replace(instruction, task=task)
+    output = sample.output
+    if analysis != output.analysis:
+        output = dataclasses.replace(output, analysis=analysis)
+    if instruction is sample.instruction and output is sample.output:
+        return sample
+    return _make_sample(instruction, output, sample.task_id)
 
 
 def expand_with_rewrites(samples: Sequence, rewriter: Callable, n: int):
@@ -126,9 +145,7 @@ def expand_with_rewrites(samples: Sequence, rewriter: Callable, n: int):
             except RewriterTransportError:
                 failures += 1
                 continue
-            instruction = dataclasses.replace(sample.instruction, task=new_task)
-            output = dataclasses.replace(sample.output, analysis=new_analysis)
-            expanded.append(_make_sample(instruction, output, sample.task_id))
+            expanded.append(_rewritten(sample, new_task, new_analysis))
     return expanded, failures
 
 
@@ -146,8 +163,8 @@ def _pair(prompts, i, chosen_output, rejected_output, source, task_id):
     successor is End, or two byte-identical adjacent outputs)."""
     if chosen_output.action_type is ActionType.END:
         return None
-    chosen = serialize_output(chosen_output)
-    rejected = serialize_output(rejected_output)
+    chosen = chosen_output.text
+    rejected = rejected_output.text
     if chosen == rejected:
         return None
     return PreferencePair(prompts[i].text, chosen, rejected, source, task_id)
@@ -288,10 +305,25 @@ def _dpo_record(pair: PreferencePair) -> dict:
             "source": pair.source.value}
 
 
-def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
+def _jsonl_lines(items: Sequence, record: Callable) -> list:
+    """One JSON line per item. An item listed more than once (an unchanged
+    rewrite variant is its original sample) is encoded once."""
+    encoded = {}
+    lines = []
+    for item in items:
+        line = encoded.get(id(item))
+        if line is None:
+            line = encoded[id(item)] = _ENCODER.encode(record(item)) + "\n"
+        lines.append(line)
+    return lines
+
+
+def _write_jsonl(path: Path, lines: Iterable[str]) -> None:
     with path.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+        handle.writelines(lines)
 
 
 def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: AugmentConfig) -> dict:
@@ -377,12 +409,13 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
         }
         train_set = set(train_ids)
     for name, items, record in (("sft", samples, _sft_record), ("dpo", pairs, _dpo_record)):
-        _write_jsonl(out_dir / f"{name}.jsonl", map(record, items))
+        lines = _jsonl_lines(items, record)
+        _write_jsonl(out_dir / f"{name}.jsonl", lines)
         if split is not None:
             _write_jsonl(out_dir / f"{name}_train.jsonl",
-                         (record(x) for x in items if x.task_id in train_set))
+                         (line for x, line in zip(items, lines) if x.task_id in train_set))
             _write_jsonl(out_dir / f"{name}_val.jsonl",
-                         (record(x) for x in items if x.task_id not in train_set))
+                         (line for x, line in zip(items, lines) if x.task_id not in train_set))
 
     manifest = {
         "seed": config.seed,

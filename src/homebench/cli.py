@@ -210,6 +210,19 @@ def _parse_logs(logs_dir: Path):
     return trajectories, corrupt
 
 
+def _refuse_inside_logs(option: str, path: str, logs_dir: Path,
+                        allowed: str | None = None) -> None:
+    """Every command reads the ``*.json`` files in the logs directory as
+    logs, skipping only ``report.json``. Refuse an output path inside it
+    (other than ``logs_dir/allowed``), which later commands would read back
+    as a corrupt log."""
+    target = Path(path).resolve()
+    logs = logs_dir.resolve()
+    if target.is_relative_to(logs) and not (allowed and target == logs / allowed):
+        raise ConfigError(f"{option} {path} is inside the logs directory {logs_dir}, "
+                          "where later commands would read it as a log")
+
+
 def _load_corpus(args, config: dict):
     """Resolve --logs and --tasks, load the task map and parse the logs,
     warning about the corrupt ones. Returns (logs_dir, tasks, trajectories,
@@ -314,6 +327,8 @@ def cmd_run(args, config: dict) -> int:
 
 def cmd_evaluate(args, config: dict) -> int:
     logs_dir, tasks, trajectories, corrupt = _load_corpus(args, config)
+    if args.out:
+        _refuse_inside_logs("--out", args.out, logs_dir, allowed="report.json")
     if not trajectories:
         print("warning: no parseable logs found; report contains zeros")
 
@@ -336,7 +351,9 @@ def cmd_evaluate(args, config: dict) -> int:
 
 
 def cmd_report_errors(args, config: dict) -> int:
-    _, tasks, trajectories, _ = _load_corpus(args, config)
+    logs_dir, tasks, trajectories, _ = _load_corpus(args, config)
+    if args.plot_data:
+        _refuse_inside_logs("--plot-data", args.plot_data, logs_dir)
 
     report = build_report(trajectories, tasks)
     print(render_error_table(report.error_stats["successful"],

@@ -7,6 +7,7 @@ objects are safe to share read-only across evaluation workers.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -257,6 +258,7 @@ class PlannerOutput:
     given, so invalid emissions (F1 steps) survive logging and round-trip
     intact. ``action_type`` and ``subtask`` (None unless the strings name a
     valid subtask) are derived once, at construction and in ``dataclasses.replace``.
+    ``text`` is ``serialize_output`` of the output, computed on first read.
     """
 
     analysis: str
@@ -279,6 +281,10 @@ class PlannerOutput:
     @property
     def is_end(self) -> bool:
         return self.action_type is ActionType.END and self.target == ""
+
+    @functools.cached_property
+    def text(self) -> str:
+        return serialize_output(self)
 
 
 def make_end_output(analysis: str = "The task is complete.") -> PlannerOutput:

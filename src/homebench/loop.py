@@ -8,6 +8,7 @@ may run concurrently as long as they never share a scene or state.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -56,7 +57,8 @@ class Instruction:
     instructions.
 
     ``feedback_code`` is the last step's error code, or None; scripted
-    planners branch on it.
+    planners branch on it. ``text`` is rendered on first read and kept; the
+    instance is frozen, so it never goes stale.
     """
 
     system: str
@@ -67,7 +69,7 @@ class Instruction:
     observations: str
     feedback_code: Optional[ErrorCode] = None
 
-    @property
+    @functools.cached_property
     def text(self) -> str:
         return render_template(DEFAULT_TEMPLATE, self)
 

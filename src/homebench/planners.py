@@ -14,8 +14,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-import requests
-
 from .core import (
     ConfigError,
     ErrorCode,
@@ -185,6 +183,8 @@ def _post_chat(config: RemotePlannerConfig, messages, session) -> str:
     malformed response envelopes). A 4xx status other than 408 and 429
     cannot succeed on a retry, so it fails at once. Returns the assistant
     text verbatim."""
+    import requests  # only remote planners and rewriters load it
+
     body = {
         "model": config.model,
         "messages": messages,
@@ -232,6 +232,8 @@ class RemotePlanner:
     it parses is the episode loop's business, not a transport error."""
 
     def __init__(self, config: RemotePlannerConfig, session=None):
+        import requests
+
         self.config = config
         self.session = session or requests.Session()
         self._user_template = _without_system_placeholder(load_template(config.template))
@@ -259,6 +261,8 @@ class RemoteRewriter:
     caller can skip the affected rewrite and continue."""
 
     def __init__(self, config: RemotePlannerConfig, session=None):
+        import requests
+
         self.config = config
         self.session = session or requests.Session()
 

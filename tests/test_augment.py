@@ -35,7 +35,14 @@ from homebench.core import (
     parse_model,
     serialize_output,
 )
-from homebench.loop import ParseFailure, parse_planner_output, replay_instructions, run_episode
+from homebench.loop import (
+    DEFAULT_TEMPLATE,
+    ParseFailure,
+    parse_planner_output,
+    render_template,
+    replay_instructions,
+    run_episode,
+)
 from homebench.planners import ScriptedPlanner
 from homebench.sim import load_scene
 
@@ -166,6 +173,104 @@ def test_expand_survives_rewriter_failures():
     expanded, failures = expand_with_rewrites(samples, flaky, 1)
     assert failures > 0
     assert len(expanded) == len(samples) * 2 - failures
+
+
+def expand_by_replace(samples, rewriter, n):
+    """Reference expansion: every variant rebuilds its instruction and output
+    with ``dataclasses.replace`` and renders both texts from scratch.
+    Returns ([(prompt, response)], failures)."""
+    expanded = [(s.prompt, s.response) for s in samples]
+    failures = 0
+    for _ in range(n):
+        for sample in samples:
+            try:
+                new_task = rewriter(sample.instruction.task)
+                new_analysis = rewriter(sample.output.analysis)
+            except RewriterTransportError:
+                failures += 1
+                continue
+            instruction = dataclasses.replace(sample.instruction, task=new_task)
+            output = dataclasses.replace(sample.output, analysis=new_analysis)
+            expanded.append((render_template(DEFAULT_TEMPLATE, instruction),
+                             serialize_output(output)))
+    return expanded, failures
+
+
+def rewrite_one_side(change_task):
+    """Changes every task (or every analysis) and returns the other text
+    unchanged: the expansion asks for a sample's task, then its analysis."""
+    calls = itertools.count()
+
+    def rewrite(text):
+        asked_for_task = next(calls) % 2 == 0
+        return text.upper() + " ~" if asked_for_task == change_task else text
+    return rewrite
+
+
+REWRITERS = {
+    "unchanged": lambda: identity_rewriter,
+    "equal_copy": lambda: lambda text: (text + ".")[:-1],
+    "task_only": lambda: rewrite_one_side(True),
+    "analysis_only": lambda: rewrite_one_side(False),
+    "both": lambda: lambda text: text[::-1] + " (reworded)",
+}
+
+
+def failing_every(k, rewriter):
+    calls = itertools.count(1)
+
+    def rewrite(text):
+        if next(calls) % k == 0:
+            raise RewriterTransportError("down")
+        return rewriter(text)
+    return rewrite
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(REWRITERS)),
+       n=st.integers(0, 3), task_text=st.text(max_size=16),
+       fail_every=st.sampled_from([None, 3, 5]))
+def test_expand_matches_replace_oracle(seed, kind, n, task_text, fail_every):
+    trajectory = random_trajectory(random.Random(seed))
+    task = make_task(task_id="t1", instruction=task_text)
+    samples = sft_convert(trajectory, replay_instructions(trajectory, task))
+
+    def fresh_rewriter():
+        rewriter = REWRITERS[kind]()
+        return failing_every(fail_every, rewriter) if fail_every else rewriter
+
+    expanded, failures = expand_with_rewrites(samples, fresh_rewriter(), n)
+    expected, expected_failures = expand_by_replace(samples, fresh_rewriter(), n)
+    assert failures == expected_failures
+    assert [(v.prompt, v.response) for v in expanded] == expected
+    assert expanded[: len(samples)] == samples
+    for variant in expanded:
+        assert variant.prompt == render_template(DEFAULT_TEMPLATE, variant.instruction)
+        assert variant.response == serialize_output(variant.output)
+    if kind in ("unchanged", "equal_copy"):
+        originals = {id(s) for s in samples}
+        assert all(id(v) in originals for v in expanded)
+
+
+def test_cached_texts_follow_replace_and_leave_eq_hash_alone():
+    trajectory = traj([("Pick", "apple", True), ("Open", "drawer", True)])
+    instruction = replay_instructions(trajectory, TASK)[1]
+    output = trajectory.steps[1].output
+    for value, render, changes in (
+        (instruction, lambda i: render_template(DEFAULT_TEMPLATE, i),
+         [{"task": "a new task"}, {"history": "none"}, {"observations": "front: a cat"}]),
+        (output, serialize_output,
+         [{"analysis": "a new analysis"}, {"action": "Close"}, {"model": "M2"}]),
+    ):
+        unread = dataclasses.replace(value)
+        hash_before = hash(value)
+        assert value.text == render(value)
+        # a read caches the text outside the fields: == and hash ignore it
+        assert value == unread and hash(value) == hash(unread) == hash_before
+        for change in changes:
+            moved = dataclasses.replace(value, **change)
+            assert moved.text == render(moved) != value.text
+            assert moved != value
+        assert value.text == render(value)
 
 
 # ---------------------------------------------------------------------------
@@ -497,16 +602,33 @@ def test_build_datasets_dedup_stable_under_double_ingestion(tmp_path, rng):
 
 def test_build_datasets_train_split(tmp_path, rng):
     trajectories, tasks = corpus(rng)
+    # each task's instruction names it, so a line's prompt tells its task
+    tasks = {tid: dataclasses.replace(task, instruction=f"do the thing for <{tid}>")
+             for tid, task in tasks.items()}
     manifest = build_datasets(trajectories, tasks, AugmentConfig(
-        out_dir=tmp_path / "ds", seed=9, train_split=0.7,
+        out_dir=tmp_path / "ds", seed=9, train_split=0.7, rewrites=2,
     ))
     split = manifest["split"]
     assert set(split["train_tasks"]) | set(split["val_tasks"]) == set(tasks)
     assert not set(split["train_tasks"]) & set(split["val_tasks"])
-    train_lines = (tmp_path / "ds" / "sft_train.jsonl").read_text().splitlines()
-    val_lines = (tmp_path / "ds" / "sft_val.jsonl").read_text().splitlines()
-    all_lines = (tmp_path / "ds" / "sft.jsonl").read_text().splitlines()
-    assert len(train_lines) + len(val_lines) == len(all_lines)
+    assert split["train_tasks"] and split["val_tasks"]
+    assert manifest["sft"]["total"] == 3 * manifest["sft"]["base"]
+
+    def task_of(line):
+        prompt = json.loads(line)["prompt"]
+        (tid,) = [tid for tid in tasks if f"<{tid}>" in prompt]
+        return tid
+
+    def read(filename):
+        return (tmp_path / "ds" / filename).read_text(encoding="utf-8").splitlines(keepends=True)
+
+    for name in ("sft", "dpo"):
+        all_lines = read(f"{name}.jsonl")
+        assert all_lines
+        assert len(read(f"{name}_train.jsonl")) + len(read(f"{name}_val.jsonl")) == len(all_lines)
+        for half, ids in (("train", split["train_tasks"]), ("val", split["val_tasks"])):
+            assert read(f"{name}_{half}.jsonl") == [
+                line for line in all_lines if task_of(line) in ids]
 
 
 def test_split_task_ids_deterministic():

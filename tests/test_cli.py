@@ -359,6 +359,45 @@ def test_report_errors_plot_data(tmp_path):
     assert doc["failed"]["percent"]["D1"] == 100.0
 
 
+def _scored_logs(tmp_path):
+    write_tasks(tmp_path / "tasks", [make_task(task_id="t1")])
+    write_logs(tmp_path / "logs", [traj([("Pick", "apple", True)], task_id="t1")])
+    return ["--logs", str(tmp_path / "logs"), "--tasks", str(tmp_path / "tasks")]
+
+
+@pytest.mark.parametrize("command, option, name", [
+    ("evaluate", "--out", "r2.json"),
+    ("evaluate", "--out", "sub/report.json"),
+    ("report-errors", "--plot-data", "plot.json"),
+    ("report-errors", "--plot-data", "report.json"),
+])
+def test_output_inside_logs_is_refused(tmp_path, capsys, command, option, name):
+    """A file written into the logs directory would read back as a corrupt
+    log, so the path is refused before anything is written."""
+    corpus = _scored_logs(tmp_path)
+    (tmp_path / "logs" / "sub").mkdir()
+    before = sorted(p.relative_to(tmp_path) for p in (tmp_path / "logs").rglob("*"))
+    target = tmp_path / "logs" / name
+    assert main([command, *corpus, option, str(target)]) == EXIT_CONFIG
+    assert f"error: {option} {target} is inside the logs directory" in capsys.readouterr().err
+    assert sorted(p.relative_to(tmp_path) for p in (tmp_path / "logs").rglob("*")) == before
+
+
+def test_report_json_in_logs_stays_allowed(tmp_path, capsys):
+    corpus = _scored_logs(tmp_path)
+    logs = tmp_path / "logs"
+    assert main(["evaluate", *corpus]) == EXIT_OK
+    default = (logs / "report.json").read_bytes()
+    assert main(["evaluate", *corpus, "--out", str(logs / "report.json")]) == EXIT_OK
+    assert (logs / "report.json").read_bytes() == default
+    # a report or plot file beside the logs directory is not inside it
+    assert main(["evaluate", *corpus, "--out", str(tmp_path / "logs.json")]) == EXIT_OK
+    assert main(["report-errors", *corpus, "--plot-data", str(tmp_path / "plot.json")]) == EXIT_OK
+    assert main(["evaluate", *corpus]) == EXIT_OK
+    assert "warning: excluded" not in capsys.readouterr().out
+    assert json.loads((logs / "report.json").read_text())["excluded_logs"] == 0
+
+
 # ---------------------------------------------------------------------------
 # augment
 

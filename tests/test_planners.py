@@ -1,6 +1,9 @@
 import json
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +129,19 @@ def test_console_eof_ends():
 
 # ---------------------------------------------------------------------------
 # remote planner
+
+
+def test_cli_import_leaves_requests_unloaded():
+    """Scripted runs and the identity rewriter never load the HTTP client;
+    only the remote planner and rewriter import it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import homebench.cli; "
+            "print('requests' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
 
 
 class StubHandler(BaseHTTPRequestHandler):
