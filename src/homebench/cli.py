@@ -382,6 +382,7 @@ def cmd_augment(args, config: dict) -> int:
     scenes_dir = _require_dir(
         _setting(args.scenes, "SCENES", config, "scenes", _bundled("scenes")), "scenes")
     out_dir = Path(_setting(args.out, "OUT", config, "output", "datasets"))
+    _refuse_inside_logs("--out", str(out_dir), logs_dir)
     seed = _setting(args.seed, "SEED", config, "seed", 0, int)
     if not trajectories:
         raise ConfigError(f"no parseable logs in {logs_dir}")

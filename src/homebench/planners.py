@@ -177,12 +177,22 @@ class RemotePlannerConfig:
 _RETRYABLE_4XX = (408, 429)
 
 
+def _retry_after(response, cap: float) -> Optional[float]:
+    """A 429 or 5xx response's ``Retry-After`` delta-seconds, at most ``cap``;
+    None for any other response or value (an HTTP date included)."""
+    if response.status_code != 429 and response.status_code // 100 != 5:
+        return None
+    value = response.headers.get("Retry-After", "").strip()
+    return min(int(value), cap) if value.isascii() and value.isdigit() else None
+
+
 def _post_chat(config: RemotePlannerConfig, messages, session) -> str:
     """POST one chat request, retrying with exponential backoff on transport
     failures (connection errors, timeouts, 5xx and other non-2xx statuses,
-    malformed response envelopes). A 4xx status other than 408 and 429
-    cannot succeed on a retry, so it fails at once. Returns the assistant
-    text verbatim."""
+    malformed response envelopes). A 429 or 5xx response's ``Retry-After``
+    seconds, capped by ``config.timeout``, replace the backoff before the
+    next attempt. A 4xx status other than 408 and 429 cannot succeed on a
+    retry, so it fails at once. Returns the assistant text verbatim."""
     import requests  # only remote planners and rewriters load it
 
     body = {
@@ -196,9 +206,11 @@ def _post_chat(config: RemotePlannerConfig, messages, session) -> str:
         headers["Authorization"] = f"Bearer {api_key}"
 
     last_error = "no attempts made"
+    wait = None  # the last response's Retry-After, if it gave one
     for attempt in range(config.max_retries + 1):
         if attempt:
-            time.sleep(config.backoff * (2 ** (attempt - 1)))
+            time.sleep(config.backoff * (2 ** (attempt - 1)) if wait is None else wait)
+            wait = None
         try:
             response = session.post(
                 config.endpoint, json=body, headers=headers, timeout=config.timeout
@@ -210,6 +222,7 @@ def _post_chat(config: RemotePlannerConfig, messages, session) -> str:
             last_error = f"endpoint returned status {response.status_code}"
             if response.status_code // 100 == 4 and response.status_code not in _RETRYABLE_4XX:
                 raise PlannerTransportError(f"{last_error} (after {attempt + 1} attempts)")
+            wait = _retry_after(response, config.timeout)
             continue
         try:
             content = response.json()["choices"][0]["message"]["content"]

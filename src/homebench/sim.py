@@ -6,15 +6,18 @@ A Scene is mutable single-episode state. Parse each scene document once
 with ``load_scene``, give each episode its own ``clone()`` of that template,
 and never share one episode's copy across threads.
 
-Entity locations change only through ``Scene.move``, which keeps the
-scene's location -> children index (``Scene.children``) current; ``observe``
-renders from that index, so an assignment to ``Entity.location`` anywhere
-else would leave it stale.
+A clone shares the template's ``Entity`` objects and location lists, so a
+write replaces one and never mutates it: ``Scene.move`` (the one way an
+entity's location changes) builds a new ``Entity`` and new location ->
+children lists, and Open and Close build a new ``Entity``. Each write also
+drops the cached observation segments of the spots it touches; a write
+made any other way would leak into other clones or leave a stale segment.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import random
 from dataclasses import dataclass, field
@@ -91,7 +94,10 @@ class AgentPose:
 class Scene:
     """One episode's world. ``spot_order``, ``directions`` and ``positions``
     are never mutated; everything else is episode state, so run each episode
-    on a ``clone()`` of a template scene rather than on the template itself."""
+    on a ``clone()`` of a template scene rather than on the template itself.
+    The values of ``entities`` and ``children`` may be shared with the
+    template and its other clones, so a write replaces them. ``segments``
+    caches each spot's part of the observations for ``observe``."""
 
     id: str
     entities: dict  # normalized name -> Entity (spots included), insertion-ordered
@@ -104,18 +110,17 @@ class Scene:
     rng: random.Random
     children: dict  # location -> names of the non-spot entities there, in insertion order
     positions: dict  # name -> insertion index in ``entities``
+    segments: dict = field(default_factory=dict, compare=False, repr=False)  # spot -> text
 
     def clone(self, seed: Optional[int] = None) -> "Scene":
-        """Fresh episode copy with its own entities, pose, schedule, rates and
-        rng (seeded with ``seed``, or the template's seed when None). Equal to
-        reloading the same document with ``load_scene(doc, seed=seed)``."""
+        """Fresh episode copy with its own dicts, pose, schedule, rates and
+        rng (seeded with ``seed``, or the template's seed when None), sharing
+        the template's entities and lists. Equal to reloading the same
+        document with ``load_scene(doc, seed=seed)``."""
         scene_seed = self.seed if seed is None else int(seed)
         return Scene(
             id=self.id,
-            entities={
-                name: Entity(e.name, e.kind, e.location, e.open_state, e.interactive)
-                for name, e in self.entities.items()
-            },
+            entities=dict(self.entities),
             spot_order=self.spot_order,
             directions=self.directions,
             agent=AgentPose(self.agent.at, dict(self.agent.band_overrides)),
@@ -123,18 +128,29 @@ class Scene:
             rates=dict(self.rates),
             seed=scene_seed,
             rng=random.Random(scene_seed),
-            children={location: list(names) for location, names in self.children.items()},
+            children=dict(self.children),
             positions=self.positions,
+            segments=dict(self.segments),
         )
 
     def move(self, name: str, location: str) -> None:
         """Put the non-spot entity ``name`` at ``location`` (a spot, a
         container or HAND); the one way an entity's location changes."""
         entity = self.entities[name]
-        self.children[entity.location].remove(name)
-        entity.location = location
-        bisect.insort(self.children.setdefault(location, []), name,
-                      key=self.positions.__getitem__)
+        self.drop_segments(entity.location, location)
+        self.entities[name] = Entity(entity.name, entity.kind, location, entity.open_state,
+                                    entity.interactive)
+        self.children[entity.location] = [n for n in self.children[entity.location] if n != name]
+        siblings = list(self.children.get(location, ()))
+        bisect.insort(siblings, name, key=self.positions.__getitem__)
+        self.children[location] = siblings
+
+    def drop_segments(self, *names: str) -> None:
+        """Forget the rendered segment of the spot each of ``names`` (an
+        entity, or HAND) sits at, so ``observe`` renders it again."""
+        for name in names:
+            if name in self.entities:
+                self.segments.pop(self.spot_of(name), None)
 
     # -- queries ------------------------------------------------------------
 
@@ -179,19 +195,28 @@ def _parse_band(raw: str, where: str) -> DistanceBand:
 _JSON_TYPES = {list: "list", dict: "object", str: "string", bool: "boolean"}
 
 
-def _typed(value, kind: type, where: str):
-    """``value``, which must be of the JSON type ``kind`` (named ``where``
-    in errors)."""
+_KINDS = {kind.value: kind for kind in EntityKind}
+_OPEN_STATES = {state.value: state for state in OpenState}
+
+
+def _path(first: str, *keys) -> str:
+    """A field's name in errors: ``("spots", 0, "name")`` reads ``spots[0].name``."""
+    return first + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys)
+
+
+def _typed(value, kind: type, *where):
+    """``value``, which must be of the JSON type ``kind``; the field is
+    named by ``_path(*where)`` in errors, formatted only then."""
     if not isinstance(value, kind):
-        raise SchemaError(f"{where}: expected a JSON {_JSON_TYPES[kind]}")
+        raise SchemaError(f"{_path(*where)}: expected a JSON {_JSON_TYPES[kind]}")
     return value
 
 
-def _section(doc: dict, key: str, kind: type, where: Optional[str] = None):
-    """The field ``key`` (named ``where`` in errors), which must hold a JSON
-    list or object; absent or null reads as empty."""
+def _section(doc: dict, key: str, kind: type, *where):
+    """The field ``key`` (named ``_path(*where)``, or ``key``, in errors),
+    which must hold a JSON list or object; absent or null reads as empty."""
     value = doc.get(key)
-    return kind() if value is None else _typed(value, kind, where or key)
+    return kind() if value is None else _typed(value, kind, *(where or (key,)))
 
 
 def load_scene(data, seed: Optional[int] = None) -> Scene:
@@ -214,65 +239,62 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
     entities: dict = {}
     spot_order = []
     directions = {}
+    normalized = functools.cache(normalize_name)  # locations and direction entries repeat
 
     for i, spot_doc in enumerate(_section(doc, "spots", list)):
-        where = f"spots[{i}]"
         if not isinstance(spot_doc, dict) or "name" not in spot_doc:
-            raise SchemaError(f"{where}: expected an object with a name")
-        name = normalize_name(_typed(spot_doc["name"], str, f"{where}.name"))
+            raise SchemaError(f"spots[{i}]: expected an object with a name")
+        name = normalize_name(_typed(spot_doc["name"], str, "spots", i, "name"))
         if not name:
-            raise SchemaError(f"{where}.name: empty name")
+            raise SchemaError(f"spots[{i}].name: empty name")
         if name in entities:
-            raise DuplicateName(f"{where}.name: duplicate entity name {name!r}")
+            raise DuplicateName(f"spots[{i}].name: duplicate entity name {name!r}")
         entities[name] = Entity(
             name, EntityKind.SPOT, "",
-            interactive=_typed(spot_doc.get("interactive", True), bool, f"{where}.interactive"),
+            interactive=_typed(spot_doc.get("interactive", True), bool, "spots", i, "interactive"),
         )
         spot_order.append(name)
-        table = _section(spot_doc, "directions", dict, f"{where}.directions")
+        table = _section(spot_doc, "directions", dict, "spots", i, "directions")
         parsed = {}
         for direction, names in table.items():
             if direction not in DIRECTIONS:
-                raise SchemaError(f"{where}.directions: unknown direction {direction!r}")
+                raise SchemaError(f"spots[{i}].directions: unknown direction {direction!r}")
             if not isinstance(names, list):
-                raise SchemaError(f"{where}.directions.{direction}: expected a list of spots")
+                raise SchemaError(f"spots[{i}].directions.{direction}: expected a list of spots")
             parsed[direction] = tuple(
-                normalize_name(_typed(n, str, f"{where}.directions.{direction}[{j}]"))
+                normalized(_typed(n, str, "spots", i, "directions", direction, j))
                 for j, n in enumerate(names)
             )
         directions[name] = parsed
 
     for i, ent_doc in enumerate(_section(doc, "entities", list)):
-        where = f"entities[{i}]"
         if not isinstance(ent_doc, dict):
-            raise SchemaError(f"{where}: expected an object")
-        name = normalize_name(_typed(ent_doc.get("name", ""), str, f"{where}.name"))
+            raise SchemaError(f"entities[{i}]: expected an object")
+        name = normalize_name(_typed(ent_doc.get("name", ""), str, "entities", i, "name"))
         if not name:
-            raise SchemaError(f"{where}.name: missing or empty name")
+            raise SchemaError(f"entities[{i}].name: missing or empty name")
         if name in entities:
-            raise DuplicateName(f"{where}.name: duplicate entity name {name!r}")
-        kind_raw = _typed(ent_doc.get("kind", ""), str, f"{where}.kind")
-        try:
-            kind = EntityKind(kind_raw)
-        except ValueError:
-            raise SchemaError(f"{where}.kind: unknown kind {kind_raw!r}") from None
+            raise DuplicateName(f"entities[{i}].name: duplicate entity name {name!r}")
+        kind_raw = _typed(ent_doc.get("kind", ""), str, "entities", i, "kind")
+        kind = _KINDS.get(kind_raw)
+        if kind is None:
+            raise SchemaError(f"entities[{i}].kind: unknown kind {kind_raw!r}")
         if kind is EntityKind.SPOT:
-            raise SchemaError(f"{where}.kind: declare spots in the spots section")
+            raise SchemaError(f"entities[{i}].kind: declare spots in the spots section")
         open_state = None
         if kind is EntityKind.CONTAINER:
-            open_raw = _typed(ent_doc.get("open_state", "closed"), str, f"{where}.open_state")
-            try:
-                open_state = OpenState(open_raw)
-            except ValueError:
-                raise SchemaError(f"{where}.open_state: unknown state {open_raw!r}") from None
+            open_raw = _typed(ent_doc.get("open_state", "closed"), str, "entities", i, "open_state")
+            open_state = _OPEN_STATES.get(open_raw)
+            if open_state is None:
+                raise SchemaError(f"entities[{i}].open_state: unknown state {open_raw!r}")
         elif "open_state" in ent_doc:
-            raise SchemaError(f"{where}.open_state: only containers have an open state")
-        location = normalize_name(_typed(ent_doc.get("location", ""), str, f"{where}.location"))
+            raise SchemaError(f"entities[{i}].open_state: only containers have an open state")
+        location = normalized(_typed(ent_doc.get("location", ""), str, "entities", i, "location"))
         if not location:
-            raise SchemaError(f"{where}.location: missing or empty location")
+            raise SchemaError(f"entities[{i}].location: missing or empty location")
         entities[name] = Entity(
             name, kind, location, open_state,
-            interactive=_typed(ent_doc.get("interactive", True), bool, f"{where}.interactive"),
+            interactive=_typed(ent_doc.get("interactive", True), bool, "entities", i, "interactive"),
         )
 
     # locations must resolve to a declared spot or container
@@ -345,7 +367,19 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
     for name, entity in entities.items():
         if entity.kind is not EntityKind.SPOT:
             children.setdefault(entity.location, []).append(name)
-    scene = Scene(
+    # every containment chain (the walk ``spot_of`` makes) must end at a
+    # spot; ``rooted`` holds the locations already known to reach one
+    rooted = {"", *spot_order}
+    for name, entity in entities.items():
+        chain = []
+        location = entity.location
+        while location not in rooted:
+            if location in chain:
+                raise SchemaError(f"entity {name!r}: containment cycle at {location!r}")
+            chain.append(location)
+            location = entities[location].location
+        rooted.update(chain)
+    return Scene(
         id=scene_id,
         entities=entities,
         spot_order=tuple(spot_order),
@@ -358,9 +392,6 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
         children=children,
         positions={name: i for i, name in enumerate(entities)},
     )
-    for name in entities:
-        scene.spot_of(name)  # raises on containment cycles
-    return scene
 
 
 # ---------------------------------------------------------------------------
@@ -389,19 +420,24 @@ def _render_entity(entity: Entity, band: DistanceBand, children: dict) -> str:
 def observe(scene: Scene) -> tuple:
     """Deterministic four-direction observation texts (front, left, back,
     right). Objects inside a closed container are not visible; contents of
-    open containers are listed nested under the container."""
-    entities, children = scene.entities, scene.children
+    open containers are listed nested under the container. Renders only the
+    spots whose segment a write has dropped since the last call."""
+    entities, children, segments = scene.entities, scene.children, scene.segments
     at, overrides = scene.agent.at, scene.agent.band_overrides
     table = scene.directions.get(at, {})
     texts = []
     for direction in DIRECTIONS:
         parts = []
-        for spot_name in table.get(direction, ()):
-            # a spot and everything listed under it share that spot as their
-            # root, so each band is its override or the spot's distance
-            near = DistanceBand.REACHABLE if spot_name == at else DistanceBand.TOO_FAR
-            for name in (spot_name, *children.get(spot_name, ())):
-                parts.append(_render_entity(entities[name], overrides.get(name, near), children))
+        for spot in table.get(direction, ()):
+            segment = segments.get(spot)
+            if segment is None:
+                # a spot and everything listed under it share that spot as
+                # their root, so each band is its override or the spot's distance
+                near = DistanceBand.REACHABLE if spot == at else DistanceBand.TOO_FAR
+                segment = segments[spot] = "; ".join([
+                    _render_entity(entities[name], overrides.get(name, near), children)
+                    for name in (spot, *children.get(spot, ()))])
+            parts.append(segment)
         texts.append("; ".join(parts) if parts else "nothing notable")
     return tuple(texts)
 
@@ -452,21 +488,25 @@ def _enclosing_closed_container(scene: Scene, entity: Entity) -> bool:
 def _mutate_success(scene: Scene, action: ActionType, target: str, held: Optional[str]) -> None:
     """World mutation for a successful skill; shared by live execution and
     log replay so both produce identical post-step observations."""
-    entity = scene.entities[target]
     if action is ActionType.PICK:
         scene.move(target, HAND)
     elif action is ActionType.PLACE:
         scene.move(held, target)
-    elif action is ActionType.OPEN:
-        entity.open_state = OpenState.OPEN
-    elif action is ActionType.CLOSE:
-        entity.open_state = OpenState.CLOSED
+    elif action in (ActionType.OPEN, ActionType.CLOSE):
+        entity = scene.entities[target]
+        state = OpenState.OPEN if action is ActionType.OPEN else OpenState.CLOSED
+        scene.entities[target] = Entity(entity.name, entity.kind, entity.location, state,
+                                        entity.interactive)
+        scene.drop_segments(target)
     elif action is ActionType.GO_TO:
+        agent = scene.agent
+        # the target's spot is the new ``at`` (or the old one, if it is held)
+        scene.drop_segments(agent.at, target, *agent.band_overrides)
         root = scene.spot_of(target)
         if root is not None:
-            scene.agent.at = root
-        scene.agent.band_overrides.clear()
-        scene.agent.band_overrides[target] = DistanceBand.REACHABLE
+            agent.at = root
+        agent.band_overrides.clear()
+        agent.band_overrides[target] = DistanceBand.REACHABLE
 
 
 def _is_object(scene: Scene, name: Optional[str]) -> bool:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from homebench.core import (
     ActionType,
@@ -23,6 +25,18 @@ from homebench.core import (
 )
 
 SUCCESS = Feedback(StepStatus.SUCCESS)
+
+# With CI set (GitHub Actions sets it), property tests search harder; a local
+# run keeps each test's own example count.
+settings.register_profile("ci", max_examples=1000)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
+
+
+def examples(local: int) -> int:
+    """``local`` examples, or the loaded profile's count if that is larger."""
+    return max(local, settings.default.max_examples)
+
 
 MODEL_FOR = {
     ActionType.GO_TO: "NoMaD",

@@ -370,6 +370,8 @@ def _scored_logs(tmp_path):
     ("evaluate", "--out", "sub/report.json"),
     ("report-errors", "--plot-data", "plot.json"),
     ("report-errors", "--plot-data", "report.json"),
+    ("augment", "--out", ""),
+    ("augment", "--out", "datasets"),
 ])
 def test_output_inside_logs_is_refused(tmp_path, capsys, command, option, name):
     """A file written into the logs directory would read back as a corrupt

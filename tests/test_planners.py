@@ -18,6 +18,7 @@ from homebench.planners import (
     load_scripted_plan,
     load_template,
 )
+from homebench import planners
 from homebench.core import RewriterTransportError
 from homebench.sim import load_scene
 
@@ -145,18 +146,20 @@ def test_cli_import_leaves_requests_unloaded():
 
 
 class StubHandler(BaseHTTPRequestHandler):
-    script = []  # list of (status, payload) consumed per request
+    script = []  # list of (status, payload[, headers]) consumed per request
     requests_seen = []
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length) or b"{}")
         type(self).requests_seen.append(body)
-        status, payload = (
+        status, payload, *headers = (
             self.script.pop(0) if self.script else (200, completion("fallback"))
         )
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -227,6 +230,37 @@ def test_remote_4xx_fails_without_retry(stub_server, status, requests_made):
     with pytest.raises(PlannerTransportError, match=str(status)):
         planner.next(instruction())
     assert len(StubHandler.requests_seen) == requests_made
+
+
+@pytest.mark.parametrize("status, retry_after, slept", [
+    (429, "3", 3.0),
+    (503, " 2 ", 2.0),
+    (500, "120", 5.0),  # capped by the timeout
+    (429, "0", 0.0),
+    (429, None, 0.25),  # absent: the backoff
+    (503, "soon", 0.25),
+    (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.25),  # the HTTP-date form is not read
+    (429, "-1", 0.25),
+    (429, "1.5", 0.25),
+    (408, "3", 0.25),  # only 429 and 5xx responses are asked
+])
+def test_remote_honours_retry_after(stub_server, monkeypatch, status, retry_after, slept):
+    sleeps = []
+    monkeypatch.setattr(planners.time, "sleep", sleeps.append)
+    headers = {} if retry_after is None else {"Retry-After": retry_after}
+    StubHandler.script = [(status, {}, headers), (200, completion("ok"))]
+    planner = RemotePlanner(config(stub_server, timeout=5.0, backoff=0.25))
+    assert planner.next(instruction()) == "ok"
+    assert sleeps == [slept]
+
+
+def test_remote_retry_after_applies_to_the_next_attempt_only(stub_server, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(planners.time, "sleep", sleeps.append)
+    StubHandler.script = [(429, {}, {"Retry-After": "4"}), (500, {}), (200, completion("ok"))]
+    planner = RemotePlanner(config(stub_server, max_retries=2, backoff=0.25))
+    assert planner.next(instruction()) == "ok"
+    assert sleeps == [4.0, 0.5]
 
 
 def test_remote_timeout_no_retries():

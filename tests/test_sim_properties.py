@@ -17,6 +17,7 @@ from homebench.sim import (
     replay_step_mutation,
 )
 
+from conftest import examples
 from test_sim import scene_doc
 
 
@@ -82,10 +83,13 @@ def scene_docs(draw):
     bands = draw(st.dictionaries(
         st.sampled_from(names), st.sampled_from([b.value for b in DistanceBand]),
         max_size=3))
+    rate = st.sampled_from([0.0, 0.0, 0.3])
     return {
         "id": "generated",
         "agent_start": draw(st.sampled_from(spots)),
-        "failure_rates": {"e1_manipulation": 0.0, "e1_navigation": 0.0, "e2_place": 0.0},
+        "seed": draw(st.integers(0, 9)),
+        "failure_rates": {"e1_manipulation": draw(rate), "e1_navigation": draw(rate),
+                          "e2_place": draw(st.sampled_from([0.0, 0.5]))},
         "spots": spot_docs,
         "entities": entities,
         "bands": bands,
@@ -96,15 +100,47 @@ MUTATIONS = [ActionType.PICK, ActionType.PLACE, ActionType.OPEN, ActionType.CLOS
              ActionType.GO_TO, "lost"]
 
 
-@settings(max_examples=150, deadline=None)
+def fields(entity) -> tuple:
+    return (entity.name, entity.kind, entity.location, entity.open_state, entity.interactive)
+
+
+def shared_state(scene) -> tuple:
+    """The Entity objects and location lists that clones of ``scene``
+    share, each with a copy of what it holds."""
+    return ([(e, fields(e)) for e in scene.entities.values()],
+            [(names, list(names)) for names in scene.children.values()])
+
+
+def assert_unchanged(template, shared: tuple, pristine: tuple) -> None:
+    """``template`` still holds the same objects, and none was changed in place."""
+    entities, lists = shared
+    assert all(e is before for e, (before, _) in
+               zip(template.entities.values(), entities, strict=True))
+    assert all(fields(e) == held for e, held in entities)
+    assert all(list(names) == held for names, held in lists)
+    assert observe(template) == pristine
+
+
+def warm_scenes(doc) -> tuple:
+    """A template, and scenes to mutate: a fresh load, a clone of it and a
+    clone of a clone, the clones made after their source was observed so
+    they inherit its cached segments. Also returns a sibling clone that must
+    not see any of it."""
+    template = load_scene(doc)
+    observe(template)
+    first = template.clone()
+    observe(first)
+    return template, [load_scene(doc), template.clone(), first.clone()], first
+
+
+@settings(max_examples=examples(150), deadline=None)
 @given(data=st.data())
 def test_observe_matches_oracle_under_random_mutations(data):
     doc = data.draw(scene_docs())
-    template = load_scene(doc)
-    # the same mutations run on a loaded scene and on a clone; the template
+    # the same mutations run on a loaded scene and on clones; the template
     # and a sibling clone must not see them
-    scenes = [load_scene(doc), template.clone()]
-    sibling = template.clone()
+    template, scenes, sibling = warm_scenes(doc)
+    shared = shared_state(template)
     pristine = oracle_observe(load_scene(doc))
     names = list(template.entities)
     objects = [n for n, e in template.entities.items() if e.kind is EntityKind.OBJECT]
@@ -122,8 +158,40 @@ def test_observe_matches_oracle_under_random_mutations(data):
             else:
                 replay_step_mutation(scene, action, target, held)
             assert observe(scene) == oracle_observe(scene)
-        assert observe(template) == pristine
         assert observe(sibling) == pristine
+    assert_unchanged(template, shared, pristine)
+
+
+ACTIONS = [ActionType.GO_TO, ActionType.PICK, ActionType.PLACE, ActionType.OPEN,
+           ActionType.CLOSE]
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(data=st.data())
+def test_observe_matches_oracle_under_random_subtasks(data):
+    """Subtasks run through ``execute`` as an episode would (seeded E1 and
+    E2 draws, the hand kept in step), on a loaded scene and on clones."""
+    doc = data.draw(scene_docs())
+    template, scenes, sibling = warm_scenes(doc)
+    shared = shared_state(template)
+    pristine = oracle_observe(load_scene(doc))
+    # doc band targets are drawn more often, so Go to replaces their overrides
+    targets = list(template.entities) + list(doc["bands"]) * 3 + ["nowhere"]
+    subtasks = data.draw(st.lists(
+        st.tuples(st.sampled_from(ACTIONS), st.sampled_from(targets)), max_size=25))
+    hands = [Inventory() for _ in scenes]
+    for action, target in subtasks:
+        for i, scene in enumerate(scenes):
+            outcome = execute(scene, Subtask(action, target, ModelChoice.M3), hands[i])
+            if outcome.code is ErrorCode.E2:
+                hands[i] = Inventory()
+            elif outcome.ok and action is ActionType.PICK:
+                hands[i] = Inventory(target)
+            elif outcome.ok and action is ActionType.PLACE:
+                hands[i] = Inventory()
+            assert observe(scene) == oracle_observe(scene)
+        assert observe(sibling) == pristine
+    assert_unchanged(template, shared, pristine)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +200,7 @@ def test_observe_matches_oracle_under_random_mutations(data):
 
 def snapshot(scene) -> tuple:
     return (
-        [(e.name, e.kind, e.location, e.open_state, e.interactive)
-         for e in scene.entities.values()],
+        [fields(e) for e in scene.entities.values()],
         scene.agent.at,
         dict(scene.agent.band_overrides),
         {key: list(pending) for key, pending in scene.schedule.items()},
@@ -236,16 +303,21 @@ FIELD_PATHS = [
 ]
 
 
-@settings(max_examples=300, deadline=None)
-@given(path=st.sampled_from(FIELD_PATHS), value=json_values)
-def test_load_scene_damaged_field_is_a_schema_error(path, value):
+def damaged(path, value) -> dict:
+    """A valid document with the field at key path ``path`` set to ``value``."""
     doc = scene_doc(outcome_schedule={"open fridge": ["E1"]}, bands={"apple": "too_close"})
     holder = doc
     for key in path[:-1]:
         holder = holder[key]
     holder[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(FIELD_PATHS), value=json_values)
+def test_load_scene_damaged_field_is_a_schema_error(path, value):
     try:
-        load_scene(doc)
+        load_scene(damaged(path, value))
     except SchemaError:
         pass
 
@@ -271,6 +343,90 @@ TYPED_FIELDS = [
 ]
 
 
+# the exact error for a value of the wrong type in each TYPED_FIELDS field
+TYPED_FIELD_ERRORS = {
+    ("id",): "id: expected a JSON string",
+    ("agent_start",): "agent_start: expected a JSON string",
+    ("seed",): "seed: expected an integer, got 'x'",
+    ("failure_rates", "e1_manipulation"):
+        "failure_rates.e1_manipulation: expected a number in [0, 1], got 'x'",
+    ("bands", "apple"): "bands['apple']: unknown distance band 1",
+    ("outcome_schedule", "open fridge", 0): "outcome_schedule['open fridge']: unknown outcome '1'",
+    ("spots", 0, "name"): "spots[0].name: expected a JSON string",
+    ("spots", 0, "interactive"): "spots[0].interactive: expected a JSON boolean",
+    ("spots", 0, "directions", "front", 0): "spots[0].directions.front[0]: expected a JSON string",
+    ("entities", 0, "name"): "entities[0].name: expected a JSON string",
+    ("entities", 0, "kind"): "entities[0].kind: expected a JSON string",
+    ("entities", 0, "location"): "entities[0].location: expected a JSON string",
+    ("entities", 0, "open_state"): "entities[0].open_state: expected a JSON string",
+    ("entities", 4, "interactive"): "entities[4].interactive: expected a JSON boolean",
+}
+
+# bad values of the right type, and their exact errors
+BAD_VALUE_ERRORS = [
+    (("entities", 0, "kind"), "robot", "entities[0].kind: unknown kind 'robot'"),
+    (("entities", 0, "kind"), "spot", "entities[0].kind: declare spots in the spots section"),
+    (("entities", 0, "open_state"), "ajar", "entities[0].open_state: unknown state 'ajar'"),
+    (("entities", 1, "open_state"), "open",
+     "entities[1].open_state: only containers have an open state"),
+    (("entities", 1, "location"), " _ ", "entities[1].location: missing or empty location"),
+    (("entities", 1, "location"), "Nowhere",
+     "entity 'banana': location 'nowhere' is not a spot or container"),
+    (("entities", 1, "location"), "apple",
+     "entity 'banana': location 'apple' is not a spot or container"),
+    (("entities", 0, "name"), "", "entities[0].name: missing or empty name"),
+    (("entities", 2, "name"), "Counter", "entities[2].name: duplicate entity name 'counter'"),
+    (("entities", 0), "fridge", "entities[0]: expected an object"),
+    (("spots", 0), "counter", "spots[0]: expected an object with a name"),
+    (("spots", 1, "name"), "--", "spots[1].name: empty name"),
+    (("spots", 1, "name"), "COUNTER", "spots[1].name: duplicate entity name 'counter'"),
+    (("spots", 0, "directions", "up"), [], "spots[0].directions: unknown direction 'up'"),
+    (("spots", 0, "directions", "front"), "counter",
+     "spots[0].directions.front: expected a list of spots"),
+    (("spots", 0, "directions", "front"), ["Fridge", "counter"],
+     "spot 'counter': direction table entry 'fridge' is not a spot"),
+    (("spots", 0, "directions", "front"), [],
+     "spot 'counter': direction table must place every spot exactly once"),
+    (("agent_start",), "fridge", "agent_start: 'fridge' is not a spot"),
+]
+
+
+def test_load_scene_typed_field_errors_are_pinned():
+    assert set(TYPED_FIELD_ERRORS) == {path for path, _ in TYPED_FIELDS}
+    wrong = {"string": 1, "number": "x", "boolean": "no"}
+    for path, kind in TYPED_FIELDS:
+        with pytest.raises(SchemaError) as raised:
+            load_scene(damaged(path, wrong[kind]))
+        assert str(raised.value) == TYPED_FIELD_ERRORS[path]
+
+
+@pytest.mark.parametrize("path, value, message", BAD_VALUE_ERRORS)
+def test_load_scene_bad_value_errors_are_pinned(path, value, message):
+    with pytest.raises(SchemaError) as raised:
+        load_scene(damaged(path, value))
+    assert str(raised.value) == message
+
+
+BOXED_PEN = [  # an object declared before the two containers that hold each other
+    {"name": "pen", "kind": "object", "location": "box_a"},
+    {"name": "box_a", "kind": "container", "location": "box_b", "open_state": "open"},
+    {"name": "box_b", "kind": "container", "location": "box_a", "open_state": "open"},
+]
+
+
+@pytest.mark.parametrize("entities, message", [
+    ([{**e, "location": {"fridge": "drawer", "drawer": "fridge"}.get(e["name"], e["location"])}
+      for e in scene_doc()["entities"]],
+     "entity 'fridge': containment cycle at 'drawer'"),
+    (BOXED_PEN + scene_doc()["entities"], "entity 'pen': containment cycle at 'box_a'"),
+])
+def test_load_scene_containment_cycle_error_is_pinned(entities, message):
+    # the first entity, in document order, whose containment chain loops
+    with pytest.raises(SchemaError) as raised:
+        load_scene(scene_doc(entities=entities))
+    assert str(raised.value) == message
+
+
 @settings(max_examples=300, deadline=None)
 @given(field=st.sampled_from(TYPED_FIELDS), value=json_values)
 def test_load_scene_field_of_another_type_is_a_schema_error(field, value):
@@ -278,10 +434,5 @@ def test_load_scene_field_of_another_type_is_a_schema_error(field, value):
     # true and str({"x": 1}) is a name
     path, kind = field
     assume(json_type(value) != kind)
-    doc = scene_doc(outcome_schedule={"open fridge": ["E1"]}, bands={"apple": "too_close"})
-    holder = doc
-    for key in path[:-1]:
-        holder = holder[key]
-    holder[path[-1]] = value
     with pytest.raises(SchemaError):
-        load_scene(doc)
+        load_scene(damaged(path, value))
