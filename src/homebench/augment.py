@@ -29,6 +29,7 @@ from .core import (
     PlannerOutput,
     RewriterTransportError,
     Trajectory,
+    read_json,
 )
 from .loop import (
     Instruction,
@@ -205,10 +206,8 @@ def dpo_order_change(trajectory: Trajectory, prompts: Sequence[Instruction]) -> 
 
 
 def load_default_lexicon() -> list:
-    raw = resources.files("homebench").joinpath("data/action_lexicon.json").read_text(
-        encoding="utf-8"
-    )
-    return json.loads(raw)
+    path = resources.files("homebench").joinpath("data/action_lexicon.json")
+    return read_json(path.read_bytes(), "default lexicon")
 
 
 def dpo_action_change(

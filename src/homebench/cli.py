@@ -23,6 +23,7 @@ from .core import (
     SchemaError,
     load_tasks,
     parse_trajectory_log,
+    read_json,
     serialize_trajectory,
 )
 from .loop import run_benchmark
@@ -65,7 +66,7 @@ def _setting(flag_value, env_key: str, config: dict, config_key: str, default, c
     if config_key in config:
         try:
             return cast(config[config_key])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # int(Infinity) overflows
             raise ConfigError(
                 f"bad value for config key {config_key!r}: {config[config_key]!r}"
             ) from None
@@ -78,10 +79,7 @@ def _load_config_file(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    doc = read_json(path.read_bytes(), "config file", ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
     return doc
@@ -98,10 +96,8 @@ def _load_task_map(tasks_dir: Path) -> dict:
     overlay = None
     overlay_path = tasks_dir / "keypaths.json"
     if overlay_path.exists():
-        try:
-            overlay = json.loads(overlay_path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise ConfigError(f"key path file {overlay_path} is not valid JSON: {exc}") from exc
+        overlay = read_json(overlay_path.read_bytes(), f"key path file {overlay_path}",
+                            ConfigError)
         if not isinstance(overlay, dict):
             raise ConfigError(f"key path file {overlay_path} must hold a JSON object")
     paths = sorted(p for p in tasks_dir.glob("*.json") if p.name != "keypaths.json")
@@ -118,10 +114,7 @@ def _load_scenes(scenes_dir: Path, tasks: dict) -> dict:
     keyed by file stem, and require the scene of every task."""
     scenes = {}
     for path in sorted(scenes_dir.glob("*.json")):
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise ConfigError(f"scene file {path} is not valid JSON: {exc}") from exc
+        doc = read_json(path.read_bytes(), f"scene file {path}", ConfigError)
         try:
             scenes[path.stem] = load_scene(doc)
         except SchemaError as exc:
@@ -149,7 +142,7 @@ def _remote_config(profile: str, config: dict) -> RemotePlannerConfig:
                                ("temperature", float, 0.0)):
         try:
             numbers[key] = cast(spec.get(key, default))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(
                 f"remote profile {profile!r}: bad value for {key!r}: {spec[key]!r}"
             ) from None
@@ -243,10 +236,7 @@ def _load_corpus(args, config: dict):
 def _load_lexicon(path: Path) -> list:
     if not path.exists():
         raise ConfigError(f"lexicon file not found: {path}")
-    try:
-        lexicon = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ConfigError(f"lexicon file {path} is not valid JSON: {exc}") from exc
+    lexicon = read_json(path.read_bytes(), f"lexicon file {path}", ConfigError)
     if (not isinstance(lexicon, list) or not lexicon
             or not all(isinstance(entry, str) for entry in lexicon)):
         raise ConfigError(f"lexicon file {path} must hold a non-empty JSON list of strings")

@@ -47,6 +47,9 @@ class MissingExpertLength(HomebenchError):
 class MissingTask(HomebenchError):
     """A trajectory log references a task id with no task file."""
 
+    def __init__(self, task_id: str):
+        super().__init__(f"a log names task {task_id!r}, which has no task file")
+
 
 class EmptyLexicon(HomebenchError):
     """Action corruption requires a non-empty lexicon."""
@@ -66,6 +69,15 @@ class PlannerTransportError(HomebenchError):
 
 class RewriterTransportError(HomebenchError):
     """A remote text rewriter failed; the affected rewrite is skipped."""
+
+
+def read_json(data, what: str, error: type = SchemaError):
+    """Decode a JSON document (bytes or str). Bad JSON, bad UTF-8 and
+    nesting too deep for the decoder all raise ``error`` naming ``what``."""
+    try:
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +514,7 @@ def parse_keypaths(raw, where: str = "keypaths") -> tuple:
 def parse_task_file(data) -> Task:
     """Parse a task document (bytes or str). Raises SchemaError naming the
     offending path on any violation."""
-    try:
-        doc = json.loads(data)
-    except ValueError as exc:
-        raise SchemaError(f"task document is not valid JSON: {exc}") from exc
+    doc = read_json(data, "task document")
     if not isinstance(doc, dict):
         raise SchemaError("task document must be a JSON object")
 
@@ -522,7 +531,7 @@ def parse_task_file(data) -> Task:
         except ValueError:
             raise SchemaError(f"{where}.attributes: unknown attribute {attr!r}") from None
     expert_length = _require(doc, "expert_length", where)
-    if not isinstance(expert_length, int) or expert_length < 1:
+    if type(expert_length) is not int or expert_length < 1:  # a bool is not a length
         raise SchemaError(f"{where}.expert_length: expected a positive integer")
     scene_ref = _require_text(doc, "scene", where)
     keypaths = parse_keypaths(_require(doc, "keypaths", where), f"{where}.keypaths")
@@ -555,7 +564,7 @@ def _parse_step(doc, pos: int) -> StepRecord:
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected an object")
     index = _require(doc, "index", where)
-    if not isinstance(index, int):
+    if type(index) is not int:
         raise SchemaError(f"{where}.index: expected an integer")
     if index != pos + 1:
         raise SchemaError(f"{where}.index: expected {pos + 1}, got {index}")
@@ -603,7 +612,7 @@ def _parse_step(doc, pos: int) -> StepRecord:
             )
 
     retries = _require(doc, "retries_used", where)
-    if not isinstance(retries, int) or not 0 <= retries <= 2:
+    if type(retries) is not int or not 0 <= retries <= 2:
         raise SchemaError(f"{where}.retries_used: expected an integer in 0..2")
 
     try:
@@ -621,16 +630,13 @@ def parse_trajectory_log(data) -> Trajectory:
     InvariantError on structurally impossible trajectories such as an End
     step followed by more steps.
     """
-    try:
-        doc = json.loads(data)
-    except ValueError as exc:
-        raise SchemaError(f"trajectory log is not valid JSON: {exc}") from exc
+    doc = read_json(data, "trajectory log")
     if not isinstance(doc, dict):
         raise SchemaError("trajectory log must be a JSON object")
 
     task_id = _require_text(doc, "task_id", "log")
     run_index = _require(doc, "run_index", "log")
-    if not isinstance(run_index, int) or run_index < 0:
+    if type(run_index) is not int or run_index < 0:
         raise SchemaError("log.run_index: expected a non-negative integer")
     raw_steps = _require(doc, "steps", "log")
     if not isinstance(raw_steps, list):

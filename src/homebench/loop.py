@@ -174,14 +174,17 @@ class ParseFailure:
 
 def _extract_object(text: str) -> Optional[dict]:
     """Lenient extraction: find the first decodable JSON object anywhere in
-    the text, skipping surrounding prose and code fences."""
+    the text, skipping surrounding prose and code fences. Nesting too deep
+    for the decoder ends the search: the text reads as holding no object."""
     decoder = json.JSONDecoder()
     idx = text.find("{")
     while idx != -1:
         try:
-            obj, _ = decoder.raw_decode(text[idx:])
+            obj, _ = decoder.raw_decode(text, idx)
         except json.JSONDecodeError:
             obj = None
+        except RecursionError:
+            return None
         if isinstance(obj, dict):
             return obj
         idx = text.find("{", idx + 1)

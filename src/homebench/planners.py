@@ -21,6 +21,7 @@ from .core import (
     RewriterTransportError,
     SchemaError,
     make_end_output,
+    read_json,
     serialize_output,
 )
 from .loop import Instruction, render_template
@@ -102,13 +103,7 @@ def load_scripted_plan(data) -> ScriptedPlanner:
     """Build a scripted planner from a plan document (bytes/str/dict):
     {"outputs": [...], "branches": {"D1": {...}}}. Entries may be raw
     strings or JSON objects (serialized verbatim at load)."""
-    if isinstance(data, (bytes, str)):
-        try:
-            doc = json.loads(data)
-        except ValueError as exc:
-            raise SchemaError(f"plan document is not valid JSON: {exc}") from exc
-    else:
-        doc = data
+    doc = read_json(data, "plan document") if isinstance(data, (bytes, str)) else data
     if not isinstance(doc, dict) or "outputs" not in doc:
         raise SchemaError("plan document must be an object with an outputs list")
     if not isinstance(doc["outputs"], list):
@@ -226,7 +221,7 @@ def _post_chat(config: RemotePlannerConfig, messages, session) -> str:
             continue
         try:
             content = response.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError):
+        except (ValueError, RecursionError, KeyError, IndexError, TypeError):
             last_error = "malformed response envelope"
             continue
         if not isinstance(content, str):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -34,6 +33,7 @@ from .core import (
     Subtask,
     failure,
     normalize_name,
+    read_json,
 )
 
 
@@ -225,13 +225,7 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
     ``seed`` overrides the document's seed, letting a benchmark derive a
     fresh deterministic stream per run.
     """
-    if isinstance(data, (bytes, str)):
-        try:
-            doc = json.loads(data)
-        except ValueError as exc:
-            raise SchemaError(f"scene document is not valid JSON: {exc}") from exc
-    else:
-        doc = data
+    doc = read_json(data, "scene document") if isinstance(data, (bytes, str)) else data
     if not isinstance(doc, dict):
         raise SchemaError("scene document must be a JSON object")
 

@@ -1,10 +1,15 @@
+import functools
 import json
+import operator
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homebench.cli import EXIT_CONFIG, EXIT_OK, main
+from homebench.cli import EXIT_CONFIG, EXIT_OK, EXIT_TRANSPORT, main
 from homebench.core import ErrorCode, parse_trajectory_log, serialize_task, serialize_trajectory
 
 from conftest import make_task, node, traj
@@ -544,6 +549,15 @@ def test_config_file_bad_value_names_the_key(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_config_file_infinite_count_names_the_key(tmp_path, capsys):
+    # JSON as Python reads it allows Infinity, which no int() can hold
+    config = tmp_path / "config.json"
+    config.write_text('{"budget": Infinity}', encoding="utf-8")
+    code = main(["--config", str(config), "run", "--out", str(tmp_path / "runs")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: bad value for config key 'budget': inf\n"
+
+
 def test_run_transcripts_flag(tmp_path):
     out = tmp_path / "runs"
     assert main(["run", "--runs", "1", "--out", str(out), "--transcripts"]) == EXIT_OK
@@ -626,7 +640,10 @@ def test_keypaths_overlay_not_an_object(tmp_path, capsys, overlay):
      "remote profile 'p': bad value for 'max_retries': [2]"),
     ({"p": {"endpoint": "http://127.0.0.1:9/v1", "timeout": float("nan")}},
      "remote planner timeout must be positive"),
-], ids=["profiles-list", "profile-text", "timeout-text", "retries-list", "timeout-nan"])
+    ({"p": {"endpoint": "http://127.0.0.1:9/v1", "max_retries": float("inf")}},
+     "remote profile 'p': bad value for 'max_retries': inf"),
+], ids=["profiles-list", "profile-text", "timeout-text", "retries-list", "timeout-nan",
+        "retries-infinity"])
 @pytest.mark.parametrize("command", ["run", "augment"])
 def test_bad_remote_profile_is_named(tmp_path, capsys, profiles, message, command):
     config = tmp_path / "config.json"
@@ -773,6 +790,7 @@ def test_evaluate_plwsr_literal_flag(tmp_path):
 # undecodable input and unwritable output
 
 NOT_UTF8 = b'{"id": "\x80"}'
+TOO_DEEP = b"[" * 100_000 + b"]" * 100_000  # valid JSON, nested past the decoder's limit
 
 
 def _corpus(tmp_path):
@@ -780,64 +798,187 @@ def _corpus(tmp_path):
     return ["--logs", str(tmp_path / "logs"), "--tasks", str(tmp_path / "tasks")]
 
 
+def _log_command(command, tmp_path):
+    """argv for a log-reading command over the augment fixture."""
+    argv = [command] + _corpus(tmp_path)
+    return argv + (["--out", str(tmp_path / "out")] if command == "augment" else [])
+
+
 def _bad_log(command):
-    def build(tmp_path):
-        argv = [command] + _corpus(tmp_path)
-        (tmp_path / "logs" / "bad.json").write_bytes(NOT_UTF8)
-        return argv + (["--out", str(tmp_path / "out")] if command == "augment" else [])
+    def build(tmp_path, content):
+        argv = _log_command(command, tmp_path)
+        (tmp_path / "logs" / "bad.json").write_bytes(content)
+        return argv
     return build
 
 
 def _bad_tasks_dir(name):
-    def build(tmp_path):
+    def build(tmp_path, content):
         write_tasks(tmp_path / "tasks", [make_task(task_id="t1")])
-        (tmp_path / "tasks" / name).write_bytes(NOT_UTF8)
+        (tmp_path / "tasks" / name).write_bytes(content)
         return ["run", "--tasks", str(tmp_path / "tasks"), "--out", str(tmp_path / "out")]
     return build
 
 
-def _bad_scene(tmp_path):
+def _bad_scene(tmp_path, content):
     (tmp_path / "scenes").mkdir()
-    (tmp_path / "scenes" / "kitchen_home.json").write_bytes(NOT_UTF8)
+    (tmp_path / "scenes" / "kitchen_home.json").write_bytes(content)
     return ["run", "--scenes", str(tmp_path / "scenes"), "--out", str(tmp_path / "out")]
 
 
-def _bad_plan(tmp_path):
-    (tmp_path / "plan.json").write_bytes(NOT_UTF8)
+def _bad_plan(tmp_path, content):
+    (tmp_path / "plan.json").write_bytes(content)
     return ["run", "--planner", f"scripted:{tmp_path / 'plan.json'}", "--runs", "1",
             "--out", str(tmp_path / "out")]
 
 
-def _bad_lexicon(tmp_path):
-    (tmp_path / "lexicon.json").write_bytes(NOT_UTF8)
+def _bad_lexicon(tmp_path, content):
+    (tmp_path / "lexicon.json").write_bytes(content)
     return (["augment"] + _corpus(tmp_path)
             + ["--lexicon", str(tmp_path / "lexicon.json"), "--out", str(tmp_path / "out")])
 
 
-def _bad_config(tmp_path):
-    (tmp_path / "config.json").write_bytes(NOT_UTF8)
+def _bad_config(tmp_path, content):
+    (tmp_path / "config.json").write_bytes(content)
     return ["--config", str(tmp_path / "config.json"), "run", "--out", str(tmp_path / "out")]
 
 
-@pytest.mark.parametrize("build, code, expected", [
-    (_bad_log("evaluate"), EXIT_OK, "excluded 1 corrupt log(s)"),
-    (_bad_log("report-errors"), EXIT_OK, "excluded 1 corrupt log(s)"),
-    (_bad_log("augment"), EXIT_OK, "excluded 1 corrupt log(s)"),
-    (_bad_tasks_dir("t2.json"), EXIT_CONFIG, "error: bad task file in"),
-    (_bad_tasks_dir("keypaths.json"), EXIT_CONFIG, "error: key path file"),
-    (_bad_scene, EXIT_CONFIG, "error: scene file"),
-    (_bad_plan, EXIT_CONFIG, "error: plan document is not valid JSON"),
-    (_bad_lexicon, EXIT_CONFIG, "error: lexicon file"),
-    (_bad_config, EXIT_CONFIG, "error: config file is not valid JSON"),
-], ids=["evaluate-log", "report-errors-log", "augment-log", "task", "keypaths", "scene",
-        "plan", "lexicon", "config"])
-def test_non_utf8_input_is_named(tmp_path, capsys, build, code, expected):
-    assert main(build(tmp_path)) == code
+_UNDECODABLE = {
+    "evaluate-log": (_bad_log("evaluate"), EXIT_OK, "excluded 1 corrupt log(s)"),
+    "report-errors-log": (_bad_log("report-errors"), EXIT_OK, "excluded 1 corrupt log(s)"),
+    "augment-log": (_bad_log("augment"), EXIT_OK, "excluded 1 corrupt log(s)"),
+    "task": (_bad_tasks_dir("t2.json"), EXIT_CONFIG, "error: bad task file in"),
+    "keypaths": (_bad_tasks_dir("keypaths.json"), EXIT_CONFIG, "error: key path file"),
+    "scene": (_bad_scene, EXIT_CONFIG, "error: scene file"),
+    "plan": (_bad_plan, EXIT_CONFIG, "error: plan document is not valid JSON"),
+    "lexicon": (_bad_lexicon, EXIT_CONFIG, "error: lexicon file"),
+    "config": (_bad_config, EXIT_CONFIG, "error: config file is not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("build, code, expected, content", [
+    pytest.param(*case, content, id=name + suffix)
+    for content, suffix in ((NOT_UTF8, ""), (TOO_DEEP, "-too-deep"))
+    for name, case in _UNDECODABLE.items()
+])
+def test_non_utf8_input_is_named(tmp_path, capsys, build, code, expected, content):
+    assert main(build(tmp_path, content)) == code
     captured = capsys.readouterr()
     assert expected in captured.out + captured.err
     assert "Traceback" not in captured.out + captured.err
     if code == EXIT_CONFIG:
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report-errors", "augment"])
+def test_log_of_unknown_task_is_named(tmp_path, capsys, command):
+    argv = _log_command(command, tmp_path)
+    write_logs(tmp_path / "logs", [traj([("Pick", "apple", True)], task_id="nope")])
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: a log names task 'nope', which has no task file\n"
+
+
+def test_run_too_deep_plan_entry_is_an_f1_step(tmp_path):
+    # the plan itself decodes: its entry is a string holding a reply too deep to decode
+    deep = TOO_DEEP.decode("ascii")
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "outputs": ['{"analysis": ' + deep + ', "subtask": ["End"], "model": "M3"}'],
+    }), encoding="utf-8")
+    write_tasks(tmp_path / "tasks", [make_task(task_id="t1")])
+    out = tmp_path / "runs"
+    assert main(["run", "--tasks", str(tmp_path / "tasks"), "--planner", f"scripted:{plan}",
+                 "--runs", "1", "--out", str(out)]) == EXIT_OK
+    trajectory = parse_trajectory_log((out / "t1__run0.json").read_bytes())
+    assert [s.feedback.code for s in trajectory.steps] == [ErrorCode.F1, None]
+    assert trajectory.terminated_by_end
+
+
+BUNDLED = Path(str(resources.files("homebench").joinpath("data")))
+BUNDLED_TASKS = sorted(path.stem for path in (BUNDLED / "tasks").glob("*.json"))
+
+# the commands that read each kind of input
+_READERS = {
+    "task": ("run", "evaluate", "report-errors", "augment"),
+    "scene": ("run", "augment"),
+    "plan": ("run",),
+    "log": ("evaluate", "report-errors", "augment"),
+    "config": ("run", "evaluate", "report-errors", "augment"),
+}
+
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3)
+    | st.sampled_from(["Pick", "End", "E1", "ok", "object", "closed", "M3"]),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=4,
+)
+
+
+@pytest.fixture(scope="module")
+def bundled_logs(tmp_path_factory):
+    """One seeded run of every bundled task: the valid logs the fuzz test damages."""
+    out = tmp_path_factory.mktemp("bundled_logs")
+    assert main(["--seed", "7", "run", "--runs", "1", "--out", str(out)]) == EXIT_OK
+    return out
+
+
+def _value_paths(doc, path=()):
+    """The path to every value inside a JSON document."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _value_paths(value, path + (key,))
+
+
+# a fixed count that the ci profile does not raise: each example is a whole command
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_damaged_input_is_named_or_harmless(bundled_logs, data):
+    """Replace or delete one value of a valid task, scene, plan, log or
+    config: the command reading it succeeds or names the damage."""
+    task_id = data.draw(st.sampled_from(BUNDLED_TASKS))
+    kind, command = data.draw(st.sampled_from(
+        [(kind, command) for kind, commands in _READERS.items() for command in commands]))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        task = json.loads((BUNDLED / "tasks" / f"{task_id}.json").read_bytes())
+        files = {
+            "task": f"tasks/{task_id}.json",
+            "scene": f"scenes/{task['scene']}.json",
+            "plan": f"plans/{task_id}.json",
+            "log": f"logs/{task_id}__run0.json",
+            "config": "config.json",
+        }
+        docs = {
+            "task": task,
+            "scene": json.loads((BUNDLED / files["scene"]).read_bytes()),
+            "plan": json.loads((BUNDLED / files["plan"]).read_bytes()),
+            "log": json.loads((bundled_logs / f"{task_id}__run0.json").read_bytes()),
+            "config": {"budget": 20, "retries": 3, "seed": 7,
+                       "planner": f"scripted:{tmp / 'plans'}"},
+        }
+        *parents, last = data.draw(st.sampled_from(list(_value_paths(docs[kind]))))
+        parent = functools.reduce(operator.getitem, parents, docs[kind])
+        if data.draw(st.booleans(), label="delete"):
+            del parent[last]
+        else:
+            parent[last] = data.draw(_VALUES)
+        for name, doc in docs.items():
+            (tmp / files[name]).parent.mkdir(exist_ok=True)
+            (tmp / files[name]).write_text(json.dumps(doc), encoding="utf-8")
+
+        argv = {
+            "run": ["--scenes", str(tmp / "scenes"), "--runs", "1", "--out", str(tmp / "out")],
+            "evaluate": ["--logs", str(tmp / "logs"), "--out", str(tmp / "report.json")],
+            "report-errors": ["--logs", str(tmp / "logs")],
+            "augment": ["--logs", str(tmp / "logs"), "--scenes", str(tmp / "scenes"),
+                        "--out", str(tmp / "out")],
+        }[command]
+        code = main(["--config", str(tmp / "config.json"), "--jobs", "1", command,
+                     "--tasks", str(tmp / "tasks")] + argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_TRANSPORT)
 
 
 @pytest.mark.parametrize("argv, written", [

@@ -315,6 +315,28 @@ def test_parse_log_retries_bound():
         parse_trajectory_log(json.dumps(doc))
 
 
+def _first_step(**fields):
+    doc = log_doc()
+    doc["steps"][0].update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("parse, doc, message", [
+    (parse_trajectory_log, dict(log_doc(), run_index=True),
+     "log.run_index: expected a non-negative integer"),
+    (parse_trajectory_log, _first_step(index=True), "steps[0].index: expected an integer"),
+    (parse_trajectory_log, _first_step(retries_used=False),
+     "steps[0].retries_used: expected an integer in 0..2"),
+    (parse_task_file, task_doc(expert_length=True,
+                               keypaths=[[{"action": "Pick", "target": "short_can"}]]),
+     "task 'sample'.expert_length: expected a positive integer"),
+], ids=["run_index", "index", "retries_used", "expert_length"])
+def test_json_boolean_is_not_an_integer(parse, doc, message):
+    with pytest.raises(SchemaError) as info:
+        parse(json.dumps(doc))
+    assert str(info.value) == message
+
+
 def test_log_roundtrip_byte_identical():
     text = serialize_trajectory(parse_trajectory_log(json.dumps(log_doc())))
     assert serialize_trajectory(parse_trajectory_log(text)) == text

@@ -156,7 +156,7 @@ class StubHandler(BaseHTTPRequestHandler):
         status, payload, *headers = (
             self.script.pop(0) if self.script else (200, completion("fallback"))
         )
-        data = json.dumps(payload).encode("utf-8")
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         for name, value in (headers[0] if headers else {}).items():
             self.send_header(name, value)
@@ -276,6 +276,14 @@ def test_remote_malformed_envelope(stub_server):
     planner = RemotePlanner(config(stub_server, max_retries=1))
     with pytest.raises(PlannerTransportError, match="envelope"):
         planner.next(instruction())
+
+
+def test_remote_too_deep_body_is_retried_then_a_transport_error(stub_server):
+    StubHandler.script = [(200, b"[" * 100_000 + b"]" * 100_000)] * 2
+    planner = RemotePlanner(config(stub_server, max_retries=1))
+    with pytest.raises(PlannerTransportError, match="envelope"):
+        planner.next(instruction())
+    assert len(StubHandler.requests_seen) == 2
 
 
 def test_remote_rendering_pure(stub_server):
