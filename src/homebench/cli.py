@@ -274,6 +274,10 @@ def cmd_run(args, config: dict) -> int:
     factory = _planner_factory(planner_spec, config, tasks)
 
     task_list = [tasks[task_id] for task_id in sorted(tasks)]
+    # only a remote planner waits on I/O: other planners hold the GIL, so
+    # worker threads would only contend for it, and their episodes play one
+    # at a time on this thread at any --jobs
+    workers = jobs if planner_spec.partition(":")[0] == "remote" else 1
 
     def progress(result):
         if result.error is not None:
@@ -287,7 +291,7 @@ def cmd_run(args, config: dict) -> int:
     results = run_benchmark(
         task_list, factory, scenes,
         runs_per_task=runs, budget=budget, retries=retries,
-        seed=seed, jobs=jobs, progress=progress, transcripts=args.transcripts,
+        seed=seed, jobs=workers, progress=progress, transcripts=args.transcripts,
     )
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -427,7 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file (flags > env > config)")
     parser.add_argument("--seed", type=int, help="global deterministic seed")
-    parser.add_argument("--jobs", type=int, help="parallel episodes for run")
+    parser.add_argument("--jobs", type=int,
+                        help="parallel episodes for run with a remote: planner; "
+                             "other planners play one episode at a time")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute tasks against a planner")

@@ -71,13 +71,53 @@ class RewriterTransportError(HomebenchError):
     """A remote text rewriter failed; the affected rewrite is skipped."""
 
 
+def _surrogate(text: str) -> Optional[str]:
+    """The first surrogate code point in ``text``, which UTF-8 cannot
+    encode, or None."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            return text[exc.start]
+    return None
+
+
+def _lone_surrogate(doc) -> Optional[str]:
+    """The first surrogate code point in any key or string of a decoded
+    document, or None. A valid escaped pair decodes to one character, so
+    what is found here has no partner."""
+    stack = [doc]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, str):
+            found = _surrogate(value)
+            if found:
+                return found
+        elif isinstance(value, dict):
+            stack.extend(value)
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+    return None
+
+
 def read_json(data, what: str, error: type = SchemaError):
-    """Decode a JSON document (bytes or str). Bad JSON, bad UTF-8 and
-    nesting too deep for the decoder all raise ``error`` naming ``what``."""
+    """Decode a JSON document (bytes or str). Bad JSON, bad UTF-8, nesting
+    too deep for the decoder and a lone UTF-16 surrogate in any text all
+    raise ``error`` naming ``what``. Only an input that holds a ``\\uD``
+    escape or a surrogate code point is searched for one."""
     try:
-        return json.loads(data)
+        if isinstance(data, bytes):  # as json.loads decodes bytes
+            data = data.decode(json.detect_encoding(data), "surrogatepass")
+        doc = json.loads(data)
     except (ValueError, RecursionError) as exc:
         raise error(f"{what} is not valid JSON: {exc}") from exc
+    # the cheap tests first: most inputs hold no backslash and are ASCII
+    if ("\\" in data and ("\\ud" in data or "\\uD" in data)) or _surrogate(data):
+        lone = _lone_surrogate(doc)
+        if lone is not None:
+            raise error(f"{what} is not valid JSON: lone UTF-16 surrogate {ascii(lone)}")
+    return doc
 
 
 # ---------------------------------------------------------------------------

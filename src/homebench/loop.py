@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -425,13 +424,24 @@ def run_benchmark(
             return RunResult(task.id, run_index, exc.trajectory, str(exc), transcript)
 
     results = []
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        # at jobs 1 every episode runs on this thread and the pool starts no worker
-        for result in (pool.map(one, specs) if jobs > 1 else map(one, specs)):
-            if progress is not None:
-                progress(result)
-            results.append(result)
+    for result in _map(one, specs, jobs):
+        if progress is not None:
+            progress(result)
+        results.append(result)
     return results
+
+
+def _map(fn, items, jobs: int):
+    """``map(fn, items)``, run on ``jobs`` worker threads when above 1."""
+    if jobs == 1:
+        yield from map(fn, items)
+        return
+    # imported only here: with logging, it is about 9 ms of every command's
+    # start-up, and only a remote planner's episodes run on threads
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(fn, items)
 
 
 # ---------------------------------------------------------------------------

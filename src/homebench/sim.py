@@ -4,7 +4,9 @@ and renders four-direction textual observations.
 
 A Scene is mutable single-episode state. Parse each scene document once
 with ``load_scene``, give each episode its own ``clone()`` of that template,
-and never share one episode's copy across threads.
+and never share one episode's copy across threads. ``load_scene`` observes
+the template once, so it carries the segments of its start view and the
+first ``observe`` of each clone renders nothing.
 
 A clone shares the template's ``Entity`` objects and location lists, so a
 write replaces one and never mutates it: ``Scene.move`` (the one way an
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -97,7 +100,8 @@ class Scene:
     on a ``clone()`` of a template scene rather than on the template itself.
     The values of ``entities`` and ``children`` may be shared with the
     template and its other clones, so a write replaces them. ``segments``
-    caches each spot's part of the observations for ``observe``."""
+    caches each spot's part of the observations for ``observe``; a template
+    from ``load_scene`` holds those of its start view, and clones copy them."""
 
     id: str
     entities: dict  # normalized name -> Entity (spots included), insertion-ordered
@@ -220,10 +224,12 @@ def _section(doc: dict, key: str, kind: type, *where):
 
 
 def load_scene(data, seed: Optional[int] = None) -> Scene:
-    """Build a Scene from a scene document (dict, JSON str, or bytes).
+    """Build a Scene from a scene document (dict, JSON str, or bytes),
+    observed once so that it holds the segments of its start view.
 
     ``seed`` overrides the document's seed, letting a benchmark derive a
-    fresh deterministic stream per run.
+    fresh deterministic stream per run. Faults are reported in document
+    order, section by section; a containment cycle is checked last.
     """
     doc = read_json(data, "scene document") if isinstance(data, (bytes, str)) else data
     if not isinstance(doc, dict):
@@ -255,21 +261,28 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
                 raise SchemaError(f"spots[{i}].directions: unknown direction {direction!r}")
             if not isinstance(names, list):
                 raise SchemaError(f"spots[{i}].directions.{direction}: expected a list of spots")
-            parsed[direction] = tuple(
-                normalized(_typed(n, str, "spots", i, "directions", direction, j))
-                for j, n in enumerate(names)
-            )
+            for j, n in enumerate(names):
+                if not isinstance(n, str):
+                    _typed(n, str, "spots", i, "directions", direction, j)
+            parsed[direction] = tuple(map(normalized, names))
         directions[name] = parsed
 
+    # the types are checked inline; ``_typed`` is called only to raise
     for i, ent_doc in enumerate(_section(doc, "entities", list)):
         if not isinstance(ent_doc, dict):
             raise SchemaError(f"entities[{i}]: expected an object")
-        name = normalize_name(_typed(ent_doc.get("name", ""), str, "entities", i, "name"))
+        get = ent_doc.get
+        name = get("name", "")
+        if not isinstance(name, str):
+            _typed(name, str, "entities", i, "name")
+        name = normalize_name(name)
         if not name:
             raise SchemaError(f"entities[{i}].name: missing or empty name")
         if name in entities:
             raise DuplicateName(f"entities[{i}].name: duplicate entity name {name!r}")
-        kind_raw = _typed(ent_doc.get("kind", ""), str, "entities", i, "kind")
+        kind_raw = get("kind", "")
+        if not isinstance(kind_raw, str):
+            _typed(kind_raw, str, "entities", i, "kind")
         kind = _KINDS.get(kind_raw)
         if kind is None:
             raise SchemaError(f"entities[{i}].kind: unknown kind {kind_raw!r}")
@@ -277,39 +290,47 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
             raise SchemaError(f"entities[{i}].kind: declare spots in the spots section")
         open_state = None
         if kind is EntityKind.CONTAINER:
-            open_raw = _typed(ent_doc.get("open_state", "closed"), str, "entities", i, "open_state")
+            open_raw = get("open_state", "closed")
+            if not isinstance(open_raw, str):
+                _typed(open_raw, str, "entities", i, "open_state")
             open_state = _OPEN_STATES.get(open_raw)
             if open_state is None:
                 raise SchemaError(f"entities[{i}].open_state: unknown state {open_raw!r}")
         elif "open_state" in ent_doc:
             raise SchemaError(f"entities[{i}].open_state: only containers have an open state")
-        location = normalized(_typed(ent_doc.get("location", ""), str, "entities", i, "location"))
+        location = get("location", "")
+        if not isinstance(location, str):
+            _typed(location, str, "entities", i, "location")
+        location = normalized(location)
         if not location:
             raise SchemaError(f"entities[{i}].location: missing or empty location")
-        entities[name] = Entity(
-            name, kind, location, open_state,
-            interactive=_typed(ent_doc.get("interactive", True), bool, "entities", i, "interactive"),
-        )
+        interactive = get("interactive", True)
+        if not isinstance(interactive, bool):
+            _typed(interactive, bool, "entities", i, "interactive")
+        entities[name] = Entity(name, kind, location, open_state, interactive)
 
-    # locations must resolve to a declared spot or container
-    for name, entity in entities.items():
-        if entity.kind is EntityKind.SPOT:
-            continue
-        parent = entities.get(entity.location)
+    # locations must resolve to a declared spot or container; the spots come
+    # first in ``entities``, and ``children`` indexes the rest by location
+    children: dict = {}
+    for name, entity in itertools.islice(entities.items(), len(spot_order), None):
+        location = entity.location
+        parent = entities.get(location)
         if parent is None or parent.kind is EntityKind.OBJECT:
             raise SchemaError(
-                f"entity {name!r}: location {entity.location!r} is not a spot or container"
+                f"entity {name!r}: location {location!r} is not a spot or container"
             )
+        children.setdefault(location, []).append(name)
 
     # every spot's direction table must place every spot exactly once
+    spots, every_spot = set(spot_order), sorted(spot_order)
     for spot, table in directions.items():
         assigned = [n for direction in DIRECTIONS for n in table.get(direction, ())]
         for n in assigned:
-            if n not in entities or entities[n].kind is not EntityKind.SPOT:
+            if n not in spots:
                 raise SchemaError(
                     f"spot {spot!r}: direction table entry {n!r} is not a spot"
                 )
-        if sorted(assigned) != sorted(spot_order):
+        if sorted(assigned) != every_spot:
             raise SchemaError(
                 f"spot {spot!r}: direction table must place every spot exactly once"
             )
@@ -357,23 +378,21 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
     if type(doc_seed) is not int:  # bool is an int subclass, and not a seed
         raise SchemaError(f"seed: expected an integer, got {doc_seed!r}")
     scene_seed = doc_seed if seed is None else int(seed)
-    children: dict = {}
-    for name, entity in entities.items():
-        if entity.kind is not EntityKind.SPOT:
-            children.setdefault(entity.location, []).append(name)
     # every containment chain (the walk ``spot_of`` makes) must end at a
     # spot; ``rooted`` holds the locations already known to reach one
-    rooted = {"", *spot_order}
-    for name, entity in entities.items():
-        chain = []
+    rooted = set(spots)
+    for name, entity in itertools.islice(entities.items(), len(spot_order), None):
         location = entity.location
+        if location in rooted:
+            continue
+        chain = []
         while location not in rooted:
             if location in chain:
                 raise SchemaError(f"entity {name!r}: containment cycle at {location!r}")
             chain.append(location)
             location = entities[location].location
         rooted.update(chain)
-    return Scene(
+    scene = Scene(
         id=scene_id,
         entities=entities,
         spot_order=tuple(spot_order),
@@ -386,6 +405,8 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
         children=children,
         positions={name: i for i, name in enumerate(entities)},
     )
+    observe(scene)  # clones inherit the segments of the start view
+    return scene
 
 
 # ---------------------------------------------------------------------------

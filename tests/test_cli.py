@@ -2,6 +2,7 @@ import functools
 import json
 import operator
 import tempfile
+import threading
 from importlib import resources
 from pathlib import Path
 
@@ -906,11 +907,14 @@ _READERS = {
     "config": ("run", "evaluate", "report-errors", "augment"),
 }
 
+# st.text() draws no surrogate code point, so texts that hold one (alone or
+# in a pair, which decodes to one character) are drawn on their own
+_TEXT = st.text(max_size=3) | st.text(st.characters() | st.characters(categories=["Cs"]),
+                                      min_size=1, max_size=3)
 _VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3)
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | _TEXT
     | st.sampled_from(["Pick", "End", "E1", "ok", "object", "closed", "M3"]),
-    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner,
-                                                                max_size=2),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(_TEXT, inner, max_size=2),
     max_leaves=4,
 )
 
@@ -979,6 +983,146 @@ def test_damaged_input_is_named_or_harmless(bundled_logs, data):
         code = main(["--config", str(tmp / "config.json"), "--jobs", "1", command,
                      "--tasks", str(tmp / "tasks")] + argv)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_TRANSPORT)
+
+
+def _edit_json(path: Path, edit) -> None:
+    doc = json.loads(path.read_bytes())
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")  # escapes every surrogate
+
+
+def _plan_analysis(text):
+    def build(tmp_path):
+        plans = _bundled_copy(tmp_path, "plans")
+        _edit_json(plans / "bedtime_prep.json",
+                   lambda doc: doc["outputs"][0].update(analysis="Heading over." + text))
+        return ["run", "--planner", f"scripted:{plans}", "--runs", "1",
+                "--out", str(tmp_path / "out")]
+    return build
+
+
+def _task_instruction(text):
+    def build(tmp_path):
+        tasks = _bundled_copy(tmp_path, "tasks")
+        _edit_json(tasks / "bedtime_prep.json",
+                   lambda doc: doc.update(instruction=doc["instruction"] + text))
+        return ["run", "--tasks", str(tasks), "--runs", "1", "--transcripts",
+                "--out", str(tmp_path / "out")]
+    return build
+
+
+def _scene_name(text):
+    def build(tmp_path):
+        scenes = _bundled_copy(tmp_path, "scenes")
+        _edit_json(scenes / "office.json",
+                   lambda doc: doc["entities"][0].update(name=doc["entities"][0]["name"] + text))
+        return ["run", "--scenes", str(scenes), "--runs", "1", "--out", str(tmp_path / "out")]
+    return build
+
+
+@pytest.mark.parametrize("build, expected", [
+    (_plan_analysis("\ud800"), "error: plan document is not valid JSON: "
+                               "lone UTF-16 surrogate '\\ud800' (scripted plan "),
+    (_task_instruction("\udfff"), "task document is not valid JSON: "
+                                  "lone UTF-16 surrogate '\\udfff'"),
+    (_scene_name("\udc00"), "office.json is not valid JSON: lone UTF-16 surrogate '\\udc00'"),
+], ids=["plan-analysis", "task-instruction", "scene-name"])
+def test_run_lone_surrogate_is_named(tmp_path, capsys, build, expected):
+    # each would decode, then fail to encode when a log, transcript or prompt is written
+    code = main(build(tmp_path))
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err.startswith("error: ") and expected in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("build, shown_in", [
+    (_plan_analysis, "bedtime_prep__run0.json"),
+    (_task_instruction, "transcripts/bedtime_prep__run0.json"),
+    (_scene_name, None),
+], ids=["plan-analysis", "task-instruction", "scene-name"])
+def test_run_keeps_a_valid_surrogate_pair(tmp_path, capsys, build, shown_in):
+    # json.dumps escapes U+1F600 as the pair \ud83d\ude00, which decodes to it
+    assert main(build("\U0001F600")(tmp_path)) == EXIT_OK
+    assert len(list((tmp_path / "out").glob("*.json"))) == 12
+    if shown_in:
+        assert "\U0001F600" in (tmp_path / "out" / shown_in).read_text(encoding="utf-8")
+
+
+def test_augment_log_with_lone_surrogate_is_excluded_and_named(tmp_path, capsys):
+    argv = _log_command("augment", tmp_path)
+    _edit_json(tmp_path / "logs" / "t1__run1.json",
+               lambda doc: doc["steps"][0].update(analysis="Picking it up.\ud800"))
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert ("  t1__run1.json: trajectory log is not valid JSON: lone UTF-16 surrogate '\\ud800'"
+            in captured.out.splitlines())
+    assert "excluded 1 corrupt log(s)" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+    assert (tmp_path / "out" / "sft.jsonl").read_text(encoding="utf-8")  # the other log
+
+
+def _count_thread_starts(monkeypatch) -> list:
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+def test_run_scripted_jobs_start_no_thread(tmp_path, monkeypatch):
+    # a scripted planner holds the GIL: its episodes play on the calling thread
+    started = _count_thread_starts(monkeypatch)
+    for jobs in ("1", "2"):
+        assert main(["--seed", "7", "--jobs", jobs, "run", "--runs", "1", "--transcripts",
+                     "--out", str(tmp_path / jobs)]) == EXIT_OK
+    assert started == []
+    written = {jobs: {path.relative_to(tmp_path / jobs): path.read_bytes()
+                      for path in (tmp_path / jobs).rglob("*.json")} for jobs in ("1", "2")}
+    assert len(written["1"]) == 24  # 12 logs and 12 transcripts
+    assert written["2"] == written["1"]
+
+
+def test_run_remote_jobs_play_episodes_at_once(tmp_path, monkeypatch):
+    from test_planners import StubHandler
+    from http.server import ThreadingHTTPServer
+
+    class BarrierHandler(StubHandler):
+        # each reply waits for a second request: one episode at a time breaks the barrier
+        barrier = threading.Barrier(2, timeout=10)
+
+        def do_POST(self):
+            type(self).barrier.wait()
+            super().do_POST()
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), BarrierHandler)
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                     daemon=True).start()
+    StubHandler.script = []
+    StubHandler.requests_seen = []
+    write_tasks(tmp_path / "tasks", [make_task(task_id="t1"), make_task(task_id="t2")])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"profiles": {"stub": {
+        "endpoint": f"http://127.0.0.1:{server.server_port}/v1/chat/completions",
+        "timeout": 20, "max_retries": 0}}}), encoding="utf-8")
+    started = _count_thread_starts(monkeypatch)
+    try:
+        code = main(["--config", str(config_path), "--jobs", "2", "run",
+                     "--tasks", str(tmp_path / "tasks"), "--planner", "remote:stub",
+                     "--runs", "1", "--budget", "1", "--out", str(tmp_path / "runs")])
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert code == EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "runs").glob("*.json")) == [
+        "t1__run0.json", "t2__run0.json"]
+    assert len(StubHandler.requests_seen) == 2 and not BarrierHandler.barrier.broken
+    assert sum(name.startswith("ThreadPoolExecutor") for name in started) == 2
 
 
 @pytest.mark.parametrize("argv, written", [

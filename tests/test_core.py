@@ -22,6 +22,7 @@ from homebench.core import (
     parse_model,
     parse_task_file,
     parse_trajectory_log,
+    read_json,
     serialize_task,
     serialize_trajectory,
 )
@@ -88,6 +89,37 @@ def test_model_aliases_and_categories():
 def test_error_code_categories():
     for code in ErrorCode:
         assert code.category.value == code.value[0]
+
+
+# ---------------------------------------------------------------------------
+# JSON documents
+
+
+@pytest.mark.parametrize("data, lone", [
+    ('{"a": "x\\ud800"}', "\\ud800"),  # a high surrogate escape with no partner
+    ('["\\uDFFF"]', "\\udfff"),  # upper-case hex, a low one
+    ('{"\\udc00\\ud800": 1}', "\\udc00"),  # a pair in the wrong order, in a key
+    ('{"a": [{"b": "\ud800"}]}', "\\ud800"),  # a code point in a str input, nested
+    (b'"\xed\xa0\x80"', "\\ud800"),  # the code point, encoded as UTF-8 bytes
+    ('"\\ud800"'.encode("utf-16"), "\\ud800"),  # a lone escape in UTF-16 bytes
+    ('"\ud800"'.encode("utf-16", "surrogatepass"), "\\ud800"),  # a lone code unit
+], ids=["escape", "upper-case", "reversed-pair-key", "str-code-point", "utf8-bytes",
+        "utf16-escape", "utf16-code-unit"])
+def test_read_json_lone_surrogate_is_named(data, lone):
+    with pytest.raises(SchemaError) as raised:
+        read_json(data, "thing")
+    assert str(raised.value) == f"thing is not valid JSON: lone UTF-16 surrogate '{lone}'"
+
+
+@pytest.mark.parametrize("data, doc", [
+    ('["\\ud83d\\ude00"]', ["\U0001F600"]),  # a valid escaped pair is one character
+    ('["\\uD83D\\uDE00"]'.encode("utf-8"), ["\U0001F600"]),
+    ('["\U0001F600"]'.encode("utf-16"), ["\U0001F600"]),
+    ('["\\\\ud800"]', ["\\ud800"]),  # an escaped backslash: six plain characters
+    ('{"\\u00e9": "\\ud7ff\\ue000"}', {"\u00e9": "\ud7ff\ue000"}),  # either side of the range
+])
+def test_read_json_keeps_text_without_a_lone_surrogate(data, doc):
+    assert read_json(data, "thing") == doc
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Property tests for observation rendering and per-episode scene clones."""
 
+import json
+from importlib import resources
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from homebench import sim
 from homebench.core import ActionType, ErrorCode, Inventory, ModelChoice, SchemaError, Subtask
 from homebench.sim import (
     DIRECTIONS,
@@ -19,6 +24,8 @@ from homebench.sim import (
 
 from conftest import examples
 from test_sim import scene_doc
+
+BUNDLED_SCENES = Path(str(resources.files("homebench").joinpath("data/scenes")))
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +129,17 @@ def assert_unchanged(template, shared: tuple, pristine: tuple) -> None:
 
 
 def warm_scenes(doc) -> tuple:
-    """A template, and scenes to mutate: a fresh load, a clone of it and a
-    clone of a clone, the clones made after their source was observed so
-    they inherit its cached segments. Also returns a sibling clone that must
-    not see any of it."""
+    """A template, and scenes to mutate: a fresh load; a clone of the
+    template as loaded, which arrives with the segments of its start view;
+    a clone of a clone observed by hand; and a clone with no segments at
+    all. Also returns a sibling clone that must not see any of it."""
     template = load_scene(doc)
-    observe(template)
+    fresh = template.clone()
     first = template.clone()
     observe(first)
-    return template, [load_scene(doc), template.clone(), first.clone()], first
+    cold = template.clone()
+    cold.segments.clear()
+    return template, [load_scene(doc), fresh, first.clone(), cold], first
 
 
 @settings(max_examples=examples(150), deadline=None)
@@ -236,6 +245,32 @@ def test_clone_mutations_stay_private():
     assert template.spot_order is clone.spot_order
     assert template.positions is clone.positions
     assert template.directions is clone.directions
+
+
+TEMPLATE_DOCS = {
+    "scene_doc": scene_doc(),
+    "scene_doc-bands": scene_doc(bands={"apple": "too_close", "table": "reachable"},
+                                 agent_start="table"),
+    **{path.stem: json.loads(path.read_bytes()) for path in sorted(BUNDLED_SCENES.glob("*.json"))},
+}
+
+
+@pytest.mark.parametrize("doc", TEMPLATE_DOCS.values(), ids=list(TEMPLATE_DOCS))
+def test_loaded_template_arrives_observed(monkeypatch, doc):
+    clone = load_scene(doc).clone()
+    rendered = []
+    render = sim._render_entity
+
+    def counted(entity, *args):
+        rendered.append(entity.name)
+        return render(entity, *args)
+
+    monkeypatch.setattr(sim, "_render_entity", counted)
+    warm = observe(clone)
+    assert rendered == []  # the first observe of an episode renders no entity
+    clone.segments.clear()
+    assert observe(clone) == warm  # the same as a cold render
+    assert rendered
 
 
 SEQUENCE = [
@@ -436,3 +471,56 @@ def test_load_scene_field_of_another_type_is_a_schema_error(field, value):
     assume(json_type(value) != kind)
     with pytest.raises(SchemaError):
         load_scene(damaged(path, value))
+
+
+def two_faults(*edits, order=None) -> dict:
+    """``scene_doc()`` with each ``(entity index, field, value)`` edit made,
+    its entities then listed in ``order`` if given."""
+    doc = scene_doc()
+    for i, key, value in edits:
+        doc["entities"][i][key] = value
+    if order:
+        doc["entities"] = [doc["entities"][i] for i in order]
+    return doc
+
+
+FRIDGE_DRAWER_CYCLE = ((0, "location", "drawer"), (3, "location", "fridge"))
+
+
+# documents with two faults, and the one that is reported: the first in
+# document order, with the containment-cycle check last of all
+TWO_FAULT_ERRORS = [
+    (two_faults((0, "name", 1), (0, "kind", "robot")),
+     "entities[0].name: expected a JSON string"),
+    (two_faults((2, "name", ["x"]), (0, "kind", "robot")),
+     "entities[0].kind: unknown kind 'robot'"),
+    (two_faults((0, "name", None), (2, "kind", "robot")),
+     "entities[0].name: expected a JSON string"),
+    (two_faults((0, "kind", "robot"), (0, "interactive", "no")),
+     "entities[0].kind: unknown kind 'robot'"),
+    (two_faults((0, "interactive", 0), (1, "kind", "robot")),
+     "entities[0].interactive: expected a JSON boolean"),
+    (two_faults((1, "kind", "robot"), (3, "interactive", "yes")),
+     "entities[1].kind: unknown kind 'robot'"),
+    (two_faults((1, "location", "nowhere"), *FRIDGE_DRAWER_CYCLE),
+     "entity 'banana': location 'nowhere' is not a spot or container"),
+    (two_faults((2, "location", "Banana"), *FRIDGE_DRAWER_CYCLE, order=[0, 3, 1, 4, 2]),
+     "entity 'apple': location 'banana' is not a spot or container"),
+]
+
+
+@pytest.mark.parametrize("doc, message", TWO_FAULT_ERRORS, ids=[
+    "name-then-kind-same-entity", "kind-then-later-name", "name-then-later-kind",
+    "kind-then-interactive-same-entity", "interactive-then-later-kind",
+    "kind-then-later-interactive", "location-then-cycle", "cycle-entities-first"])
+def test_load_scene_reports_the_first_of_two_faults(doc, message):
+    with pytest.raises(SchemaError) as raised:
+        load_scene(doc)
+    assert str(raised.value) == message
+
+
+def test_containment_cycle_alone_is_reported():
+    # the cycle in the last two TWO_FAULT_ERRORS cases is a fault on its own
+    with pytest.raises(SchemaError) as raised:
+        load_scene(two_faults(*FRIDGE_DRAWER_CYCLE))
+    assert str(raised.value) == "entity 'fridge': containment cycle at 'drawer'"
