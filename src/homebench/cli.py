@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import io
 import json
 import os
 import sys
@@ -193,13 +194,14 @@ def _parse_logs(logs_dir: Path):
     output) is not a log."""
     trajectories = []
     corrupt = []
-    for path in sorted(logs_dir.glob("*.json")):
-        if path.name == "report.json":
+    # one directory, so sorting by name orders as sorting the paths would
+    for name, path in sorted((path.name, path) for path in logs_dir.glob("*.json")):
+        if name == "report.json":
             continue
         try:
             trajectories.append(parse_trajectory_log(path.read_bytes()))
         except HomebenchError as exc:
-            corrupt.append((path.name, str(exc)))
+            corrupt.append((name, str(exc)))
     return trajectories, corrupt
 
 
@@ -487,6 +489,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper):  # a path of undecodable bytes prints escaped
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -101,22 +101,29 @@ def _lone_surrogate(doc) -> Optional[str]:
     return None
 
 
+def _decoded_surrogate(text: str, doc) -> Optional[str]:
+    """The first lone surrogate in ``doc``, decoded from ``text``, or None.
+    Only a text that holds a ``\\uD`` escape or a surrogate code point is
+    searched."""
+    # the cheap tests first: most texts hold no backslash and are ASCII
+    if ("\\" in text and ("\\ud" in text or "\\uD" in text)) or _surrogate(text):
+        return _lone_surrogate(doc)
+    return None
+
+
 def read_json(data, what: str, error: type = SchemaError):
     """Decode a JSON document (bytes or str). Bad JSON, bad UTF-8, nesting
     too deep for the decoder and a lone UTF-16 surrogate in any text all
-    raise ``error`` naming ``what``. Only an input that holds a ``\\uD``
-    escape or a surrogate code point is searched for one."""
+    raise ``error`` naming ``what``."""
     try:
         if isinstance(data, bytes):  # as json.loads decodes bytes
             data = data.decode(json.detect_encoding(data), "surrogatepass")
         doc = json.loads(data)
     except (ValueError, RecursionError) as exc:
         raise error(f"{what} is not valid JSON: {exc}") from exc
-    # the cheap tests first: most inputs hold no backslash and are ASCII
-    if ("\\" in data and ("\\ud" in data or "\\uD" in data)) or _surrogate(data):
-        lone = _lone_surrogate(doc)
-        if lone is not None:
-            raise error(f"{what} is not valid JSON: lone UTF-16 surrogate {ascii(lone)}")
+    lone = _decoded_surrogate(data, doc)
+    if lone is not None:
+        raise error(f"{what} is not valid JSON: lone UTF-16 surrogate {ascii(lone)}")
     return doc
 
 
@@ -173,6 +180,7 @@ _ACTION_ALIASES = {
 }
 
 
+@functools.lru_cache(maxsize=1024)  # inputs repeat; the bound caps what planner junk can hold
 def parse_action(raw: str) -> Optional[ActionType]:
     """Map an action string to the closed action set, or None if it is not
     one of ours. Matching ignores case and whitespace/underscore style."""
@@ -220,6 +228,7 @@ _MODEL_ALIASES = {
 }
 
 
+@functools.lru_cache(maxsize=1024)
 def parse_model(raw: str) -> Optional[ModelChoice]:
     """Map a model string to the closed model list, or None."""
     return _MODEL_ALIASES.get(normalize_name(raw).replace("_", ""))
@@ -399,6 +408,11 @@ def failure(code: ErrorCode) -> Feedback:
 
 
 SUCCESS = Feedback(StepStatus.SUCCESS)
+
+# value -> member tables for the log parser, and the 11 valid feedbacks by code
+_STATUSES = {status.value: status for status in StepStatus}
+_CODES = {code.value: code for code in ErrorCode}
+_FEEDBACKS = {None: SUCCESS, **{code: failure(code) for code in ErrorCode}}
 
 
 @dataclass(frozen=True)
@@ -599,67 +613,72 @@ def serialize_task(task: Task) -> str:
 # trajectory logs
 
 
+@functools.lru_cache(maxsize=4096)
+def _log_target(raw: str) -> str:
+    return normalize_name(raw)
+
+
 def _parse_step(doc, pos: int) -> StepRecord:
-    where = f"steps[{pos}]"
+    # Each field is read once; _require/_require_text run only to raise, so a
+    # fault's message, and which of several faults is named, stay as they were.
     if not isinstance(doc, dict):
-        raise SchemaError(f"{where}: expected an object")
-    index = _require(doc, "index", where)
-    if type(index) is not int:
-        raise SchemaError(f"{where}.index: expected an integer")
-    if index != pos + 1:
-        raise SchemaError(f"{where}.index: expected {pos + 1}, got {index}")
-    analysis = _require_text(doc, "analysis", where)
-    raw_action = _require_text(doc, "action", where)
-    raw_target = _require_text(doc, "target", where)
-    raw_model = _require_text(doc, "model", where)
-    status_str = _require_text(doc, "status", where)
-    try:
-        status = StepStatus(status_str)
-    except ValueError:
-        raise SchemaError(f"{where}.status: unknown status {status_str!r}") from None
+        raise SchemaError(f"steps[{pos}]: expected an object")
+    get = doc.get
+    index = get("index")
+    if type(index) is not int or index != pos + 1:
+        _require(doc, "index", f"steps[{pos}]")
+        if type(index) is not int:
+            raise SchemaError(f"steps[{pos}].index: expected an integer")
+        raise SchemaError(f"steps[{pos}].index: expected {pos + 1}, got {index}")
+    analysis, raw_action, raw_target, raw_model, status_str = (
+        get("analysis"), get("action"), get("target"), get("model"), get("status"))
+    if not (type(analysis) is type(raw_action) is type(raw_target)
+            is type(raw_model) is type(status_str) is str):
+        for key in ("analysis", "action", "target", "model", "status"):
+            _require_text(doc, key, f"steps[{pos}]")
+    status = _STATUSES.get(status_str)
+    if status is None:
+        raise SchemaError(f"steps[{pos}].status: unknown status {status_str!r}")
 
     code = None
     if status is StepStatus.FAILURE:
-        code_str = _require_text(doc, "error_code", where)
-        try:
-            code = ErrorCode(code_str)
-        except ValueError:
-            raise SchemaError(f"{where}.error_code: unknown code {code_str!r}") from None
-        message = doc.get("message", CANONICAL_MESSAGES[code])
-        if message != CANONICAL_MESSAGES[code]:
-            raise SchemaError(
-                f"{where}.message: not the canonical message for {code.value}"
-            )
+        code_str = get("error_code")
+        code = _CODES.get(code_str) if type(code_str) is str else None
+        if code is None:
+            code_str = _require_text(doc, "error_code", f"steps[{pos}]")
+            raise SchemaError(f"steps[{pos}].error_code: unknown code {code_str!r}")
+        if get("message", CANONICAL_MESSAGES[code]) != CANONICAL_MESSAGES[code]:
+            raise SchemaError(f"steps[{pos}].message: not the canonical message for {code.value}")
     elif "error_code" in doc or "message" in doc:
-        raise SchemaError(f"{where}: success steps carry no error_code/message")
+        raise SchemaError(f"steps[{pos}]: success steps carry no error_code/message")
 
     # F1 steps keep whatever string the planner emitted; everything else must
     # name a valid subtask, and is kept in its canonical spelling.
     if code is ErrorCode.F1:
         output = PlannerOutput(analysis, raw_action, raw_target, raw_model)
     else:
-        output = PlannerOutput(analysis, raw_action, normalize_name(raw_target), raw_model)
+        output = PlannerOutput(analysis, raw_action, _log_target(raw_target), raw_model)
         subtask = output.subtask
         if subtask is None:
             if output.action_type is None:
-                raise SchemaError(f"{where}.action: unknown action {raw_action!r}")
+                raise SchemaError(f"steps[{pos}].action: unknown action {raw_action!r}")
             if parse_model(raw_model) is None:
-                raise SchemaError(f"{where}.model: unknown model {raw_model!r}")
-            raise SchemaError(f"{where}.target: target must be non-empty iff action is not End")
-        if (output.action, output.model) != (subtask.action.label, subtask.model.label):
-            output = PlannerOutput(
-                analysis, subtask.action.label, subtask.target, subtask.model.label
-            )
+                raise SchemaError(f"steps[{pos}].model: unknown model {raw_model!r}")
+            raise SchemaError(
+                f"steps[{pos}].target: target must be non-empty iff action is not End")
+        if raw_action != subtask.action.value or raw_model != subtask.model.value:
+            output = PlannerOutput(analysis, subtask.action.value, subtask.target,
+                                   subtask.model.value)
 
-    retries = _require(doc, "retries_used", where)
+    retries = get("retries_used")
     if type(retries) is not int or not 0 <= retries <= 2:
-        raise SchemaError(f"{where}.retries_used: expected an integer in 0..2")
+        _require(doc, "retries_used", f"steps[{pos}]")
+        raise SchemaError(f"steps[{pos}].retries_used: expected an integer in 0..2")
 
     try:
-        feedback = Feedback(status, code, CANONICAL_MESSAGES[code] if code else "")
-        return StepRecord(output, feedback, retries)
+        return StepRecord(output, _FEEDBACKS[code], retries)
     except InvariantError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+        raise SchemaError(f"steps[{pos}]: {exc}") from exc
 
 
 def parse_trajectory_log(data) -> Trajectory:

@@ -29,6 +29,8 @@ from .core import (
     StepRecord,
     Task,
     Trajectory,
+    _decoded_surrogate,
+    _surrogate,
     failure,
 )
 from . import sim
@@ -157,6 +159,7 @@ class ParseFailureReason(Enum):
     NO_STRUCTURED_OBJECT = "NoStructuredObject"
     MISSING_FIELD = "MissingField"
     MALFORMED_SUBTASK = "MalformedSubtask"
+    LONE_SURROGATE = "LoneSurrogate"
 
 
 @dataclass(frozen=True)
@@ -206,13 +209,16 @@ def parse_planner_output(raw: str):
     [action] / [action, target] / {"action": ..., "target": ...}.
     Returns a PlannerOutput (fields normalized but not yet checked against
     the closed lists; its ``subtask`` is None when they fail) or a
-    ParseFailure value.
+    ParseFailure value. A lone UTF-16 surrogate in the text or in the object
+    decoded from it, which no log could hold as UTF-8, is a ParseFailure.
     """
     from .core import normalize_name, parse_action, parse_model
 
     obj = _extract_object(raw)
     if obj is None:
         return ParseFailure(ParseFailureReason.NO_STRUCTURED_OBJECT, raw=raw)
+    if _surrogate(raw) is not None or _decoded_surrogate(raw, obj) is not None:
+        return ParseFailure(ParseFailureReason.LONE_SURROGATE, raw=raw)
     for name in ("analysis", "subtask", "model"):
         if name not in obj:
             return ParseFailure(ParseFailureReason.MISSING_FIELD, name, raw)
@@ -321,12 +327,13 @@ def run_episode(
                 task.id, tuple(state.steps), False, False, run_index=run_index
             )
             raise
-        if transcript is not None:
-            transcript.append({"instruction": instruction.text, "response": raw})
-
         output = parse_planner_output(raw)
         if isinstance(output, ParseFailure):
+            # an F1 step logs the raw reply, with any lone surrogate escaped
+            raw = raw.encode("utf-8", "backslashreplace").decode("utf-8")
             output = PlannerOutput(analysis=raw, action="", target="", model="")
+        if transcript is not None:
+            transcript.append({"instruction": instruction.text, "response": raw})
         subtask = output.subtask
         retries_used = 0
         if subtask is None:

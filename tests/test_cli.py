@@ -1,6 +1,12 @@
+import argparse
+import contextlib
 import functools
+import io
 import json
 import operator
+import os
+import shutil
+import sys
 import tempfile
 import threading
 from importlib import resources
@@ -10,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homebench.cli import EXIT_CONFIG, EXIT_OK, EXIT_TRANSPORT, main
+from homebench.cli import EXIT_CONFIG, EXIT_OK, EXIT_TRANSPORT, build_parser, main
 from homebench.core import ErrorCode, parse_trajectory_log, serialize_task, serialize_trajectory
 
 from conftest import make_task, node, traj
@@ -985,6 +991,119 @@ def test_damaged_input_is_named_or_harmless(bundled_logs, data):
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_TRANSPORT)
 
 
+def _parser_options(parser):
+    """(flag, dest, kind) for each option of ``parser``: kind is "flag" for an
+    option that takes no value, else "int", "float" or "text"."""
+    for action in parser._actions:
+        if action.option_strings and action.dest != "help":
+            kind = "flag" if action.nargs == 0 else {int: "int", float: "float"}.get(
+                action.type, "text")
+            yield action.option_strings[-1], action.dest, kind
+
+
+_TOP = build_parser()
+_SUBCOMMANDS = next(action.choices for action in _TOP._actions
+                    if isinstance(action, argparse._SubParsersAction))
+# what argv can hold on POSIX: no NUL, and surrogates only as undecodable bytes
+_ARGV_TEXT = st.text(st.characters(exclude_characters="\x00", exclude_categories=["Cs"])
+                     | st.characters(min_codepoint=0xDC80, max_codepoint=0xDCFF), max_size=6)
+
+
+def _option_values(tmp: Path, dest: str, kind: str):
+    """Values for one option: mostly well-formed, the rest named faults."""
+    if kind == "int":  # small, so no draw starts many episodes or threads
+        numbers = st.integers(-2, 3).map(str)
+        return st.one_of(numbers, numbers, numbers, st.sampled_from(["x", "1.5", ""]))
+    if kind == "float":
+        return st.sampled_from(["-1", "0", "0.5", "0.9", "1", "2", "nan", "inf", "x", ""])
+    task_file = str(tmp / "tasks" / "bedtime_prep.json")
+    missing = str(tmp / "missing")
+    paths = {
+        "dir": [str(tmp / name) for name in ("tasks", "scenes", "plans", "logs")],
+        "out": [str(tmp / "out"), str(tmp / "out" / "report.json"), str(tmp / "logs"),
+                str(tmp / "logs" / "plot.json"), str(tmp / "tasks")],
+        "planner": ([f"scripted:{path}" for path in (tmp / "plans", task_file, missing,
+                                                     tmp / "tasks")]
+                    + ["scripted:", "remote:nope", "remote:"]),
+        "rewriter": ["identity", "remote:nope"],
+        "file": [str(tmp / "lexicon.json"), str(tmp / "config.json"), str(tmp / "tasks")],
+    }[{"tasks": "dir", "scenes": "dir", "logs": "dir", "out": "out", "plot_data": "out",
+       "planner": "planner", "rewriter": "rewriter"}.get(dest, "file")]
+    # console reads stdin: left out, like any remote profile that exists
+    junk = _ARGV_TEXT.filter(lambda text: text != "console")
+    good = st.sampled_from(paths)
+    return st.one_of(good, good, st.sampled_from([missing, task_file, ""]), junk)
+
+
+def _draw_options(data, parser, tmp: Path) -> list:
+    words = []
+    options = list(_parser_options(parser))
+    for flag, dest, kind in data.draw(st.lists(st.sampled_from(options), max_size=4,
+                                               unique=True)):
+        words.append(flag)
+        if kind != "flag":
+            words.append(data.draw(_option_values(tmp, dest, kind), label=flag))
+    return words
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(bundled_logs, tmp_path_factory):
+    """Copies of the bundled inputs, a seeded run's logs, a lexicon and a config."""
+    root = tmp_path_factory.mktemp("argv_inputs")
+    for name in ("tasks", "scenes", "plans"):
+        shutil.copytree(BUNDLED / name, root / name)
+    shutil.copytree(bundled_logs, root / "logs")
+    (root / "lexicon.json").write_text('["Jump", "Dance"]', encoding="utf-8")
+    (root / "config.json").write_text('{"budget": 3, "runs_per_task": 1}', encoding="utf-8")
+    return root
+
+
+# a fixed count that the ci profile does not raise: each example is a whole command
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_argv_exits_with_a_named_code(argv_inputs, data):
+    """A subcommand with options drawn from the parser's own: the command
+    ends in exit 0, 2 or 3, and never in a traceback."""
+    command = data.draw(st.sampled_from(sorted(_SUBCOMMANDS)), label="command")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        shutil.copytree(argv_inputs, tmp, dirs_exist_ok=True)
+        argv = (_draw_options(data, _TOP, tmp) + [command]
+                + _draw_options(data, _SUBCOMMANDS[command], tmp))
+        # run and augment write to the working directory by default
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")  # strict, like a terminal's
+        stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse refused the argv
+                    code = exc.code
+                stdout.flush()
+                stderr.flush()
+        finally:
+            os.chdir(cwd)
+        err = stderr.buffer.getvalue().decode("utf-8")
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_TRANSPORT), (argv, err)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "augment"])
+def test_undecodable_out_path_prints_escaped(tmp_path, monkeypatch, command):
+    # argv holds a byte that is not UTF-8 as a surrogate; a UTF-8 terminal refuses it
+    monkeypatch.chdir(tmp_path)
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    argv = {"run": ["run", "--runs", "1", "--out", "\udcff"],
+            "augment": ["augment", *_corpus(tmp_path), "--out", "\udcff"]}[command]
+    assert main(argv) == EXIT_OK
+    stdout.flush()
+    assert stdout.buffer.getvalue().decode("utf-8").rstrip().endswith(" to \\udcff")
+    assert len(os.listdir(tmp_path / "\udcff")) >= 2
+
+
 def _edit_json(path: Path, edit) -> None:
     doc = json.loads(path.read_bytes())
     edit(doc)
@@ -1061,6 +1180,60 @@ def test_augment_log_with_lone_surrogate_is_excluded_and_named(tmp_path, capsys)
     assert "excluded 1 corrupt log(s)" in captured.out
     assert "Traceback" not in captured.out + captured.err
     assert (tmp_path / "out" / "sft.jsonl").read_text(encoding="utf-8")  # the other log
+
+
+def _assert_f1_replies_logged(out: Path, logged: str) -> None:
+    """Every episode was written, and its one reply parses back as an F1
+    step whose analysis, like the transcript's response, is ``logged``."""
+    logs = sorted(out.glob("*__run0.json"))
+    assert len(logs) == 12
+    for path in logs:
+        step = parse_trajectory_log(path.read_bytes()).steps[0]
+        assert step.feedback.code is ErrorCode.F1 and step.output.analysis == logged
+        transcript = json.loads((out / "transcripts" / path.name).read_bytes())
+        assert transcript[0]["response"] == logged
+
+
+def test_run_reply_with_lone_surrogate_escape_is_f1(tmp_path, capsys):
+    # a string entry is a reply: its object decodes to a lone surrogate
+    reply = '{"analysis": "x\\ud800", "subtask": ["End"], "model": "M3"}'
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"outputs": [reply]}), encoding="utf-8")
+    code = main(["run", "--planner", f"scripted:{plan}", "--runs", "1", "--transcripts",
+                 "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK and "Traceback" not in captured.err
+    _assert_f1_replies_logged(tmp_path / "out", reply)  # ASCII already: logged as sent
+
+
+@pytest.mark.parametrize("content", [
+    '{"analysis": "half an emoji \ud83d", "subtask": ["End"], "model": "M3"}',
+    "no object, half an emoji \ud83d",
+], ids=["in-object", "in-prose"])
+def test_run_remote_reply_with_lone_surrogate_is_f1(tmp_path, capsys, content):
+    from test_planners import StubHandler, completion
+    from http.server import HTTPServer
+
+    server = HTTPServer(("127.0.0.1", 0), StubHandler)
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                     daemon=True).start()
+    StubHandler.script = [(200, completion(content))] * 12  # json.dumps escapes it
+    StubHandler.requests_seen = []
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"profiles": {"stub": {
+        "endpoint": f"http://127.0.0.1:{server.server_port}/v1/chat/completions",
+        "timeout": 5, "max_retries": 0}}}), encoding="utf-8")
+    try:
+        code = main(["--config", str(config_path), "run", "--planner", "remote:stub",
+                     "--runs", "1", "--budget", "1", "--transcripts",
+                     "--out", str(tmp_path / "out")])
+    finally:
+        server.shutdown()
+        server.server_close()
+    captured = capsys.readouterr()
+    assert code == EXIT_OK and "Traceback" not in captured.err
+    assert len(StubHandler.requests_seen) == 12
+    _assert_f1_replies_logged(tmp_path / "out", content.replace("\ud83d", "\\ud83d"))
 
 
 def _count_thread_starts(monkeypatch) -> list:

@@ -1,13 +1,23 @@
+import copy
+import functools
+import itertools
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homebench.cli import main as cli_main
 from homebench.core import (
+    _ACTION_ALIASES,
+    _MODEL_ALIASES,
+    CANONICAL_MESSAGES,
     ActionType,
     ErrorCode,
+    Feedback,
     InvariantError,
     ModelCategory,
     ModelChoice,
@@ -15,6 +25,7 @@ from homebench.core import (
     SUCCESS,
     SchemaError,
     StepRecord,
+    StepStatus,
     Trajectory,
     failure,
     normalize_name,
@@ -27,7 +38,7 @@ from homebench.core import (
     serialize_trajectory,
 )
 
-from conftest import random_trajectory, step, traj
+from conftest import examples, random_trajectory, step, traj
 
 
 # ---------------------------------------------------------------------------
@@ -443,3 +454,252 @@ def test_trajectory_rejected_f1_end_is_not_termination():
     )
     trajectory = Trajectory("t", steps, terminated_by_end=False, terminated_by_budget=True)
     assert trajectory.terminated_by_budget
+
+
+# ---------------------------------------------------------------------------
+# the log parser against the straightforward one it replaced
+#
+# _oracle_parse_log is the earlier parser, kept verbatim apart from its names
+# and an uncached model lookup: one _require/_require_text call per field, one
+# Enum call per status and code, one Feedback built per step. The fast parser
+# must return an equal trajectory, or raise the same exception with the same
+# message, on any damage to a valid log.
+
+
+def _oracle_require(obj, key, where):
+    if key not in obj:
+        raise SchemaError(f"{where}: missing field {key!r}")
+    return obj[key]
+
+
+def _oracle_require_text(obj, key, where):
+    value = _oracle_require(obj, key, where)
+    if not isinstance(value, str):
+        raise SchemaError(f"{where}.{key}: expected a JSON string")
+    return value
+
+
+def _oracle_parse_step(doc, pos):
+    where = f"steps[{pos}]"
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: expected an object")
+    index = _oracle_require(doc, "index", where)
+    if type(index) is not int:
+        raise SchemaError(f"{where}.index: expected an integer")
+    if index != pos + 1:
+        raise SchemaError(f"{where}.index: expected {pos + 1}, got {index}")
+    analysis = _oracle_require_text(doc, "analysis", where)
+    raw_action = _oracle_require_text(doc, "action", where)
+    raw_target = _oracle_require_text(doc, "target", where)
+    raw_model = _oracle_require_text(doc, "model", where)
+    status_str = _oracle_require_text(doc, "status", where)
+    try:
+        status = StepStatus(status_str)
+    except ValueError:
+        raise SchemaError(f"{where}.status: unknown status {status_str!r}") from None
+
+    code = None
+    if status is StepStatus.FAILURE:
+        code_str = _oracle_require_text(doc, "error_code", where)
+        try:
+            code = ErrorCode(code_str)
+        except ValueError:
+            raise SchemaError(f"{where}.error_code: unknown code {code_str!r}") from None
+        message = doc.get("message", CANONICAL_MESSAGES[code])
+        if message != CANONICAL_MESSAGES[code]:
+            raise SchemaError(
+                f"{where}.message: not the canonical message for {code.value}"
+            )
+    elif "error_code" in doc or "message" in doc:
+        raise SchemaError(f"{where}: success steps carry no error_code/message")
+
+    if code is ErrorCode.F1:
+        output = PlannerOutput(analysis, raw_action, raw_target, raw_model)
+    else:
+        output = PlannerOutput(analysis, raw_action, normalize_name(raw_target), raw_model)
+        subtask = output.subtask
+        if subtask is None:
+            if output.action_type is None:
+                raise SchemaError(f"{where}.action: unknown action {raw_action!r}")
+            if _MODEL_ALIASES.get(normalize_name(raw_model).replace("_", "")) is None:
+                raise SchemaError(f"{where}.model: unknown model {raw_model!r}")
+            raise SchemaError(f"{where}.target: target must be non-empty iff action is not End")
+        if (output.action, output.model) != (subtask.action.label, subtask.model.label):
+            output = PlannerOutput(
+                analysis, subtask.action.label, subtask.target, subtask.model.label
+            )
+
+    retries = _oracle_require(doc, "retries_used", where)
+    if type(retries) is not int or not 0 <= retries <= 2:
+        raise SchemaError(f"{where}.retries_used: expected an integer in 0..2")
+
+    try:
+        feedback = Feedback(status, code, CANONICAL_MESSAGES[code] if code else "")
+        return StepRecord(output, feedback, retries)
+    except InvariantError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+def _oracle_parse_log(data):
+    doc = read_json(data, "trajectory log")
+    if not isinstance(doc, dict):
+        raise SchemaError("trajectory log must be a JSON object")
+    task_id = _oracle_require_text(doc, "task_id", "log")
+    run_index = _oracle_require(doc, "run_index", "log")
+    if type(run_index) is not int or run_index < 0:
+        raise SchemaError("log.run_index: expected a non-negative integer")
+    raw_steps = _oracle_require(doc, "steps", "log")
+    if not isinstance(raw_steps, list):
+        raise SchemaError("log.steps: expected a list")
+    steps = [_oracle_parse_step(step, pos) for pos, step in enumerate(raw_steps)]
+    terminated_by = _oracle_require_text(doc, "terminated_by", "log")
+    if terminated_by not in ("end", "budget"):
+        raise SchemaError(f"log.terminated_by: expected 'end' or 'budget', got {terminated_by!r}")
+    return Trajectory(task_id=task_id, steps=tuple(steps),
+                      terminated_by_end=terminated_by == "end",
+                      terminated_by_budget=terminated_by == "budget", run_index=run_index)
+
+
+def _outcome(parse, data):
+    """What ``parse`` made of ``data``: the trajectory with each step's four
+    strings and derived fields, or the exception's type and message."""
+    try:
+        trajectory = parse(data)
+    except (SchemaError, InvariantError) as exc:
+        return type(exc), str(exc)
+    return trajectory, [(s.output.analysis, s.output.action, s.output.target, s.output.model,
+                         s.output.action_type, s.output.subtask) for s in trajectory.steps]
+
+
+@functools.cache
+def _valid_logs() -> tuple:
+    """Valid log documents: a seeded run of every bundled task, and random
+    trajectories where most steps fail (every error code, all three retry counts)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        assert cli_main(["--seed", "7", "run", "--runs", "1", "--out", tmp]) == 0
+        bundled = [json.loads(p.read_bytes()) for p in sorted(Path(tmp).glob("*.json"))]
+    rng = random.Random(15)
+    failing = []
+    for run_index in range(12):
+        trajectory = random_trajectory(rng, run_index=run_index)
+        steps = [StepRecord(s.output, s.feedback, rng.randrange(3) if not s.feedback.ok else 0)
+                 for s in trajectory.steps]
+        trajectory = Trajectory(trajectory.task_id, steps, trajectory.terminated_by_end,
+                                trajectory.terminated_by_budget, run_index)
+        failing.append(json.loads(serialize_trajectory(trajectory)))
+    return tuple(doc for doc in bundled + failing if doc["steps"])
+
+
+_STEP_FIELDS = ["index", "analysis", "action", "target", "model", "status",
+                "error_code", "message", "retries_used"]
+_JUNK_TEXT = st.text(max_size=6)
+# json.dumps escapes a lone surrogate, which read_json then names
+_FIELD_VALUES = (st.none() | st.booleans() | st.integers(-2, 4) | st.floats(allow_nan=False)
+                 | _JUNK_TEXT | st.lists(st.integers(0, 2), max_size=2)
+                 | st.sampled_from(["", "Pick", "pick up", "End", "M3", "rt1x", " Kitchen-Table ",
+                                    "success", "failure", "E1", "F1", "F3", "l1", "x\ud800",
+                                    "\U0001F600"]))
+
+
+@st.composite
+def _damage(draw, step, pos):
+    """Apply one damage to the step document at ``pos``, in place."""
+    kind = draw(st.sampled_from(["delete", "replace", "index", "status", "code",
+                                 "success-extra", "message", "junk-f1"]))
+    field = draw(st.sampled_from(_STEP_FIELDS))
+    if kind == "delete":
+        step.pop(field, None)
+    elif kind == "replace":
+        step[field] = draw(_FIELD_VALUES)
+    elif kind == "index":
+        step["index"] = draw(st.sampled_from([True, False, pos, pos + 2]))
+    elif kind == "status":
+        step["status"] = draw(st.sampled_from(["Success", "failed", "", "failure"]))
+    elif kind == "code":
+        if draw(st.booleans()):
+            step["error_code"] = draw(st.sampled_from(["E3", "f1", "L", " E1", "D2"]))
+        else:  # a failure step with no code
+            step["status"] = "failure"
+            step.pop("error_code", None)
+    elif kind == "success-extra":
+        step["status"] = "success"
+        step[draw(st.sampled_from(["error_code", "message"]))] = draw(
+            st.sampled_from(["E1", "the subtask is too difficult to perform", ""]))
+    elif kind == "message":
+        step["message"] = draw(st.sampled_from(["too hard", "", "the hand is full"]))
+    else:  # an F1 step whose strings are junk
+        step.update(status="failure", error_code="F1",
+                    message="You should only choose actions in the list")
+        for name in ("action", "target", "model"):
+            step[name] = draw(_JUNK_TEXT)
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(data=st.data())
+def test_log_parser_matches_the_oracle_on_damaged_logs(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(_valid_logs())))
+    pos = data.draw(st.integers(0, len(doc["steps"]) - 1), label="pos")
+    for _ in range(data.draw(st.integers(1, 2), label="damages")):
+        data.draw(_damage(doc["steps"][pos], pos))
+    text = json.dumps(doc)  # escapes every surrogate, as a log written by hand might
+    expected = _outcome(_oracle_parse_log, text)
+    assert _outcome(parse_trajectory_log, text) == expected
+    assert _outcome(parse_trajectory_log, text.encode("utf-8")) == expected
+
+
+def test_log_parser_matches_the_oracle_on_valid_logs():
+    for doc in _valid_logs():
+        text = json.dumps(doc)
+        outcome = _outcome(parse_trajectory_log, text)
+        assert isinstance(outcome[0], Trajectory)
+        assert outcome == _outcome(_oracle_parse_log, text)
+
+
+_MISSING = object()
+
+
+def _grid_damages():
+    """Each field deleted or set to each value, then each pair of fields
+    deleted or made the wrong type, which pins which fault is named first."""
+    values = [_MISSING, None, True, 0, 2, 1.5, [], "", "x", "rt1x", "End", " Kitchen-Table ",
+              "success", "failure", "E3", "F1", "E1", "too hard"]
+    for field in _STEP_FIELDS:
+        for value in values:
+            yield ((field, value),)
+    for pair in itertools.combinations(_STEP_FIELDS, 2):
+        for pair_values in itertools.product([_MISSING, None], [_MISSING, 1.5]):
+            yield tuple(zip(pair, pair_values))
+
+
+def test_log_parser_matches_the_oracle_on_every_field_damage():
+    logs = [doc for doc in _valid_logs() if doc["task_id"] in ("office_reset", "t1")][:3]
+    for doc in logs:
+        for step in doc["steps"]:
+            kept = dict(step)
+            for damage in _grid_damages():
+                for field, value in damage:
+                    step.pop(field, None)
+                    if value is not _MISSING:
+                        step[field] = value
+                text = json.dumps(doc)
+                assert _outcome(parse_trajectory_log, text) == _outcome(_oracle_parse_log, text)
+                step.clear()
+                step.update(kept)
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(raw=st.text(st.characters() | st.characters(categories=["Cs"]))
+       | st.sampled_from(["Go to", " GO_TO ", "put", "rt-1-x", "No MaD", "pix_nav"]))
+def test_memoized_lookups_match_the_uncached_ones(raw):
+    for _ in range(2):  # the second call is answered from the memo
+        assert parse_action(raw) is _ACTION_ALIASES.get(normalize_name(raw))
+        assert parse_model(raw) is _MODEL_ALIASES.get(normalize_name(raw).replace("_", ""))
+
+
+def test_lookup_memos_are_bounded():
+    for lookup in (parse_action, parse_model):
+        size = lookup.cache_info().maxsize
+        assert size is not None
+        for i in range(size + 10):
+            lookup(f"junk {i}")
+        assert lookup.cache_info().currsize == size
