@@ -6,6 +6,11 @@ for supervised tuning, and they are also dropped from the replayed history
 inside each prompt). Preference pairs come from four generators: re-plan
 sifting, order changes, action corruptions, and same-category model swaps.
 End outputs only ever appear on the rejected side.
+
+A run that logged the same steps as the previous run of its task shares that
+run's replayed prompts, samples and sift, order and model pairs; only its
+action corruptions are drawn afresh. The written files are byte-identical to
+deriving every run on its own.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -239,6 +245,15 @@ def dpo_action_change(
     return pairs
 
 
+# each model's swap: the first other model of its category, or None for the
+# only model of a category (M3)
+_MODEL_SWAPS = {
+    model: next((other for other in ModelChoice
+                 if other.category is model.category and other is not model), None)
+    for model in ModelChoice
+}
+
+
 def dpo_model_change(trajectory: Trajectory, prompts: Sequence[Instruction]) -> list:
     """Dispatch pairs: each successful non-End output is preferred over a
     copy whose model is swapped for the other model of the same category.
@@ -248,13 +263,10 @@ def dpo_model_change(trajectory: Trajectory, prompts: Sequence[Instruction]) -> 
     for i, step in enumerate(steps):
         if not step.feedback.ok or step.output.action_type is ActionType.END:
             continue
-        model = step.output.subtask.model
-        alternatives = [
-            m for m in ModelChoice if m.category is model.category and m is not model
-        ]
-        if not alternatives:
+        swap = _MODEL_SWAPS[step.output.subtask.model]
+        if swap is None:
             continue
-        swapped = dataclasses.replace(step.output, model=alternatives[0].label)
+        swapped = dataclasses.replace(step.output, model=swap.label)
         pair = _pair(
             prompts, i, step.output, swapped,
             PairSource.MODEL_CHANGE, trajectory.task_id,
@@ -288,11 +300,6 @@ class AugmentConfig:
     dedup: bool = True
     scenes: Optional[dict] = None  # scene_ref -> template Scene
     train_split: Optional[float] = None
-
-
-def _pair_key(pair: PreferencePair) -> str:
-    blob = "\x1f".join((pair.prompt, pair.chosen, pair.rejected))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _sft_record(sample: ConversationSample) -> dict:
@@ -330,11 +337,14 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
     dpo.jsonl, and manifest.json into ``config.out_dir``.
 
     Deterministic given the corpus and seed: re-running produces
-    byte-identical files. Preference pairs are deduplicated by
-    (prompt, chosen, rejected) content hash unless ``dedup`` is off; the
-    manifest records counts before and after. Each trajectory replays on a
-    clone of its task's template scene in ``config.scenes``; without one its
-    prompts show the observations-unavailable placeholder.
+    byte-identical files. Preference pairs are deduplicated by their
+    (prompt, chosen, rejected) texts unless ``dedup`` is off; the manifest
+    records counts before and after. Each trajectory replays on a clone of
+    its task's template scene in ``config.scenes``; without one its prompts
+    show the observations-unavailable placeholder. A trajectory whose steps
+    equal the previous one's (in task and run order) is not replayed: it
+    shares that trajectory's prompts, samples and pairs, and only its action
+    corruptions are drawn, from its own seed.
     """
     out_dir = Path(config.out_dir)
     rewriter = config.rewriter if config.rewriter is not None else identity_rewriter
@@ -345,24 +355,33 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
     ordered = sorted(trajectories, key=lambda t: (t.task_id, t.run_index))
     samples = []
     pairs = []
+    # the last trajectory replayed and its derived work, which a run of the
+    # same task that logged equal steps reuses (the runs of a task are adjacent)
+    replayed = None
     for trajectory in ordered:
         task = tasks.get(trajectory.task_id)
         if task is None:
             raise MissingTask(trajectory.task_id)
-        template = (config.scenes or {}).get(task.scene_ref)
-        prompts = replay_instructions(
-            trajectory, task, template.clone() if template is not None else None,
-        )
-        samples.extend(sft_convert(trajectory, prompts))
-        pairs.extend(dpo_sift(trajectory, prompts))
-        pairs.extend(dpo_order_change(trajectory, prompts))
+        if (replayed is None or replayed.task_id != trajectory.task_id
+                or replayed.steps != trajectory.steps):
+            replayed = trajectory
+            template = (config.scenes or {}).get(task.scene_ref)
+            prompts = replay_instructions(
+                trajectory, task, template.clone() if template is not None else None,
+            )
+            run_samples = sft_convert(trajectory, prompts)
+            run_pairs = dpo_sift(trajectory, prompts) + dpo_order_change(trajectory, prompts)
+            model_pairs = dpo_model_change(trajectory, prompts)
+        samples.extend(run_samples)
+        pairs.extend(run_pairs)
         # corruption draws are seeded per trajectory identity, so ingesting
-        # the same log twice yields the same pairs (and dedup removes them)
+        # the same log twice yields the same pairs (and dedup removes them);
+        # they corrupt the replayed run's equal steps, whose texts are cached
         draw_rng = random.Random(
             stable_seed(config.seed, trajectory.task_id, trajectory.run_index)
         )
-        pairs.extend(dpo_action_change(trajectory, prompts, lexicon, draw_rng))
-        pairs.extend(dpo_model_change(trajectory, prompts))
+        pairs.extend(dpo_action_change(replayed, prompts, lexicon, draw_rng))
+        pairs.extend(model_pairs)
 
     base_count = len(samples)
     samples, rewrite_failures = expand_with_rewrites(samples, rewriter, config.rewrites)
@@ -379,7 +398,7 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
         seen = set()
         deduped = []
         for pair in pairs:
-            key = _pair_key(pair)
+            key = (pair.prompt, pair.chosen, pair.rejected)
             if key not in seen:
                 seen.add(key)
                 deduped.append(pair)
@@ -387,8 +406,10 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
     post_dedup = per_source(pairs)
 
     # _pair already keeps End off the chosen side; audit the written text
-    # anyway and report the (expected zero) violation count
-    violations = sum(1 for pair in pairs if _is_end_text(pair.chosen))
+    # anyway, parsing each distinct chosen text once, and report the
+    # (expected zero) violation count
+    chosen = Counter(pair.chosen for pair in pairs)
+    violations = sum(count for text, count in chosen.items() if _is_end_text(text))
 
     lexicon_hash = hashlib.sha256(
         json.dumps(list(lexicon), ensure_ascii=False).encode("utf-8")

@@ -189,9 +189,10 @@ def _planner_factory(spec: str, config: dict, tasks: dict):
 
 
 def _parse_logs(logs_dir: Path):
-    """Parse every log file in a directory; malformed ones are reported and
-    excluded rather than aborting the batch. report.json (evaluate's default
-    output) is not a log."""
+    """Parse every log file in a directory; malformed or unreadable ones (a
+    directory named ``*.json``, a file without read permission) are reported
+    and excluded rather than aborting the batch. report.json (evaluate's
+    default output) is not a log."""
     trajectories = []
     corrupt = []
     # one directory, so sorting by name orders as sorting the paths would
@@ -200,7 +201,7 @@ def _parse_logs(logs_dir: Path):
             continue
         try:
             trajectories.append(parse_trajectory_log(path.read_bytes()))
-        except HomebenchError as exc:
+        except (HomebenchError, OSError) as exc:
             corrupt.append((name, str(exc)))
     return trajectories, corrupt
 

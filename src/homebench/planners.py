@@ -20,6 +20,7 @@ from .core import (
     PlannerTransportError,
     RewriterTransportError,
     SchemaError,
+    _surrogate,
     make_end_output,
     read_json,
     serialize_output,
@@ -265,8 +266,10 @@ REWRITE_PROMPT = (
 
 class RemoteRewriter:
     """Text->text paraphraser over the same chat transport, for dataset
-    expansion. Transport failures surface as RewriterTransportError so the
-    caller can skip the affected rewrite and continue."""
+    expansion. Transport failures, and a reply holding a lone UTF-16
+    surrogate (which no dataset file can encode), surface as
+    RewriterTransportError so the caller can skip the affected rewrite and
+    continue."""
 
     def __init__(self, config: RemotePlannerConfig, session=None):
         import requests
@@ -277,6 +280,11 @@ class RemoteRewriter:
     def __call__(self, text: str) -> str:
         messages = [{"role": "user", "content": REWRITE_PROMPT.format(text=text)}]
         try:
-            return _post_chat(self.config, messages, self.session)
+            reply = _post_chat(self.config, messages, self.session)
         except PlannerTransportError as exc:
             raise RewriterTransportError(str(exc)) from exc
+        lone = _surrogate(reply)
+        if lone is not None:
+            raise RewriterTransportError(
+                f"rewriter reply holds a lone UTF-16 surrogate {ascii(lone)}")
+        return reply

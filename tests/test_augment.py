@@ -1,17 +1,25 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import homebench.augment as augment
 from homebench.augment import (
     AugmentConfig,
     PairSource,
+    _dpo_record,
     _is_end_text,
+    _jsonl_lines,
     _pair,
+    _sft_record,
+    _write_jsonl,
     build_datasets,
     dpo_action_change,
     dpo_model_change,
@@ -27,13 +35,16 @@ from homebench.core import (
     ActionType,
     EmptyLexicon,
     ErrorCode,
+    MissingTask,
     ModelChoice,
     PlannerOutput,
     RewriterTransportError,
     Subtask,
     parse_action,
     parse_model,
+    parse_trajectory_log,
     serialize_output,
+    serialize_trajectory,
 )
 from homebench.loop import (
     DEFAULT_TEMPLATE,
@@ -42,11 +53,12 @@ from homebench.loop import (
     render_template,
     replay_instructions,
     run_episode,
+    stable_seed,
 )
 from homebench.planners import ScriptedPlanner
 from homebench.sim import load_scene
 
-from conftest import make_task, node, random_trajectory, traj
+from conftest import examples, make_task, node, random_trajectory, traj
 from test_loop import plan_entry
 from test_sim import scene_doc
 
@@ -636,3 +648,256 @@ def test_split_task_ids_deterministic():
     assert split_task_ids(ids, 0.9, 1) == split_task_ids(ids, 0.9, 1)
     train, val = split_task_ids(ids, 0.9, 1)
     assert len(train) == 9 and len(val) == 1
+
+
+# ---------------------------------------------------------------------------
+# repeated runs share their derived work
+
+
+def model_change_by_scan(trajectory, prompts):
+    """Reference dispatch pairs: the swap is found by scanning ModelChoice
+    for the first other model of the step's category."""
+    pairs = []
+    for i, step in enumerate(trajectory.steps):
+        if not step.feedback.ok or step.output.action_type is ActionType.END:
+            continue
+        model = step.output.subtask.model
+        alternatives = [
+            m for m in ModelChoice if m.category is model.category and m is not model
+        ]
+        if not alternatives:
+            continue
+        swapped = dataclasses.replace(step.output, model=alternatives[0].label)
+        pair = _pair(
+            prompts, i, step.output, swapped,
+            PairSource.MODEL_CHANGE, trajectory.task_id,
+        )
+        if pair is not None:
+            pairs.append(pair)
+    return pairs
+
+
+def build_every_run(trajectories, tasks, config):
+    """Reference builder: replays and derives every trajectory on its own,
+    dedups on a sha256 of the U+001F-joined texts and parses the chosen text
+    of every kept pair for the End audit. Writes the same files as
+    ``build_datasets``."""
+    out_dir = Path(config.out_dir)
+    rewriter = config.rewriter if config.rewriter is not None else identity_rewriter
+    lexicon = config.lexicon if config.lexicon is not None else load_default_lexicon()
+    if not lexicon:
+        raise EmptyLexicon("action corruption needs a non-empty lexicon")
+
+    ordered = sorted(trajectories, key=lambda t: (t.task_id, t.run_index))
+    samples = []
+    pairs = []
+    for trajectory in ordered:
+        task = tasks.get(trajectory.task_id)
+        if task is None:
+            raise MissingTask(trajectory.task_id)
+        template = (config.scenes or {}).get(task.scene_ref)
+        prompts = replay_instructions(
+            trajectory, task, template.clone() if template is not None else None,
+        )
+        samples.extend(sft_convert(trajectory, prompts))
+        pairs.extend(dpo_sift(trajectory, prompts))
+        pairs.extend(dpo_order_change(trajectory, prompts))
+        draw_rng = random.Random(
+            stable_seed(config.seed, trajectory.task_id, trajectory.run_index)
+        )
+        pairs.extend(dpo_action_change(trajectory, prompts, lexicon, draw_rng))
+        pairs.extend(model_change_by_scan(trajectory, prompts))
+
+    base_count = len(samples)
+    samples, rewrite_failures = expand_with_rewrites(samples, rewriter, config.rewrites)
+
+    def per_source(items):
+        counts = {source.value: 0 for source in PairSource}
+        for pair in items:
+            counts[pair.source.value] += 1
+        counts["total"] = len(items)
+        return counts
+
+    pre_dedup = per_source(pairs)
+    if config.dedup:
+        seen = set()
+        deduped = []
+        for pair in pairs:
+            blob = "\x1f".join((pair.prompt, pair.chosen, pair.rejected))
+            key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+            if key not in seen:
+                seen.add(key)
+                deduped.append(pair)
+        pairs = deduped
+    post_dedup = per_source(pairs)
+
+    violations = sum(1 for pair in pairs if _is_end_text(pair.chosen))
+
+    lexicon_hash = hashlib.sha256(
+        json.dumps(list(lexicon), ensure_ascii=False).encode("utf-8")
+    ).hexdigest()
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    split = None
+    if config.train_split is not None:
+        train_ids, val_ids = split_task_ids(
+            (t.task_id for t in ordered), config.train_split, config.seed
+        )
+        split = {
+            "train_fraction": config.train_split,
+            "train_tasks": train_ids,
+            "val_tasks": val_ids,
+        }
+        train_set = set(train_ids)
+    for name, items, record in (("sft", samples, _sft_record), ("dpo", pairs, _dpo_record)):
+        lines = _jsonl_lines(items, record)
+        _write_jsonl(out_dir / f"{name}.jsonl", lines)
+        if split is not None:
+            _write_jsonl(out_dir / f"{name}_train.jsonl",
+                         (line for x, line in zip(items, lines) if x.task_id in train_set))
+            _write_jsonl(out_dir / f"{name}_val.jsonl",
+                         (line for x, line in zip(items, lines) if x.task_id not in train_set))
+
+    manifest = {
+        "seed": config.seed,
+        "rewrites": config.rewrites,
+        "rewrite_failures": rewrite_failures,
+        "lexicon_sha256": lexicon_hash,
+        "trajectories": len(ordered),
+        "sft": {"base": base_count, "total": len(samples)},
+        "dpo": {
+            "pre_dedup": pre_dedup,
+            "post_dedup": post_dedup,
+            "end_as_chosen_violations": violations,
+        },
+        "split": split,
+    }
+    (out_dir / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+    )
+    return manifest
+
+
+def assert_same_files(trajectories, tasks, rewriter=None, **options):
+    """Build with ``build_datasets`` and with the reference builder, each
+    given a fresh rewriter from the ``rewriter`` factory, and require equal
+    manifests and byte-identical files. Returns the manifest."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        expected = build_every_run(trajectories, tasks, AugmentConfig(
+            out_dir=out / "every_run", rewriter=rewriter and rewriter(), **options))
+        manifest = build_datasets(trajectories, tasks, AugmentConfig(
+            out_dir=out / "shared", rewriter=rewriter and rewriter(), **options))
+        assert manifest == expected
+        names = sorted(path.name for path in (out / "every_run").iterdir())
+        assert sorted(path.name for path in (out / "shared").iterdir()) == names
+        for name in names:
+            shared, every_run = (out / "shared" / name), (out / "every_run" / name)
+            assert shared.read_bytes() == every_run.read_bytes(), name
+    return manifest
+
+
+SCENES = {"kitchen_home": load_scene(scene_doc())}
+
+
+@st.composite
+def repeating_corpora(draw):
+    """Runs copied from a small pool of base trajectories, so equal runs of a
+    task come in streaks, interleave with unequal ones, and can equal the
+    last run of the task before. A copy shares its base's steps or holds
+    equal ones parsed back from its log; one may be ingested twice under
+    its run index, or left unfinished. Returned in shuffled order."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    bases = [random_trajectory(rng, max_steps=6, run_index=b)
+             for b in range(draw(st.integers(1, 3)))]
+    tasks = {}
+    trajectories = []
+    for t in range(draw(st.integers(1, 3))):
+        task_id = f"t{t}"
+        tasks[task_id] = make_task(task_id=task_id, instruction=f"tidy up for {task_id}")
+        for run_index in range(draw(st.integers(1, 6))):
+            base = bases[draw(st.integers(0, len(bases) - 1))]
+            run = dataclasses.replace(base, task_id=task_id, run_index=run_index)
+            if draw(st.booleans()):
+                run = parse_trajectory_log(serialize_trajectory(run))
+            if run.terminated_by_budget and draw(st.integers(0, 4)) == 0:
+                run = dataclasses.replace(run, terminated_by_budget=False)
+            trajectories.append(run)
+            if draw(st.integers(0, 4)) == 0:
+                trajectories.append(run)
+    return draw(st.permutations(trajectories)), tasks
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(corpus=repeating_corpora(), seed=st.integers(0, 2**16), rewrites=st.integers(0, 2),
+       reword=st.booleans(), dedup=st.booleans(), train_split=st.sampled_from([None, 0.5]),
+       with_scenes=st.booleans())
+def test_shared_repeats_write_the_files_of_every_run_derived(
+        corpus, seed, rewrites, reword, dedup, train_split, with_scenes):
+    trajectories, tasks = corpus
+    assert_same_files(
+        trajectories, tasks, rewriter=(lambda: lambda text: text[::-1]) if reword else None,
+        seed=seed, rewrites=rewrites, dedup=dedup, train_split=train_split,
+        scenes=SCENES if with_scenes else None,
+    )
+
+
+def test_bundled_repeats_replay_once_per_task(tmp_path, monkeypatch):
+    from homebench.cli import EXIT_OK, main
+
+    logs = tmp_path / "logs"
+    assert main(["--seed", "7", "run", "--runs", "25", "--out", str(logs)]) == EXIT_OK
+    replayed = []
+
+    def counting_replay(trajectory, *args):
+        replayed.append(trajectory.task_id)
+        return replay_instructions(trajectory, *args)
+
+    monkeypatch.setattr(augment, "replay_instructions", counting_replay)
+    assert main(["--seed", "7", "augment", "--logs", str(logs),
+                 "--out", str(tmp_path / "ds")]) == EXIT_OK
+    manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["trajectories"] == 300
+    assert len(replayed) == len(set(replayed)) == 12
+
+
+def test_remote_style_rewriter_still_asked_for_every_sample(tmp_path):
+    # a remote rewriter answers each call on its own and may fail any of
+    # them, so a shared sample is still rewritten once per run and pass
+    calls = []
+
+    def reword(text):
+        calls.append(text)
+        return text + " (reworded)"
+
+    repeated = traj([("Pick", "apple", True), ("Place", "drawer", False, ErrorCode.L3),
+                     ("Open", "drawer", True)])
+    trajectories = [dataclasses.replace(repeated, run_index=i) for i in range(4)]
+    trajectories.append(traj([("Open", "drawer", True)], run_index=4))
+    manifest = build_datasets(trajectories, {"t1": TASK}, AugmentConfig(
+        out_dir=tmp_path / "ds", seed=2, rewrites=2, rewriter=reword))
+    assert manifest["sft"]["base"] == 4 * 3 + 2
+    assert len(calls) == 2 * manifest["sft"]["base"] * 2
+    assert manifest["sft"]["total"] == 3 * manifest["sft"]["base"]
+
+    failing = assert_same_files(trajectories, {"t1": TASK}, seed=2, rewrites=2,
+                                rewriter=lambda: failing_every(5, reword))
+    assert failing["rewrite_failures"] > 0
+    assert failing["sft"]["total"] == 3 * failing["sft"]["base"] - failing["rewrite_failures"]
+
+
+def test_dedup_keeps_pairs_whose_prompt_holds_the_unit_separator():
+    # the U+001F-joined key was exact: chosen and rejected are JSON text,
+    # which escapes U+001F, so only a prompt can hold it
+    assert "\x1f" not in serialize_output(PlannerOutput("a\x1fb", "Pick", "apple\x1f", "RT-1-X"))
+    tasks = {task_id: make_task(task_id=task_id, instruction=text)
+             for task_id, text in (("t1", "tidy\x1f"), ("t2", "tidy"), ("t3", "\x1ftidy"))}
+    trajectories = [
+        traj([("Pick", "apple", True), ("Open", "drawer\x1f", True)], task_id=task_id,
+             run_index=run_index)
+        for task_id in tasks for run_index in range(3)
+    ]
+    manifest = assert_same_files(trajectories, tasks, seed=4, dedup=True)
+    pre, post = manifest["dpo"]["pre_dedup"], manifest["dpo"]["post_dedup"]
+    assert post["sift"] + post["order_change"] + post["model_change"] == (
+        (pre["sift"] + pre["order_change"] + pre["model_change"]) // 3)

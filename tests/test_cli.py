@@ -1182,6 +1182,33 @@ def test_augment_log_with_lone_surrogate_is_excluded_and_named(tmp_path, capsys)
     assert (tmp_path / "out" / "sft.jsonl").read_text(encoding="utf-8")  # the other log
 
 
+@pytest.mark.parametrize("command", ["evaluate", "report-errors", "augment"])
+def test_unreadable_log_entry_is_excluded_and_named(tmp_path, capsys, command):
+    argv = _log_command(command, tmp_path)
+    (tmp_path / "logs" / "sub.json").mkdir()
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "excluded 1 corrupt log(s):" in captured.out
+    assert any(line.startswith("  sub.json: [Errno ") for line in captured.out.splitlines())
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                    reason="needs a user that file permissions apply to")
+def test_log_without_read_permission_is_excluded_and_named(tmp_path, capsys):
+    argv = _log_command("evaluate", tmp_path)
+    locked = tmp_path / "logs" / "t1__run1.json"
+    locked.chmod(0)
+    try:
+        assert main(argv) == EXIT_OK
+    finally:
+        locked.chmod(0o644)
+    captured = capsys.readouterr()
+    assert "  t1__run1.json: [Errno 13] Permission denied: " in captured.out
+    report = json.loads((tmp_path / "logs" / "report.json").read_text(encoding="utf-8"))
+    assert report["excluded_logs"] == 1
+
+
 def _assert_f1_replies_logged(out: Path, logged: str) -> None:
     """Every episode was written, and its one reply parses back as an F1
     step whose analysis, like the transcript's response, is ``logged``."""

@@ -315,6 +315,30 @@ def test_rewriter_roundtrip(stub_server):
     assert "original text" in StubHandler.requests_seen[0]["messages"][0]["content"]
 
 
+class ReplySession:
+    """A session whose every POST answers 200 with ``content``."""
+
+    def __init__(self, content):
+        self.content = content
+
+    def post(self, endpoint, **kwargs):
+        response = type("Response", (), {"status_code": 200, "headers": {}})()
+        response.json = lambda: completion(self.content)
+        return response
+
+
+def test_rewriter_reply_with_lone_surrogate_is_a_transport_error():
+    # half of an emoji, as a decoded HTTP reply can carry; no dataset file
+    # could encode it, so the rewrite is skipped like a failed one
+    rewriter = RemoteRewriter(config("http://unused.invalid/v1/chat"),
+                              session=ReplySession("Tidy the room \ud83d"))
+    with pytest.raises(RewriterTransportError, match=r"lone UTF-16 surrogate '\\ud83d'"):
+        rewriter("Tidy the room")
+    whole = RemoteRewriter(config("http://unused.invalid/v1/chat"),
+                           session=ReplySession("Tidy the room \U0001F600"))
+    assert whole("Tidy the room") == "Tidy the room \U0001F600"
+
+
 # ---------------------------------------------------------------------------
 # templates
 
