@@ -10,7 +10,6 @@ from .core import (
     ErrorCategory,
     ErrorCode,
     Feedback,
-    Inventory,
     ModelCategory,
     ModelChoice,
     PlannerOutput,

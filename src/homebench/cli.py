@@ -1,9 +1,10 @@
 """Operator entry point: run benchmarks, evaluate logs, print error
 breakdowns, and build training datasets.
 
-Every option resolves with the precedence flag > environment variable >
-config file > built-in default. Exit codes are stable: 0 success, 2
-configuration error, 3 transport-level abort.
+The options read through ``_setting`` resolve with the precedence flag >
+environment variable > config file > built-in default; the others are
+flags only. Exit codes are stable: 0 success, 2 configuration error, 3
+transport-level abort.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ def _bundled(subdir: str) -> Path:
 
 
 def _setting(flag_value, env_key: str, config: dict, config_key: str, default, cast=str):
+    """The option's flag, else its environment variable (converted by
+    ``cast``, ``str`` or ``int``), else its config value, which must already
+    be of that type: a JSON string, or a JSON integer that is no boolean."""
     if flag_value is not None:
         return flag_value
     env_value = os.environ.get(ENV_PREFIX + env_key)
@@ -65,12 +69,10 @@ def _setting(flag_value, env_key: str, config: dict, config_key: str, default, c
         except ValueError:
             raise ConfigError(f"bad value for {ENV_PREFIX + env_key}: {env_value!r}") from None
     if config_key in config:
-        try:
-            return cast(config[config_key])
-        except (TypeError, ValueError, OverflowError):  # int(Infinity) overflows
-            raise ConfigError(
-                f"bad value for config key {config_key!r}: {config[config_key]!r}"
-            ) from None
+        value = config[config_key]
+        if type(value) is not cast:  # a bool is an int subclass, and no count
+            raise ConfigError(f"bad value for config key {config_key!r}: {value!r}")
+        return value
     return default
 
 
@@ -129,6 +131,17 @@ def _load_scenes(scenes_dir: Path, tasks: dict) -> dict:
     return scenes
 
 
+# each remote profile field, in the order checked: its type, and its default
+# (None: required)
+_PROFILE_FIELDS = (
+    ("timeout", float, 30.0), ("max_retries", int, 2), ("temperature", float, 0.0),
+    ("endpoint", str, None), ("model", str, "default"), ("template", str, "default"),
+    ("api_key_env", str, "HOMEBENCH_API_KEY"),
+)
+# the JSON values each of those types takes
+_JSON_VALUES = {float: (int, float), int: (int,), str: (str,)}
+
+
 def _remote_config(profile: str, config: dict) -> RemotePlannerConfig:
     profiles = config.get("profiles", {})
     if not isinstance(profiles, dict):
@@ -138,25 +151,19 @@ def _remote_config(profile: str, config: dict) -> RemotePlannerConfig:
     spec = profiles[profile]
     if not isinstance(spec, dict):
         raise ConfigError(f"remote profile {profile!r} must be a JSON object")
-    numbers = {}
-    for key, cast, default in (("timeout", float, 30.0), ("max_retries", int, 2),
-                               ("temperature", float, 0.0)):
-        try:
-            numbers[key] = cast(spec.get(key, default))
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(
-                f"remote profile {profile!r}: bad value for {key!r}: {spec[key]!r}"
-            ) from None
-    try:
-        return RemotePlannerConfig(
-            endpoint=spec["endpoint"],
-            model=spec.get("model", "default"),
-            template=spec.get("template", "default"),
-            api_key_env=spec.get("api_key_env", "HOMEBENCH_API_KEY"),
-            **numbers,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"remote profile {profile!r} is missing {exc}") from None
+    values = {}
+    for key, cast, default in _PROFILE_FIELDS:
+        if default is None and key not in spec:
+            raise ConfigError(f"remote profile {profile!r} is missing {key!r}")
+        value = spec.get(key, default)
+        if type(value) in _JSON_VALUES[cast]:  # a bool is no number
+            try:
+                values[key] = cast(value)
+                continue
+            except OverflowError:  # an integer too large for a float
+                pass
+        raise ConfigError(f"remote profile {profile!r}: bad value for {key!r}: {value!r}")
+    return RemotePlannerConfig(**values)
 
 
 def _planner_factory(spec: str, config: dict, tasks: dict):
@@ -269,8 +276,6 @@ def cmd_run(args, config: dict) -> int:
     for name, value in (("--runs", runs), ("--budget", budget), ("--jobs", jobs)):
         if value < 1:
             raise ConfigError(f"{name} must be at least 1, got {value}")
-    if planner_spec == "console" and jobs > 1:  # episodes would share one terminal
-        raise ConfigError(f"--planner console needs --jobs 1, got {jobs}")
 
     tasks = _load_task_map(tasks_dir)
     scenes = _load_scenes(scenes_dir, tasks)

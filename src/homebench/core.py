@@ -368,46 +368,31 @@ def serialize_output(output: PlannerOutput) -> str:
 
 
 @dataclass(frozen=True)
-class Inventory:
-    """The agent's single-slot hand: zero or one held object."""
-
-    held: Optional[str] = None
-
-    @property
-    def empty(self) -> bool:
-        return self.held is None
-
-
-@dataclass(frozen=True)
 class Feedback:
-    """Outcome of one executed step. ``code`` is present exactly on failure
-    and ``message`` is then the code's canonical string."""
+    """Outcome of one executed step: ``code`` is None on success and the
+    failure's error code otherwise. The status and the message follow from it."""
 
-    status: StepStatus
     code: Optional[ErrorCode] = None
-    message: str = ""
-
-    def __post_init__(self):
-        if self.status is StepStatus.FAILURE:
-            if self.code is None:
-                raise InvariantError("failure feedback requires an error code")
-            if self.message != CANONICAL_MESSAGES[self.code]:
-                raise InvariantError(
-                    f"non-canonical message for {self.code.value}: {self.message!r}"
-                )
-        elif self.code is not None:
-            raise InvariantError("success feedback must not carry an error code")
 
     @property
     def ok(self) -> bool:
-        return self.status is StepStatus.SUCCESS
+        return self.code is None
+
+    @property
+    def status(self) -> StepStatus:
+        return StepStatus.SUCCESS if self.code is None else StepStatus.FAILURE
+
+    @property
+    def message(self) -> str:
+        """The code's canonical message; empty on success."""
+        return "" if self.code is None else CANONICAL_MESSAGES[self.code]
 
 
 def failure(code: ErrorCode) -> Feedback:
-    return Feedback(StepStatus.FAILURE, code, CANONICAL_MESSAGES[code])
+    return Feedback(code)
 
 
-SUCCESS = Feedback(StepStatus.SUCCESS)
+SUCCESS = Feedback()
 
 # value -> member tables for the log parser, and the 11 valid feedbacks by code
 _STATUSES = {status.value: status for status in StepStatus}
@@ -472,10 +457,6 @@ class Trajectory:
     @property
     def finished(self) -> bool:
         return self.terminated_by_end or self.terminated_by_budget
-
-    @property
-    def ended(self) -> bool:
-        return self.terminated_by_end
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from .core import (
     ConfigError,
     ErrorCode,
     Feedback,
-    Inventory,
     InvariantError,
     PlannerOutput,
     PlannerTransportError,
@@ -130,7 +129,7 @@ class EpisodeState:
 
     task_text: str
     scene: Optional[Scene] = None
-    inventory: Inventory = field(default_factory=Inventory)
+    held: Optional[str] = None  # the object in the hand
     steps: list = field(default_factory=list)  # [StepRecord]
 
 
@@ -143,7 +142,7 @@ def assemble_instruction(state: EpisodeState) -> Instruction:
     return Instruction(
         system=DEFAULT_SYSTEM_INFO,
         task=state.task_text,
-        inventory=state.inventory.held if state.inventory.held else "empty",
+        inventory=state.held or "empty",
         history=render_history(steps),
         feedback=render_feedback(feedback),
         observations=render_observations(state.scene),
@@ -258,7 +257,7 @@ def parse_planner_output(raw: str):
 def apply_feedback(state: EpisodeState, step: StepRecord) -> EpisodeState:
     """Fold one executed step into the episode state.
 
-    Inventory follows the action type: a successful Pick fills the hand, a
+    The hand follows the action type: a successful Pick fills it, a
     successful Place empties it, an E2 failure empties it (the executor
     dropped the held object), and everything else leaves it alone. The step
     joins the state's steps; the scene is not touched here.
@@ -266,15 +265,15 @@ def apply_feedback(state: EpisodeState, step: StepRecord) -> EpisodeState:
     if step.feedback.ok:
         action = step.output.subtask.action
         if action is ActionType.PICK:
-            if not state.inventory.empty:
+            if state.held is not None:
                 raise InvariantError(
                     "executor reported a successful Pick while the hand was full"
                 )
-            state.inventory = Inventory(step.output.target)
+            state.held = step.output.target
         elif action is ActionType.PLACE:
-            state.inventory = Inventory()
+            state.held = None
     elif step.feedback.code is ErrorCode.E2:
-        state.inventory = Inventory()
+        state.held = None
 
     state.steps.append(step)
     return state
@@ -343,10 +342,10 @@ def run_episode(
             terminated_by_end = True
         else:
             # the first attempt is unconditional, so feedback is always bound
-            feedback = execute(scene, subtask, state.inventory)
+            feedback = execute(scene, subtask, state.held)
             while feedback.code is ErrorCode.E1 and retries_used + 1 < retries:
                 retries_used += 1
-                feedback = execute(scene, subtask, state.inventory)
+                feedback = execute(scene, subtask, state.held)
 
         apply_feedback(state, StepRecord(output, feedback, retries_used))
         if terminated_by_end:
@@ -463,7 +462,7 @@ def replay_instructions(
     """Reconstruct the instruction that preceded each logged step, exactly
     as the planner saw it, full history included.
 
-    Inventory, feedback, and history fold directly from the log. When a
+    The hand, feedback, and history fold directly from the log. When a
     fresh copy of the task's scene is supplied, the logged mutations replay
     against it and each prompt observes it as it was at that step; without
     one the observations render as a fixed placeholder. Supervised prompts,
@@ -477,15 +476,13 @@ def replay_instructions(
         if step.feedback.ok:
             subtask = step.output.subtask
             if scene is not None and subtask.action is not ActionType.END:
-                sim.replay_step_mutation(
-                    scene, subtask.action, subtask.target, state.inventory.held
-                )
+                sim.replay_step_mutation(scene, subtask.action, subtask.target, state.held)
             # the log is authoritative in replay: a successful Pick overwrites
             # whatever the folded hand state says, even for histories this
             # executor could not have produced
             if subtask.action is ActionType.PICK:
-                state.inventory = Inventory()
+                state.held = None
         elif scene is not None and step.feedback.code is ErrorCode.E2:
-            sim.relocate_lost_object(scene, state.inventory.held)
+            sim.relocate_lost_object(scene, state.held)
         apply_feedback(state, step)
     return instructions

@@ -117,7 +117,7 @@ def episode_result(trajectory: Trajectory, task: Task) -> EpisodeResult:
         run_index=trajectory.run_index,
         tp=tp,
         success=tp == 1,
-        ended=trajectory.ended,
+        ended=trajectory.terminated_by_end,
         replans=count_replans(trajectory),
         length=length,
     )

@@ -31,7 +31,6 @@ from .core import (
     ActionType,
     ErrorCode,
     Feedback,
-    Inventory,
     SchemaError,
     Subtask,
     failure,
@@ -59,6 +58,19 @@ class DistanceBand(Enum):
     TOO_CLOSE = "too_close"
     REACHABLE = "reachable"
     TOO_FAR = "too_far"
+
+
+#: The entity kinds each skill acts on: Go to reaches anything, only an
+#: object is picked, an object is placed onto anything but an object, and
+#: only a container opens or closes. End acts on nothing.
+TARGET_KINDS = {
+    ActionType.GO_TO: (EntityKind.OBJECT, EntityKind.CONTAINER, EntityKind.SPOT),
+    ActionType.PICK: (EntityKind.OBJECT,),
+    ActionType.PLACE: (EntityKind.CONTAINER, EntityKind.SPOT),
+    ActionType.OPEN: (EntityKind.CONTAINER,),
+    ActionType.CLOSE: (EntityKind.CONTAINER,),
+    ActionType.END: (),
+}
 
 
 DIRECTIONS = ("front", "left", "back", "right")
@@ -95,8 +107,8 @@ class AgentPose:
 
 @dataclass
 class Scene:
-    """One episode's world. ``spot_order``, ``directions`` and ``positions``
-    are never mutated; everything else is episode state, so run each episode
+    """One episode's world. ``directions`` and ``positions`` are never
+    mutated; everything else is episode state, so run each episode
     on a ``clone()`` of a template scene rather than on the template itself.
     The values of ``entities`` and ``children`` may be shared with the
     template and its other clones, so a write replaces them. ``segments``
@@ -104,8 +116,7 @@ class Scene:
     from ``load_scene`` holds those of its start view, and clones copy them."""
 
     id: str
-    entities: dict  # normalized name -> Entity (spots included), insertion-ordered
-    spot_order: tuple
+    entities: dict  # normalized name -> Entity (spots first), insertion-ordered
     directions: dict  # spot -> {direction -> tuple of spot names}
     agent: AgentPose
     schedule: dict  # "action_token target" -> list of pending outcome strings
@@ -125,7 +136,6 @@ class Scene:
         return Scene(
             id=self.id,
             entities=dict(self.entities),
-            spot_order=self.spot_order,
             directions=self.directions,
             agent=AgentPose(self.agent.at, dict(self.agent.band_overrides)),
             schedule={key: list(pending) for key, pending in self.schedule.items()},
@@ -395,7 +405,6 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
     scene = Scene(
         id=scene_id,
         entities=entities,
-        spot_order=tuple(spot_order),
         directions=directions,
         agent=agent,
         schedule=schedule,
@@ -543,32 +552,29 @@ def replay_step_mutation(scene: Scene, action: ActionType, target: str,
 
     Logs produced by this executor always satisfy the guards, reproducing
     the live mutations exactly; foreign or hand-crafted logs that do not
-    line up with the scene degrade to no-ops instead of corrupting it. Only
-    objects ever move: a Pick of anything else, or a Place of anything else
-    or onto an object, changes nothing.
+    line up with the scene degrade to no-ops instead of corrupting it. A
+    step applies when its target is of a kind ``TARGET_KINDS`` allows for
+    its action, whether or not the target is interactive, and a Place also
+    needs an object in the hand; so only objects ever move.
     """
     entity = scene.entities.get(target)
-    if entity is None:
+    if entity is None or entity.kind not in TARGET_KINDS[action]:
         return
-    if action in (ActionType.OPEN, ActionType.CLOSE):
-        applies = entity.kind is EntityKind.CONTAINER
-    elif action is ActionType.PICK:
-        applies = entity.kind is EntityKind.OBJECT
-    elif action is ActionType.PLACE:
-        applies = _is_object(scene, held) and entity.kind is not EntityKind.OBJECT
-    else:
-        applies = True
-    if applies:
-        _mutate_success(scene, action, target, held)
+    if action is ActionType.PLACE and not _is_object(scene, held):
+        return
+    _mutate_success(scene, action, target, held)
 
 
-def execute(scene: Scene, subtask: Subtask, inventory: Inventory) -> Feedback:
-    """Run one validated subtask against the scene and return its feedback:
-    ``SUCCESS`` or the failure value of one error code.
+def execute(scene: Scene, subtask: Subtask, held: Optional[str]) -> Feedback:
+    """Run one validated subtask, with ``held`` (or None) in the hand,
+    against the scene and return its feedback: ``SUCCESS`` or the failure
+    value of one error code.
 
-    Checks apply in fixed precedence: F2, L4, L1, L2, L3, D2, D1, then the
-    scheduled/stochastic execution outcome. Navigation skips the hand and
-    distance preconditions entirely, so GoTo can only fail with F2 or E1.
+    Checks apply in fixed precedence: F2, L4 (a target that is not
+    interactive, or of a kind ``TARGET_KINDS`` does not list for the
+    action), L1, L2, L3, D2, D1, then the scheduled/stochastic execution
+    outcome. Navigation skips the L4, hand and distance preconditions
+    entirely, so GoTo can only fail with F2 or E1.
     An E1 here is a single failed attempt; the caller owns the three-attempt
     retry budget. An E2 drops the held object nearby, so the hand is empty
     afterwards. Rendering the post-step observations is the caller's job
@@ -582,20 +588,13 @@ def execute(scene: Scene, subtask: Subtask, inventory: Inventory) -> Feedback:
         return target
 
     if action is not ActionType.GO_TO:
-        if action in (ActionType.OPEN, ActionType.CLOSE):
-            if target.kind is not EntityKind.CONTAINER or not target.interactive:
-                return failure(ErrorCode.L4)
-        elif action is ActionType.PICK:
-            if target.kind is not EntityKind.OBJECT or not target.interactive:
-                return failure(ErrorCode.L4)
-        elif action is ActionType.PLACE:
-            if target.kind is EntityKind.OBJECT or not target.interactive:
-                return failure(ErrorCode.L4)
-
-        if action in (ActionType.PICK, ActionType.OPEN, ActionType.CLOSE) and not inventory.empty:
+        if target.kind not in TARGET_KINDS[action] or not target.interactive:
+            return failure(ErrorCode.L4)
+        if action is ActionType.PLACE:
+            if held is None:
+                return failure(ErrorCode.L2)
+        elif held is not None:
             return failure(ErrorCode.L1)
-        if action is ActionType.PLACE and inventory.empty:
-            return failure(ErrorCode.L2)
         if action is ActionType.PICK and _enclosing_closed_container(scene, target):
             return failure(ErrorCode.L3)
         if (
@@ -615,8 +614,8 @@ def execute(scene: Scene, subtask: Subtask, inventory: Inventory) -> Feedback:
     if drawn == "E1":
         return failure(ErrorCode.E1)
     if drawn == "E2":
-        relocate_lost_object(scene, inventory.held)
+        relocate_lost_object(scene, held)
         return failure(ErrorCode.E2)
 
-    _mutate_success(scene, action, target.name, inventory.held)
+    _mutate_success(scene, action, target.name, held)
     return SUCCESS

@@ -10,21 +10,18 @@ import pytest
 from hypothesis import settings
 
 from homebench.core import (
+    SUCCESS,
     ActionType,
     ErrorCode,
-    Feedback,
     KeypathNode,
     PlannerOutput,
     StepRecord,
-    StepStatus,
     Task,
     TaskAttribute,
     Trajectory,
     failure,
     parse_action,
 )
-
-SUCCESS = Feedback(StepStatus.SUCCESS)
 
 # With CI set (GitHub Actions sets it), property tests search harder; a local
 # run keeps each test's own example count.

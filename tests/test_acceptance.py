@@ -13,7 +13,6 @@ from homebench.cli import EXIT_OK, main
 from homebench.core import (
     ActionType,
     ErrorCode,
-    Inventory,
     ModelChoice,
     Subtask,
     parse_task_file,
@@ -111,11 +110,11 @@ def test_criterion_3_error_taxonomy_suite():
         return load_scene(scene_doc(**kw))
 
     sub = lambda a, t: Subtask(a, t, ModelChoice.M3)
-    empty = Inventory()
-    held = Inventory("apple")
+    empty = None
+    held = "apple"
     fixtures = [
-        # (label, scene, subtask, inventory, code, message)
-        ("L1", scene(), sub(ActionType.PICK, "apple"), Inventory("banana"),
+        # (label, scene, subtask, held, code, message)
+        ("L1", scene(), sub(ActionType.PICK, "apple"), "banana",
          ErrorCode.L1, "the hand is full"),
         ("L2", scene(), sub(ActionType.PLACE, "counter"), empty,
          ErrorCode.L2, "the hand is empty"),
@@ -147,8 +146,8 @@ def test_criterion_3_error_taxonomy_suite():
          ErrorCode.L3, "the container is closed, you should open it first"),
     ]
     assert len(fixtures) == 12
-    for label, sc, subtask, inventory, code, message in fixtures:
-        outcome = execute(sc, subtask, inventory)
+    for label, sc, subtask, hand, code, message in fixtures:
+        outcome = execute(sc, subtask, hand)
         assert outcome.code is code, label
         assert outcome.message == message, label  # byte-exact, zero tolerance
     ok(3, "12 taxonomy fixtures return the expected codes and canonical messages")

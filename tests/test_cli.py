@@ -565,6 +565,32 @@ def test_config_file_infinite_count_names_the_key(tmp_path, capsys):
     assert capsys.readouterr().err == "error: bad value for config key 'budget': inf\n"
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("run", "output", True), ("run", "runs_per_task", True), ("run", "budget", 2.9),
+    ("run", "seed", False), ("run", "jobs", "2"), ("run", "retries", None),
+    ("run", "planner", 5), ("run", "tasks", ["tasks"]), ("run", "scenes", 1),
+    ("evaluate", "logs", 0), ("augment", "seed", False), ("augment", "output", True),
+])
+def test_config_value_of_wrong_json_type_is_named(tmp_path, capsys, monkeypatch,
+                                                 command, key, value):
+    # a path or planner key holds a JSON string, a count or seed a JSON
+    # integer that is no boolean; nothing converts the others
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    (tmp_path / "logs").mkdir()
+    argv = [] if command == "run" or key == "logs" else ["--logs", str(tmp_path / "logs")]
+    if key != "output":
+        argv += ["--out", str(work / "out")]
+    code = main(["--config", str(config), command] + argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err == f"error: bad value for config key {key!r}: {value!r}\n"
+    assert not any(work.iterdir())  # no ./True, no out directory
+
+
 def test_run_transcripts_flag(tmp_path):
     out = tmp_path / "runs"
     assert main(["run", "--runs", "1", "--out", str(out), "--transcripts"]) == EXIT_OK
@@ -649,8 +675,28 @@ def test_keypaths_overlay_not_an_object(tmp_path, capsys, overlay):
      "remote planner timeout must be positive"),
     ({"p": {"endpoint": "http://127.0.0.1:9/v1", "max_retries": float("inf")}},
      "remote profile 'p': bad value for 'max_retries': inf"),
+    ({"p": {"endpoint": "http://127.0.0.1:9/v1", "template": 5}},
+     "remote profile 'p': bad value for 'template': 5"),
+    ({"p": {"endpoint": "http://127.0.0.1:9/v1", "api_key_env": 5}},
+     "remote profile 'p': bad value for 'api_key_env': 5"),
+    ({"p": {"endpoint": "http://127.0.0.1:9/v1", "max_retries": True}},
+     "remote profile 'p': bad value for 'max_retries': True"),
+    ({"p": {"endpoint": "http://127.0.0.1:9/v1", "max_retries": 1.5}},
+     "remote profile 'p': bad value for 'max_retries': 1.5"),
+    ({"p": {"endpoint": "http://127.0.0.1:9/v1", "timeout": False}},
+     "remote profile 'p': bad value for 'timeout': False"),
+    ({"p": {"endpoint": "http://127.0.0.1:9/v1", "temperature": "0"}},
+     "remote profile 'p': bad value for 'temperature': '0'"),
+    ({"p": {"endpoint": "http://127.0.0.1:9/v1", "timeout": 10 ** 400}},
+     f"remote profile 'p': bad value for 'timeout': {10 ** 400}"),
+    ({"p": {"endpoint": 5}}, "remote profile 'p': bad value for 'endpoint': 5"),
+    ({"p": {"endpoint": "http://127.0.0.1:9/v1", "model": None}},
+     "remote profile 'p': bad value for 'model': None"),
+    ({"p": {"model": "m"}}, "remote profile 'p' is missing 'endpoint'"),
 ], ids=["profiles-list", "profile-text", "timeout-text", "retries-list", "timeout-nan",
-        "retries-infinity"])
+        "retries-infinity", "template-number", "key-env-number", "retries-bool",
+        "retries-fraction", "timeout-bool", "temperature-text", "timeout-huge",
+        "endpoint-number", "model-null", "endpoint-missing"])
 @pytest.mark.parametrize("command", ["run", "augment"])
 def test_bad_remote_profile_is_named(tmp_path, capsys, profiles, message, command):
     config = tmp_path / "config.json"
@@ -668,18 +714,23 @@ def test_bad_remote_profile_is_named(tmp_path, capsys, profiles, message, comman
     assert not out.exists()
 
 
-def test_console_planner_refuses_parallel_jobs(tmp_path, capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO(""))  # each episode would End at once
-    out = tmp_path / "runs"
-    code = main(["--jobs", "2", "run", "--planner", "console", "--runs", "1",
-                 "--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == EXIT_CONFIG
-    assert captured.err.startswith("error: --planner console needs --jobs 1, got 2")
-    assert " run 0:" not in captured.out  # no episode started
-    assert not out.exists()
+def test_console_planner_plays_at_any_jobs(tmp_path, capsys, monkeypatch):
+    # a console planner plays on the calling thread, so --jobs 2 is as --jobs 1
+    logs, progress = {}, {}
+    for jobs in ("1", "2"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))  # each episode Ends at once
+        out = tmp_path / jobs
+        assert main(["--seed", "7", "--jobs", jobs, "run", "--planner", "console",
+                     "--runs", "2", "--out", str(out)]) == EXIT_OK
+        # input() writes its "> " prompt to stdout
+        progress[jobs] = [line.removeprefix("> ") for line in capsys.readouterr().out.splitlines()
+                          if line.endswith(("terminated by end", "terminated by budget"))]
+        logs[jobs] = {path.name: path.read_bytes() for path in out.glob("*.json")}
+    expected = [f"  {task} run {run}: 1 steps, terminated by end"
+                for task in BUNDLED_TASKS for run in range(2)]
+    assert progress["1"] == progress["2"] == expected
+    assert len(logs["2"]) == 2 * len(BUNDLED_TASKS)
+    assert logs["1"] == logs["2"]
 
 
 def test_run_with_remote_profile(tmp_path):

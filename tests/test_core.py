@@ -534,8 +534,7 @@ def _oracle_parse_step(doc, pos):
         raise SchemaError(f"{where}.retries_used: expected an integer in 0..2")
 
     try:
-        feedback = Feedback(status, code, CANONICAL_MESSAGES[code] if code else "")
-        return StepRecord(output, feedback, retries)
+        return StepRecord(output, Feedback(code), retries)
     except InvariantError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 

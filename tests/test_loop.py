@@ -1,18 +1,19 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homebench.core import (
+    SUCCESS,
     ActionType,
     ConfigError,
     ErrorCode,
-    Feedback,
-    Inventory,
     InvariantError,
+    ModelChoice,
     PlannerOutput,
     PlannerTransportError,
     StepRecord,
-    StepStatus,
     failure,
     make_end_output,
     serialize_output,
@@ -32,10 +33,11 @@ from homebench.loop import (
     stable_seed,
 )
 from homebench.planners import ScriptedPlanner
-from homebench.sim import load_scene, observe
+from homebench.sim import EntityKind, load_scene, observe
 
-from conftest import make_task, traj
+from conftest import examples, make_task, traj
 from test_sim import scene_doc
+from test_sim_properties import scene_docs
 
 
 def out(action, target, model="RT-1-X", analysis="because"):
@@ -67,7 +69,7 @@ def test_fresh_instruction_placeholders():
 def test_instruction_reflects_pick_and_history():
     state = fresh_state()
     output = out("Pick", "apple")
-    apply_feedback(state, StepRecord(output, Feedback(StepStatus.SUCCESS)))
+    apply_feedback(state, StepRecord(output, SUCCESS))
     text = assemble_instruction(state).text
     assert "Inventory: apple" in text
     assert "1. Pick apple -> success" in text
@@ -107,7 +109,7 @@ def test_feedback_code_embedded_and_recoverable():
 def test_history_analysis_not_replayed():
     state = fresh_state()
     apply_feedback(state, StepRecord(out("Pick", "apple", analysis="SECRET-REASONING"),
-                                     Feedback(StepStatus.SUCCESS)))
+                                     SUCCESS))
     assert "SECRET-REASONING" not in assemble_instruction(state).text
 
 
@@ -211,36 +213,36 @@ def test_validate_missing_target():
 
 def test_apply_pick_sets_inventory():
     state = fresh_state()
-    apply_feedback(state, StepRecord(out("Pick", "apple"), Feedback(StepStatus.SUCCESS)))
-    assert state.inventory == Inventory("apple")
+    apply_feedback(state, StepRecord(out("Pick", "apple"), SUCCESS))
+    assert state.held == "apple"
 
 
 def test_apply_place_clears_inventory():
-    state = fresh_state(inventory=Inventory("apple"))
-    apply_feedback(state, StepRecord(out("Place", "table"), Feedback(StepStatus.SUCCESS)))
-    assert state.inventory == Inventory()
+    state = fresh_state(held="apple")
+    apply_feedback(state, StepRecord(out("Place", "table"), SUCCESS))
+    assert state.held is None
 
 
 def test_apply_e2_adopts_correction():
-    state = fresh_state(inventory=Inventory("apple"))
+    state = fresh_state(held="apple")
     before_obs = observe(state.scene)
     apply_feedback(state, StepRecord(out("Place", "table"), failure(ErrorCode.E2)))
-    assert state.inventory == Inventory()
+    assert state.held is None
     assert observe(state.scene) == before_obs
     assert "the object is missing" in assemble_instruction(state).feedback
 
 
 def test_apply_double_pick_raises():
-    state = fresh_state(inventory=Inventory("banana"))
+    state = fresh_state(held="banana")
     with pytest.raises(InvariantError):
-        apply_feedback(state, StepRecord(out("Pick", "apple"), Feedback(StepStatus.SUCCESS)))
+        apply_feedback(state, StepRecord(out("Pick", "apple"), SUCCESS))
 
 
 def test_apply_failure_leaves_inventory_and_observations():
-    state = fresh_state(inventory=Inventory("apple"))
+    state = fresh_state(held="apple")
     before_obs = observe(state.scene)
     apply_feedback(state, StepRecord(out("dance", "floor", model=""), failure(ErrorCode.F1)))
-    assert state.inventory == Inventory("apple")
+    assert state.held == "apple"
     assert observe(state.scene) == before_obs
     assert len(state.steps) == 1
 
@@ -391,6 +393,76 @@ def test_episode_history_fidelity(overrides):
         trajectory, task, scene=load_scene(scene_doc(**overrides)),
     )
     assert [i.text for i in replayed] == [e["instruction"] for e in transcript]
+
+
+def _reply(action: str, target: str, model: str) -> str:
+    subtask = [action, target] if target else [action]
+    return json.dumps({"analysis": "drawn", "subtask": subtask, "model": model})
+
+
+@st.composite
+def plans(draw, scene):
+    """Random planner replies for ``scene``. Most moves name a skill and a
+    target, often after a Go to it so that the skill can succeed; a carry
+    picks an object up and places it onto anything; an L4 move acts on a
+    target of the wrong kind (a Pick of a container or a spot, a Place onto
+    an object, an Open of an object); a few are End, gibberish, or name an
+    action, target or model outside the lists."""
+    names = list(scene.entities)
+    kinds = {kind: [name for name in names if scene.entities[name].kind is kind]
+             for kind in EntityKind}
+    objects = kinds[EntityKind.OBJECT]
+    l4 = [(action, name) for action, kind in (("Pick", EntityKind.CONTAINER),
+                                              ("Pick", EntityKind.SPOT),
+                                              ("Place", EntityKind.OBJECT),
+                                              ("Open", EntityKind.OBJECT))
+          for name in kinds[kind]]  # never empty: a scene has a spot
+    junk = [plan_entry("End", ""), "gibberish", _reply("Dance", names[0], "M3"),
+            _reply("Pick", "nowhere", "M3"), _reply("Pick", names[0], "Gizmo"),
+            _reply("Open", "", "Octo"), _reply("End", names[0], "M3")]
+    skills = ["Go to", "Pick", "Place", "Open", "Close"]
+    models = [model.label for model in ModelChoice]
+    replies = []
+    for _ in range(draw(st.integers(4, 12))):
+        move = draw(st.sampled_from(["skill", "skill", "carry", "carry", "l4", "junk"]))
+        if move == "junk":
+            replies.append(draw(st.sampled_from(junk)))
+            continue
+        if move == "carry" and objects:
+            thing, onto = draw(st.sampled_from(objects)), draw(st.sampled_from(names))
+            steps = [("Go to", thing), ("Pick", thing), ("Go to", onto), ("Place", onto)]
+        elif move == "l4":
+            steps = [draw(st.sampled_from(l4))]
+        else:
+            target = draw(st.sampled_from(names))
+            steps = [("Go to", target)] if draw(st.booleans()) else []
+            steps.append((draw(st.sampled_from(skills)), target))
+        for action, target in steps:
+            replies.append(_reply(action, target, draw(st.sampled_from(models))))
+    return replies
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(data=st.data())
+def test_replayed_prompts_equal_live_prompts(data):
+    """Random plans on random scenes, with seeded E1 and E2 draws and 1 to
+    3 attempts per step: every prompt replayed from the log is the prompt
+    the planner saw, byte for byte, and the replayed scene ends as the live
+    one."""
+    doc = data.draw(scene_docs())
+    template = load_scene(doc)
+    plan = data.draw(plans(template))
+    task = make_task(task_id="generated", scene="generated")
+    live = template.clone(seed=data.draw(st.integers(0, 2**16)))
+    transcript = []
+    trajectory = run_episode(live, ScriptedPlanner(plan), task,
+                             budget=data.draw(st.integers(1, 50)),
+                             retries=data.draw(st.integers(1, 3)), transcript=transcript)
+    replayed = load_scene(doc)
+    instructions = replay_instructions(trajectory, task, scene=replayed)
+    assert [i.text for i in instructions] == [entry["instruction"] for entry in transcript]
+    assert replayed.entities == live.entities
+    assert observe(replayed) == observe(live)
 
 
 def test_one_observe_per_prompt(monkeypatch):

@@ -4,7 +4,6 @@ from homebench.core import (
     ActionType,
     ErrorCode,
     Feedback,
-    Inventory,
     ModelChoice,
     SchemaError,
     Subtask,
@@ -58,7 +57,7 @@ PLACE = ActionType.PLACE
 OPEN = ActionType.OPEN
 CLOSE = ActionType.CLOSE
 GO_TO = ActionType.GO_TO
-EMPTY = Inventory()
+EMPTY = None  # the empty hand
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +138,14 @@ def test_resolve_normalizes_lookup():
 
 def test_l1_pick_with_full_hand():
     scene = load_scene(scene_doc())
-    outcome = execute(scene, sub(PICK, "apple"), Inventory("banana"))
+    outcome = execute(scene, sub(PICK, "apple"), "banana")
     assert outcome.code is ErrorCode.L1
     assert outcome.message == "the hand is full"
 
 
 def test_l1_open_with_full_hand():
     scene = load_scene(scene_doc())
-    outcome = execute(scene, sub(OPEN, "fridge", ModelChoice.OCTO), Inventory("apple"))
+    outcome = execute(scene, sub(OPEN, "fridge", ModelChoice.OCTO), "apple")
     assert outcome.code is ErrorCode.L1
 
 
@@ -166,7 +165,7 @@ def test_l3_pick_from_closed_container():
 
 def test_l3_place_into_closed_container():
     scene = load_scene(scene_doc())
-    outcome = execute(scene, sub(PLACE, "fridge"), Inventory("apple"))
+    outcome = execute(scene, sub(PLACE, "fridge"), "apple")
     assert outcome.code is ErrorCode.L3
 
 
@@ -224,7 +223,7 @@ def test_e2_place_loses_object():
     scene = load_scene(doc)
     assert execute(scene, sub(PICK, "apple"), EMPTY).ok
     assert scene.entities["apple"].location == "@hand"
-    outcome = execute(scene, sub(PLACE, "counter"), Inventory("apple"))
+    outcome = execute(scene, sub(PLACE, "counter"), "apple")
     assert outcome.code is ErrorCode.E2
     assert outcome == failure(ErrorCode.E2)
     assert scene.entities["apple"].location == "counter"  # fell nearby
@@ -235,21 +234,21 @@ def test_e2_place_loses_object():
 
 def test_precedence_f2_masks_l1():
     scene = load_scene(scene_doc())
-    outcome = execute(scene, sub(PICK, "unicorn"), Inventory("apple"))
+    outcome = execute(scene, sub(PICK, "unicorn"), "apple")
     assert outcome.code is ErrorCode.F2
 
 
 def test_precedence_l1_masks_d1():
     scene = load_scene(scene_doc())
     # drawer is too far AND the hand is full; the logical check wins
-    outcome = execute(scene, sub(CLOSE, "drawer", ModelChoice.OCTO), Inventory("apple"))
+    outcome = execute(scene, sub(CLOSE, "drawer", ModelChoice.OCTO), "apple")
     assert outcome.code is ErrorCode.L1
 
 
 def test_precedence_l3_masks_d2():
     doc = scene_doc(bands={"fridge": "too_close"})
     scene = load_scene(doc)
-    outcome = execute(scene, sub(PLACE, "fridge"), Inventory("apple"))
+    outcome = execute(scene, sub(PLACE, "fridge"), "apple")
     assert outcome.code is ErrorCode.L3
 
 
@@ -260,12 +259,12 @@ def test_precedence_deterministic(rng):
     for _ in range(300):
         action = rng.choice(actions)
         target = rng.choice(targets)
-        inventory = rng.choice([EMPTY, Inventory("apple")])
+        held = rng.choice([EMPTY, "apple"])
         model = ModelChoice.M3
         outcomes = set()
         for _ in range(2):
             scene = load_scene(doc)
-            outcome = execute(scene, Subtask(action, target, model), inventory)
+            outcome = execute(scene, Subtask(action, target, model), held)
             outcomes.add((outcome.status, outcome.code))
         assert len(outcomes) == 1
 
@@ -276,7 +275,7 @@ def test_precedence_deterministic(rng):
 
 def test_goto_never_fails_logical_or_distance():
     scene = load_scene(scene_doc())
-    outcome = execute(scene, sub(GO_TO, "drawer", ModelChoice.NOMAD), Inventory("apple"))
+    outcome = execute(scene, sub(GO_TO, "drawer", ModelChoice.NOMAD), "apple")
     assert outcome.ok
     assert scene.agent.at == "table"
 
@@ -292,8 +291,8 @@ def test_pick_place_move_objects():
     scene = load_scene(scene_doc())
     assert execute(scene, sub(PICK, "apple"), EMPTY).ok
     assert scene.entities["apple"].location == "@hand"
-    assert execute(scene, sub(GO_TO, "table", ModelChoice.NOMAD), Inventory("apple")).ok
-    assert execute(scene, sub(PLACE, "drawer"), Inventory("apple")).ok
+    assert execute(scene, sub(GO_TO, "table", ModelChoice.NOMAD), "apple").ok
+    assert execute(scene, sub(PLACE, "drawer"), "apple").ok
     assert scene.entities["apple"].location == "drawer"
 
 
@@ -315,29 +314,29 @@ def test_seeded_determinism_with_rates():
 
     def run():
         scene = load_scene(doc, seed=99)
-        inventory = EMPTY
+        held = EMPTY
         trace = []
         for action, target in sequence:
-            outcome = execute(scene, Subtask(action, target, ModelChoice.M3), inventory)
+            outcome = execute(scene, Subtask(action, target, ModelChoice.M3), held)
             if outcome.ok and action is PICK:
-                inventory = Inventory(target)
+                held = target
             elif outcome.ok and action is PLACE:
-                inventory = EMPTY
+                held = EMPTY
             elif outcome.code is ErrorCode.E2:
-                inventory = EMPTY
+                held = EMPTY
             trace.append((outcome.status, outcome.code))
         return trace
 
     assert run() == run()
 
 
-def object_locations(scene, inventory):
+def object_locations(scene, held):
     places = {}
     for entity in scene.entities.values():
         if entity.kind is EntityKind.OBJECT:
             places[entity.name] = entity.location
-    if inventory.held:
-        assert places[inventory.held] == "@hand"
+    if held:
+        assert places[held] == "@hand"
     return places
 
 
@@ -348,22 +347,22 @@ def test_conservation_under_random_sequences(rng):
     targets = ["apple", "banana", "fridge", "drawer", "counter", "table", "statue"]
     for trial in range(60):
         scene = load_scene(doc, seed=trial)
-        inventory = EMPTY
+        held = EMPTY
         for _ in range(25):
             action = rng.choice(actions)
             target = rng.choice(targets)
-            outcome = execute(scene, Subtask(action, target, ModelChoice.M3), inventory)
+            outcome = execute(scene, Subtask(action, target, ModelChoice.M3), held)
             assert type(outcome) is Feedback
             if outcome.ok and action is PICK:
-                inventory = Inventory(target)
+                held = target
             elif outcome.ok and action is PLACE:
-                inventory = EMPTY
+                held = EMPTY
             elif outcome.code is ErrorCode.E2:
-                inventory = EMPTY
-            locations = object_locations(scene, inventory)
+                held = EMPTY
+            locations = object_locations(scene, held)
             for name, location in locations.items():
                 if location == "@hand":
-                    assert inventory.held == name
+                    assert held == name
                 else:
                     parent = scene.entities[location]
                     assert parent.kind in (EntityKind.SPOT, EntityKind.CONTAINER)

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homebench import sim
-from homebench.core import ActionType, ErrorCode, Inventory, ModelChoice, SchemaError, Subtask
+from homebench.core import ActionType, ErrorCode, ModelChoice, SchemaError, Subtask
 from homebench.sim import (
     DIRECTIONS,
     DistanceBand,
@@ -66,7 +66,8 @@ def oracle_observe(scene) -> tuple:
 def scene_docs(draw):
     """Random valid scene documents: a few spots with shuffled direction
     tables, open and closed containers nested in earlier containers, objects
-    spread over spots and containers, and distance-band overrides."""
+    spread over spots and containers, some of them not interactive, and
+    distance-band overrides."""
     spots = [f"spot_{i}" for i in range(draw(st.integers(1, 4)))]
     spot_docs = []
     for spot in spots:
@@ -86,6 +87,9 @@ def scene_docs(draw):
     for i in range(draw(st.integers(0, 8))):
         entities.append({"name": f"item_{i}", "kind": "object",
                          "location": draw(st.sampled_from(spots + containers))})
+    for entity in entities:  # a few refuse every skill but Go to
+        if draw(st.integers(0, 4)) == 0:
+            entity["interactive"] = False
     names = spots + [e["name"] for e in entities]
     bands = draw(st.dictionaries(
         st.sampled_from(names), st.sampled_from([b.value for b in DistanceBand]),
@@ -188,16 +192,16 @@ def test_observe_matches_oracle_under_random_subtasks(data):
     targets = list(template.entities) + list(doc["bands"]) * 3 + ["nowhere"]
     subtasks = data.draw(st.lists(
         st.tuples(st.sampled_from(ACTIONS), st.sampled_from(targets)), max_size=25))
-    hands = [Inventory() for _ in scenes]
+    hands = [None] * len(scenes)
     for action, target in subtasks:
         for i, scene in enumerate(scenes):
             outcome = execute(scene, Subtask(action, target, ModelChoice.M3), hands[i])
             if outcome.code is ErrorCode.E2:
-                hands[i] = Inventory()
+                hands[i] = None
             elif outcome.ok and action is ActionType.PICK:
-                hands[i] = Inventory(target)
+                hands[i] = target
             elif outcome.ok and action is ActionType.PLACE:
-                hands[i] = Inventory()
+                hands[i] = None
             assert observe(scene) == oracle_observe(scene)
         assert observe(sibling) == pristine
     assert_unchanged(template, shared, pristine)
@@ -226,15 +230,14 @@ def test_clone_mutations_stay_private():
     assert snapshot(clone) == before and snapshot(sibling) == before
 
     m3 = ModelChoice.M3
-    empty = Inventory()
-    assert execute(clone, Subtask(ActionType.PICK, "apple", m3), empty).code is not None
-    assert execute(clone, Subtask(ActionType.PICK, "apple", m3), empty).ok  # schedule popped
+    assert execute(clone, Subtask(ActionType.PICK, "apple", m3), None).code is not None
+    assert execute(clone, Subtask(ActionType.PICK, "apple", m3), None).ok  # schedule popped
     assert clone.entities["apple"].location == "@hand"
-    assert execute(clone, Subtask(ActionType.OPEN, "fridge", m3), empty).ok
+    assert execute(clone, Subtask(ActionType.OPEN, "fridge", m3), None).ok
     assert clone.entities["fridge"].open_state is OpenState.OPEN
     clone.rng.random()
     clone.rates["e2_place"] = 1.0
-    assert execute(clone, Subtask(ActionType.GO_TO, "drawer", m3), Inventory("apple")).ok
+    assert execute(clone, Subtask(ActionType.GO_TO, "drawer", m3), "apple").ok
     assert clone.agent.at == "table"
     assert clone.agent.band_overrides == {"drawer": DistanceBand.REACHABLE}
     assert snapshot(clone) != before
@@ -242,7 +245,6 @@ def test_clone_mutations_stay_private():
     assert snapshot(template) == before
     assert snapshot(sibling) == before
     assert observe(sibling) == observe(load_scene(scene_doc()))
-    assert template.spot_order is clone.spot_order
     assert template.positions is clone.positions
     assert template.directions is clone.directions
 
@@ -285,16 +287,16 @@ def play(scene) -> list:
     """Initial observations, then every outcome of SEQUENCE (with seeded E1
     and E2 draws) as the executor reports it, each paired with the
     observations after it."""
-    inventory = Inventory()
+    held = None
     outcomes = [observe(scene)]
     for action, target in SEQUENCE:
-        outcome = execute(scene, Subtask(action, target, ModelChoice.M3), inventory)
+        outcome = execute(scene, Subtask(action, target, ModelChoice.M3), held)
         if outcome.code is ErrorCode.E2:
-            inventory = Inventory()
+            held = None
         elif outcome.ok and action is ActionType.PICK:
-            inventory = Inventory(target)
+            held = target
         elif outcome.ok and action is ActionType.PLACE:
-            inventory = Inventory()
+            held = None
         outcomes.append((outcome, observe(scene)))
     return outcomes
 
