@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -302,28 +303,36 @@ class AugmentConfig:
     train_split: Optional[float] = None
 
 
-def _sft_record(sample: ConversationSample) -> dict:
-    return {"prompt": sample.prompt, "response": sample.response}
+class _Escaped(dict):
+    """Text -> its JSON string literal, as ``json.dumps(text, ensure_ascii=False)``
+    writes it. Each distinct text is escaped once, on first lookup."""
+
+    def __missing__(self, text: str) -> str:
+        literal = self[text] = encode_basestring(text)
+        return literal
 
 
-def _dpo_record(pair: PreferencePair) -> dict:
-    return {"prompt": pair.prompt, "chosen": pair.chosen, "rejected": pair.rejected,
-            "source": pair.source.value}
+# the JSON line of a sample and of a pair, as json.dumps(record, ensure_ascii=False)
+# writes the record with these keys in this order, then a newline
+def _sft_line(sample: ConversationSample, escaped: _Escaped) -> str:
+    return f'{{"prompt": {escaped[sample.prompt]}, "response": {escaped[sample.response]}}}\n'
 
 
-_ENCODER = json.JSONEncoder(ensure_ascii=False)
+def _dpo_line(pair: PreferencePair, escaped: _Escaped) -> str:
+    return (f'{{"prompt": {escaped[pair.prompt]}, "chosen": {escaped[pair.chosen]}, '
+            f'"rejected": {escaped[pair.rejected]}, "source": {escaped[pair.source.value]}}}\n')
 
 
-def _jsonl_lines(items: Sequence, record: Callable) -> list:
+def _jsonl_lines(items: Sequence, line: Callable, escaped: _Escaped) -> list:
     """One JSON line per item. An item listed more than once (an unchanged
-    rewrite variant is its original sample) is encoded once."""
+    rewrite variant is its original sample) is laid out once."""
     encoded = {}
     lines = []
     for item in items:
-        line = encoded.get(id(item))
-        if line is None:
-            line = encoded[id(item)] = _ENCODER.encode(record(item)) + "\n"
-        lines.append(line)
+        text = encoded.get(id(item))
+        if text is None:
+            text = encoded[id(item)] = line(item, escaped)
+        lines.append(text)
     return lines
 
 
@@ -428,8 +437,9 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
             "val_tasks": val_ids,
         }
         train_set = set(train_ids)
-    for name, items, record in (("sft", samples, _sft_record), ("dpo", pairs, _dpo_record)):
-        lines = _jsonl_lines(items, record)
+    escaped = _Escaped()  # a prompt is escaped once for both files
+    for name, items, line in (("sft", samples, _sft_line), ("dpo", pairs, _dpo_line)):
+        lines = _jsonl_lines(items, line, escaped)
         _write_jsonl(out_dir / f"{name}.jsonl", lines)
         if split is not None:
             _write_jsonl(out_dir / f"{name}_train.jsonl",

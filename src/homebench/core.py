@@ -12,6 +12,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring
 from typing import Iterable, Optional
 
 
@@ -695,32 +696,53 @@ def parse_trajectory_log(data) -> Trajectory:
     )
 
 
+# a log step's status line, and on a failure its error_code and message
+# lines, by the step's error code
+_LOG_STATUS = {
+    code: f'"status": {encode_basestring(feedback.status.value)}' + (
+        "" if code is None else
+        f',\n      "error_code": {encode_basestring(code.value)}'
+        f',\n      "message": {encode_basestring(feedback.message)}'
+    )
+    for code, feedback in _FEEDBACKS.items()
+}
+
+
 def serialize_trajectory(trajectory: Trajectory) -> str:
-    """Canonical trajectory log document (one trajectory per file)."""
+    """Canonical trajectory log document (one trajectory per file).
+
+    The text equals ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"``
+    for the document with keys ``task_id``, ``run_index``, ``steps`` and
+    ``terminated_by``, each step holding ``index``, ``analysis``, ``action``,
+    ``target``, ``model``, ``status`` (then ``error_code`` and ``message`` on
+    a failure) and ``retries_used``. It is laid out here around the string
+    escaper that ``json.dumps`` uses, because ``json.dumps`` with an indent
+    runs the pure-Python encoder.
+    """
     if not trajectory.finished:
         raise InvariantError("only finished trajectories can be serialized")
-    steps = []
-    for index, step in enumerate(trajectory.steps, 1):
-        doc = {
-            "index": index,
-            "analysis": step.output.analysis,
-            "action": step.output.action,
-            "target": step.output.target,
-            "model": step.output.model,
-            "status": step.feedback.status.value,
-        }
-        if step.feedback.code is not None:
-            doc["error_code"] = step.feedback.code.value
-            doc["message"] = step.feedback.message
-        doc["retries_used"] = step.retries_used
-        steps.append(doc)
-    doc = {
-        "task_id": trajectory.task_id,
-        "run_index": trajectory.run_index,
-        "steps": steps,
-        "terminated_by": "end" if trajectory.terminated_by_end else "budget",
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    steps = ",\n".join(
+        f'    {{\n'
+        f'      "index": {index},\n'
+        f'      "analysis": {encode_basestring(step.output.analysis)},\n'
+        f'      "action": {encode_basestring(step.output.action)},\n'
+        f'      "target": {encode_basestring(step.output.target)},\n'
+        f'      "model": {encode_basestring(step.output.model)},\n'
+        f'      {_LOG_STATUS[step.feedback.code]},\n'
+        f'      "retries_used": {step.retries_used}\n'
+        f'    }}'
+        for index, step in enumerate(trajectory.steps, 1)
+    )
+    steps = f"[\n{steps}\n  ]" if steps else "[]"
+    terminated_by = "end" if trajectory.terminated_by_end else "budget"
+    return (
+        f'{{\n'
+        f'  "task_id": {encode_basestring(trajectory.task_id)},\n'
+        f'  "run_index": {trajectory.run_index},\n'
+        f'  "steps": {steps},\n'
+        f'  "terminated_by": "{terminated_by}"\n'
+        f'}}\n'
+    )
 
 
 # ---------------------------------------------------------------------------

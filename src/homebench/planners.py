@@ -7,7 +7,9 @@ HTTP endpoints.
 from __future__ import annotations
 
 import json
+import math
 import os
+import threading
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -165,6 +167,11 @@ class RemotePlannerConfig:
     def __post_init__(self):
         if not self.timeout > 0:  # NaN too
             raise ConfigError("remote planner timeout must be positive")
+        if self.timeout > threading.TIMEOUT_MAX:  # a socket refuses a longer one
+            raise ConfigError(f"remote planner timeout must be at most "
+                              f"{int(threading.TIMEOUT_MAX)} seconds")
+        if not math.isfinite(self.temperature):  # a JSON request body cannot hold it
+            raise ConfigError("remote planner temperature must be finite")
         if self.max_retries < 0:
             raise ConfigError("remote planner max_retries must be >= 0")
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import tempfile
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import pytest
@@ -14,11 +15,8 @@ import homebench.augment as augment
 from homebench.augment import (
     AugmentConfig,
     PairSource,
-    _dpo_record,
     _is_end_text,
-    _jsonl_lines,
     _pair,
-    _sft_record,
     _write_jsonl,
     build_datasets,
     dpo_action_change,
@@ -679,9 +677,9 @@ def model_change_by_scan(trajectory, prompts):
 
 def build_every_run(trajectories, tasks, config):
     """Reference builder: replays and derives every trajectory on its own,
-    dedups on a sha256 of the U+001F-joined texts and parses the chosen text
-    of every kept pair for the End audit. Writes the same files as
-    ``build_datasets``."""
+    dedups on a sha256 of the U+001F-joined texts, parses the chosen text
+    of every kept pair for the End audit and writes each line with
+    ``json.dumps``. Writes the same files as ``build_datasets``."""
     out_dir = Path(config.out_dir)
     rewriter = config.rewriter if config.rewriter is not None else identity_rewriter
     lexicon = config.lexicon if config.lexicon is not None else load_default_lexicon()
@@ -749,8 +747,13 @@ def build_every_run(trajectories, tasks, config):
             "val_tasks": val_ids,
         }
         train_set = set(train_ids)
-    for name, items, record in (("sft", samples, _sft_record), ("dpo", pairs, _dpo_record)):
-        lines = _jsonl_lines(items, record)
+    records = (
+        ("sft", samples, lambda s: {"prompt": s.prompt, "response": s.response}),
+        ("dpo", pairs, lambda p: {"prompt": p.prompt, "chosen": p.chosen,
+                                  "rejected": p.rejected, "source": p.source.value}),
+    )
+    for name, items, record in records:
+        lines = [json.dumps(record(item), ensure_ascii=False) + "\n" for item in items]
         _write_jsonl(out_dir / f"{name}.jsonl", lines)
         if split is not None:
             _write_jsonl(out_dir / f"{name}_train.jsonl",
@@ -814,7 +817,10 @@ def repeating_corpora(draw):
     trajectories = []
     for t in range(draw(st.integers(1, 3))):
         task_id = f"t{t}"
-        tasks[task_id] = make_task(task_id=task_id, instruction=f"tidy up for {task_id}")
+        # non-ASCII, quoted and control text in every prompt, so the written
+        # lines show how the encoder escapes them
+        tasks[task_id] = make_task(task_id=task_id,
+                                   instruction=f'tidy up the "café" for {task_id}\t\u2028☕')
         for run_index in range(draw(st.integers(1, 6))):
             base = bases[draw(st.integers(0, len(bases) - 1))]
             run = dataclasses.replace(base, task_id=task_id, run_index=run_index)
@@ -842,11 +848,19 @@ def test_shared_repeats_write_the_files_of_every_run_derived(
     )
 
 
-def test_bundled_repeats_replay_once_per_task(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def bundled_corpus(tmp_path_factory):
+    """The logs of 25 seeded runs of every bundled task."""
     from homebench.cli import EXIT_OK, main
 
-    logs = tmp_path / "logs"
+    logs = tmp_path_factory.mktemp("bundled_corpus")
     assert main(["--seed", "7", "run", "--runs", "25", "--out", str(logs)]) == EXIT_OK
+    return logs
+
+
+def test_bundled_repeats_replay_once_per_task(bundled_corpus, tmp_path, monkeypatch):
+    from homebench.cli import EXIT_OK, main
+
     replayed = []
 
     def counting_replay(trajectory, *args):
@@ -854,11 +868,35 @@ def test_bundled_repeats_replay_once_per_task(tmp_path, monkeypatch):
         return replay_instructions(trajectory, *args)
 
     monkeypatch.setattr(augment, "replay_instructions", counting_replay)
-    assert main(["--seed", "7", "augment", "--logs", str(logs),
+    assert main(["--seed", "7", "augment", "--logs", str(bundled_corpus),
                  "--out", str(tmp_path / "ds")]) == EXIT_OK
     manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["trajectories"] == 300
     assert len(replayed) == len(set(replayed)) == 12
+
+
+def test_bundled_datasets_escape_each_distinct_text_once(bundled_corpus, tmp_path, monkeypatch):
+    from homebench.cli import EXIT_OK, main
+
+    escaped = []
+
+    def counting_escape(text):
+        escaped.append(text)
+        return encode_basestring(text)
+
+    monkeypatch.setattr(augment, "encode_basestring", counting_escape)
+    out = tmp_path / "ds"
+    assert main(["--seed", "7", "augment", "--logs", str(bundled_corpus), "--rewrites", "3",
+                 "--out", str(out)]) == EXIT_OK
+    texts = set()
+    lines = 0
+    for name in ("sft.jsonl", "dpo.jsonl"):
+        for line in (out / name).read_text(encoding="utf-8").splitlines():
+            texts.update(json.loads(line).values())
+            lines += 1
+    assert lines > 3 * len(texts)  # prompts repeat across lines and files
+    assert len(escaped) == len(set(escaped))
+    assert set(escaped) == texts
 
 
 def test_remote_style_rewriter_still_asked_for_every_sample(tmp_path):

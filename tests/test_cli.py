@@ -693,10 +693,22 @@ def test_keypaths_overlay_not_an_object(tmp_path, capsys, overlay):
     ({"p": {"endpoint": "http://127.0.0.1:9/v1", "model": None}},
      "remote profile 'p': bad value for 'model': None"),
     ({"p": {"model": "m"}}, "remote profile 'p' is missing 'endpoint'"),
+    ({"p": {"endpoint": "http://127.0.0.1:9/v1", "temperature": float("nan")}},
+     "remote planner temperature must be finite"),
+    ({"p": {"endpoint": "http://127.0.0.1:9/v1", "temperature": float("inf")}},
+     "remote planner temperature must be finite"),
+    ({"p": {"endpoint": "http://127.0.0.1:9/v1", "temperature": float("-inf")}},
+     "remote planner temperature must be finite"),
+    ({"p": {"endpoint": "http://127.0.0.1:9/v1", "timeout": float("inf")}},
+     "remote planner timeout must be at most 9223372036 seconds"),
+    ({"p": {"endpoint": "http://127.0.0.1:9/v1", "timeout": 1e12}},
+     "remote planner timeout must be at most 9223372036 seconds"),
 ], ids=["profiles-list", "profile-text", "timeout-text", "retries-list", "timeout-nan",
         "retries-infinity", "template-number", "key-env-number", "retries-bool",
         "retries-fraction", "timeout-bool", "temperature-text", "timeout-huge",
-        "endpoint-number", "model-null", "endpoint-missing"])
+        "endpoint-number", "model-null", "endpoint-missing", "temperature-nan",
+        "temperature-infinity", "temperature-minus-infinity", "timeout-infinity",
+        "timeout-1e12"])
 @pytest.mark.parametrize("command", ["run", "augment"])
 def test_bad_remote_profile_is_named(tmp_path, capsys, profiles, message, command):
     config = tmp_path / "config.json"

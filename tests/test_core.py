@@ -7,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homebench.cli import main as cli_main
@@ -404,6 +404,86 @@ def test_log_parse_inverts_serialize(rng, run_index):
     assert [s["index"] for s in json.loads(text)["steps"]] == list(
         range(1, len(trajectory.steps) + 1))
     assert parse_trajectory_log(text) == trajectory
+
+
+def serialize_trajectory_by_dumps(trajectory):
+    """Reference log writer: builds the log document and lets ``json.dumps``
+    lay it out."""
+    steps = []
+    for index, step in enumerate(trajectory.steps, 1):
+        doc = {
+            "index": index,
+            "analysis": step.output.analysis,
+            "action": step.output.action,
+            "target": step.output.target,
+            "model": step.output.model,
+            "status": step.feedback.status.value,
+        }
+        if step.feedback.code is not None:
+            doc["error_code"] = step.feedback.code.value
+            doc["message"] = step.feedback.message
+        doc["retries_used"] = step.retries_used
+        steps.append(doc)
+    doc = {
+        "task_id": trajectory.task_id,
+        "run_index": trajectory.run_index,
+        "steps": steps,
+        "terminated_by": "end" if trajectory.terminated_by_end else "budget",
+    }
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+# text that JSON escapes, or writes as is only without ensure_ascii: quote,
+# backslash, control characters, DEL, the line and paragraph separators, a
+# non-BMP character and a lone surrogate
+_AWKWARD_TEXT = st.text(
+    st.characters() | st.sampled_from('"\\\x00\x1f\n\t\x7f\u2028\u2029\U0001F600\ud800é'),
+    max_size=12,
+)
+
+
+@st.composite
+def finished_trajectories(draw):
+    steps = []
+    for _ in range(draw(st.integers(0, 5))):
+        code = draw(st.none() | st.sampled_from(list(ErrorCode)))
+        analysis = draw(_AWKWARD_TEXT)
+        if code is ErrorCode.F1:  # the planner's raw strings, kept as emitted
+            output = PlannerOutput(analysis, draw(_AWKWARD_TEXT), draw(_AWKWARD_TEXT),
+                                   draw(_AWKWARD_TEXT))
+        else:
+            action = draw(st.sampled_from([a for a in ActionType if a is not ActionType.END]))
+            target = normalize_name(draw(_AWKWARD_TEXT)) or "thing"
+            model = draw(st.sampled_from(list(ModelChoice)))
+            output = PlannerOutput(analysis, action.value, target, model.value)
+        feedback = SUCCESS if code is None else failure(code)
+        steps.append(StepRecord(output, feedback, draw(st.integers(0, 2))))
+    budget = draw(st.booleans())
+    if not budget:
+        steps.append(StepRecord(PlannerOutput(draw(_AWKWARD_TEXT), "End", "", "M3"), SUCCESS,
+                                draw(st.integers(0, 2))))
+    return Trajectory(draw(_AWKWARD_TEXT), tuple(steps), terminated_by_end=not budget,
+                      terminated_by_budget=budget,
+                      run_index=draw(st.integers(0, 9) | st.integers(0, 2**80)))
+
+
+def _has_lone_surrogate(text):
+    return any("\ud800" <= char <= "\udfff" for char in text)
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(trajectory=finished_trajectories())
+@example(trajectory=Trajectory("t1", (), terminated_by_end=False, terminated_by_budget=True))
+@example(trajectory=Trajectory("t1", (), terminated_by_end=False, terminated_by_budget=True,
+                               run_index=2**64))
+def test_log_writer_equals_json_dumps(trajectory):
+    text = serialize_trajectory(trajectory)
+    assert text == serialize_trajectory_by_dumps(trajectory)
+    if _has_lone_surrogate(text):  # a log reader names it rather than decoding it
+        with pytest.raises(SchemaError, match="surrogate"):
+            parse_trajectory_log(text)
+    else:
+        assert parse_trajectory_log(text) == trajectory
 
 
 # ---------------------------------------------------------------------------

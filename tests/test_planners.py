@@ -299,6 +299,14 @@ def test_remote_config_validation():
         RemotePlannerConfig(endpoint="x", model="y", timeout=0)
     with pytest.raises(ConfigError):
         RemotePlannerConfig(endpoint="x", model="y", max_retries=-1)
+    # the longest timeout a socket takes is allowed, a longer one is not
+    import socket
+    import threading
+    RemotePlannerConfig(endpoint="x", model="y", timeout=threading.TIMEOUT_MAX)
+    with socket.socket() as sock:
+        sock.settimeout(threading.TIMEOUT_MAX)
+    with pytest.raises(ConfigError):
+        RemotePlannerConfig(endpoint="x", model="y", timeout=threading.TIMEOUT_MAX * 2)
 
 
 def test_rewriter_wraps_transport_error():
