@@ -167,8 +167,9 @@ def identity_rewriter(text: str) -> str:
 
 def _pair(prompts, i, chosen_output, rejected_output, source, task_id):
     """Build a pair anchored at step i, or None when it would violate the
-    chosen != rejected or End-as-rejected rules (e.g. a re-plan whose
-    successor is End, or two byte-identical adjacent outputs)."""
+    chosen != rejected rule or put End on the chosen side (e.g. a re-plan
+    whose successor is End, or two byte-identical adjacent outputs). This
+    is the one place every generator's End rule is decided."""
     if chosen_output.action_type is ActionType.END:
         return None
     chosen = chosen_output.text
@@ -231,7 +232,7 @@ def dpo_action_change(
     steps = trajectory.steps
     pairs = []
     for i, step in enumerate(steps):
-        if not step.feedback.ok or step.output.action_type is ActionType.END:
+        if not step.feedback.ok:
             continue
         candidates = [entry for entry in lexicon if entry != step.output.action]
         if not candidates:
@@ -262,7 +263,7 @@ def dpo_model_change(trajectory: Trajectory, prompts: Sequence[Instruction]) -> 
     steps = trajectory.steps
     pairs = []
     for i, step in enumerate(steps):
-        if not step.feedback.ok or step.output.action_type is ActionType.END:
+        if not step.feedback.ok:
             continue
         swap = _MODEL_SWAPS[step.output.subtask.model]
         if swap is None:

@@ -107,9 +107,14 @@ def _load_task_map(tasks_dir: Path) -> dict:
     if not paths:
         raise ConfigError(f"no task files in {tasks_dir}")
     try:
-        return load_tasks(paths, overlay)
+        tasks = load_tasks(paths, overlay)
     except SchemaError as exc:
         raise ConfigError(f"bad task file in {tasks_dir}: {exc}") from exc
+    for task_id in overlay or ():
+        if task_id not in tasks:
+            raise ConfigError(f"key path file {overlay_path} names task {task_id!r}, "
+                              f"which has no task file")
+    return tasks
 
 
 def _load_scenes(scenes_dir: Path, tasks: dict) -> dict:

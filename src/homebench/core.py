@@ -423,41 +423,35 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """An episode's ordered step records plus how it terminated.
+    """An episode's ordered step records, and whether it finished.
 
-    For a finished trajectory exactly one of the two termination flags is
-    true, and End appears exactly when the planner terminated the episode,
-    as the final step. Both flags false marks an episode that was cut off
-    mid-flight (e.g. planner transport failure).
+    A finished episode terminated either by End, as its final step, or by
+    running out of budget. One that is not finished was cut off mid-flight
+    (e.g. planner transport failure) and holds no End. A terminating End is
+    a *valid, accepted* End emission; End-shaped outputs rejected as F1 (bad
+    model, stray target) do not terminate.
     """
 
     task_id: str
     steps: tuple[StepRecord, ...]
-    terminated_by_end: bool
-    terminated_by_budget: bool
     run_index: int = 0
+    finished: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        if self.terminated_by_end and self.terminated_by_budget:
-            raise InvariantError("trajectory cannot terminate by both end and budget")
-        # A terminating End is a *valid, accepted* End emission; End-shaped
-        # outputs rejected as F1 (bad model, stray target) do not terminate.
-        end_positions = [
-            pos for pos, step in enumerate(self.steps)
-            if step.output.is_end and step.feedback.ok
-        ]
-        if end_positions and end_positions != [len(self.steps) - 1]:
+        if any(step.output.is_end and step.feedback.ok for step in self.steps[:-1]):
             raise InvariantError("End must be the final step and appear at most once")
-        if self.terminated_by_end:
-            if not end_positions:
-                raise InvariantError("terminated_by_end requires a final End step")
-        elif end_positions:
-            raise InvariantError("a trajectory containing End terminates by end")
+        if not self.finished and self.terminated_by_end:
+            raise InvariantError("a cut-off trajectory holds no End")
 
     @property
-    def finished(self) -> bool:
-        return self.terminated_by_end or self.terminated_by_budget
+    def terminated_by_end(self) -> bool:
+        """The planner ended the episode: its last step is a successful End."""
+        return bool(self.steps) and self.steps[-1].feedback.ok and self.steps[-1].output.is_end
+
+    @property
+    def terminated_by_budget(self) -> bool:
+        return self.finished and not self.terminated_by_end
 
 
 @dataclass(frozen=True)
@@ -556,6 +550,9 @@ def parse_task_file(data) -> Task:
 
     task_id = _require_text(doc, "id", "task")
     where = f"task {task_id!r}"
+    # the id names files: a run's logs and a directory's scripted plans
+    if "/" in task_id or "\0" in task_id:
+        raise SchemaError(f"{where}.id: a task id holds no '/' or NUL")
     instruction = _require_text(doc, "instruction", where)
     raw_attrs = _require(doc, "attributes", where)
     if not isinstance(raw_attrs, list) or not raw_attrs:
@@ -656,11 +653,9 @@ def _parse_step(doc, pos: int) -> StepRecord:
     if type(retries) is not int or not 0 <= retries <= 2:
         _require(doc, "retries_used", f"steps[{pos}]")
         raise SchemaError(f"steps[{pos}].retries_used: expected an integer in 0..2")
-
-    try:
-        return StepRecord(output, _FEEDBACKS[code], retries)
-    except InvariantError as exc:
-        raise SchemaError(f"steps[{pos}]: {exc}") from exc
+    # both of StepRecord's rules hold here: retries is in range, and a
+    # success has a valid subtask
+    return StepRecord(output, _FEEDBACKS[code], retries)
 
 
 def parse_trajectory_log(data) -> Trajectory:
@@ -669,7 +664,8 @@ def parse_trajectory_log(data) -> Trajectory:
     Raises SchemaError on malformed documents, including bytes that are not
     UTF-8 and a step whose index is not its 1-based position, and
     InvariantError on structurally impossible trajectories such as an End
-    step followed by more steps.
+    step followed by more steps, or a ``terminated_by`` that is ``end``
+    when the last step is not a successful End, or ``budget`` when it is.
     """
     doc = read_json(data, "trajectory log")
     if not isinstance(doc, dict):
@@ -687,13 +683,13 @@ def parse_trajectory_log(data) -> Trajectory:
     terminated_by = _require_text(doc, "terminated_by", "log")
     if terminated_by not in ("end", "budget"):
         raise SchemaError(f"log.terminated_by: expected 'end' or 'budget', got {terminated_by!r}")
-    return Trajectory(
-        task_id=task_id,
-        steps=tuple(steps),
-        terminated_by_end=terminated_by == "end",
-        terminated_by_budget=terminated_by == "budget",
-        run_index=run_index,
-    )
+    trajectory = Trajectory(task_id, steps, run_index)
+    # the steps decide how the episode ended; the log must agree with them
+    if trajectory.terminated_by_end != (terminated_by == "end"):
+        raise InvariantError("terminated_by_end requires a final End step"
+                             if terminated_by == "end" else
+                             "a trajectory containing End terminates by end")
+    return trajectory
 
 
 # a log step's status line, and on a failure its error_code and message

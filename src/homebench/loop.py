@@ -17,7 +17,6 @@ from importlib import resources
 from typing import Optional, Protocol, Sequence
 
 from .core import (
-    SUCCESS,
     ActionType,
     ConfigError,
     ErrorCode,
@@ -315,16 +314,13 @@ def run_episode(
     if not 1 <= retries <= 3:
         raise ConfigError(f"retries must be between 1 and 3 attempts per step, got {retries}")
     state = EpisodeState(task.instruction, scene)
-    terminated_by_end = False
 
     for _ in range(budget):
         instruction = assemble_instruction(state)
         try:
             raw = planner.next(instruction)
         except PlannerTransportError as exc:
-            exc.trajectory = Trajectory(
-                task.id, tuple(state.steps), False, False, run_index=run_index
-            )
+            exc.trajectory = Trajectory(task.id, state.steps, run_index, finished=False)
             raise
         output = parse_planner_output(raw)
         if isinstance(output, ParseFailure):
@@ -337,9 +333,6 @@ def run_episode(
         retries_used = 0
         if subtask is None:
             feedback = failure(ErrorCode.F1)
-        elif subtask.action is ActionType.END:
-            feedback = SUCCESS
-            terminated_by_end = True
         else:
             # the first attempt is unconditional, so feedback is always bound
             feedback = execute(scene, subtask, state.held)
@@ -348,16 +341,10 @@ def run_episode(
                 feedback = execute(scene, subtask, state.held)
 
         apply_feedback(state, StepRecord(output, feedback, retries_used))
-        if terminated_by_end:
+        if subtask is not None and subtask.action is ActionType.END:
             break
 
-    return Trajectory(
-        task_id=task.id,
-        steps=tuple(state.steps),
-        terminated_by_end=terminated_by_end,
-        terminated_by_budget=not terminated_by_end,
-        run_index=run_index,
-    )
+    return Trajectory(task.id, state.steps, run_index)
 
 
 def stable_seed(*parts) -> int:
@@ -475,7 +462,7 @@ def replay_instructions(
         instructions.append(assemble_instruction(state))
         if step.feedback.ok:
             subtask = step.output.subtask
-            if scene is not None and subtask.action is not ActionType.END:
+            if scene is not None:
                 sim.replay_step_mutation(scene, subtask.action, subtask.target, state.held)
             # the log is authoritative in replay: a successful Pick overwrites
             # whatever the folded hand state says, even for histories this

@@ -108,18 +108,15 @@ class EpisodeResult:
 
 def episode_result(trajectory: Trajectory, task: Task) -> EpisodeResult:
     tp = compute_tp(trajectory, task.keypaths)
-    length = sum(
-        1 for step in trajectory.steps
-        if not (step.output.is_end and step.feedback.ok)
-    )
+    ended = trajectory.terminated_by_end
     return EpisodeResult(
         task_id=trajectory.task_id,
         run_index=trajectory.run_index,
         tp=tp,
         success=tp == 1,
-        ended=trajectory.terminated_by_end,
+        ended=ended,
         replans=count_replans(trajectory),
-        length=length,
+        length=len(trajectory.steps) - ended,
     )
 
 

@@ -79,8 +79,6 @@ def traj(specs, task_id="t1", run_index=0, budget=False):
     return Trajectory(
         task_id=task_id,
         steps=tuple(steps),
-        terminated_by_end=not budget,
-        terminated_by_budget=budget,
         run_index=run_index,
     )
 
@@ -144,8 +142,6 @@ def random_trajectory(rng: random.Random, max_steps=12, task_id="t1", run_index=
     return Trajectory(
         task_id=task_id,
         steps=tuple(steps),
-        terminated_by_end=not budget,
-        terminated_by_budget=budget,
         run_index=run_index,
     )
 

@@ -421,7 +421,7 @@ def test_model_change_skips_sole_category_member():
     from homebench.core import Trajectory
 
     steps = (step(ActionType.PICK, "apple", ok=True, model="M3"),)
-    trajectory = Trajectory("t1", steps, False, True)
+    trajectory = Trajectory("t1", steps)
     assert dpo_model_change(trajectory, replay_instructions(trajectory, TASK)) == []
 
 
@@ -827,7 +827,7 @@ def repeating_corpora(draw):
             if draw(st.booleans()):
                 run = parse_trajectory_log(serialize_trajectory(run))
             if run.terminated_by_budget and draw(st.integers(0, 4)) == 0:
-                run = dataclasses.replace(run, terminated_by_budget=False)
+                run = dataclasses.replace(run, finished=False)
             trajectories.append(run)
             if draw(st.integers(0, 4)) == 0:
                 trajectories.append(run)

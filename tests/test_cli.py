@@ -321,6 +321,25 @@ def test_evaluate_excludes_log_with_non_string_field(tmp_path, capsys):
     assert (report["runs"], report["excluded_logs"]) == (1, 1)
 
 
+def test_evaluate_excludes_log_whose_termination_disagrees_with_its_steps(tmp_path, capsys):
+    write_tasks(tmp_path / "tasks", [make_task(task_id="t1")])
+    write_logs(tmp_path / "logs", [traj([("Pick", "apple", True)], task_id="t1")])
+    for name, budget, terminated_by in (("no_end.json", True, "end"),
+                                        ("ends_in_end.json", False, "budget")):
+        doc = json.loads(serialize_trajectory(
+            traj([("Pick", "apple", True)], task_id="t1", run_index=1, budget=budget)))
+        doc["terminated_by"] = terminated_by
+        (tmp_path / "logs" / name).write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["evaluate", "--logs", str(tmp_path / "logs"),
+                 "--tasks", str(tmp_path / "tasks")]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "warning: excluded 2 corrupt log(s):" in lines
+    assert "  no_end.json: terminated_by_end requires a final End step" in lines
+    assert "  ends_in_end.json: a trajectory containing End terminates by end" in lines
+    report = json.loads((tmp_path / "logs" / "report.json").read_text())
+    assert (report["runs"], report["excluded_logs"]) == (1, 2)
+
+
 def test_evaluate_separate_dirs_comparable(tmp_path, capsys):
     task = make_task(task_id="t1", keypaths=((node("Pick", "apple"),),))
     write_tasks(tmp_path / "tasks", [task])
@@ -635,6 +654,43 @@ def test_keypaths_overlay_file(tmp_path, capsys):
                  "--tasks", str(tmp_path / "tasks")]) == EXIT_OK
     report = json.loads((tmp_path / "logs" / "report.json").read_text())
     assert report["sr"] == 0.0  # the overlay keypath does not match
+
+
+def test_keypaths_overlay_entry_without_task_file_is_named(tmp_path, capsys):
+    write_tasks(tmp_path / "tasks", [make_task(task_id="cup_to_shelf")])
+    overlay = tmp_path / "tasks" / "keypaths.json"
+    overlay.write_text(json.dumps({
+        "cup_to_shelf": [[{"action": "Pick", "target": "cup"}]],
+        "cup_to_shelff": [[{"action": "Pick", "target": "pear"}]],
+    }), encoding="utf-8")
+    write_logs(tmp_path / "logs", [traj([("Pick", "apple", True)], task_id="cup_to_shelf")])
+    code = main(["evaluate", "--logs", str(tmp_path / "logs"),
+                 "--tasks", str(tmp_path / "tasks")])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err == (f"error: key path file {overlay} names task 'cup_to_shelff', "
+                            "which has no task file\n")
+    assert not (tmp_path / "logs" / "report.json").exists()
+
+
+@pytest.mark.parametrize("task_id", ["../escaped", "nul\u0000id"], ids=["slash", "nul"])
+def test_run_task_id_that_names_no_file_is_refused_before_any_episode(tmp_path, capsys,
+                                                                      task_id):
+    tasks = tmp_path / "tasks"
+    write_tasks(tasks, [make_task(task_id="t1")])
+    (tasks / "t2.json").write_text(serialize_task(make_task(task_id=task_id)),
+                                   encoding="utf-8")
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"outputs": []}), encoding="utf-8")
+    out = tmp_path / "sub" / "out"
+    code = main(["run", "--tasks", str(tasks), "--planner", f"scripted:{plan}",
+                 "--runs", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err == (f"error: bad task file in {tasks}: task {task_id!r}.id: "
+                            "a task id holds no '/' or NUL\n")
+    assert captured.out == ""  # no episode played
+    assert not (tmp_path / "sub").exists()
 
 
 def test_keypaths_overlay_invalid_json(tmp_path, capsys):

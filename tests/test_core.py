@@ -201,6 +201,14 @@ def test_parse_task_normalizes_node_targets():
     assert task.keypaths[0][0].target == "kitchen_drawer"
 
 
+@pytest.mark.parametrize("task_id", ["../escaped", "a/b", "/", "nul\u0000id", "\u0000"],
+                         ids=["dot-dot", "inner-slash", "slash", "inner-nul", "nul"])
+def test_parse_task_id_that_names_no_file_is_refused(task_id):
+    with pytest.raises(SchemaError) as raised:
+        parse_task_file(json.dumps(task_doc(id=task_id)))
+    assert str(raised.value) == f"task {task_id!r}.id: a task id holds no '/' or NUL"
+
+
 def test_task_roundtrip_byte_identical():
     text = serialize_task(parse_task_file(json.dumps(task_doc())))
     assert serialize_task(parse_task_file(text)) == text
@@ -260,6 +268,24 @@ def test_parse_log_end_mid_trajectory():
     doc = log_doc()
     doc["steps"][1].update(action="End", target="", model="M3")
     with pytest.raises(InvariantError):
+        parse_trajectory_log(json.dumps(doc))
+
+
+def _end_log_whose_end_failed():
+    doc = log_doc()
+    doc["steps"][-1].update(status="failure", error_code="E1",
+                            message="the subtask is too difficult to perform")
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({**log_doc(terminated_by="budget"), "terminated_by": "end"},
+     "terminated_by_end requires a final End step"),
+    (_end_log_whose_end_failed(), "terminated_by_end requires a final End step"),
+    ({**log_doc(), "terminated_by": "budget"}, "a trajectory containing End terminates by end"),
+], ids=["end-without-end-step", "end-whose-end-failed", "budget-ending-in-end"])
+def test_parse_log_termination_must_agree_with_steps(doc, message):
+    with pytest.raises(InvariantError, match=f"^{message}$"):
         parse_trajectory_log(json.dumps(doc))
 
 
@@ -462,8 +488,7 @@ def finished_trajectories(draw):
     if not budget:
         steps.append(StepRecord(PlannerOutput(draw(_AWKWARD_TEXT), "End", "", "M3"), SUCCESS,
                                 draw(st.integers(0, 2))))
-    return Trajectory(draw(_AWKWARD_TEXT), tuple(steps), terminated_by_end=not budget,
-                      terminated_by_budget=budget,
+    return Trajectory(draw(_AWKWARD_TEXT), tuple(steps),
                       run_index=draw(st.integers(0, 9) | st.integers(0, 2**80)))
 
 
@@ -473,9 +498,8 @@ def _has_lone_surrogate(text):
 
 @settings(max_examples=examples(300), deadline=None)
 @given(trajectory=finished_trajectories())
-@example(trajectory=Trajectory("t1", (), terminated_by_end=False, terminated_by_budget=True))
-@example(trajectory=Trajectory("t1", (), terminated_by_end=False, terminated_by_budget=True,
-                               run_index=2**64))
+@example(trajectory=Trajectory("t1", ()))
+@example(trajectory=Trajectory("t1", (), run_index=2**64))
 def test_log_writer_equals_json_dumps(trajectory):
     text = serialize_trajectory(trajectory)
     assert text == serialize_trajectory_by_dumps(trajectory)
@@ -495,20 +519,20 @@ def test_trajectory_end_must_be_final():
         step(ActionType.END, "", ok=True),
         step(ActionType.PICK, "apple", ok=True),
     )
-    with pytest.raises(InvariantError):
-        Trajectory("t", steps, terminated_by_end=True, terminated_by_budget=False)
+    with pytest.raises(InvariantError, match="End must be the final step"):
+        Trajectory("t", steps)
 
 
-def test_trajectory_flags_exclusive():
-    steps = (step(ActionType.PICK, "apple", ok=True),)
-    with pytest.raises(InvariantError):
-        Trajectory("t", steps, terminated_by_end=True, terminated_by_budget=True)
-
-
-def test_trajectory_end_flag_requires_end_step():
-    steps = (step(ActionType.PICK, "apple", ok=True),)
-    with pytest.raises(InvariantError):
-        Trajectory("t", steps, terminated_by_end=True, terminated_by_budget=False)
+def test_trajectory_termination_is_read_from_its_steps():
+    ended = traj([("Pick", "apple", True)])
+    assert (ended.finished, ended.terminated_by_end, ended.terminated_by_budget) == \
+        (True, True, False)
+    budget = traj([("Pick", "apple", True)], budget=True)
+    assert (budget.terminated_by_end, budget.terminated_by_budget) == (False, True)
+    cut_off = Trajectory("t", budget.steps, finished=False)
+    assert (cut_off.terminated_by_end, cut_off.terminated_by_budget) == (False, False)
+    with pytest.raises(InvariantError, match="a cut-off trajectory holds no End"):
+        Trajectory("t", ended.steps, finished=False)
 
 
 @pytest.mark.parametrize("fields", [
@@ -532,7 +556,7 @@ def test_trajectory_rejected_f1_end_is_not_termination():
         step("End", "kitchen", ok=False, code=ErrorCode.F1),
         step(ActionType.PICK, "apple", ok=True),
     )
-    trajectory = Trajectory("t", steps, terminated_by_end=False, terminated_by_budget=True)
+    trajectory = Trajectory("t", steps)
     assert trajectory.terminated_by_budget
 
 
@@ -634,9 +658,12 @@ def _oracle_parse_log(data):
     terminated_by = _oracle_require_text(doc, "terminated_by", "log")
     if terminated_by not in ("end", "budget"):
         raise SchemaError(f"log.terminated_by: expected 'end' or 'budget', got {terminated_by!r}")
-    return Trajectory(task_id=task_id, steps=tuple(steps),
-                      terminated_by_end=terminated_by == "end",
-                      terminated_by_budget=terminated_by == "budget", run_index=run_index)
+    trajectory = Trajectory(task_id=task_id, steps=tuple(steps), run_index=run_index)
+    if terminated_by == "end" and not trajectory.terminated_by_end:
+        raise InvariantError("terminated_by_end requires a final End step")
+    if terminated_by == "budget" and trajectory.terminated_by_end:
+        raise InvariantError("a trajectory containing End terminates by end")
+    return trajectory
 
 
 def _outcome(parse, data):
@@ -663,8 +690,7 @@ def _valid_logs() -> tuple:
         trajectory = random_trajectory(rng, run_index=run_index)
         steps = [StepRecord(s.output, s.feedback, rng.randrange(3) if not s.feedback.ok else 0)
                  for s in trajectory.steps]
-        trajectory = Trajectory(trajectory.task_id, steps, trajectory.terminated_by_end,
-                                trajectory.terminated_by_budget, run_index)
+        trajectory = Trajectory(trajectory.task_id, steps, run_index)
         failing.append(json.loads(serialize_trajectory(trajectory)))
     return tuple(doc for doc in bundled + failing if doc["steps"])
 

@@ -377,7 +377,7 @@ def test_action_stats_attempts_count_steps_not_retries():
     from conftest import step as make_step
     from homebench.core import Trajectory
     s = make_step("Pick", "a", ok=True, retries=2)
-    trajectory = Trajectory("t1", (s,), False, True)
+    trajectory = Trajectory("t1", (s,))
     stats = per_action_stats([trajectory])
     assert stats[ActionType.PICK].attempts == 1
 

@@ -218,6 +218,24 @@ def test_e1_scheduled_attempts():
     assert third.ok
 
 
+@pytest.mark.parametrize("held", [EMPTY, "apple"])
+def test_end_succeeds_and_leaves_the_scene_alone(held):
+    # the loop sends End through execute like any other subtask
+    doc = scene_doc(failure_rates={"e1_manipulation": 0.5, "e1_navigation": 0.5,
+                                   "e2_place": 0.5},
+                    outcome_schedule={"pick apple": ["E1", "ok"], "place counter": ["E2"]})
+    scene = load_scene(doc, seed=3)
+    rng_state = scene.rng.getstate()
+    schedule = {key: list(outcomes) for key, outcomes in scene.schedule.items()}
+    entities = dict(scene.entities)
+    views = observe(scene)
+    assert execute(scene, Subtask(ActionType.END, "", ModelChoice.M3), held) == Feedback()
+    assert scene.rng.getstate() == rng_state
+    assert scene.schedule == schedule
+    assert scene.entities == entities
+    assert observe(scene) == views
+
+
 def test_e2_place_loses_object():
     doc = scene_doc(outcome_schedule={"place counter": ["E2"]})
     scene = load_scene(doc)
