@@ -49,6 +49,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TRANSPORT = 3
 
+# the longest file name common file systems hold, in bytes
+MAX_FILE_NAME_BYTES = 255
+
 ENV_PREFIX = "HOMEBENCH_"
 
 
@@ -283,6 +286,12 @@ def cmd_run(args, config: dict) -> int:
             raise ConfigError(f"{name} must be at least 1, got {value}")
 
     tasks = _load_task_map(tasks_dir)
+    for task_id in sorted(tasks):  # the longest log name, checked before any episode
+        size = len(f"{task_id}__run{runs - 1}.json".encode("utf-8"))
+        if size > MAX_FILE_NAME_BYTES:
+            raise ConfigError(f"task {task_id!r} is too long for a log file name: "
+                              f"'<id>__run{runs - 1}.json' is {size} UTF-8 bytes, "
+                              f"over {MAX_FILE_NAME_BYTES}")
     scenes = _load_scenes(scenes_dir, tasks)
     factory = _planner_factory(planner_spec, config, tasks)
 

@@ -21,7 +21,6 @@ from .core import (
     ConfigError,
     ErrorCode,
     Feedback,
-    InvariantError,
     PlannerOutput,
     PlannerTransportError,
     StepRecord,
@@ -254,24 +253,26 @@ def parse_planner_output(raw: str):
 
 
 def apply_feedback(state: EpisodeState, step: StepRecord) -> EpisodeState:
-    """Fold one executed step into the episode state.
+    """Fold one step into the episode state, the same way in live play and
+    in log replay.
 
-    The hand follows the action type: a successful Pick fills it, a
-    successful Place empties it, an E2 failure empties it (the executor
-    dropped the held object), and everything else leaves it alone. The step
-    joins the state's steps; the scene is not touched here.
+    When the state has a scene, it changes as ``sim.apply_outcome`` says.
+    The hand follows the action type: a successful Pick puts its target in
+    the hand (the log is authoritative, whatever the hand held), a
+    successful Place empties it, an E2 failure empties it (the held object
+    fell), and everything else leaves it alone. The step joins the state's
+    steps.
     """
-    if step.feedback.ok:
+    feedback = step.feedback
+    if state.scene is not None:
+        sim.apply_outcome(state.scene, step.output.subtask, feedback.code, state.held)
+    if feedback.ok:
         action = step.output.subtask.action
         if action is ActionType.PICK:
-            if state.held is not None:
-                raise InvariantError(
-                    "executor reported a successful Pick while the hand was full"
-                )
             state.held = step.output.target
         elif action is ActionType.PLACE:
             state.held = None
-    elif step.feedback.code is ErrorCode.E2:
+    elif feedback.code is ErrorCode.E2:
         state.held = None
 
     state.steps.append(step)
@@ -302,8 +303,10 @@ def run_episode(
     fail to parse or validate (logged as F1). Executor attempts within a
     step retry only on E1, up to ``retries`` (1..3) attempts total; logical,
     distance, and format failures are deterministic for a given state, so
-    they are final immediately. The observations are rendered from the scene
-    when each prompt is assembled. The episode stops at a valid End or when
+    they are final immediately. ``execute`` decides each attempt, and the
+    step folds into the state, scene included, through ``apply_feedback``,
+    as ``replay_instructions`` folds a logged step. The observations are
+    rendered from the scene when each prompt is assembled. The episode stops at a valid End or when
     the budget runs out. Each answered query is appended to ``transcript``,
     when one is given, as ``{"instruction": <prompt text>, "response": <raw
     output>}``.
@@ -449,27 +452,16 @@ def replay_instructions(
     """Reconstruct the instruction that preceded each logged step, exactly
     as the planner saw it, full history included.
 
-    The hand, feedback, and history fold directly from the log. When a
-    fresh copy of the task's scene is supplied, the logged mutations replay
-    against it and each prompt observes it as it was at that step; without
-    one the observations render as a fixed placeholder. Supervised prompts,
-    whose history leaves out the failed steps, are derived from these by
-    re-rendering only the history field (``augment.sft_convert``).
+    Each logged step folds into the state through ``apply_feedback``, as in
+    ``run_episode``. When a fresh copy of the task's scene is supplied, each
+    prompt observes it as it was at that step; without one the observations
+    render as a fixed placeholder. Supervised prompts, whose history leaves
+    out the failed steps, are derived from these by re-rendering only the
+    history field (``augment.sft_convert``).
     """
     state = EpisodeState(task.instruction, scene)
     instructions = []
     for step in trajectory.steps:
         instructions.append(assemble_instruction(state))
-        if step.feedback.ok:
-            subtask = step.output.subtask
-            if scene is not None:
-                sim.replay_step_mutation(scene, subtask.action, subtask.target, state.held)
-            # the log is authoritative in replay: a successful Pick overwrites
-            # whatever the folded hand state says, even for histories this
-            # executor could not have produced
-            if subtask.action is ActionType.PICK:
-                state.held = None
-        elif scene is not None and step.feedback.code is ErrorCode.E2:
-            sim.relocate_lost_object(scene, state.held)
         apply_feedback(state, step)
     return instructions

@@ -1,6 +1,8 @@
-"""Desk-scale discrete household world: executes the six skills against a
-small entity graph, produces every error code with its canonical message,
-and renders four-direction textual observations.
+"""Desk-scale discrete household world: decides the outcome of each of the
+six skills against a small entity graph (``execute``), with every error code
+and its canonical message, applies an outcome to the world
+(``apply_outcome``, the one way a step changes a scene, in live play and in
+log replay alike), and renders four-direction textual observations.
 
 A Scene is mutable single-episode state. Parse each scene document once
 with ``load_scene``, give each episode its own ``clone()`` of that template,
@@ -11,9 +13,10 @@ first ``observe`` of each clone renders nothing.
 A clone shares the template's ``Entity`` objects and location lists, so a
 write replaces one and never mutates it: ``Scene.move`` (the one way an
 entity's location changes) builds a new ``Entity`` and new location ->
-children lists, and Open and Close build a new ``Entity``. Each write also
-drops the cached observation segments of the spots it touches; a write
-made any other way would leak into other clones or leave a stale segment.
+children lists, and ``apply_outcome`` builds a new ``Entity`` to open or
+close a container. Each write also drops the cached observation segments
+of the spots it touches; a write made any other way would leak into other
+clones or leave a stale segment.
 """
 
 from __future__ import annotations
@@ -210,6 +213,8 @@ _JSON_TYPES = {list: "list", dict: "object", str: "string", bool: "boolean"}
 
 
 _KINDS = {kind.value: kind for kind in EntityKind}
+#: schedule key token -> the action it schedules (End is never drawn)
+_SCHEDULED_ACTIONS = {action.token: action for action, kinds in TARGET_KINDS.items() if kinds}
 _OPEN_STATES = {state.value: state for state in OpenState}
 
 
@@ -362,10 +367,19 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
     schedule = {}
     for key, outcomes in _section(doc, "outcome_schedule", dict).items():
         token, _, target = str(key).partition(" ")
-        if token not in ("go_to", "pick", "place", "open", "close") or not target:
+        action = _SCHEDULED_ACTIONS.get(token)
+        if action is None or not target:
             raise SchemaError(
                 f"outcome_schedule: key {key!r} must look like 'pick apple'"
             )
+        # a key whose subtask ``execute`` never draws for can never fire
+        target = normalize_name(target)
+        entity = entities.get(target)
+        if entity is None:
+            raise SchemaError(f"outcome_schedule: key {key!r}: unknown entity {target!r}")
+        if entity.kind not in TARGET_KINDS[action]:
+            raise SchemaError(f"outcome_schedule: key {key!r}: {action.label} never acts "
+                              f"on {target!r} (kind {entity.kind.value})")
         if not isinstance(outcomes, list):
             raise SchemaError(f"outcome_schedule[{key!r}]: expected a list of outcomes")
         entries = [str(o) for o in outcomes]
@@ -374,7 +388,7 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
                 raise SchemaError(f"outcome_schedule[{key!r}]: unknown outcome {entry!r}")
             if entry == "E2" and token != "place":
                 raise SchemaError(f"outcome_schedule[{key!r}]: E2 applies to place only")
-        schedule[f"{token} {normalize_name(target)}"] = entries
+        schedule[f"{token} {target}"] = entries
 
     rates = dict(DEFAULT_RATES)
     for key, value in _section(doc, "failure_rates", dict).items():
@@ -509,66 +523,59 @@ def _enclosing_closed_container(scene: Scene, entity: Entity) -> bool:
     return False
 
 
-def _mutate_success(scene: Scene, action: ActionType, target: str, held: Optional[str]) -> None:
-    """World mutation for a successful skill; shared by live execution and
-    log replay so both produce identical post-step observations."""
-    if action is ActionType.PICK:
-        scene.move(target, HAND)
-    elif action is ActionType.PLACE:
-        scene.move(held, target)
-    elif action in (ActionType.OPEN, ActionType.CLOSE):
-        entity = scene.entities[target]
-        state = OpenState.OPEN if action is ActionType.OPEN else OpenState.CLOSED
-        scene.entities[target] = Entity(entity.name, entity.kind, entity.location, state,
-                                        entity.interactive)
-        scene.drop_segments(target)
-    elif action is ActionType.GO_TO:
-        agent = scene.agent
-        # the target's spot is the new ``at`` (or the old one, if it is held)
-        scene.drop_segments(agent.at, target, *agent.band_overrides)
-        root = scene.spot_of(target)
-        if root is not None:
-            agent.at = root
-        agent.band_overrides.clear()
-        agent.band_overrides[target] = DistanceBand.REACHABLE
-
-
 def _is_object(scene: Scene, name: Optional[str]) -> bool:
     entity = scene.entities.get(name) if name else None
     return entity is not None and entity.kind is EntityKind.OBJECT
 
 
-def relocate_lost_object(scene: Scene, held: Optional[str]) -> None:
-    """E2 aftermath: the held object lands somewhere unintended nearby (the
-    agent's current spot), leaving the hand empty. Anything but an object
-    stays where it is."""
-    if _is_object(scene, held):
+def apply_outcome(scene: Scene, subtask: Optional[Subtask], code: Optional[ErrorCode],
+                  held: Optional[str]) -> None:
+    """Change the scene as one step's outcome says: the one way a step
+    changes the world, in live play and in log replay alike.
+
+    ``code`` is the step's error code (None on a success; ``subtask`` is
+    None only on an F1 step) and ``held`` what the hand held before it. A
+    success applies when its target is of a kind ``TARGET_KINDS`` lists for
+    its action, whether or not the target is interactive, and a Place also
+    needs an object in the hand. An E2 drops the held object at the agent's
+    spot. Any other outcome changes nothing. Steps ``execute`` decided
+    always meet these guards; a hand-made log that does not fit the scene
+    changes nothing instead of corrupting it, so only objects ever move.
+    """
+    if code is None:
+        action, target = subtask.action, subtask.target
+        entity = scene.entities.get(target)
+        if entity is None or entity.kind not in TARGET_KINDS[action]:
+            return
+        if action is ActionType.PICK:
+            scene.move(target, HAND)
+        elif action is ActionType.PLACE:
+            if _is_object(scene, held):
+                scene.move(held, target)
+        elif action is ActionType.GO_TO:
+            agent = scene.agent
+            # the target's spot is the new ``at`` (or the old one, if it is held)
+            scene.drop_segments(agent.at, target, *agent.band_overrides)
+            root = scene.spot_of(target)
+            if root is not None:
+                agent.at = root
+            agent.band_overrides.clear()
+            agent.band_overrides[target] = DistanceBand.REACHABLE
+        else:  # Open or Close
+            state = OpenState.OPEN if action is ActionType.OPEN else OpenState.CLOSED
+            scene.entities[target] = Entity(entity.name, entity.kind, entity.location, state,
+                                            entity.interactive)
+            scene.drop_segments(target)
+    elif code is ErrorCode.E2 and _is_object(scene, held):
         scene.move(held, scene.agent.at)
 
 
-def replay_step_mutation(scene: Scene, action: ActionType, target: str,
-                         held: Optional[str]) -> None:
-    """Re-apply one logged successful step to a scene copy.
-
-    Logs produced by this executor always satisfy the guards, reproducing
-    the live mutations exactly; foreign or hand-crafted logs that do not
-    line up with the scene degrade to no-ops instead of corrupting it. A
-    step applies when its target is of a kind ``TARGET_KINDS`` allows for
-    its action, whether or not the target is interactive, and a Place also
-    needs an object in the hand; so only objects ever move.
-    """
-    entity = scene.entities.get(target)
-    if entity is None or entity.kind not in TARGET_KINDS[action]:
-        return
-    if action is ActionType.PLACE and not _is_object(scene, held):
-        return
-    _mutate_success(scene, action, target, held)
-
-
 def execute(scene: Scene, subtask: Subtask, held: Optional[str]) -> Feedback:
-    """Run one validated subtask, with ``held`` (or None) in the hand,
+    """Decide one validated subtask, with ``held`` (or None) in the hand,
     against the scene and return its feedback: ``SUCCESS`` or the failure
-    value of one error code.
+    value of one error code. Only the outcome draw changes the scene (a
+    scheduled outcome is used up, or the rng advances); applying the
+    outcome to the world is ``apply_outcome``'s job.
 
     Checks apply in fixed precedence: F2, L4 (a target that is not
     interactive, or of a kind ``TARGET_KINDS`` does not list for the
@@ -576,9 +583,8 @@ def execute(scene: Scene, subtask: Subtask, held: Optional[str]) -> Feedback:
     outcome. Navigation skips the L4, hand and distance preconditions
     entirely, so GoTo can only fail with F2 or E1.
     An E1 here is a single failed attempt; the caller owns the three-attempt
-    retry budget. An E2 drops the held object nearby, so the hand is empty
-    afterwards. Rendering the post-step observations is the caller's job
-    (``observe``).
+    retry budget. An E2 means the held object fell nearby. Rendering the
+    post-step observations is the caller's job (``observe``).
     """
     action = subtask.action
     if action is ActionType.END:
@@ -611,11 +617,4 @@ def execute(scene: Scene, subtask: Subtask, held: Optional[str]) -> Feedback:
             return failure(ErrorCode.D1)
 
     drawn = _outcome_draw(scene, action, target.name)
-    if drawn == "E1":
-        return failure(ErrorCode.E1)
-    if drawn == "E2":
-        relocate_lost_object(scene, held)
-        return failure(ErrorCode.E2)
-
-    _mutate_success(scene, action, target.name, held)
-    return SUCCESS
+    return SUCCESS if drawn == "ok" else failure(ErrorCode(drawn))

@@ -81,6 +81,41 @@ def test_run_bad_scene_named_before_any_episode(tmp_path, capsys):
     assert not out.exists()  # refused runs leave no output directory behind
 
 
+def _run_with_task_id(tmp_path, task_id, runs):
+    """``run`` on two tasks, "short" and ``task_id``, with one bundled plan."""
+    tasks = tmp_path / "tasks"
+    write_tasks(tasks, [make_task(task_id="short"), make_task(task_id=task_id)])
+    plan = resources.files("homebench").joinpath("data/plans/fruit_in_bowl.json")
+    out = tmp_path / "runs"
+    code = main(["run", "--tasks", str(tasks), "--planner", f"scripted:{plan}",
+                 "--runs", str(runs), "--out", str(out)])
+    return code, out
+
+
+@pytest.mark.parametrize("task_id, runs, size", [
+    ("x" * 245, 1, 256),  # x..x__run0.json
+    ("x" * 244, 11, 256),  # x..x__run10.json: the last run's number has two digits
+    ("\u00e9" * 123, 1, 257),  # 123 characters, 246 bytes of UTF-8
+], ids=["ascii", "two-digit-run", "utf-8-bytes"])
+def test_run_refuses_a_task_id_too_long_for_a_log_name(tmp_path, capsys, task_id, runs, size):
+    code, out = _run_with_task_id(tmp_path, task_id, runs)
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert (f"error: task {task_id!r} is too long for a log file name: "
+            f"'<id>__run{runs - 1}.json' is {size} UTF-8 bytes, over 255"
+            in captured.err.splitlines())
+    assert "Traceback" not in captured.err
+    assert " run 0:" not in captured.out  # no episode started
+    assert not out.exists()  # not even the logs of the task sorted first
+
+
+def test_run_writes_a_log_name_of_255_bytes(tmp_path, capsys):
+    code, out = _run_with_task_id(tmp_path, "x" * 244, 10)
+    assert code == EXIT_OK
+    assert (out / ("x" * 244 + "__run9.json")).is_file()
+    assert len(list(out.glob("*__run*.json"))) == 20
+
+
 def _set(path, value):
     """Edit a scene or task document: set the field at ``path`` (keys and indices)."""
     def edit(doc):
@@ -116,10 +151,15 @@ def _set(path, value):
     (_set(["spots", 0, "directions", "front", 0], 1),
      "spots[0].directions.front[0]: expected a JSON string"),
     (_set(["agent_start"], None), "agent_start: expected a JSON string"),
+    (_set(["outcome_schedule"], {"pick unicorn": ["ok"]}),
+     "outcome_schedule: key 'pick unicorn': unknown entity 'unicorn'"),
+    (_set(["outcome_schedule"], {"open apple": ["E1"]}),
+     "outcome_schedule: key 'open apple': Open never acts on 'apple' (kind object)"),
 ], ids=["rate-text", "rate-above-one", "rate-negative", "rates-list", "seed-text",
         "schedule-entry-number", "spots-number", "direction-number", "bands-list",
         "interactive-text", "spot-interactive-text", "name-object", "location-number",
-        "direction-entry-number", "agent-start-null"])
+        "direction-entry-number", "agent-start-null", "schedule-unknown-entity",
+        "schedule-dead-kind"])
 def test_bad_scene_field_is_named(tmp_path, capsys, command, edit, message):
     scenes = tmp_path / "scenes"
     scenes.mkdir()

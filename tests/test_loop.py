@@ -9,7 +9,6 @@ from homebench.core import (
     ActionType,
     ConfigError,
     ErrorCode,
-    InvariantError,
     ModelChoice,
     PlannerOutput,
     PlannerTransportError,
@@ -33,11 +32,11 @@ from homebench.loop import (
     stable_seed,
 )
 from homebench.planners import ScriptedPlanner
-from homebench.sim import EntityKind, load_scene, observe
+from homebench.sim import EntityKind, OpenState, load_scene, observe
 
 from conftest import examples, make_task, traj
 from test_sim import scene_doc
-from test_sim_properties import scene_docs
+from test_sim_properties import oracle_observe, scene_docs
 
 
 def out(action, target, model="RT-1-X", analysis="because"):
@@ -232,10 +231,32 @@ def test_apply_e2_adopts_correction():
     assert "the object is missing" in assemble_instruction(state).feedback
 
 
-def test_apply_double_pick_raises():
+def test_apply_logged_pick_with_full_hand_takes_its_target():
+    # a log is authoritative: a successful Pick puts its target in the hand,
+    # whatever the hand held before
     state = fresh_state(held="banana")
-    with pytest.raises(InvariantError):
-        apply_feedback(state, StepRecord(out("Pick", "apple"), SUCCESS))
+    apply_feedback(state, StepRecord(out("Pick", "apple"), SUCCESS))
+    assert state.held == "apple"
+    assert state.scene.entities["apple"].location == "@hand"
+    task = make_task(task_id="demo")
+    logged = traj([("Pick", "banana", True), ("Pick", "apple", True)], task_id="demo")
+    prompts = replay_instructions(logged, task, scene=load_scene(scene_doc()))
+    assert [p.inventory for p in prompts] == ["empty", "banana", "apple"]
+
+
+def test_apply_feedback_moves_the_scene():
+    # the fold applies each step's outcome to the scene, as live play does
+    state = fresh_state()
+    apply_feedback(state, StepRecord(out("Open", "fridge", model="Octo"), SUCCESS))
+    assert state.scene.entities["fridge"].open_state is OpenState.OPEN
+    apply_feedback(state, StepRecord(out("Pick", "apple"), SUCCESS))
+    assert state.scene.entities["apple"].location == "@hand"
+    apply_feedback(state, StepRecord(out("Go to", "table", model="NoMaD"), SUCCESS))
+    assert state.scene.agent.at == "table"
+    apply_feedback(state, StepRecord(out("Place", "drawer"), failure(ErrorCode.E2)))
+    assert state.held is None
+    assert state.scene.entities["apple"].location == "table"  # fell at the agent's spot
+    assert "apple (reachable)" in assemble_instruction(state).observations
 
 
 def test_apply_failure_leaves_inventory_and_observations():
@@ -541,6 +562,49 @@ def test_replay_moves_only_objects(specs):
     assert ({name: e.location for name, e in scene.entities.items()}
             == {name: e.location for name, e in untouched.entities.items()})
     assert scene.children == untouched.children
+
+
+@st.composite
+def hand_made_logs(draw, scene):
+    """Logs no executor wrote: steps of any skill (or an unknown action) on
+    any target, each with a random outcome a log may hold, ending at End or
+    at the budget."""
+    actions = [action.label for action in ActionType if action is not ActionType.END]
+    targets = list(scene.entities) + ["nowhere"]
+    codes = [None] * 5 + list(ErrorCode)  # successes often, so that they chain
+    specs = []
+    for _ in range(draw(st.integers(0, 20))):
+        action = draw(st.sampled_from(actions + ["Dance"]))
+        code = draw(st.sampled_from(codes))
+        if action == "Dance":  # an output with no subtask can only be F1
+            code = ErrorCode.F1
+        specs.append((action, draw(st.sampled_from(targets)), code is None, code))
+    return traj(specs, task_id="generated", budget=draw(st.booleans()))
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(data=st.data())
+def test_replay_of_hand_made_logs_moves_only_objects(data):
+    """Replaying any log against a random scene never raises; spots and
+    containers stay where they are, ``children`` indexes every entity at
+    its location, and the observations match the brute-force oracle."""
+    doc = data.draw(scene_docs())
+    template = load_scene(doc)
+    logged = data.draw(hand_made_logs(template))
+    task = make_task(task_id="generated", scene="generated")
+    scene = template.clone()
+    prompts = replay_instructions(logged, task, scene=scene)
+    assert len(prompts) == len(logged.steps)
+    for name, entity in template.entities.items():
+        if entity.kind is not EntityKind.OBJECT:
+            assert scene.entities[name].location == entity.location
+    index = {}
+    for name, entity in scene.entities.items():
+        if entity.kind is not EntityKind.SPOT:
+            index.setdefault(entity.location, []).append(name)
+    assert {location: sorted(names) for location, names in scene.children.items() if names} \
+        == {location: sorted(names) for location, names in index.items()}
+    assert observe(scene) == oracle_observe(scene)
 
 
 # ---------------------------------------------------------------------------

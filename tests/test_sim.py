@@ -5,15 +5,19 @@ from homebench.core import (
     ErrorCode,
     Feedback,
     ModelChoice,
+    PlannerOutput,
     SchemaError,
+    StepRecord,
     Subtask,
     failure,
 )
+from homebench.loop import EpisodeState, apply_feedback
 from homebench.sim import (
     DistanceBand,
     DuplicateName,
     EntityKind,
     OpenState,
+    apply_outcome,
     execute,
     load_scene,
     observe,
@@ -60,6 +64,24 @@ GO_TO = ActionType.GO_TO
 EMPTY = None  # the empty hand
 
 
+def act(scene, subtask, held):
+    """Decide one attempt with ``execute`` and apply its outcome to the
+    scene, as an episode does; returns the feedback."""
+    outcome = execute(scene, subtask, held)
+    apply_outcome(scene, subtask, outcome.code, held)
+    return outcome
+
+
+def play_step(state, action, target):
+    """Decide one attempt of ``action`` on ``target`` and fold it into
+    ``state`` as ``run_episode`` does; returns the feedback."""
+    subtask = Subtask(action, target, ModelChoice.M3)
+    feedback = execute(state.scene, subtask, state.held)
+    output = PlannerOutput("", action.label, target, ModelChoice.M3.label)
+    apply_feedback(state, StepRecord(output, feedback))
+    return feedback
+
+
 # ---------------------------------------------------------------------------
 # loading and observation
 
@@ -71,7 +93,7 @@ def test_closed_container_hides_contents():
 
 def test_open_container_lists_contents_nested():
     scene = load_scene(scene_doc())
-    execute(scene, sub(OPEN, "fridge", ModelChoice.OCTO), EMPTY)
+    act(scene, sub(OPEN, "fridge", ModelChoice.OCTO), EMPTY)
     front = observe(scene)[0]
     assert "fridge (open, reachable, contains: banana)" in front
     assert front.count("banana") == 1  # nested under the fridge, not a separate entry
@@ -187,8 +209,8 @@ def test_d1_too_far_then_goto_resolves():
     outcome = execute(scene, sub(OPEN, "drawer", ModelChoice.OCTO), EMPTY)
     assert outcome.code is ErrorCode.D1
     assert outcome.message == "the target is far away"
-    assert execute(scene, sub(GO_TO, "drawer", ModelChoice.NOMAD), EMPTY).ok
-    assert execute(scene, sub(CLOSE, "drawer", ModelChoice.OCTO), EMPTY).ok
+    assert act(scene, sub(GO_TO, "drawer", ModelChoice.NOMAD), EMPTY).ok
+    assert act(scene, sub(CLOSE, "drawer", ModelChoice.OCTO), EMPTY).ok
 
 
 def test_d2_too_close():
@@ -229,7 +251,7 @@ def test_end_succeeds_and_leaves_the_scene_alone(held):
     schedule = {key: list(outcomes) for key, outcomes in scene.schedule.items()}
     entities = dict(scene.entities)
     views = observe(scene)
-    assert execute(scene, Subtask(ActionType.END, "", ModelChoice.M3), held) == Feedback()
+    assert act(scene, Subtask(ActionType.END, "", ModelChoice.M3), held) == Feedback()
     assert scene.rng.getstate() == rng_state
     assert scene.schedule == schedule
     assert scene.entities == entities
@@ -239,9 +261,9 @@ def test_end_succeeds_and_leaves_the_scene_alone(held):
 def test_e2_place_loses_object():
     doc = scene_doc(outcome_schedule={"place counter": ["E2"]})
     scene = load_scene(doc)
-    assert execute(scene, sub(PICK, "apple"), EMPTY).ok
+    assert act(scene, sub(PICK, "apple"), EMPTY).ok
     assert scene.entities["apple"].location == "@hand"
-    outcome = execute(scene, sub(PLACE, "counter"), "apple")
+    outcome = act(scene, sub(PLACE, "counter"), "apple")
     assert outcome.code is ErrorCode.E2
     assert outcome == failure(ErrorCode.E2)
     assert scene.entities["apple"].location == "counter"  # fell nearby
@@ -293,32 +315,32 @@ def test_precedence_deterministic(rng):
 
 def test_goto_never_fails_logical_or_distance():
     scene = load_scene(scene_doc())
-    outcome = execute(scene, sub(GO_TO, "drawer", ModelChoice.NOMAD), "apple")
+    outcome = act(scene, sub(GO_TO, "drawer", ModelChoice.NOMAD), "apple")
     assert outcome.ok
     assert scene.agent.at == "table"
 
 
 def test_goto_object_moves_to_its_spot():
     scene = load_scene(scene_doc())
-    execute(scene, sub(GO_TO, "drawer", ModelChoice.NOMAD), EMPTY)
+    act(scene, sub(GO_TO, "drawer", ModelChoice.NOMAD), EMPTY)
     assert scene.band("drawer") is DistanceBand.REACHABLE
     assert scene.band("fridge") is DistanceBand.TOO_FAR
 
 
 def test_pick_place_move_objects():
     scene = load_scene(scene_doc())
-    assert execute(scene, sub(PICK, "apple"), EMPTY).ok
+    assert act(scene, sub(PICK, "apple"), EMPTY).ok
     assert scene.entities["apple"].location == "@hand"
-    assert execute(scene, sub(GO_TO, "table", ModelChoice.NOMAD), "apple").ok
-    assert execute(scene, sub(PLACE, "drawer"), "apple").ok
+    assert act(scene, sub(GO_TO, "table", ModelChoice.NOMAD), "apple").ok
+    assert act(scene, sub(PLACE, "drawer"), "apple").ok
     assert scene.entities["apple"].location == "drawer"
 
 
 def test_open_close_toggle():
     scene = load_scene(scene_doc())
-    assert execute(scene, sub(OPEN, "fridge", ModelChoice.OCTO), EMPTY).ok
+    assert act(scene, sub(OPEN, "fridge", ModelChoice.OCTO), EMPTY).ok
     assert scene.entities["fridge"].open_state is OpenState.OPEN
-    assert execute(scene, sub(CLOSE, "fridge", ModelChoice.OCTO), EMPTY).ok
+    assert act(scene, sub(CLOSE, "fridge", ModelChoice.OCTO), EMPTY).ok
     assert scene.entities["fridge"].open_state is OpenState.CLOSED
 
 
@@ -331,18 +353,11 @@ def test_seeded_determinism_with_rates():
     ]
 
     def run():
-        scene = load_scene(doc, seed=99)
-        held = EMPTY
+        state = EpisodeState("", load_scene(doc, seed=99))
         trace = []
         for action, target in sequence:
-            outcome = execute(scene, Subtask(action, target, ModelChoice.M3), held)
-            if outcome.ok and action is PICK:
-                held = target
-            elif outcome.ok and action is PLACE:
-                held = EMPTY
-            elif outcome.code is ErrorCode.E2:
-                held = EMPTY
-            trace.append((outcome.status, outcome.code))
+            outcome = play_step(state, action, target)
+            trace.append((outcome.status, outcome.code, observe(state.scene)))
         return trace
 
     assert run() == run()
@@ -364,19 +379,12 @@ def test_conservation_under_random_sequences(rng):
     actions = [PICK, PLACE, OPEN, CLOSE, GO_TO]
     targets = ["apple", "banana", "fridge", "drawer", "counter", "table", "statue"]
     for trial in range(60):
-        scene = load_scene(doc, seed=trial)
-        held = EMPTY
+        state = EpisodeState("", load_scene(doc, seed=trial))
         for _ in range(25):
             action = rng.choice(actions)
             target = rng.choice(targets)
-            outcome = execute(scene, Subtask(action, target, ModelChoice.M3), held)
-            assert type(outcome) is Feedback
-            if outcome.ok and action is PICK:
-                held = target
-            elif outcome.ok and action is PLACE:
-                held = EMPTY
-            elif outcome.code is ErrorCode.E2:
-                held = EMPTY
+            assert type(play_step(state, action, target)) is Feedback
+            scene, held = state.scene, state.held
             locations = object_locations(scene, held)
             for name, location in locations.items():
                 if location == "@hand":
@@ -384,3 +392,27 @@ def test_conservation_under_random_sequences(rng):
                 else:
                     parent = scene.entities[location]
                     assert parent.kind in (EntityKind.SPOT, EntityKind.CONTAINER)
+
+
+def world(scene) -> tuple:
+    """Everything in ``scene`` that a step's outcome may change."""
+    return (dict(scene.entities), scene.agent.at, dict(scene.agent.band_overrides),
+            {location: list(names) for location, names in scene.children.items()},
+            dict(scene.segments))
+
+
+def test_execute_changes_nothing_but_the_draw(rng):
+    # execute only decides; the world changes through apply_outcome alone
+    doc = scene_doc(failure_rates={"e1_manipulation": 0.2, "e1_navigation": 0.1,
+                                   "e2_place": 0.3})
+    actions = [PICK, PLACE, OPEN, CLOSE, GO_TO]
+    targets = ["apple", "banana", "fridge", "drawer", "counter", "table", "statue"]
+    for trial in range(40):
+        state = EpisodeState("", load_scene(doc, seed=trial))
+        for _ in range(20):
+            action, target = rng.choice(actions), rng.choice(targets)
+            before = world(state.scene)
+            outcome = execute(state.scene, Subtask(action, target, ModelChoice.M3), state.held)
+            assert world(state.scene) == before
+            output = PlannerOutput("", action.label, target, ModelChoice.M3.label)
+            apply_feedback(state, StepRecord(output, outcome))

@@ -10,20 +10,19 @@ from hypothesis import strategies as st
 
 from homebench import sim
 from homebench.core import ActionType, ErrorCode, ModelChoice, SchemaError, Subtask
+from homebench.loop import EpisodeState
 from homebench.sim import (
     DIRECTIONS,
     DistanceBand,
     EntityKind,
     OpenState,
-    execute,
+    apply_outcome,
     load_scene,
     observe,
-    relocate_lost_object,
-    replay_step_mutation,
 )
 
 from conftest import examples
-from test_sim import scene_doc
+from test_sim import act, play_step, scene_doc
 
 BUNDLED_SCENES = Path(str(resources.files("homebench").joinpath("data/scenes")))
 
@@ -164,12 +163,12 @@ def test_observe_matches_oracle_under_random_mutations(data):
                   st.sampled_from([None] + objects)),
         max_size=20))
     for action, target, held in steps:
+        # "lost" is a Place that ends in E2: the held object falls
+        code = ErrorCode.E2 if action == "lost" else None
+        subtask = Subtask(ActionType.PLACE if code else action, target, ModelChoice.M3)
         for scene in scenes:
             # only objects are ever held, so a place cannot close a containment cycle
-            if action == "lost":
-                relocate_lost_object(scene, held)
-            else:
-                replay_step_mutation(scene, action, target, held)
+            apply_outcome(scene, subtask, code, held)
             assert observe(scene) == oracle_observe(scene)
         assert observe(sibling) == pristine
     assert_unchanged(template, shared, pristine)
@@ -182,8 +181,9 @@ ACTIONS = [ActionType.GO_TO, ActionType.PICK, ActionType.PLACE, ActionType.OPEN,
 @settings(max_examples=examples(150), deadline=None)
 @given(data=st.data())
 def test_observe_matches_oracle_under_random_subtasks(data):
-    """Subtasks run through ``execute`` as an episode would (seeded E1 and
-    E2 draws, the hand kept in step), on a loaded scene and on clones."""
+    """Subtasks decided by ``execute`` and folded by ``apply_feedback`` as
+    an episode plays them (seeded E1 and E2 draws), on a loaded scene and
+    on clones."""
     doc = data.draw(scene_docs())
     template, scenes, sibling = warm_scenes(doc)
     shared = shared_state(template)
@@ -192,17 +192,11 @@ def test_observe_matches_oracle_under_random_subtasks(data):
     targets = list(template.entities) + list(doc["bands"]) * 3 + ["nowhere"]
     subtasks = data.draw(st.lists(
         st.tuples(st.sampled_from(ACTIONS), st.sampled_from(targets)), max_size=25))
-    hands = [None] * len(scenes)
+    states = [EpisodeState("", scene) for scene in scenes]
     for action, target in subtasks:
-        for i, scene in enumerate(scenes):
-            outcome = execute(scene, Subtask(action, target, ModelChoice.M3), hands[i])
-            if outcome.code is ErrorCode.E2:
-                hands[i] = None
-            elif outcome.ok and action is ActionType.PICK:
-                hands[i] = target
-            elif outcome.ok and action is ActionType.PLACE:
-                hands[i] = None
-            assert observe(scene) == oracle_observe(scene)
+        for state in states:
+            play_step(state, action, target)
+            assert observe(state.scene) == oracle_observe(state.scene)
         assert observe(sibling) == pristine
     assert_unchanged(template, shared, pristine)
 
@@ -230,14 +224,14 @@ def test_clone_mutations_stay_private():
     assert snapshot(clone) == before and snapshot(sibling) == before
 
     m3 = ModelChoice.M3
-    assert execute(clone, Subtask(ActionType.PICK, "apple", m3), None).code is not None
-    assert execute(clone, Subtask(ActionType.PICK, "apple", m3), None).ok  # schedule popped
+    assert act(clone, Subtask(ActionType.PICK, "apple", m3), None).code is not None
+    assert act(clone, Subtask(ActionType.PICK, "apple", m3), None).ok  # schedule popped
     assert clone.entities["apple"].location == "@hand"
-    assert execute(clone, Subtask(ActionType.OPEN, "fridge", m3), None).ok
+    assert act(clone, Subtask(ActionType.OPEN, "fridge", m3), None).ok
     assert clone.entities["fridge"].open_state is OpenState.OPEN
     clone.rng.random()
     clone.rates["e2_place"] = 1.0
-    assert execute(clone, Subtask(ActionType.GO_TO, "drawer", m3), "apple").ok
+    assert act(clone, Subtask(ActionType.GO_TO, "drawer", m3), "apple").ok
     assert clone.agent.at == "table"
     assert clone.agent.band_overrides == {"drawer": DistanceBand.REACHABLE}
     assert snapshot(clone) != before
@@ -286,18 +280,11 @@ SEQUENCE = [
 def play(scene) -> list:
     """Initial observations, then every outcome of SEQUENCE (with seeded E1
     and E2 draws) as the executor reports it, each paired with the
-    observations after it."""
-    held = None
+    observations after it is folded in."""
+    state = EpisodeState("", scene)
     outcomes = [observe(scene)]
     for action, target in SEQUENCE:
-        outcome = execute(scene, Subtask(action, target, ModelChoice.M3), held)
-        if outcome.code is ErrorCode.E2:
-            held = None
-        elif outcome.ok and action is ActionType.PICK:
-            held = target
-        elif outcome.ok and action is ActionType.PLACE:
-            held = None
-        outcomes.append((outcome, observe(scene)))
+        outcomes.append((play_step(state, action, target), observe(scene)))
     return outcomes
 
 
@@ -425,6 +412,12 @@ BAD_VALUE_ERRORS = [
     (("spots", 0, "directions", "front"), [],
      "spot 'counter': direction table must place every spot exactly once"),
     (("agent_start",), "fridge", "agent_start: 'fridge' is not a spot"),
+    (("outcome_schedule", "pick unicorn"), ["ok"],
+     "outcome_schedule: key 'pick unicorn': unknown entity 'unicorn'"),
+    (("outcome_schedule", "open apple"), ["ok"],
+     "outcome_schedule: key 'open apple': Open never acts on 'apple' (kind object)"),
+    (("outcome_schedule", "Place  Banana"), ["E2"],
+     "outcome_schedule: key 'Place  Banana' must look like 'pick apple'"),
 ]
 
 
@@ -518,6 +511,23 @@ TWO_FAULT_ERRORS = [
 def test_load_scene_reports_the_first_of_two_faults(doc, message):
     with pytest.raises(SchemaError) as raised:
         load_scene(doc)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("schedule, message", [
+    ({"open apple": ["ok"], "pick unicorn": ["ok"]},
+     "outcome_schedule: key 'open apple': Open never acts on 'apple' (kind object)"),
+    ({"pick unicorn": ["ok"], "open apple": ["ok"]},
+     "outcome_schedule: key 'pick unicorn': unknown entity 'unicorn'"),
+    ({"pick apple": ["ok"], "close counter": 3},
+     "outcome_schedule: key 'close counter': Close never acts on 'counter' (kind spot)"),
+    ({"go_to nowhere": ["E2"]}, "outcome_schedule: key 'go_to nowhere': unknown entity 'nowhere'"),
+], ids=["kind-then-entity", "entity-then-kind", "key-before-its-outcomes",
+        "key-before-its-entries"])
+def test_dead_schedule_keys_are_reported_in_document_order(schedule, message):
+    # a key that can never fire is refused, and the key is checked before its value
+    with pytest.raises(SchemaError) as raised:
+        load_scene(scene_doc(outcome_schedule=schedule))
     assert str(raised.value) == message
 
 
