@@ -41,6 +41,7 @@ from .planners import (
     RemotePlanner,
     RemotePlannerConfig,
     RemoteRewriter,
+    Transcribed,
     load_scripted_plan,
 )
 from .sim import load_scene
@@ -301,44 +302,43 @@ def cmd_run(args, config: dict) -> int:
     # at a time on this thread at any --jobs
     workers = jobs if planner_spec.partition(":")[0] == "remote" else 1
 
-    def progress(result):
-        if result.error is not None:
-            detail = f"transport error: {result.error}"
+    transcripts = {}  # (task id, run index) -> its episode's transcript
+    if args.transcripts:
+        inner = factory
+
+        def factory(task, run_index):
+            planner = Transcribed(inner(task, run_index))
+            transcripts[task.id, run_index] = planner.transcript
+            return planner
+
+    def progress(t):
+        if t.cut_off is not None:
+            detail = f"transport error: {t.cut_off}"
         else:
-            t = result.trajectory
             detail = (f"{len(t.steps)} steps, "
                       f"terminated by {'end' if t.terminated_by_end else 'budget'}")
-        print(f"  {result.task_id} run {result.run_index}: {detail}")
+        print(f"  {t.task_id} run {t.run_index}: {detail}")
 
-    results = run_benchmark(
+    trajectories = run_benchmark(
         task_list, factory, scenes,
         runs_per_task=runs, budget=budget, retries=retries,
-        seed=seed, jobs=workers, progress=progress, transcripts=args.transcripts,
+        seed=seed, jobs=workers, progress=progress,
     )
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = 0
-    failed = []
-    transcript_dir = out_dir / "transcripts"
-    for result in results:
-        if result.complete:
-            path = out_dir / f"{result.task_id}__run{result.run_index}.json"
-            path.write_text(serialize_trajectory(result.trajectory), encoding="utf-8")
-            written += 1
-            if result.transcript is not None:
-                transcript_dir.mkdir(exist_ok=True)
-                (transcript_dir / path.name).write_text(
-                    json.dumps(result.transcript, indent=2, ensure_ascii=False) + "\n",
-                    encoding="utf-8")
-        else:
-            failed.append(result)
-    summary = f"wrote {written} trajectory log(s) to {out_dir}"
-    if failed:
-        summary += f"; {len(failed)} episode(s) failed transport"
-    print(summary)
-    if results and not written:
-        return EXIT_TRANSPORT
-    return EXIT_OK
+    finished = [t for t in trajectories if t.finished]
+    for t in finished:
+        name = f"{t.task_id}__run{t.run_index}.json"
+        (out_dir / name).write_text(serialize_trajectory(t), encoding="utf-8")
+        if args.transcripts:
+            (out_dir / "transcripts").mkdir(exist_ok=True)
+            (out_dir / "transcripts" / name).write_text(
+                json.dumps(transcripts[t.task_id, t.run_index], indent=2, ensure_ascii=False)
+                + "\n", encoding="utf-8")
+    failed = len(trajectories) - len(finished)
+    print(f"wrote {len(finished)} trajectory log(s) to {out_dir}"
+          + (f"; {failed} episode(s) failed transport" if failed else ""))
+    return EXIT_TRANSPORT if trajectories and not finished else EXIT_OK
 
 
 def cmd_evaluate(args, config: dict) -> int:

@@ -57,15 +57,7 @@ class EmptyLexicon(HomebenchError):
 
 
 class PlannerTransportError(HomebenchError):
-    """The planner endpoint could not be reached or answered garbage.
-
-    When raised from a running episode, ``trajectory`` holds the partial
-    trajectory collected so far.
-    """
-
-    def __init__(self, msg: str, trajectory=None):
-        super().__init__(msg)
-        self.trajectory = trajectory
+    """The planner endpoint could not be reached or answered garbage."""
 
 
 class RewriterTransportError(HomebenchError):
@@ -81,6 +73,12 @@ def _surrogate(text: str) -> Optional[str]:
         except UnicodeEncodeError as exc:
             return text[exc.start]
     return None
+
+
+def escape_surrogates(text: str) -> str:
+    """``text`` with each lone surrogate written as its ``\\udXXX`` escape,
+    so that UTF-8 can encode it; any other text comes back unchanged."""
+    return text.encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 def _lone_surrogate(doc) -> Optional[str]:
@@ -423,19 +421,20 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """An episode's ordered step records, and whether it finished.
+    """The one record of an episode: its ordered step records, and what cut
+    it off, if anything did.
 
     A finished episode terminated either by End, as its final step, or by
-    running out of budget. One that is not finished was cut off mid-flight
-    (e.g. planner transport failure) and holds no End. A terminating End is
-    a *valid, accepted* End emission; End-shaped outputs rejected as F1 (bad
-    model, stray target) do not terminate.
+    running out of budget. ``cut_off`` is the message of the planner
+    transport failure that stopped one mid-flight; it holds no End. A
+    terminating End is a *valid, accepted* End emission; End-shaped outputs
+    rejected as F1 (bad model, stray target) do not terminate.
     """
 
     task_id: str
     steps: tuple[StepRecord, ...]
     run_index: int = 0
-    finished: bool = True
+    cut_off: Optional[str] = None
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
@@ -443,6 +442,10 @@ class Trajectory:
             raise InvariantError("End must be the final step and appear at most once")
         if not self.finished and self.terminated_by_end:
             raise InvariantError("a cut-off trajectory holds no End")
+
+    @property
+    def finished(self) -> bool:
+        return self.cut_off is None
 
     @property
     def terminated_by_end(self) -> bool:

@@ -28,6 +28,7 @@ from .core import (
     Trajectory,
     _decoded_surrogate,
     _surrogate,
+    escape_surrogates,
     failure,
 )
 from . import sim
@@ -295,7 +296,6 @@ def run_episode(
     budget: int = 20,
     retries: int = 3,
     run_index: int = 0,
-    transcript: Optional[list] = None,
 ) -> Trajectory:
     """Drive one episode to termination.
 
@@ -306,13 +306,12 @@ def run_episode(
     they are final immediately. ``execute`` decides each attempt, and the
     step folds into the state, scene included, through ``apply_feedback``,
     as ``replay_instructions`` folds a logged step. The observations are
-    rendered from the scene when each prompt is assembled. The episode stops at a valid End or when
-    the budget runs out. Each answered query is appended to ``transcript``,
-    when one is given, as ``{"instruction": <prompt text>, "response": <raw
-    output>}``.
+    rendered from the scene when each prompt is assembled. The episode stops
+    at a valid End or when the budget runs out.
 
-    If the planner transport fails, the raised error carries the partial
-    trajectory on its ``trajectory`` attribute.
+    If the planner transport fails, the episode stops there: the trajectory
+    returned holds the steps taken so far, and its ``cut_off`` is the
+    error's message.
     """
     if not 1 <= retries <= 3:
         raise ConfigError(f"retries must be between 1 and 3 attempts per step, got {retries}")
@@ -323,15 +322,11 @@ def run_episode(
         try:
             raw = planner.next(instruction)
         except PlannerTransportError as exc:
-            exc.trajectory = Trajectory(task.id, state.steps, run_index, finished=False)
-            raise
+            return Trajectory(task.id, state.steps, run_index, cut_off=str(exc))
         output = parse_planner_output(raw)
         if isinstance(output, ParseFailure):
             # an F1 step logs the raw reply, with any lone surrogate escaped
-            raw = raw.encode("utf-8", "backslashreplace").decode("utf-8")
-            output = PlannerOutput(analysis=raw, action="", target="", model="")
-        if transcript is not None:
-            transcript.append({"instruction": instruction.text, "response": raw})
+            output = PlannerOutput(escape_surrogates(raw), "", "", "")
         subtask = output.subtask
         retries_used = 0
         if subtask is None:
@@ -357,23 +352,6 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-@dataclass
-class RunResult:
-    """One benchmark episode: its trajectory (possibly partial), the
-    transport error that interrupted it, if any, and its transcript when
-    one was recorded."""
-
-    task_id: str
-    run_index: int
-    trajectory: Optional[Trajectory]
-    error: Optional[str] = None
-    transcript: Optional[list] = None
-
-    @property
-    def complete(self) -> bool:
-        return self.error is None and self.trajectory is not None
-
-
 def run_benchmark(
     tasks: Sequence[Task],
     planner_factory,
@@ -384,19 +362,17 @@ def run_benchmark(
     seed: Optional[int] = None,
     jobs: int = 1,
     progress=None,
-    transcripts: bool = False,
 ) -> list:
     """Run every task ``runs_per_task`` times, each episode against a fresh
-    scene and fresh state.
+    scene and fresh state, and return their trajectories.
 
     ``scenes`` maps each task's scene reference to a template Scene; every
     episode plays on its own clone of it. ``planner_factory(task,
     run_index)`` must hand back a planner that is private to that episode.
-    Transport failures are recorded on their RunResult and the benchmark
-    continues. With ``transcripts`` on, each RunResult carries its episode's
-    transcript. Results come back in stable (task order, run index) order
-    regardless of ``jobs``, and ``progress(result)`` is called with each one
-    in that order, on the calling thread.
+    A transport failure cuts off only its own episode (``cut_off``), and
+    the benchmark continues. Trajectories come back in stable (task order,
+    run index) order regardless of ``jobs``, and ``progress(trajectory)``
+    is called with each one in that order, on the calling thread.
     """
     specs = [
         (task, run_index)
@@ -408,23 +384,15 @@ def run_benchmark(
         task, run_index = spec
         scene_seed = None if seed is None else stable_seed(seed, task.id, run_index)
         scene = scenes[task.scene_ref].clone(seed=scene_seed)
-        planner = planner_factory(task, run_index)
-        transcript = [] if transcripts else None
-        try:
-            trajectory = run_episode(
-                scene, planner, task, budget=budget, retries=retries,
-                run_index=run_index, transcript=transcript,
-            )
-            return RunResult(task.id, run_index, trajectory, transcript=transcript)
-        except PlannerTransportError as exc:
-            return RunResult(task.id, run_index, exc.trajectory, str(exc), transcript)
+        return run_episode(scene, planner_factory(task, run_index), task, budget=budget,
+                           retries=retries, run_index=run_index)
 
-    results = []
-    for result in _map(one, specs, jobs):
+    trajectories = []
+    for trajectory in _map(one, specs, jobs):
         if progress is not None:
-            progress(result)
-        results.append(result)
-    return results
+            progress(trajectory)
+        trajectories.append(trajectory)
+    return trajectories
 
 
 def _map(fn, items, jobs: int):

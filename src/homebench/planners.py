@@ -1,7 +1,7 @@
 """Interchangeable planners behind the episode loop's ``next(instruction)``
 interface: a deterministic scripted planner for tests and bundled demos, an
 interactive console planner, and a client for chat-completions-compatible
-HTTP endpoints.
+HTTP endpoints; and ``Transcribed``, which records any planner's queries.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .core import (
     RewriterTransportError,
     SchemaError,
     _surrogate,
+    escape_surrogates,
     make_end_output,
     read_json,
     serialize_output,
@@ -144,6 +145,27 @@ class ConsolePlanner:
         if line.strip().lower() == "end":
             return serialize_output(make_end_output("Operator ended the task."))
         return line
+
+
+# ---------------------------------------------------------------------------
+# transcripts
+
+
+class Transcribed:
+    """Wraps a planner and records each answered query on ``transcript``
+    as ``{"instruction": <prompt text>, "response": <reply>}``, the reply
+    escaped as an F1 step logs it. The reply goes back unchanged; a query
+    that raises is not recorded."""
+
+    def __init__(self, planner):
+        self.planner = planner
+        self.transcript = []
+
+    def next(self, instruction: Instruction) -> str:
+        raw = self.planner.next(instruction)
+        self.transcript.append({"instruction": instruction.text,
+                                "response": escape_surrogates(raw)})
+        return raw
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,9 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
         if entity.kind not in TARGET_KINDS[action]:
             raise SchemaError(f"outcome_schedule: key {key!r}: {action.label} never acts "
                               f"on {target!r} (kind {entity.kind.value})")
+        if action is not ActionType.GO_TO and not entity.interactive:
+            raise SchemaError(f"outcome_schedule: key {key!r}: {action.label} never acts "
+                              f"on {target!r} (not interactive)")
         if not isinstance(outcomes, list):
             raise SchemaError(f"outcome_schedule[{key!r}]: expected a list of outcomes")
         entries = [str(o) for o in outcomes]

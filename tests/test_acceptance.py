@@ -191,17 +191,17 @@ def test_criterion_5_budget_and_averaging(tmp_path, capsys):
         def next(self, instruction):
             return "No structured output from me."
 
-    results = run_benchmark(tasks, lambda t, r: Refuser(), docs, runs_per_task=3)
-    assert len(results) == 6  # 3 runs per task
-    for result in results:
-        assert len(result.trajectory.steps) == 20  # exactly the budget
-        assert result.trajectory.terminated_by_budget
+    trajectories = run_benchmark(tasks, lambda t, r: Refuser(), docs, runs_per_task=3)
+    assert len(trajectories) == 6  # 3 runs per task
+    for trajectory in trajectories:
+        assert len(trajectory.steps) == 20  # exactly the budget
+        assert trajectory.terminated_by_budget
 
     logs = tmp_path / "logs"
     logs.mkdir()
-    for result in results:
-        (logs / f"{result.task_id}__run{result.run_index}.json").write_text(
-            serialize_trajectory(result.trajectory), encoding="utf-8")
+    for trajectory in trajectories:
+        (logs / f"{trajectory.task_id}__run{trajectory.run_index}.json").write_text(
+            serialize_trajectory(trajectory), encoding="utf-8")
     tasks_dir = tmp_path / "tasks"
     tasks_dir.mkdir()
     from homebench.core import serialize_task

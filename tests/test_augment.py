@@ -53,7 +53,7 @@ from homebench.loop import (
     run_episode,
     stable_seed,
 )
-from homebench.planners import ScriptedPlanner
+from homebench.planners import ScriptedPlanner, Transcribed
 from homebench.sim import load_scene
 
 from conftest import examples, make_task, node, random_trajectory, traj
@@ -104,12 +104,12 @@ def test_sft_prompt_matches_live_rendering():
         plan_entry("Pick", "banana"),
         plan_entry("End", ""),
     ])
-    transcript = []
-    trajectory = run_episode(load_scene(scene_doc()), planner, task, transcript=transcript)
+    planner = Transcribed(planner)
+    trajectory = run_episode(load_scene(scene_doc()), planner, task)
     prompts = replay_instructions(trajectory, task, load_scene(scene_doc()))
     samples = sft_convert(trajectory, prompts)
-    assert [s.prompt for s in samples] == [e["instruction"] for e in transcript]
-    assert [s.response for s in samples] == [e["response"] for e in transcript]
+    assert [s.prompt for s in samples] == [e["instruction"] for e in planner.transcript]
+    assert [s.response for s in samples] == [e["response"] for e in planner.transcript]
 
 
 def test_sft_history_scrubbed_but_feedback_kept():
@@ -827,7 +827,7 @@ def repeating_corpora(draw):
             if draw(st.booleans()):
                 run = parse_trajectory_log(serialize_trajectory(run))
             if run.terminated_by_budget and draw(st.integers(0, 4)) == 0:
-                run = dataclasses.replace(run, finished=False)
+                run = dataclasses.replace(run, cut_off="endpoint down")
             trajectories.append(run)
             if draw(st.integers(0, 4)) == 0:
                 trajectories.append(run)

@@ -9,6 +9,7 @@ import shutil
 import sys
 import tempfile
 import threading
+from http.server import HTTPServer, ThreadingHTTPServer
 from importlib import resources
 from pathlib import Path
 
@@ -19,7 +20,9 @@ from hypothesis import strategies as st
 from homebench.cli import EXIT_CONFIG, EXIT_OK, EXIT_TRANSPORT, build_parser, main
 from homebench.core import ErrorCode, parse_trajectory_log, serialize_task, serialize_trajectory
 
+from chat_stub import PlanStub, serving
 from conftest import make_task, node, traj
+from test_planners import StubHandler, completion
 
 
 def write_logs(path: Path, trajectories):
@@ -33,6 +36,21 @@ def write_tasks(path: Path, tasks):
     path.mkdir(parents=True, exist_ok=True)
     for task in tasks:
         (path / f"{task.id}.json").write_text(serialize_task(task), encoding="utf-8")
+
+
+@pytest.fixture
+def remote_config(tmp_path):
+    """``remote_config(handler, server_class, **profile)`` serves ``handler``
+    on a localhost chat server until the test ends, and returns the path of
+    a config file whose profile ``stub`` points at it."""
+    with contextlib.ExitStack() as servers:
+        def start(handler, server_class=HTTPServer, **profile):
+            endpoint = servers.enter_context(serving(handler, server_class))
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"profiles": {"stub": dict(endpoint=endpoint, **profile)}}),
+                            encoding="utf-8")
+            return str(path)
+        yield start
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +144,13 @@ def _set(path, value):
     return edit
 
 
+def _both(*edits):
+    def edit(doc):
+        for one in edits:
+            one(doc)
+    return edit
+
+
 @pytest.mark.parametrize("command", ["run", "augment"])
 @pytest.mark.parametrize("edit, message", [
     (_set(["failure_rates"], {"e1_manipulation": "abc"}),
@@ -155,11 +180,14 @@ def _set(path, value):
      "outcome_schedule: key 'pick unicorn': unknown entity 'unicorn'"),
     (_set(["outcome_schedule"], {"open apple": ["E1"]}),
      "outcome_schedule: key 'open apple': Open never acts on 'apple' (kind object)"),
+    (_both(_set(["entities", 0, "interactive"], False),
+           _set(["outcome_schedule"], {"open fridge": ["E1"]})),
+     "outcome_schedule: key 'open fridge': Open never acts on 'fridge' (not interactive)"),
 ], ids=["rate-text", "rate-above-one", "rate-negative", "rates-list", "seed-text",
         "schedule-entry-number", "spots-number", "direction-number", "bands-list",
         "interactive-text", "spot-interactive-text", "name-object", "location-number",
         "direction-entry-number", "agent-start-null", "schedule-unknown-entity",
-        "schedule-dead-kind"])
+        "schedule-dead-kind", "schedule-not-interactive"])
 def test_bad_scene_field_is_named(tmp_path, capsys, command, edit, message):
     scenes = tmp_path / "scenes"
     scenes.mkdir()
@@ -258,6 +286,31 @@ def test_run_bad_task_field_type_is_named(tmp_path, capsys, path, value, where):
     assert (f"error: bad task file in {tasks}: {where}: expected a JSON string"
             in err.splitlines())
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["--tasks", "{tmp}/empty"], {}, "no task files in {tmp}/empty"),
+    (["--scenes", "{tmp}/empty"], {}, "no scene files in {tmp}/empty"),
+    (["--tasks", "{tmp}/tasks"], {}, "bad task file in {tmp}/tasks: duplicate task id 't1'"),
+    (["--planner", "scripted:{tmp}/nowhere"], {},
+     "scripted plan path not found: {tmp}/nowhere"),
+    ([], {"HOMEBENCH_RUNS": "three"}, "bad value for HOMEBENCH_RUNS: 'three'"),
+], ids=["no-task-files", "no-scene-files", "duplicate-task-id", "missing-plan-path",
+        "runs-env-text"])
+def test_run_bad_input_is_named(tmp_path, capsys, monkeypatch, argv, env, message):
+    (tmp_path / "empty").mkdir()
+    write_tasks(tmp_path / "tasks", [make_task(task_id="t1")])
+    (tmp_path / "tasks" / "t2.json").write_text(serialize_task(make_task(task_id="t1")),
+                                                encoding="utf-8")
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    out = tmp_path / "out"
+    code = main(["run"] + [arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err == f"error: {message.format(tmp=tmp_path)}\n"
+    assert captured.out == ""  # no episode started
     assert not out.exists()
 
 
@@ -536,8 +589,10 @@ def test_augment_bad_lexicon_is_config_error(tmp_path, capsys, lexicon):
     (["--train-split", "1.5"], "--train-split must be between 0 and 1"),
     (["--train-split", "-0.1"], "--train-split must be between 0 and 1"),
     (["--train-split", "nan"], "--train-split must be between 0 and 1"),
+    (["--lexicon", "nowhere"], "lexicon file not found: "),
+    (["--rewriter", "psychic"], "unknown rewriter spec 'psychic'"),
 ], ids=["missing-scenes", "negative-rewrites", "split-above-one", "negative-split",
-        "nan-split"])
+        "nan-split", "missing-lexicon", "unknown-rewriter"])
 def test_augment_refuses_bad_options(tmp_path, capsys, argv, message):
     augment_fixture(tmp_path)
     out = tmp_path / "ds"
@@ -799,12 +854,13 @@ def test_keypaths_overlay_not_an_object(tmp_path, capsys, overlay):
      "remote planner timeout must be at most 9223372036 seconds"),
     ({"p": {"endpoint": "http://127.0.0.1:9/v1", "timeout": 1e12}},
      "remote planner timeout must be at most 9223372036 seconds"),
+    ({"q": {"endpoint": "http://127.0.0.1:9/v1"}}, "remote profile 'p' not found in config file"),
 ], ids=["profiles-list", "profile-text", "timeout-text", "retries-list", "timeout-nan",
         "retries-infinity", "template-number", "key-env-number", "retries-bool",
         "retries-fraction", "timeout-bool", "temperature-text", "timeout-huge",
         "endpoint-number", "model-null", "endpoint-missing", "temperature-nan",
         "temperature-infinity", "temperature-minus-infinity", "timeout-infinity",
-        "timeout-1e12"])
+        "timeout-1e12", "profile-unknown"])
 @pytest.mark.parametrize("command", ["run", "augment"])
 def test_bad_remote_profile_is_named(tmp_path, capsys, profiles, message, command):
     config = tmp_path / "config.json"
@@ -841,29 +897,14 @@ def test_console_planner_plays_at_any_jobs(tmp_path, capsys, monkeypatch):
     assert logs["1"] == logs["2"]
 
 
-def test_run_with_remote_profile(tmp_path):
-    from test_planners import StubHandler
-    from http.server import HTTPServer
-    import threading
-
-    server = HTTPServer(("127.0.0.1", 0), StubHandler)
-    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
-                     daemon=True).start()
+def test_run_with_remote_profile(tmp_path, remote_config):
     StubHandler.script = []
     StubHandler.requests_seen = []
-    endpoint = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({
-        "profiles": {"stub": {"endpoint": endpoint, "model": "stub", "timeout": 5}},
-    }), encoding="utf-8")
+    config = remote_config(StubHandler, model="stub", timeout=5)
     out = tmp_path / "runs"
-    try:
-        # the stub always answers an unparseable completion: every step is F1
-        code = main(["--config", str(config_path), "run", "--planner", "remote:stub",
-                     "--runs", "1", "--budget", "2", "--out", str(out)])
-    finally:
-        server.shutdown()
-        server.server_close()
+    # the stub always answers an unparseable completion: every step is F1
+    code = main(["--config", config, "run", "--planner", "remote:stub",
+                 "--runs", "1", "--budget", "2", "--out", str(out)])
     assert code == EXIT_OK
     logs = list(out.glob("*__run*.json"))
     assert len(logs) == 12
@@ -871,34 +912,56 @@ def test_run_with_remote_profile(tmp_path):
     assert all(s.feedback.code is ErrorCode.F1 for s in trajectory.steps)
 
 
-def test_run_transport_failure_writes_no_transcript(tmp_path):
-    from test_planners import StubHandler, completion
-    from http.server import HTTPServer
-    import threading
-
-    server = HTTPServer(("127.0.0.1", 0), StubHandler)
-    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
-                     daemon=True).start()
+def test_run_transport_failure_writes_no_transcript(tmp_path, remote_config):
     # the first episode has its first query answered, then its second fails
     StubHandler.script = [(200, completion("not a plan")), (500, {})]
     StubHandler.requests_seen = []
-    endpoint = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({
-        "profiles": {"stub": {"endpoint": endpoint, "timeout": 5, "max_retries": 0}},
-    }), encoding="utf-8")
+    config = remote_config(StubHandler, timeout=5, max_retries=0)
     out = tmp_path / "runs"
-    try:
-        code = main(["--config", str(config_path), "run", "--planner", "remote:stub",
-                     "--runs", "1", "--budget", "2", "--out", str(out), "--transcripts"])
-    finally:
-        server.shutdown()
-        server.server_close()
+    code = main(["--config", config, "run", "--planner", "remote:stub",
+                 "--runs", "1", "--budget", "2", "--out", str(out), "--transcripts"])
     assert code == EXIT_OK
     logs = sorted(p.name for p in out.glob("*__run*.json"))
     transcripts = sorted(p.name for p in (out / "transcripts").glob("*.json"))
     assert len(logs) == 11 and "bedtime_prep__run0.json" not in logs
     assert transcripts == logs
+
+
+def test_run_exits_3_when_every_episode_fails_transport(tmp_path, capsys, remote_config):
+    StubHandler.script = [(500, {})] * 12
+    StubHandler.requests_seen = []
+    config = remote_config(StubHandler, timeout=5, max_retries=0)
+    out = tmp_path / "runs"
+    code = main(["--config", config, "run", "--planner", "remote:stub",
+                 "--runs", "1", "--out", str(out), "--transcripts"])
+    captured = capsys.readouterr()
+    assert code == EXIT_TRANSPORT
+    assert "Traceback" not in captured.err
+    assert captured.out.splitlines() == [
+        f"  {task} run 0: transport error: endpoint returned status 500 (after 1 attempts)"
+        for task in BUNDLED_TASKS
+    ] + [f"wrote 0 trajectory log(s) to {out}; 12 episode(s) failed transport"]
+    assert list(out.rglob("*")) == []  # no log, no transcript
+    assert len(StubHandler.requests_seen) == 12
+
+
+def test_remote_logs_and_transcripts_match_at_jobs_1_and_4(tmp_path, capsys, remote_config):
+    # the one path that wraps planners in Transcribed on worker threads
+    config = remote_config(PlanStub, ThreadingHTTPServer)
+    written, progress = {}, {}
+    for jobs in ("1", "4"):
+        out = tmp_path / jobs
+        assert main(["--config", config, "--seed", "7", "--jobs", jobs, "run",
+                     "--planner", "remote:stub", "--runs", "2", "--transcripts",
+                     "--out", str(out)]) == EXIT_OK
+        written[jobs] = {path.relative_to(out): path.read_bytes() for path in out.rglob("*.json")}
+        progress[jobs] = capsys.readouterr().out.splitlines()[:-1]  # the summary names out
+    assert len(written["1"]) == 2 * 2 * len(BUNDLED_TASKS)  # logs and transcripts
+    assert written["4"] == written["1"]
+    assert progress["4"] == progress["1"]
+    # the stub played each task's plan through to its End
+    assert all(parse_trajectory_log(data).terminated_by_end
+               for path, data in written["1"].items() if path.parent.name != "transcripts")
 
 
 def test_run_jobs_parallel_matches_sequential(tmp_path):
@@ -1396,26 +1459,13 @@ def test_run_reply_with_lone_surrogate_escape_is_f1(tmp_path, capsys):
     '{"analysis": "half an emoji \ud83d", "subtask": ["End"], "model": "M3"}',
     "no object, half an emoji \ud83d",
 ], ids=["in-object", "in-prose"])
-def test_run_remote_reply_with_lone_surrogate_is_f1(tmp_path, capsys, content):
-    from test_planners import StubHandler, completion
-    from http.server import HTTPServer
-
-    server = HTTPServer(("127.0.0.1", 0), StubHandler)
-    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
-                     daemon=True).start()
+def test_run_remote_reply_with_lone_surrogate_is_f1(tmp_path, capsys, remote_config, content):
     StubHandler.script = [(200, completion(content))] * 12  # json.dumps escapes it
     StubHandler.requests_seen = []
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"profiles": {"stub": {
-        "endpoint": f"http://127.0.0.1:{server.server_port}/v1/chat/completions",
-        "timeout": 5, "max_retries": 0}}}), encoding="utf-8")
-    try:
-        code = main(["--config", str(config_path), "run", "--planner", "remote:stub",
-                     "--runs", "1", "--budget", "1", "--transcripts",
-                     "--out", str(tmp_path / "out")])
-    finally:
-        server.shutdown()
-        server.server_close()
+    config = remote_config(StubHandler, timeout=5, max_retries=0)
+    code = main(["--config", config, "run", "--planner", "remote:stub",
+                 "--runs", "1", "--budget", "1", "--transcripts",
+                 "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == EXIT_OK and "Traceback" not in captured.err
     assert len(StubHandler.requests_seen) == 12
@@ -1447,10 +1497,7 @@ def test_run_scripted_jobs_start_no_thread(tmp_path, monkeypatch):
     assert written["2"] == written["1"]
 
 
-def test_run_remote_jobs_play_episodes_at_once(tmp_path, monkeypatch):
-    from test_planners import StubHandler
-    from http.server import ThreadingHTTPServer
-
+def test_run_remote_jobs_play_episodes_at_once(tmp_path, monkeypatch, remote_config):
     class BarrierHandler(StubHandler):
         # each reply waits for a second request: one episode at a time breaks the barrier
         barrier = threading.Barrier(2, timeout=10)
@@ -1459,24 +1506,14 @@ def test_run_remote_jobs_play_episodes_at_once(tmp_path, monkeypatch):
             type(self).barrier.wait()
             super().do_POST()
 
-    server = ThreadingHTTPServer(("127.0.0.1", 0), BarrierHandler)
-    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
-                     daemon=True).start()
     StubHandler.script = []
     StubHandler.requests_seen = []
     write_tasks(tmp_path / "tasks", [make_task(task_id="t1"), make_task(task_id="t2")])
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"profiles": {"stub": {
-        "endpoint": f"http://127.0.0.1:{server.server_port}/v1/chat/completions",
-        "timeout": 20, "max_retries": 0}}}), encoding="utf-8")
+    config = remote_config(BarrierHandler, ThreadingHTTPServer, timeout=20, max_retries=0)
     started = _count_thread_starts(monkeypatch)
-    try:
-        code = main(["--config", str(config_path), "--jobs", "2", "run",
-                     "--tasks", str(tmp_path / "tasks"), "--planner", "remote:stub",
-                     "--runs", "1", "--budget", "1", "--out", str(tmp_path / "runs")])
-    finally:
-        server.shutdown()
-        server.server_close()
+    code = main(["--config", config, "--jobs", "2", "run",
+                 "--tasks", str(tmp_path / "tasks"), "--planner", "remote:stub",
+                 "--runs", "1", "--budget", "1", "--out", str(tmp_path / "runs")])
     assert code == EXIT_OK
     assert sorted(p.name for p in (tmp_path / "runs").glob("*.json")) == [
         "t1__run0.json", "t2__run0.json"]

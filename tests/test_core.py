@@ -363,6 +363,20 @@ def test_parse_log_text_fields_must_be_strings(field, value):
     assert str(info.value) == f"log.{field}: expected a JSON string"
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([log_doc()], "trajectory log must be a JSON object"),
+    ("log", "trajectory log must be a JSON object"),
+    (dict(log_doc(), steps={"0": {}}), "log.steps: expected a list"),
+    (dict(log_doc(), steps=["step"]), "steps[0]: expected an object"),
+    (dict(log_doc(), terminated_by="crash"),
+     "log.terminated_by: expected 'end' or 'budget', got 'crash'"),
+], ids=["list-log", "text-log", "object-steps", "text-step", "unknown-termination"])
+def test_parse_log_shape_is_named(doc, message):
+    with pytest.raises(SchemaError) as info:
+        parse_trajectory_log(json.dumps(doc))
+    assert str(info.value) == message
+
+
 def test_parse_log_canonicalizes_outside_f1():
     doc = log_doc()
     doc["steps"][0].update(action=" pIck ", target="Kitchen-Table", model="rt1x")
@@ -529,10 +543,11 @@ def test_trajectory_termination_is_read_from_its_steps():
         (True, True, False)
     budget = traj([("Pick", "apple", True)], budget=True)
     assert (budget.terminated_by_end, budget.terminated_by_budget) == (False, True)
-    cut_off = Trajectory("t", budget.steps, finished=False)
-    assert (cut_off.terminated_by_end, cut_off.terminated_by_budget) == (False, False)
+    cut_off = Trajectory("t", budget.steps, cut_off="endpoint down")
+    assert (cut_off.finished, cut_off.terminated_by_end, cut_off.terminated_by_budget) == \
+        (False, False, False)
     with pytest.raises(InvariantError, match="a cut-off trajectory holds no End"):
-        Trajectory("t", ended.steps, finished=False)
+        Trajectory("t", ended.steps, cut_off="endpoint down")
 
 
 @pytest.mark.parametrize("fields", [

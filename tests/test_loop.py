@@ -31,7 +31,7 @@ from homebench.loop import (
     run_episode,
     stable_seed,
 )
-from homebench.planners import ScriptedPlanner
+from homebench.planners import ScriptedPlanner, Transcribed
 from homebench.sim import EntityKind, OpenState, load_scene, observe
 
 from conftest import examples, make_task, traj
@@ -175,6 +175,38 @@ def test_parse_end_single_element():
     output = parse_planner_output('{"analysis":"done","subtask":["End"],"model":"M3"}')
     assert output.is_end
     assert output.subtask is not None
+
+
+@pytest.mark.parametrize("raw, fields", [
+    ('{"analysis": "a", "subtask": ["Pick", 3], "model": "M3"}', ("a", "Pick", "3", "M3")),
+    ('{"analysis": 1.5, "subtask": {"action": "Pick", "target": true}, "model": 7}',
+     ("1.5", "Pick", "true", "7")),
+    ('{"analysis": false, "subtask": ["End"], "model": "M3"}', ("False", "End", "", "M3")),
+], ids=["number-target", "number-and-boolean", "boolean-analysis"])
+def test_parse_scalar_fields_read_as_text(raw, fields):
+    # a JSON number or boolean is read as its Python text, then normalized;
+    # the closed lists are checked later, so a number is no valid model
+    output = parse_planner_output(raw)
+    assert (output.analysis, output.action, output.target, output.model) == fields
+    assert (output.subtask is None) == (output.model == "7")
+
+
+@pytest.mark.parametrize("raw, reason, detail", [
+    ('{"analysis": {"x": 1}, "subtask": ["Pick", "apple"], "model": "M3"}',
+     ParseFailureReason.MISSING_FIELD, "analysis"),
+    ('{"analysis": "a", "subtask": ["Pick", "apple"], "model": ["M3"]}',
+     ParseFailureReason.MISSING_FIELD, "model"),
+    ('{"analysis": "a", "subtask": [["Pick"], "apple"], "model": "M3"}',
+     ParseFailureReason.MALFORMED_SUBTASK, ""),
+    ('{"analysis": "a", "subtask": ["Pick", null], "model": "M3"}',
+     ParseFailureReason.MALFORMED_SUBTASK, ""),
+    ('{"analysis": "a", "subtask": {"target": "apple"}, "model": "M3"}',
+     ParseFailureReason.MALFORMED_SUBTASK, ""),
+], ids=["object-analysis", "list-model", "list-action", "null-target", "dict-without-action"])
+def test_parse_non_scalar_fields_fail(raw, reason, detail):
+    result = parse_planner_output(raw)
+    assert isinstance(result, ParseFailure)
+    assert (result.reason, result.detail, result.raw) == (reason, detail, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +390,12 @@ def test_episode_transport_error_carries_partial():
                 raise PlannerTransportError("socket torn")
             return plan_entry("Go to", "table", "NoMaD")
 
-    with pytest.raises(PlannerTransportError) as excinfo:
-        run_episode(load_scene(scene_doc()), Flaky(), task)
-    assert len(excinfo.value.trajectory.steps) == 2
+    planner = Flaky()
+    trajectory = run_episode(load_scene(scene_doc()), planner, task, run_index=4)
+    assert planner.calls == 3  # the episode stops at the failed query
+    assert (trajectory.task_id, trajectory.run_index, len(trajectory.steps)) == ("demo", 4, 2)
+    assert trajectory.cut_off == "socket torn"
+    assert not trajectory.finished and not trajectory.terminated_by_budget
 
 
 def test_episode_f2_only_from_executor_f1_only_from_loop():
@@ -387,8 +422,7 @@ def test_episode_history_fidelity(overrides):
     # live prompts must equal the replayed ones, also across E1 retries
     # and an E2 that drops the held object
     task = make_task(task_id="demo")
-    transcript = []
-    planner = ScriptedPlanner([
+    planner = Transcribed(ScriptedPlanner([
         plan_entry("Open", "fridge", "Octo"),
         plan_entry("Pick", "apple"),
         plan_entry("Pick", "apple"),
@@ -400,10 +434,9 @@ def test_episode_history_fidelity(overrides):
         plan_entry("Pick", "unicorn"),
         "gibberish",
         plan_entry("End", ""),
-    ])
-    trajectory = run_episode(
-        load_scene(scene_doc(**overrides)), planner, task, transcript=transcript,
-    )
+    ]))
+    trajectory = run_episode(load_scene(scene_doc(**overrides)), planner, task)
+    transcript = planner.transcript
     assert trajectory.terminated_by_end
     assert len(transcript) == len(trajectory.steps)
     if overrides:
@@ -475,13 +508,14 @@ def test_replayed_prompts_equal_live_prompts(data):
     plan = data.draw(plans(template))
     task = make_task(task_id="generated", scene="generated")
     live = template.clone(seed=data.draw(st.integers(0, 2**16)))
-    transcript = []
-    trajectory = run_episode(live, ScriptedPlanner(plan), task,
+    planner = Transcribed(ScriptedPlanner(plan))
+    trajectory = run_episode(live, planner, task,
                              budget=data.draw(st.integers(1, 50)),
-                             retries=data.draw(st.integers(1, 3)), transcript=transcript)
+                             retries=data.draw(st.integers(1, 3)))
     replayed = load_scene(doc)
     instructions = replay_instructions(trajectory, task, scene=replayed)
-    assert [i.text for i in instructions] == [entry["instruction"] for entry in transcript]
+    assert [i.text for i in instructions] == \
+        [entry["instruction"] for entry in planner.transcript]
     assert replayed.entities == live.entities
     assert observe(replayed) == observe(live)
 
@@ -497,22 +531,18 @@ def test_one_observe_per_prompt(monkeypatch):
 
     monkeypatch.setattr(loop, "observe", counting_observe)
     task = make_task(task_id="demo")
-    transcript = []
-    planner = ScriptedPlanner([
+    planner = Transcribed(ScriptedPlanner([
         plan_entry("Open", "fridge", "Octo"),
         plan_entry("Pick", "apple"),
         plan_entry("Pick", "apple"),
         plan_entry("Go to", "table", "NoMaD"),
         plan_entry("Place", "drawer"),
-    ])
-    trajectory = run_episode(
-        load_scene(scene_doc(**FAILING_SCENE)), planner, task, transcript=transcript,
-        budget=5,
-    )
+    ]))
+    trajectory = run_episode(load_scene(scene_doc(**FAILING_SCENE)), planner, task, budget=5)
     assert trajectory.terminated_by_budget
     codes = [s.feedback.code for s in trajectory.steps]
     assert ErrorCode.E1 in codes and codes[-1] is ErrorCode.E2
-    assert len(calls) == len(transcript) == 5
+    assert len(calls) == len(planner.transcript) == 5
 
     calls.clear()
     replayed = replay_instructions(trajectory, task, scene=load_scene(scene_doc(**FAILING_SCENE)))
@@ -623,9 +653,9 @@ def bench_fixtures():
 
 def test_benchmark_cardinality():
     tasks, docs, factory = bench_fixtures()
-    results = run_benchmark(tasks, factory, docs, runs_per_task=3)
-    assert len(results) == 30
-    keys = [(r.task_id, r.run_index) for r in results]
+    trajectories = run_benchmark(tasks, factory, docs, runs_per_task=3)
+    assert len(trajectories) == 30
+    keys = [(t.task_id, t.run_index) for t in trajectories]
     assert len(set(keys)) == 30
 
 
@@ -637,8 +667,8 @@ def test_benchmark_deterministic_given_seed():
                                                      "e1_navigation": 0.0, "e2_place": 0.0}))}
 
     def snapshot():
-        results = run_benchmark(tasks, factory, docs, runs_per_task=2, seed=77)
-        return [serialize_trajectory(r.trajectory) for r in results]
+        trajectories = run_benchmark(tasks, factory, docs, runs_per_task=2, seed=77)
+        return [serialize_trajectory(t) for t in trajectories]
 
     assert snapshot() == snapshot()
 
@@ -647,8 +677,8 @@ def test_benchmark_jobs_order_stable():
     tasks, docs, factory = bench_fixtures()
     sequential = run_benchmark(tasks, factory, docs, runs_per_task=2, seed=1)
     parallel = run_benchmark(tasks, factory, docs, runs_per_task=2, seed=1, jobs=4)
-    assert [(r.task_id, r.run_index) for r in sequential] == \
-        [(r.task_id, r.run_index) for r in parallel]
+    assert [(t.task_id, t.run_index) for t in sequential] == \
+        [(t.task_id, t.run_index) for t in parallel]
 
 
 def test_benchmark_isolates_transport_failures():
@@ -662,17 +692,17 @@ def test_benchmark_isolates_transport_failures():
             return Dead()
         return ScriptedPlanner([plan_entry("Pick", "apple"), plan_entry("End", "")])
 
-    results = run_benchmark(tasks, factory, docs, runs_per_task=2)
-    failed = [r for r in results if not r.complete]
-    assert len(failed) == 1
-    assert failed[0].task_id == "task03"
-    assert sum(1 for r in results if r.complete) == 19
+    trajectories = run_benchmark(tasks, factory, docs, runs_per_task=2)
+    failed = [t for t in trajectories if not t.finished]
+    assert [(t.task_id, t.run_index, t.steps, t.cut_off) for t in failed] == \
+        [("task03", 1, (), "endpoint down")]
+    assert sum(1 for t in trajectories if t.finished) == 19
 
 
 def test_benchmark_carries_transcripts_when_asked():
     tasks, docs, _ = bench_fixtures()
 
-    def factory(task, run_index):
+    def inner(task, run_index):
         if task.id == "task03" and run_index == 1:
             class DiesOnSecondQuery:
                 calls = 0
@@ -685,16 +715,23 @@ def test_benchmark_carries_transcripts_when_asked():
             return DiesOnSecondQuery()
         return ScriptedPlanner([plan_entry("Pick", "apple"), plan_entry("End", "")])
 
-    untraced = run_benchmark(tasks, factory, docs, runs_per_task=2)
-    assert all(r.transcript is None for r in untraced)
-    results = run_benchmark(tasks, factory, docs, runs_per_task=2, transcripts=True)
+    transcripts = {}
+
+    def factory(task, run_index):
+        planner = transcripts[task.id, run_index] = Transcribed(inner(task, run_index))
+        return planner
+
+    untraced = run_benchmark(tasks, inner, docs, runs_per_task=2)
+    trajectories = run_benchmark(tasks, factory, docs, runs_per_task=2)
+    assert trajectories == untraced  # a transcribed planner plays as its inner one
     by_id = {task.id: task for task in tasks}
-    for result in results:
-        prompts = replay_instructions(
-            result.trajectory, by_id[result.task_id], load_scene(scene_doc()))
-        assert [e["instruction"] for e in result.transcript] == [i.text for i in prompts]
-    failed = [r for r in results if not r.complete]
-    assert len(failed) == 1 and len(failed[0].transcript) == 1  # the answered query only
+    for t in trajectories:
+        prompts = replay_instructions(t, by_id[t.task_id], load_scene(scene_doc()))
+        transcript = transcripts[t.task_id, t.run_index].transcript
+        assert [e["instruction"] for e in transcript] == [i.text for i in prompts]
+    failed = [t for t in trajectories if not t.finished]
+    assert len(failed) == 1  # its transcript holds the answered query only
+    assert len(transcripts["task03", 1].transcript) == len(failed[0].steps) == 1
 
 
 def test_stable_seed_is_stable():

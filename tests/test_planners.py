@@ -1,7 +1,6 @@
 import json
 import subprocess
 import sys
-import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from homebench import planners
 from homebench.core import RewriterTransportError
 from homebench.sim import load_scene
 
+from chat_stub import serving
 from conftest import make_task
 from test_loop import plan_entry
 from test_sim import scene_doc
@@ -175,16 +175,10 @@ def completion(text):
 
 @pytest.fixture
 def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), StubHandler)
-    # a short poll keeps shutdown() from waiting out the default 0.5 s
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
-                              daemon=True)
-    thread.start()
     StubHandler.script = []
     StubHandler.requests_seen = []
-    yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
-    server.shutdown()
-    server.server_close()
+    with serving(StubHandler, HTTPServer) as endpoint:
+        yield endpoint
 
 
 def config(endpoint, **overrides):

@@ -240,6 +240,24 @@ def test_e1_scheduled_attempts():
     assert third.ok
 
 
+def test_schedule_key_on_a_non_interactive_target_is_refused():
+    # execute answers L4 before its draw, so such a key could never fire
+    with pytest.raises(SchemaError, match=r"^outcome_schedule: key 'pick statue': "
+                                          r"Pick never acts on 'statue' \(not interactive\)$"):
+        load_scene(scene_doc(outcome_schedule={"pick statue": ["E1"]}))
+    doc = scene_doc(outcome_schedule={"open fridge": ["E1"]})
+    doc["entities"][0]["interactive"] = False
+    with pytest.raises(SchemaError, match=r"Open never acts on 'fridge' \(not interactive\)"):
+        load_scene(doc)
+
+
+def test_go_to_schedule_key_fires_on_a_non_interactive_target():
+    # navigation skips the L4 check, so its draw is reached
+    scene = load_scene(scene_doc(outcome_schedule={"go_to statue": ["E1"]}))
+    assert execute(scene, sub(GO_TO, "statue", ModelChoice.PIXNAV), EMPTY).code is ErrorCode.E1
+    assert execute(scene, sub(GO_TO, "statue", ModelChoice.PIXNAV), EMPTY).ok
+
+
 @pytest.mark.parametrize("held", [EMPTY, "apple"])
 def test_end_succeeds_and_leaves_the_scene_alone(held):
     # the loop sends End through execute like any other subtask
