@@ -208,15 +208,17 @@ def _parse_logs(logs_dir: Path):
     """Parse every log file in a directory; malformed or unreadable ones (a
     directory named ``*.json``, a file without read permission) are reported
     and excluded rather than aborting the batch. report.json (evaluate's
-    default output) is not a log."""
+    default output) is not a log. The logs share one memo of parsed steps,
+    which lives as long as this call: each distinct step is parsed once."""
     trajectories = []
     corrupt = []
+    memo = {}
     # one directory, so sorting by name orders as sorting the paths would
     for name, path in sorted((path.name, path) for path in logs_dir.glob("*.json")):
         if name == "report.json":
             continue
         try:
-            trajectories.append(parse_trajectory_log(path.read_bytes()))
+            trajectories.append(parse_trajectory_log(path.read_bytes(), memo))
         except (HomebenchError, OSError) as exc:
             corrupt.append((name, str(exc)))
     return trajectories, corrupt
@@ -325,8 +327,9 @@ def cmd_run(args, config: dict) -> int:
         seed=seed, jobs=workers, progress=progress,
     )
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     finished = [t for t in trajectories if t.finished]
+    if finished:  # a run with no log to write leaves no directory behind
+        out_dir.mkdir(parents=True, exist_ok=True)
     for t in finished:
         name = f"{t.task_id}__run{t.run_index}.json"
         (out_dir / name).write_text(serialize_trajectory(t), encoding="utf-8")

@@ -402,7 +402,8 @@ _FEEDBACKS = {None: SUCCESS, **{code: failure(code) for code in ErrorCode}}
 @dataclass(frozen=True)
 class StepRecord:
     """One planner turn: what was emitted and how it went. Its index is its
-    1-based position in the trajectory.
+    1-based position in the trajectory, so it is not stored: one record may
+    stand at several positions, in one trajectory or in several.
 
     ``retries_used`` counts extra executor attempts within the step; each
     step gets at most three attempts total.
@@ -429,6 +430,11 @@ class Trajectory:
     transport failure that stopped one mid-flight; it holds no End. A
     terminating End is a *valid, accepted* End emission; End-shaped outputs
     rejected as F1 (bad model, stray target) do not terminate.
+
+    Step records, and the planner outputs in them, are frozen and may be
+    shared with other trajectories: a command that reads many logs builds
+    each distinct step once, and one that plays many episodes parses each
+    distinct reply once.
     """
 
     task_id: str
@@ -600,7 +606,10 @@ def _log_target(raw: str) -> str:
     return normalize_name(raw)
 
 
-def _parse_step(doc, pos: int) -> StepRecord:
+_ABSENT = object()  # a step field that is not in the document
+
+
+def _parse_step(doc, pos: int, memo: dict) -> StepRecord:
     # Each field is read once; _require/_require_text run only to raise, so a
     # fault's message, and which of several faults is named, stay as they were.
     if not isinstance(doc, dict):
@@ -618,20 +627,36 @@ def _parse_step(doc, pos: int) -> StepRecord:
             is type(raw_model) is type(status_str) is str):
         for key in ("analysis", "action", "target", "model", "status"):
             _require_text(doc, key, f"steps[{pos}]")
+
+    # ``memo`` holds only steps that parsed cleanly, keyed by every field the
+    # parser reads but the index. Only keys whose values have the types of a
+    # clean step are looked up: then no True or 1.0 equals a clean 1, and no
+    # JSON null stands for an absent field. A step of any other types fails
+    # below, so its key is never stored.
+    retries = get("retries_used")
+    code_str, message = get("error_code", _ABSENT), get("message", _ABSENT)
+    key = None
+    if (type(retries) is int and (code_str is _ABSENT or type(code_str) is str)
+            and (message is _ABSENT or type(message) is str)):
+        key = (analysis, raw_action, raw_target, raw_model, status_str, code_str, message,
+               retries)
+        record = memo.get(key)
+        if record is not None:
+            return record
+
     status = _STATUSES.get(status_str)
     if status is None:
         raise SchemaError(f"steps[{pos}].status: unknown status {status_str!r}")
 
     code = None
     if status is StepStatus.FAILURE:
-        code_str = get("error_code")
         code = _CODES.get(code_str) if type(code_str) is str else None
         if code is None:
             code_str = _require_text(doc, "error_code", f"steps[{pos}]")
             raise SchemaError(f"steps[{pos}].error_code: unknown code {code_str!r}")
-        if get("message", CANONICAL_MESSAGES[code]) != CANONICAL_MESSAGES[code]:
+        if message is not _ABSENT and message != CANONICAL_MESSAGES[code]:
             raise SchemaError(f"steps[{pos}].message: not the canonical message for {code.value}")
-    elif "error_code" in doc or "message" in doc:
+    elif code_str is not _ABSENT or message is not _ABSENT:
         raise SchemaError(f"steps[{pos}]: success steps carry no error_code/message")
 
     # F1 steps keep whatever string the planner emitted; everything else must
@@ -652,16 +677,16 @@ def _parse_step(doc, pos: int) -> StepRecord:
             output = PlannerOutput(analysis, subtask.action.value, subtask.target,
                                    subtask.model.value)
 
-    retries = get("retries_used")
     if type(retries) is not int or not 0 <= retries <= 2:
         _require(doc, "retries_used", f"steps[{pos}]")
         raise SchemaError(f"steps[{pos}].retries_used: expected an integer in 0..2")
     # both of StepRecord's rules hold here: retries is in range, and a
     # success has a valid subtask
-    return StepRecord(output, _FEEDBACKS[code], retries)
+    record = memo[key] = StepRecord(output, _FEEDBACKS[code], retries)
+    return record
 
 
-def parse_trajectory_log(data) -> Trajectory:
+def parse_trajectory_log(data, memo: Optional[dict] = None) -> Trajectory:
     """Parse a trajectory log (bytes or str).
 
     Raises SchemaError on malformed documents, including bytes that are not
@@ -669,7 +694,15 @@ def parse_trajectory_log(data) -> Trajectory:
     InvariantError on structurally impossible trajectories such as an End
     step followed by more steps, or a ``terminated_by`` that is ``end``
     when the last step is not a successful End, or ``budget`` when it is.
+
+    A step equal in every field but its index to one that already parsed
+    cleanly is that step's ``StepRecord``, shared rather than rebuilt. The
+    clean steps are kept in ``memo``: pass one dict to every call over a
+    corpus to share its records across logs. Without one, a log shares
+    only among its own steps.
     """
+    if memo is None:
+        memo = {}
     doc = read_json(data, "trajectory log")
     if not isinstance(doc, dict):
         raise SchemaError("trajectory log must be a JSON object")
@@ -681,7 +714,7 @@ def parse_trajectory_log(data) -> Trajectory:
     raw_steps = _require(doc, "steps", "log")
     if not isinstance(raw_steps, list):
         raise SchemaError("log.steps: expected a list")
-    steps = [_parse_step(step, pos) for pos, step in enumerate(raw_steps)]
+    steps = [_parse_step(step, pos, memo) for pos, step in enumerate(raw_steps)]
 
     terminated_by = _require_text(doc, "terminated_by", "log")
     if terminated_by not in ("end", "budget"):

@@ -30,6 +30,9 @@ from .core import (
     _surrogate,
     escape_surrogates,
     failure,
+    normalize_name,
+    parse_action,
+    parse_model,
 )
 from . import sim
 from .sim import Scene, execute, observe
@@ -172,15 +175,17 @@ class ParseFailure:
         return self.reason.value
 
 
+_DECODER = json.JSONDecoder()
+
+
 def _extract_object(text: str) -> Optional[dict]:
     """Lenient extraction: find the first decodable JSON object anywhere in
     the text, skipping surrounding prose and code fences. Nesting too deep
     for the decoder ends the search: the text reads as holding no object."""
-    decoder = json.JSONDecoder()
     idx = text.find("{")
     while idx != -1:
         try:
-            obj, _ = decoder.raw_decode(text, idx)
+            obj, _ = _DECODER.raw_decode(text, idx)
         except json.JSONDecodeError:
             obj = None
         except RecursionError:
@@ -210,8 +215,6 @@ def parse_planner_output(raw: str):
     ParseFailure value. A lone UTF-16 surrogate in the text or in the object
     decoded from it, which no log could hold as UTF-8, is a ParseFailure.
     """
-    from .core import normalize_name, parse_action, parse_model
-
     obj = _extract_object(raw)
     if obj is None:
         return ParseFailure(ParseFailureReason.NO_STRUCTURED_OBJECT, raw=raw)
@@ -296,6 +299,7 @@ def run_episode(
     budget: int = 20,
     retries: int = 3,
     run_index: int = 0,
+    parse=None,
 ) -> Trajectory:
     """Drive one episode to termination.
 
@@ -312,9 +316,14 @@ def run_episode(
     If the planner transport fails, the episode stops there: the trajectory
     returned holds the steps taken so far, and its ``cut_off`` is the
     error's message.
+
+    ``parse`` reads each reply; it is ``parse_planner_output`` unless the
+    caller hands in a memo of it, as ``run_benchmark`` does.
     """
     if not 1 <= retries <= 3:
         raise ConfigError(f"retries must be between 1 and 3 attempts per step, got {retries}")
+    if parse is None:
+        parse = parse_planner_output
     state = EpisodeState(task.instruction, scene)
 
     for _ in range(budget):
@@ -323,7 +332,7 @@ def run_episode(
             raw = planner.next(instruction)
         except PlannerTransportError as exc:
             return Trajectory(task.id, state.steps, run_index, cut_off=str(exc))
-        output = parse_planner_output(raw)
+        output = parse(raw)
         if isinstance(output, ParseFailure):
             # an F1 step logs the raw reply, with any lone surrogate escaped
             output = PlannerOutput(escape_surrogates(raw), "", "", "")
@@ -352,6 +361,10 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+#: replies the memo of one ``run_benchmark`` call keeps, the most recently used
+REPLY_MEMO_SIZE = 1024
+
+
 def run_benchmark(
     tasks: Sequence[Task],
     planner_factory,
@@ -373,19 +386,25 @@ def run_benchmark(
     the benchmark continues. Trajectories come back in stable (task order,
     run index) order regardless of ``jobs``, and ``progress(trajectory)``
     is called with each one in that order, on the calling thread.
+
+    The episodes share one memo of ``parse_planner_output``, bounded to
+    ``REPLY_MEMO_SIZE`` replies and gone when the call returns: a reply
+    that repeats one still in it is not parsed again, and the episodes
+    share its frozen output.
     """
     specs = [
         (task, run_index)
         for task in tasks
         for run_index in range(runs_per_task)
     ]
+    parse = functools.lru_cache(maxsize=REPLY_MEMO_SIZE)(parse_planner_output)
 
     def one(spec):
         task, run_index = spec
         scene_seed = None if seed is None else stable_seed(seed, task.id, run_index)
         scene = scenes[task.scene_ref].clone(seed=scene_seed)
         return run_episode(scene, planner_factory(task, run_index), task, budget=budget,
-                           retries=retries, run_index=run_index)
+                           retries=retries, run_index=run_index, parse=parse)
 
     trajectories = []
     for trajectory in _map(one, specs, jobs):

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homebench.cli import EXIT_CONFIG, EXIT_OK, EXIT_TRANSPORT, build_parser, main
+from homebench import loop
+from homebench.cli import EXIT_CONFIG, EXIT_OK, EXIT_TRANSPORT, _parse_logs, build_parser, main
 from homebench.core import ErrorCode, parse_trajectory_log, serialize_task, serialize_trajectory
 
 from chat_stub import PlanStub, serving
@@ -941,8 +942,22 @@ def test_run_exits_3_when_every_episode_fails_transport(tmp_path, capsys, remote
         f"  {task} run 0: transport error: endpoint returned status 500 (after 1 attempts)"
         for task in BUNDLED_TASKS
     ] + [f"wrote 0 trajectory log(s) to {out}; 12 episode(s) failed transport"]
-    assert list(out.rglob("*")) == []  # no log, no transcript
+    assert not out.exists()  # no log, no transcript, no directory
     assert len(StubHandler.requests_seen) == 12
+
+
+def test_run_exits_3_and_leaves_an_existing_out_as_it_was(tmp_path, capsys, remote_config):
+    StubHandler.script = [(500, {})] * 12
+    config = remote_config(StubHandler, timeout=5, max_retries=0)
+    out = tmp_path / "runs"
+    (out / "transcripts").mkdir(parents=True)
+    (out / "kept.json").write_text("{}", encoding="utf-8")
+    before = sorted(out.rglob("*"))
+    code = main(["--config", config, "run", "--planner", "remote:stub",
+                 "--runs", "1", "--out", str(out), "--transcripts"])
+    assert code == EXIT_TRANSPORT
+    assert sorted(out.rglob("*")) == before
+    assert (out / "kept.json").read_text(encoding="utf-8") == "{}"
 
 
 def test_remote_logs_and_transcripts_match_at_jobs_1_and_4(tmp_path, capsys, remote_config):
@@ -962,6 +977,39 @@ def test_remote_logs_and_transcripts_match_at_jobs_1_and_4(tmp_path, capsys, rem
     # the stub played each task's plan through to its End
     assert all(parse_trajectory_log(data).terminated_by_end
                for path, data in written["1"].items() if path.parent.name != "transcripts")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_reply_memo_changes_no_remote_log_or_transcript(tmp_path, monkeypatch, remote_config,
+                                                         jobs):
+    config = remote_config(PlanStub, ThreadingHTTPServer)
+    written = {}
+    for size in (loop.REPLY_MEMO_SIZE, 0):  # the memo, then a parse of every reply
+        monkeypatch.setattr(loop, "REPLY_MEMO_SIZE", size)
+        out = tmp_path / str(size)
+        assert main(["--config", config, "--seed", "7", "--jobs", jobs, "run",
+                     "--planner", "remote:stub", "--runs", "2", "--transcripts",
+                     "--out", str(out)]) == EXIT_OK
+        written[size] = {path.relative_to(out): path.read_bytes() for path in out.rglob("*.json")}
+    assert len(written[0]) == 2 * 2 * len(BUNDLED_TASKS)  # logs and transcripts
+    assert written[loop.REPLY_MEMO_SIZE] == written[0]
+
+
+def test_parse_logs_builds_each_distinct_step_once(tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["--seed", "7", "run", "--runs", "25", "--out", str(out)]) == EXIT_OK
+    trajectories, corrupt = _parse_logs(out)
+    assert (len(trajectories), corrupt) == (300, [])
+    logged = [json.dumps({k: v for k, v in step.items() if k != "index"}, sort_keys=True)
+              for path in sorted(out.glob("*.json"))
+              for step in json.loads(path.read_bytes())["steps"]]
+    records = [step for t in trajectories for step in t.steps]
+    assert (len(records), len(set(logged))) == (len(logged), 83) == (2075, 83)
+    assert len({id(step) for step in records}) == 83
+    # a second call builds its own records
+    again, _ = _parse_logs(out)
+    assert again == trajectories
+    assert not {id(step) for step in records} & {id(step) for t in again for step in t.steps}
 
 
 def test_run_jobs_parallel_matches_sequential(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from homebench.cli import _parse_logs
 from homebench.cli import main as cli_main
 from homebench.core import (
     _ACTION_ALIASES,
@@ -773,6 +774,88 @@ def test_log_parser_matches_the_oracle_on_valid_logs():
         outcome = _outcome(parse_trajectory_log, text)
         assert isinstance(outcome[0], Trajectory)
         assert outcome == _outcome(_oracle_parse_log, text)
+
+
+# ---------------------------------------------------------------------------
+# one memo of parsed steps shared across a corpus
+#
+# A memo may answer only for a step that parsed cleanly. Each corpus below
+# repeats clean steps, then damages a later copy of one: every log must still
+# parse as the oracle parses it on its own, and _parse_logs must exclude the
+# same files for the same reasons.
+
+# values equal (or hash-equal) to a clean field's, of the wrong type; JSON
+# nulls where a field may be absent; unhashable values; an extra key
+_MEMO_DAMAGES = [
+    ("retries_used", True), ("retries_used", 1.0), ("retries_used", False),
+    ("retries_used", 0.0), ("index", True), ("index", 1.0),
+    ("error_code", None), ("error_code", ["E1"]), ("error_code", {"E1": 1}),
+    ("message", None), ("message", ["x"]), ("message", "too hard"),
+    ("message", "the hand is full"), ("note", "an extra key"),
+]
+
+
+def _memo_outcome(memo):
+    return lambda data: parse_trajectory_log(data, memo)
+
+
+def _one_step_log(step_doc) -> dict:
+    return {"task_id": "t1", "run_index": 0, "steps": [dict(step_doc, index=1)],
+            "terminated_by": "budget"}
+
+
+@pytest.mark.parametrize("field, value", _MEMO_DAMAGES)
+@pytest.mark.parametrize("kind", ["failure", "success"])
+def test_shared_memo_never_answers_for_a_damaged_copy(kind, field, value):
+    # the clean step first: a failure that used one retry, or a success
+    steps = [s for doc in _valid_logs() for s in doc["steps"]
+             if (s["status"], s["retries_used"]) == (kind, 1 if kind == "failure" else 0)
+             and s["action"] != "End"]
+    clean = _one_step_log(steps[0])
+    damaged = copy.deepcopy(clean)
+    damaged["steps"][0][field] = value
+    memo = {}
+    for doc in (clean, damaged, clean):
+        text = json.dumps(doc)
+        assert _outcome(_memo_outcome(memo), text) == _outcome(_oracle_parse_log, text)
+    assert len(memo) == 1  # the clean step; a parser that ignores a key shares its record
+
+
+@st.composite
+def _memo_damage(draw, step, pos):
+    if draw(st.booleans()):
+        field, value = draw(st.sampled_from(_MEMO_DAMAGES))
+        step[field] = value
+    else:
+        draw(_damage(step, pos))
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(data=st.data())
+def test_shared_memo_log_parsing_matches_the_oracle(data):
+    logs = data.draw(st.lists(st.sampled_from(_valid_logs()), min_size=1, max_size=3),
+                     label="clean logs")
+    corpus = [json.dumps(doc) for doc in logs]
+    for _ in range(data.draw(st.integers(1, 3), label="damaged copies")):
+        doc = copy.deepcopy(data.draw(st.sampled_from(logs)))
+        pos = data.draw(st.integers(0, len(doc["steps"]) - 1), label="pos")
+        data.draw(_memo_damage(doc["steps"][pos], pos))
+        corpus.append(json.dumps(doc))
+    corpus.append(corpus[0])  # a clean copy after the damaged ones
+    expected = [_outcome(_oracle_parse_log, text) for text in corpus]
+
+    memo = {}
+    assert [_outcome(_memo_outcome(memo), text) for text in corpus] == expected
+
+    names = [f"log{i:02d}.json" for i in range(len(corpus))]
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in zip(names, corpus):
+            (Path(tmp) / name).write_text(text, encoding="utf-8")
+        trajectories, corrupt = _parse_logs(Path(tmp))
+    assert trajectories == [outcome[0] for outcome in expected
+                            if isinstance(outcome[0], Trajectory)]
+    assert corrupt == [(name, outcome[1]) for name, outcome in zip(names, expected)
+                       if not isinstance(outcome[0], Trajectory)]
 
 
 _MISSING = object()

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from homebench.core import (
     failure,
     make_end_output,
     serialize_output,
+    serialize_trajectory,
 )
 from homebench import loop
 from homebench.loop import (
@@ -732,6 +734,118 @@ def test_benchmark_carries_transcripts_when_asked():
     failed = [t for t in trajectories if not t.finished]
     assert len(failed) == 1  # its transcript holds the answered query only
     assert len(transcripts["task03", 1].transcript) == len(failed[0].steps) == 1
+
+
+# ---------------------------------------------------------------------------
+# the reply memo of run_benchmark
+
+JUNK = "I would rather not."
+SURROGATE = '{"analysis": "\ud800", "subtask": ["Pick", "apple"], "model": "RT-1-X"}'
+ESCAPED_SURROGATE = '{"analysis": "\\ud800", "subtask": ["Pick", "apple"], "model": "RT-1-X"}'
+
+
+def memo_plan():
+    """Replies that repeat within and across episodes: F1 junk, a reply that
+    holds a lone surrogate and one that decodes to it, and an L3 branch that
+    opens the fridge before the pick of the banana inside it is re-emitted."""
+    return ScriptedPlanner(
+        [JUNK, JUNK, SURROGATE, ESCAPED_SURROGATE, JUNK, plan_entry("Pick", "banana"),
+         plan_entry("Go to", "table", model="NoMaD"), plan_entry("Place", "drawer"),
+         plan_entry("End", "")],
+        branches={"L3": plan_entry("Open", "fridge", model="Octo")},
+    )
+
+
+def memo_fixtures():
+    tasks = [make_task(task_id=f"task{i}", scene="s") for i in range(3)]
+    scenes = {"s": load_scene(scene_doc(failure_rates={
+        "e1_manipulation": 0.3, "e1_navigation": 0.2, "e2_place": 0.3}))}
+    return tasks, scenes
+
+
+def play_transcribed(tasks, scenes, plan, **kwargs):
+    """run_benchmark with every planner transcribed: its logs and transcripts."""
+    transcripts = {}
+
+    def factory(task, run_index):
+        planner = transcripts[task.id, run_index] = Transcribed(plan())
+        return planner
+
+    trajectories = run_benchmark(tasks, factory, scenes, seed=3, **kwargs)
+    return ([serialize_trajectory(t) for t in trajectories],
+            {key: planner.transcript for key, planner in transcripts.items()})
+
+
+def count_parses(monkeypatch) -> list:
+    """Record each reply that run_benchmark's memo hands to the parser."""
+    seen = []
+    parse = loop.parse_planner_output
+
+    def counted(raw):
+        seen.append(raw)
+        return parse(raw)
+
+    monkeypatch.setattr(loop, "parse_planner_output", counted)
+    return seen
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_reply_memo_changes_no_log_or_transcript(monkeypatch, jobs):
+    tasks, scenes = memo_fixtures()
+    parsed = count_parses(monkeypatch)
+    memoized = play_transcribed(tasks, scenes, memo_plan, runs_per_task=4, budget=14, jobs=jobs)
+    memo_parses = len(parsed)
+    parsed.clear()
+    monkeypatch.setattr(loop, "REPLY_MEMO_SIZE", 0)  # parse every reply
+    assert play_transcribed(tasks, scenes, memo_plan, runs_per_task=4, budget=14,
+                            jobs=jobs) == memoized
+    replies = [entry["response"] for transcript in memoized[1].values() for entry in transcript]
+    assert len(parsed) == len(replies)
+    assert memo_parses < len(replies)
+    if jobs == 1:  # on threads, two episodes may both miss on one reply
+        assert memo_parses == len(set(parsed))
+    # every kind of reply was played: junk, both surrogates, the branch
+    logs = "".join(memoized[0])
+    for text in (JUNK, "\\ud800", '"error_code": "L3"', '"action": "Open"'):
+        assert text in logs
+
+
+def test_reply_memo_shared_by_contending_threads():
+    # more workers than cores, switching threads as often as the interpreter can
+    tasks, scenes = memo_fixtures()
+    expected = play_transcribed(tasks, scenes, memo_plan, runs_per_task=6, budget=14)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        played = play_transcribed(tasks, scenes, memo_plan, runs_per_task=6, budget=14, jobs=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert played == expected
+
+
+def test_reply_memo_past_its_bound_changes_no_log(monkeypatch):
+    tasks, scenes = memo_fixtures()
+
+    def many_replies():  # 12 distinct replies per episode, each seen once per run
+        return ScriptedPlanner([plan_entry("Go to", spot, model="NoMaD", analysis=f"leg {i}")
+                                for i, spot in enumerate(["table", "counter"] * 6)])
+
+    logs = play_transcribed(tasks, scenes, many_replies, runs_per_task=2, budget=14)
+    parsed = count_parses(monkeypatch)
+    monkeypatch.setattr(loop, "REPLY_MEMO_SIZE", 4)
+    assert play_transcribed(tasks, scenes, many_replies, runs_per_task=2, budget=14) == logs
+    assert len(parsed) > len(set(parsed))  # replies fell out of the memo and were parsed again
+
+
+def test_reply_memo_lives_for_one_run(monkeypatch):
+    tasks, scenes = memo_fixtures()
+    parsed = count_parses(monkeypatch)
+    counts = []
+    for _ in range(2):
+        play_transcribed(tasks, scenes, memo_plan, runs_per_task=2, budget=14)
+        counts.append(len(parsed))
+        parsed.clear()
+    assert counts[1] == counts[0]  # the second run parsed its replies afresh
 
 
 def test_stable_seed_is_stable():
