@@ -36,13 +36,16 @@ from .core import (
     PlannerOutput,
     RewriterTransportError,
     Trajectory,
+    output_text,
+    parse_action,
     read_json,
 )
 from .loop import (
+    EMPTY_HISTORY,
     Instruction,
     ParseFailure,
+    extend_history,
     parse_planner_output,
-    render_history,
     replay_instructions,
     stable_seed,
 )
@@ -103,19 +106,21 @@ def _make_sample(instruction: Instruction, output: PlannerOutput, task_id: str) 
 def sft_convert(trajectory: Trajectory, prompts: Sequence[Instruction]) -> list:
     """One sample per successful step. ``prompts`` are the trajectory's
     replayed instructions (``replay_instructions``); each sample keeps its
-    step's prompt but re-renders the history with the failed steps scrubbed.
+    step's prompt but with a history of the successful steps alone, extended
+    one line per kept step as ``loop.apply_feedback`` extends a prompt's.
     The feedback line still reports the failure that preceded the step.
     While no step has failed the scrubbed history is the step's own, and the
     sample shares its prompt's instruction."""
     samples = []
-    kept = []  # the successful steps so far
+    history = EMPTY_HISTORY  # of the successful steps so far
+    kept = 0
     for step, prompt in zip(trajectory.steps, prompts):
         if step.feedback.ok:
-            history = render_history(kept)
             instruction = (prompt if history == prompt.history
                            else dataclasses.replace(prompt, history=history))
             samples.append(_make_sample(instruction, step.output, trajectory.task_id))
-            kept.append(step)
+            kept += 1
+            history = extend_history(history, kept, step)
     return samples
 
 
@@ -165,15 +170,15 @@ def identity_rewriter(text: str) -> str:
 # preference pairs
 
 
-def _pair(prompts, i, chosen_output, rejected_output, source, task_id):
-    """Build a pair anchored at step i, or None when it would violate the
-    chosen != rejected rule or put End on the chosen side (e.g. a re-plan
-    whose successor is End, or two byte-identical adjacent outputs). This
-    is the one place every generator's End rule is decided."""
+def _pair(prompts, i, chosen_output, rejected, source, task_id):
+    """Build a pair anchored at step i that prefers ``chosen_output`` over
+    the ``rejected`` text, or None when it would violate the chosen !=
+    rejected rule or put End on the chosen side (e.g. a re-plan whose
+    successor is End, or two byte-identical adjacent outputs). This is the
+    one place every generator's End rule is decided."""
     if chosen_output.action_type is ActionType.END:
         return None
     chosen = chosen_output.text
-    rejected = rejected_output.text
     if chosen == rejected:
         return None
     return PreferencePair(prompts[i].text, chosen, rejected, source, task_id)
@@ -187,7 +192,7 @@ def dpo_sift(trajectory: Trajectory, prompts: Sequence[Instruction]) -> list:
     for i in range(len(steps) - 1):
         if not steps[i].feedback.ok and steps[i + 1].feedback.ok:
             pair = _pair(
-                prompts, i, steps[i + 1].output, steps[i].output,
+                prompts, i, steps[i + 1].output, steps[i].output.text,
                 PairSource.SIFT, trajectory.task_id,
             )
             if pair is not None:
@@ -205,7 +210,7 @@ def dpo_order_change(trajectory: Trajectory, prompts: Sequence[Instruction]) -> 
     for i in range(len(steps) - 1):
         if steps[i].feedback.ok and steps[i + 1].feedback.ok:
             pair = _pair(
-                prompts, i, steps[i].output, steps[i + 1].output,
+                prompts, i, steps[i].output, steps[i + 1].output.text,
                 PairSource.ORDER_CHANGE, trajectory.task_id,
             )
             if pair is not None:
@@ -218,28 +223,54 @@ def load_default_lexicon() -> list:
     return read_json(path.read_bytes(), "default lexicon")
 
 
+def _variant_text(output: PlannerOutput, action: Optional[str] = None,
+                  model: Optional[str] = None) -> str:
+    """The text of ``output`` with its action or model replaced by the one
+    given: ``dataclasses.replace(output, ...).text``, laid out from the
+    fields without building that output. Only a new action can change
+    whether the output is an End, whose subtask holds no target."""
+    if action is None:
+        action, is_end = output.action, output.is_end
+    else:
+        is_end = output.target == "" and parse_action(action) is ActionType.END
+    return output_text(output.analysis, action, None if is_end else output.target,
+                       output.model if model is None else model)
+
+
 def dpo_action_change(
     trajectory: Trajectory,
     prompts: Sequence[Instruction],
     lexicon: Sequence[str],
     rng: random.Random,
+    candidates: Optional[dict] = None,
 ) -> list:
     """Format pairs: each successful non-End output is preferred over a copy
     whose action is replaced by a non-standard name drawn from the lexicon.
-    Only the action field differs between the two sides."""
+    Only the action field differs between the two sides.
+
+    An End step draws its entry too, so the draws of the steps after it do
+    not depend on whether it makes a pair. ``candidates`` maps an action
+    string to the lexicon entries other than it; a caller that corrupts
+    many trajectories with one lexicon may hand in one dict for all of them,
+    and each distinct action's list is then built once.
+    """
     if not lexicon:
         raise EmptyLexicon("action corruption needs a non-empty lexicon")
+    if candidates is None:
+        candidates = {}
     steps = trajectory.steps
     pairs = []
     for i, step in enumerate(steps):
         if not step.feedback.ok:
             continue
-        candidates = [entry for entry in lexicon if entry != step.output.action]
-        if not candidates:
+        action = step.output.action
+        entries = candidates.get(action)
+        if entries is None:
+            entries = candidates[action] = [entry for entry in lexicon if entry != action]
+        if not entries:
             continue
-        corrupted = dataclasses.replace(step.output, action=rng.choice(candidates))
         pair = _pair(
-            prompts, i, step.output, corrupted,
+            prompts, i, step.output, _variant_text(step.output, action=rng.choice(entries)),
             PairSource.ACTION_CHANGE, trajectory.task_id,
         )
         if pair is not None:
@@ -268,9 +299,8 @@ def dpo_model_change(trajectory: Trajectory, prompts: Sequence[Instruction]) -> 
         swap = _MODEL_SWAPS[step.output.subtask.model]
         if swap is None:
             continue
-        swapped = dataclasses.replace(step.output, model=swap.label)
         pair = _pair(
-            prompts, i, step.output, swapped,
+            prompts, i, step.output, _variant_text(step.output, model=swap.label),
             PairSource.MODEL_CHANGE, trajectory.task_id,
         )
         if pair is not None:
@@ -368,6 +398,7 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
     # the last trajectory replayed and its derived work, which a run of the
     # same task that logged equal steps reuses (the runs of a task are adjacent)
     replayed = None
+    candidates = {}  # action -> its corruptions, for every trajectory's draws
     for trajectory in ordered:
         task = tasks.get(trajectory.task_id)
         if task is None:
@@ -390,7 +421,7 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
         draw_rng = random.Random(
             stable_seed(config.seed, trajectory.task_id, trajectory.run_index)
         )
-        pairs.extend(dpo_action_change(replayed, prompts, lexicon, draw_rng))
+        pairs.extend(dpo_action_change(replayed, prompts, lexicon, draw_rng, candidates))
         pairs.extend(model_pairs)
 
     base_count = len(samples)

@@ -339,7 +339,8 @@ def cmd_run(args, config: dict) -> int:
                 json.dumps(transcripts[t.task_id, t.run_index], indent=2, ensure_ascii=False)
                 + "\n", encoding="utf-8")
     failed = len(trajectories) - len(finished)
-    print(f"wrote {len(finished)} trajectory log(s) to {out_dir}"
+    print((f"wrote {len(finished)} trajectory log(s) to {out_dir}" if finished
+           else "wrote no trajectory logs")
           + (f"; {failed} episode(s) failed transport" if failed else ""))
     return EXIT_TRANSPORT if trajectories and not finished else EXIT_OK
 

@@ -356,14 +356,21 @@ def make_end_output(analysis: str = "The task is complete.") -> PlannerOutput:
 def serialize_output(output: PlannerOutput) -> str:
     """Single-line JSON form of a planner output, used verbatim in prompts,
     logs, and training data."""
-    if output.is_end:
-        subtask = [output.action]
-    else:
-        subtask = [output.action, output.target]
-    return json.dumps(
-        {"analysis": output.analysis, "subtask": subtask, "model": output.model},
-        ensure_ascii=False,
-    )
+    return output_text(output.analysis, output.action,
+                       None if output.is_end else output.target, output.model)
+
+
+def output_text(analysis: str, action: str, target: Optional[str], model: str) -> str:
+    """The single-line JSON form of an output with these fields: the text
+    ``json.dumps(doc, ensure_ascii=False)`` writes for the document
+    ``{"analysis": ..., "subtask": [action, target], "model": ...}``, whose
+    subtask is ``[action]`` alone when ``target`` is None (an End). It is
+    laid out around the string escaper that ``json.dumps`` uses."""
+    subtask = encode_basestring(action)
+    if target is not None:
+        subtask = f"{subtask}, {encode_basestring(target)}"
+    return (f'{{"analysis": {encode_basestring(analysis)}, "subtask": [{subtask}], '
+            f'"model": {encode_basestring(model)}}}')
 
 
 @dataclass(frozen=True)

@@ -104,15 +104,17 @@ def render_feedback(feedback: Optional[Feedback]) -> str:
     return f"failure ({feedback.code.value}): {feedback.message}"
 
 
-def render_history(steps: Sequence[StepRecord]) -> str:
-    """Numbered step summaries. Analysis text is deliberately left out so
-    long episodes do not balloon the prompt; only what was attempted and how
-    it went is replayed."""
-    lines = [
-        f"{n}. {describe_output(step.output)} -> {render_feedback(step.feedback)}"
-        for n, step in enumerate(steps, 1)
-    ]
-    return "\n".join(lines) if lines else "none"
+#: the history of a prompt that no step precedes
+EMPTY_HISTORY = "none"
+
+
+def extend_history(history: str, n: int, step: StepRecord) -> str:
+    """``history`` followed by the summary line of step number ``n``: what
+    was attempted and how it went. Analysis text is deliberately left out so
+    long episodes do not balloon the prompt. A history is built one line per
+    step, so no earlier step is rendered again."""
+    line = f"{n}. {describe_output(step.output)} -> {render_feedback(step.feedback)}"
+    return line if n == 1 else f"{history}\n{line}"
 
 
 def render_observations(scene: Optional[Scene]) -> str:
@@ -127,16 +129,19 @@ def render_observations(scene: Optional[Scene]) -> str:
 @dataclass
 class EpisodeState:
     """Mutable per-episode protocol state: the task, the scene (None when a
-    log is replayed without one), the hand, and the steps taken so far."""
+    log is replayed without one), the hand, the steps taken so far and
+    their history text. Only ``apply_feedback`` adds to the steps and the
+    history, one step and one line at a time, so the two always agree."""
 
     task_text: str
     scene: Optional[Scene] = None
     held: Optional[str] = None  # the object in the hand
-    steps: list = field(default_factory=list)  # [StepRecord]
+    steps: list = field(init=False, default_factory=list)  # [StepRecord]
+    history: str = field(init=False, default=EMPTY_HISTORY)
 
 
 def assemble_instruction(state: EpisodeState) -> Instruction:
-    """Deterministic instruction rendered from the state's steps and the
+    """Deterministic instruction rendered from the state's history and the
     scene as it is now. No scene state leaks into the prompt beyond the
     observation texts."""
     steps = state.steps
@@ -145,7 +150,7 @@ def assemble_instruction(state: EpisodeState) -> Instruction:
         system=DEFAULT_SYSTEM_INFO,
         task=state.task_text,
         inventory=state.held or "empty",
-        history=render_history(steps),
+        history=state.history,
         feedback=render_feedback(feedback),
         observations=render_observations(state.scene),
         feedback_code=feedback.code if feedback else None,
@@ -265,7 +270,7 @@ def apply_feedback(state: EpisodeState, step: StepRecord) -> EpisodeState:
     the hand (the log is authoritative, whatever the hand held), a
     successful Place empties it, an E2 failure empties it (the held object
     fell), and everything else leaves it alone. The step joins the state's
-    steps.
+    steps, and its summary line their history.
     """
     feedback = step.feedback
     if state.scene is not None:
@@ -280,6 +285,7 @@ def apply_feedback(state: EpisodeState, step: StepRecord) -> EpisodeState:
         state.held = None
 
     state.steps.append(step)
+    state.history = extend_history(state.history, len(state.steps), step)
     return state
 
 
@@ -443,7 +449,7 @@ def replay_instructions(
     ``run_episode``. When a fresh copy of the task's scene is supplied, each
     prompt observes it as it was at that step; without one the observations
     render as a fixed placeholder. Supervised prompts, whose history leaves
-    out the failed steps, are derived from these by re-rendering only the
+    out the failed steps, are derived from these by replacing only the
     history field (``augment.sft_convert``).
     """
     state = EpisodeState(task.instruction, scene)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import random
 
@@ -22,6 +23,7 @@ from homebench.core import (
     failure,
     parse_action,
 )
+from homebench.loop import describe_output, render_feedback
 
 # With CI set (GitHub Actions sets it), property tests search harder; a local
 # run keeps each test's own example count.
@@ -101,6 +103,24 @@ def make_task(task_id="t1", keypaths=None, expert_length=None, scene="kitchen_ho
         expert_length=expert_length or longest,
         scene_ref=scene,
     )
+
+
+def render_history(steps) -> str:
+    """Reference history: every step's summary line rendered anew, numbered
+    from 1, or "none" for no steps."""
+    lines = [
+        f"{n}. {describe_output(step.output)} -> {render_feedback(step.feedback)}"
+        for n, step in enumerate(steps, 1)
+    ]
+    return "\n".join(lines) if lines else "none"
+
+
+def text_by_dumps(output: PlannerOutput) -> str:
+    """Reference output text: ``json.dumps`` of the output's document, whose
+    subtask holds no target for an End."""
+    subtask = [output.action] if output.is_end else [output.action, output.target]
+    return json.dumps({"analysis": output.analysis, "subtask": subtask, "model": output.model},
+                      ensure_ascii=False)
 
 
 def prefix_subsequence_oracle(pairs, keypath):

@@ -17,6 +17,7 @@ from homebench.augment import (
     PairSource,
     _is_end_text,
     _pair,
+    _variant_text,
     _write_jsonl,
     build_datasets,
     dpo_action_change,
@@ -30,6 +31,7 @@ from homebench.augment import (
     split_task_ids,
 )
 from homebench.core import (
+    SUCCESS,
     ActionType,
     EmptyLexicon,
     ErrorCode,
@@ -37,7 +39,11 @@ from homebench.core import (
     ModelChoice,
     PlannerOutput,
     RewriterTransportError,
+    StepRecord,
     Subtask,
+    Trajectory,
+    escape_surrogates,
+    failure,
     parse_action,
     parse_model,
     parse_trajectory_log,
@@ -46,7 +52,9 @@ from homebench.core import (
 )
 from homebench.loop import (
     DEFAULT_TEMPLATE,
+    EpisodeState,
     ParseFailure,
+    apply_feedback,
     parse_planner_output,
     render_template,
     replay_instructions,
@@ -56,7 +64,15 @@ from homebench.loop import (
 from homebench.planners import ScriptedPlanner, Transcribed
 from homebench.sim import load_scene
 
-from conftest import examples, make_task, node, random_trajectory, traj
+from conftest import (
+    examples,
+    make_task,
+    node,
+    random_trajectory,
+    render_history,
+    text_by_dumps,
+    traj,
+)
 from test_loop import plan_entry
 from test_sim import scene_doc
 
@@ -123,6 +139,45 @@ def test_sft_history_scrubbed_but_feedback_kept():
     assert "Place" not in prompt_for_step3.history  # failed step scrubbed
     assert "1. Pick apple -> success" in prompt_for_step3.history
     assert prompt_for_step3.feedback.startswith("failure (L3)")
+
+
+# targets with non-ASCII text and the U+001F that ``stable_seed`` joins on
+history_targets = st.text(st.sampled_from("ab _\x1fé☕\u2028"), min_size=1, max_size=6)
+
+
+@st.composite
+def history_steps(draw):
+    """One step of any kind: an F1 step holding a raw reply, a failed step
+    of a valid subtask, or a successful one."""
+    kind = draw(st.sampled_from(["f1", "failure", "success"]))
+    if kind == "f1":
+        return StepRecord(PlannerOutput(draw(st.text(max_size=8)), "", "", ""),
+                          failure(ErrorCode.F1))
+    action = draw(st.sampled_from([a for a in ActionType if a is not ActionType.END]))
+    output = PlannerOutput("why", action.label, draw(history_targets),
+                           draw(st.sampled_from([m.label for m in ModelChoice])))
+    if kind == "success":
+        return StepRecord(output, SUCCESS)
+    code = draw(st.sampled_from([c for c in ErrorCode if c is not ErrorCode.F1]))
+    return StepRecord(output, failure(code))
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(steps=st.lists(history_steps(), max_size=12), end=st.booleans())
+def test_histories_extended_per_step_equal_the_rendered_ones(steps, end):
+    if end:
+        steps.append(StepRecord(PlannerOutput("done", "End", "", "M3"), SUCCESS))
+    state = EpisodeState("tidy")
+    assert state.history == render_history([])
+    for n, step in enumerate(steps, 1):
+        apply_feedback(state, step)
+        assert state.history == render_history(steps[:n])
+    trajectory = Trajectory("t1", steps)
+    prompts = replay_instructions(trajectory, TASK)
+    assert [p.history for p in prompts] == [render_history(steps[:n]) for n in range(len(steps))]
+    kept = [step for step in steps if step.feedback.ok]
+    assert [s.instruction.history for s in sft_convert(trajectory, prompts)] == [
+        render_history(kept[:n]) for n in range(len(kept))]
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +524,7 @@ def test_end_on_structured_output_equals_text_reparse(output):
     # _pair refuses exactly the End-chosen pairs (the rejected side differs)
     rejected = dataclasses.replace(output, analysis=output.analysis + "!")
     prompts = replay_instructions(traj([("Pick", "apple", True)], budget=True), TASK)
-    pair = _pair(prompts, 0, output, rejected, PairSource.SIFT, "t1")
+    pair = _pair(prompts, 0, output, rejected.text, PairSource.SIFT, "t1")
     assert (pair is None) == expected
 
 
@@ -493,6 +548,37 @@ def test_derived_subtask_equals_reparse(output, entry):
         assert derived.is_end == (action is ActionType.END and derived.target == "")
     # construction keeps the strings verbatim, canonical or not
     assert (corrupted.action, corrupted.model) == (entry, output.model)
+
+
+# JSON-significant and awkward characters: quotes, backslashes, control
+# characters (U+007F and U+2028 included) and non-ASCII text
+awkward_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\n\t\x1f\x7f\u2028é☕'),
+                                 st.characters()), max_size=12)
+# an analysis as a log holds it: any lone surrogate written as its escape
+escaped_analysis = st.text(st.one_of(st.characters(), st.integers(0xD800, 0xDFFF).map(chr)),
+                           max_size=12).map(escape_surrogates)
+variant_outputs = st.builds(
+    PlannerOutput,
+    analysis=st.one_of(awkward_text, escaped_analysis),
+    action=st.one_of(actions, awkward_text),
+    target=st.one_of(st.just(""), st.sampled_from(["apple", "kitchen table"]), awkward_text),
+    model=st.one_of(st.sampled_from([m.label for m in ModelChoice]), awkward_text),
+)
+
+
+@settings(max_examples=examples(300))
+@given(output=variant_outputs,
+       entry=st.one_of(st.sampled_from(load_default_lexicon()), actions, awkward_text),
+       model=st.one_of(st.sampled_from([m.label for m in ModelChoice]), awkward_text))
+@example(PlannerOutput("a\\udc80", "Pick", "", "RT-1-X"), "end", "Octo")  # turns into an End
+@example(PlannerOutput("done", "End", "", "M3"), "grab", "M3")  # an End that no longer is
+def test_variant_texts_equal_the_replaced_outputs_serialized(output, entry, model):
+    assert output.text == text_by_dumps(output)
+    for variant, text in (
+        (dataclasses.replace(output, action=entry), _variant_text(output, action=entry)),
+        (dataclasses.replace(output, model=model), _variant_text(output, model=model)),
+    ):
+        assert text == serialize_output(variant) == text_by_dumps(variant)
 
 
 def test_rejected_differs_only_in_mandated_field(rng):
@@ -667,8 +753,29 @@ def model_change_by_scan(trajectory, prompts):
             continue
         swapped = dataclasses.replace(step.output, model=alternatives[0].label)
         pair = _pair(
-            prompts, i, step.output, swapped,
+            prompts, i, step.output, text_by_dumps(swapped),
             PairSource.MODEL_CHANGE, trajectory.task_id,
+        )
+        if pair is not None:
+            pairs.append(pair)
+    return pairs
+
+
+def action_change_by_replace(trajectory, prompts, lexicon, rng):
+    """Reference format pairs: each corrupted output is built with
+    ``dataclasses.replace`` and written with ``json.dumps``; the candidates
+    are listed anew for every step."""
+    pairs = []
+    for i, step in enumerate(trajectory.steps):
+        if not step.feedback.ok:
+            continue
+        candidates = [entry for entry in lexicon if entry != step.output.action]
+        if not candidates:
+            continue
+        corrupted = dataclasses.replace(step.output, action=rng.choice(candidates))
+        pair = _pair(
+            prompts, i, step.output, text_by_dumps(corrupted),
+            PairSource.ACTION_CHANGE, trajectory.task_id,
         )
         if pair is not None:
             pairs.append(pair)
@@ -677,7 +784,8 @@ def model_change_by_scan(trajectory, prompts):
 
 def build_every_run(trajectories, tasks, config):
     """Reference builder: replays and derives every trajectory on its own,
-    dedups on a sha256 of the U+001F-joined texts, parses the chosen text
+    builds and writes each action and model variant with ``dataclasses.replace``
+    and ``json.dumps``, dedups on a sha256 of the U+001F-joined texts, parses the chosen text
     of every kept pair for the End audit and writes each line with
     ``json.dumps``. Writes the same files as ``build_datasets``."""
     out_dir = Path(config.out_dir)
@@ -703,7 +811,7 @@ def build_every_run(trajectories, tasks, config):
         draw_rng = random.Random(
             stable_seed(config.seed, trajectory.task_id, trajectory.run_index)
         )
-        pairs.extend(dpo_action_change(trajectory, prompts, lexicon, draw_rng))
+        pairs.extend(action_change_by_replace(trajectory, prompts, lexicon, draw_rng))
         pairs.extend(model_change_by_scan(trajectory, prompts))
 
     base_count = len(samples)
