@@ -43,7 +43,6 @@ from .core import (
 from .loop import (
     EMPTY_HISTORY,
     Instruction,
-    ParseFailure,
     extend_history,
     parse_planner_output,
     replay_instructions,
@@ -52,8 +51,7 @@ from .loop import (
 
 
 def _is_end_text(text: str) -> bool:
-    output = parse_planner_output(text)
-    return not isinstance(output, ParseFailure) and output.action_type is ActionType.END
+    return parse_planner_output(text).action_type is ActionType.END
 
 
 @dataclass(frozen=True)
@@ -325,12 +323,12 @@ def split_task_ids(task_ids: Iterable[str], train_fraction: float, seed: int):
 @dataclass
 class AugmentConfig:
     out_dir: Path
+    scenes: dict  # scene_ref -> template Scene
     seed: int = 0
     rewrites: int = 0
     rewriter: Optional[Callable] = None
     lexicon: Optional[list] = None
     dedup: bool = True
-    scenes: Optional[dict] = None  # scene_ref -> template Scene
     train_split: Optional[float] = None
 
 
@@ -380,8 +378,7 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
     byte-identical files. Preference pairs are deduplicated by their
     (prompt, chosen, rejected) texts unless ``dedup`` is off; the manifest
     records counts before and after. Each trajectory replays on a clone of
-    its task's template scene in ``config.scenes``; without one its prompts
-    show the observations-unavailable placeholder. A trajectory whose steps
+    its task's template scene in ``config.scenes``. A trajectory whose steps
     equal the previous one's (in task and run order) is not replayed: it
     shares that trajectory's prompts, samples and pairs, and only its action
     corruptions are drawn, from its own seed.
@@ -406,10 +403,8 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
         if (replayed is None or replayed.task_id != trajectory.task_id
                 or replayed.steps != trajectory.steps):
             replayed = trajectory
-            template = (config.scenes or {}).get(task.scene_ref)
-            prompts = replay_instructions(
-                trajectory, task, template.clone() if template is not None else None,
-            )
+            prompts = replay_instructions(trajectory, task,
+                                          config.scenes[task.scene_ref].clone())
             run_samples = sft_convert(trajectory, prompts)
             run_pairs = dpo_sift(trajectory, prompts) + dpo_order_change(trajectory, prompts)
             model_pairs = dpo_model_change(trajectory, prompts)
@@ -428,11 +423,9 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
     samples, rewrite_failures = expand_with_rewrites(samples, rewriter, config.rewrites)
 
     def per_source(items):
-        counts = {source.value: 0 for source in PairSource}
-        for pair in items:
-            counts[pair.source.value] += 1
-        counts["total"] = len(items)
-        return counts
+        counts = Counter(pair.source for pair in items)
+        return {**{source.value: counts[source] for source in PairSource},
+                "total": len(items)}
 
     pre_dedup = per_source(pairs)
     if config.dedup:

@@ -1,6 +1,12 @@
 """The planner/executor protocol engine: assemble instructions, parse
-planner emissions, apply feedback to episode state, enforce step budgets,
-and drive whole episodes and benchmarks.
+planner emissions, fold each step into the episode state, enforce step
+budgets, and drive whole episodes and benchmarks.
+
+A step takes one path: ``parse_planner_output`` reads every reply as a
+``PlannerOutput`` (the F1 form when it does not parse), ``sim.execute``
+decides it, and ``apply_feedback`` folds it into the state, scene and hand
+through ``sim.apply_outcome``. Log replay folds each logged step the same
+way, on a fresh copy of the task's scene.
 
 One episode is strictly sequential; distinct episodes are independent and
 may run concurrently as long as they never share a scene or state.
@@ -12,7 +18,6 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
-from enum import Enum
 from importlib import resources
 from typing import Optional, Protocol, Sequence
 
@@ -44,8 +49,6 @@ def _load_text(name: str) -> str:
 
 DEFAULT_SYSTEM_INFO = _load_text("templates/system.txt").strip()
 DEFAULT_TEMPLATE = _load_text("templates/default.txt")
-
-OBSERVATIONS_UNAVAILABLE = "(observations unavailable)"
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +120,7 @@ def extend_history(history: str, n: int, step: StepRecord) -> str:
     return line if n == 1 else f"{history}\n{line}"
 
 
-def render_observations(scene: Optional[Scene]) -> str:
-    if scene is None:
-        return OBSERVATIONS_UNAVAILABLE
+def render_observations(scene: Scene) -> str:
     return "\n".join(
         f"{direction}: {text}"
         for direction, text in zip(sim.DIRECTIONS, observe(scene))
@@ -128,13 +129,14 @@ def render_observations(scene: Optional[Scene]) -> str:
 
 @dataclass
 class EpisodeState:
-    """Mutable per-episode protocol state: the task, the scene (None when a
-    log is replayed without one), the hand, the steps taken so far and
-    their history text. Only ``apply_feedback`` adds to the steps and the
-    history, one step and one line at a time, so the two always agree."""
+    """Mutable per-episode protocol state: the task, the scene it plays on,
+    the hand, the steps taken so far and their history text. Only
+    ``apply_feedback`` changes the scene and the hand (as
+    ``sim.apply_outcome`` says) and adds to the steps and the history, one
+    step and one line at a time, so the two always agree."""
 
     task_text: str
-    scene: Optional[Scene] = None
+    scene: Scene
     held: Optional[str] = None  # the object in the hand
     steps: list = field(init=False, default_factory=list)  # [StepRecord]
     history: str = field(init=False, default=EMPTY_HISTORY)
@@ -159,25 +161,6 @@ def assemble_instruction(state: EpisodeState) -> Instruction:
 
 # ---------------------------------------------------------------------------
 # output parsing
-
-
-class ParseFailureReason(Enum):
-    NO_STRUCTURED_OBJECT = "NoStructuredObject"
-    MISSING_FIELD = "MissingField"
-    MALFORMED_SUBTASK = "MalformedSubtask"
-    LONE_SURROGATE = "LoneSurrogate"
-
-
-@dataclass(frozen=True)
-class ParseFailure:
-    reason: ParseFailureReason
-    detail: str = ""
-    raw: str = ""
-
-    def __str__(self):
-        if self.detail:
-            return f"{self.reason.value}({self.detail})"
-        return self.reason.value
 
 
 _DECODER = json.JSONDecoder()
@@ -209,33 +192,32 @@ def _scalar(value) -> Optional[str]:
     return None
 
 
-def parse_planner_output(raw: str):
+def _unparsed(raw: str) -> PlannerOutput:
+    """The F1 form of a reply that does not parse: the raw reply, any lone
+    surrogate escaped, as the analysis, and every other field empty."""
+    return PlannerOutput(escape_surrogates(raw), "", "", "")
+
+
+def parse_planner_output(raw: str) -> PlannerOutput:
     """Two-stage parse of arbitrary planner text.
 
-    Stage one leniently locates a JSON object; stage two requires the
+    Stage one leniently locates a JSON object; stage two requires scalar
     analysis/subtask/model fields and a subtask of the shape
-    [action] / [action, target] / {"action": ..., "target": ...}.
-    Returns a PlannerOutput (fields normalized but not yet checked against
-    the closed lists; its ``subtask`` is None when they fail) or a
-    ParseFailure value. A lone UTF-16 surrogate in the text or in the object
-    decoded from it, which no log could hold as UTF-8, is a ParseFailure.
+    [action] / [action, target] / {"action": ..., "target": ...}. The
+    fields are normalized but not yet checked against the closed lists; the
+    output's ``subtask`` is None when they fail.
+
+    A reply that does not parse (no object, a missing or non-scalar field,
+    a malformed subtask, or a lone UTF-16 surrogate in the text or in the
+    object decoded from it, which no log could hold as UTF-8) reads as the
+    F1 form ``_unparsed`` builds, whose ``subtask`` is None.
     """
     obj = _extract_object(raw)
-    if obj is None:
-        return ParseFailure(ParseFailureReason.NO_STRUCTURED_OBJECT, raw=raw)
-    if _surrogate(raw) is not None or _decoded_surrogate(raw, obj) is not None:
-        return ParseFailure(ParseFailureReason.LONE_SURROGATE, raw=raw)
-    for name in ("analysis", "subtask", "model"):
-        if name not in obj:
-            return ParseFailure(ParseFailureReason.MISSING_FIELD, name, raw)
-    analysis = _scalar(obj["analysis"])
-    model_raw = _scalar(obj["model"])
-    if analysis is None:
-        return ParseFailure(ParseFailureReason.MISSING_FIELD, "analysis", raw)
-    if model_raw is None:
-        return ParseFailure(ParseFailureReason.MISSING_FIELD, "model", raw)
-
-    subtask = obj["subtask"]
+    if obj is None or _surrogate(raw) is not None or _decoded_surrogate(raw, obj) is not None:
+        return _unparsed(raw)
+    analysis = _scalar(obj.get("analysis"))
+    model_raw = _scalar(obj.get("model"))
+    subtask = obj.get("subtask")
     if isinstance(subtask, dict):
         action_raw = _scalar(subtask.get("action"))
         target_raw = _scalar(subtask.get("target", ""))
@@ -243,9 +225,9 @@ def parse_planner_output(raw: str):
         action_raw = _scalar(subtask[0])
         target_raw = _scalar(subtask[1]) if len(subtask) == 2 else ""
     else:
-        return ParseFailure(ParseFailureReason.MALFORMED_SUBTASK, raw=raw)
-    if action_raw is None or target_raw is None:
-        return ParseFailure(ParseFailureReason.MALFORMED_SUBTASK, raw=raw)
+        return _unparsed(raw)
+    if None in (analysis, model_raw, action_raw, target_raw):
+        return _unparsed(raw)
 
     action = parse_action(action_raw)
     model = parse_model(model_raw)
@@ -263,27 +245,12 @@ def parse_planner_output(raw: str):
 
 def apply_feedback(state: EpisodeState, step: StepRecord) -> EpisodeState:
     """Fold one step into the episode state, the same way in live play and
-    in log replay.
-
-    When the state has a scene, it changes as ``sim.apply_outcome`` says.
-    The hand follows the action type: a successful Pick puts its target in
-    the hand (the log is authoritative, whatever the hand held), a
-    successful Place empties it, an E2 failure empties it (the held object
-    fell), and everything else leaves it alone. The step joins the state's
-    steps, and its summary line their history.
+    in log replay: the scene and the hand change as ``sim.apply_outcome``
+    says, the step joins the state's steps, and its summary line their
+    history.
     """
-    feedback = step.feedback
-    if state.scene is not None:
-        sim.apply_outcome(state.scene, step.output.subtask, feedback.code, state.held)
-    if feedback.ok:
-        action = step.output.subtask.action
-        if action is ActionType.PICK:
-            state.held = step.output.target
-        elif action is ActionType.PLACE:
-            state.held = None
-    elif feedback.code is ErrorCode.E2:
-        state.held = None
-
+    state.held = sim.apply_outcome(state.scene, step.output.subtask, step.feedback.code,
+                                   state.held)
     state.steps.append(step)
     state.history = extend_history(state.history, len(state.steps), step)
     return state
@@ -310,14 +277,15 @@ def run_episode(
     """Drive one episode to termination.
 
     Every planner query consumes one budget step, including emissions that
-    fail to parse or validate (logged as F1). Executor attempts within a
-    step retry only on E1, up to ``retries`` (1..3) attempts total; logical,
-    distance, and format failures are deterministic for a given state, so
-    they are final immediately. ``execute`` decides each attempt, and the
-    step folds into the state, scene included, through ``apply_feedback``,
-    as ``replay_instructions`` folds a logged step. The observations are
-    rendered from the scene when each prompt is assembled. The episode stops
-    at a valid End or when the budget runs out.
+    fail to parse or validate (logged as F1; an unparseable reply is logged
+    in the F1 form ``parse_planner_output`` returns). Executor attempts
+    within a step retry only on E1, up to ``retries`` (1..3) attempts
+    total; logical, distance, and format failures are deterministic for a
+    given state, so they are final immediately. ``execute`` decides each
+    attempt, and the step folds into the state, scene and hand included,
+    through ``apply_feedback``, as ``replay_instructions`` folds a logged
+    step. The observations are rendered from the scene when each prompt is
+    assembled. The episode stops at a valid End or when the budget runs out.
 
     If the planner transport fails, the episode stops there: the trajectory
     returned holds the steps taken so far, and its ``cut_off`` is the
@@ -339,9 +307,6 @@ def run_episode(
         except PlannerTransportError as exc:
             return Trajectory(task.id, state.steps, run_index, cut_off=str(exc))
         output = parse(raw)
-        if isinstance(output, ParseFailure):
-            # an F1 step logs the raw reply, with any lone surrogate escaped
-            output = PlannerOutput(escape_surrogates(raw), "", "", "")
         subtask = output.subtask
         retries_used = 0
         if subtask is None:
@@ -396,7 +361,7 @@ def run_benchmark(
     The episodes share one memo of ``parse_planner_output``, bounded to
     ``REPLY_MEMO_SIZE`` replies and gone when the call returns: a reply
     that repeats one still in it is not parsed again, and the episodes
-    share its frozen output.
+    share its frozen output, the F1 form of an unparseable reply too.
     """
     specs = [
         (task, run_index)
@@ -437,18 +402,14 @@ def _map(fn, items, jobs: int):
 # log replay
 
 
-def replay_instructions(
-    trajectory: Trajectory,
-    task: Task,
-    scene: Optional[Scene] = None,
-) -> list:
+def replay_instructions(trajectory: Trajectory, task: Task, scene: Scene) -> list:
     """Reconstruct the instruction that preceded each logged step, exactly
     as the planner saw it, full history included.
 
-    Each logged step folds into the state through ``apply_feedback``, as in
-    ``run_episode``. When a fresh copy of the task's scene is supplied, each
-    prompt observes it as it was at that step; without one the observations
-    render as a fixed placeholder. Supervised prompts, whose history leaves
+    ``scene`` is a fresh copy of the task's scene, which the replay changes.
+    Each logged step folds into the state, scene and hand through
+    ``apply_feedback``, as in ``run_episode``, so each prompt observes the
+    scene as it was at that step. Supervised prompts, whose history leaves
     out the failed steps, are derived from these by replacing only the
     history field (``augment.sft_convert``).
     """

@@ -1,8 +1,9 @@
 """Desk-scale discrete household world: decides the outcome of each of the
 six skills against a small entity graph (``execute``), with every error code
-and its canonical message, applies an outcome to the world
-(``apply_outcome``, the one way a step changes a scene, in live play and in
-log replay alike), and renders four-direction textual observations.
+and its canonical message, applies an outcome to the world and the hand
+(``apply_outcome``, the one way a step changes a scene and the hand, in
+live play and in log replay alike), and renders four-direction textual
+observations.
 
 A Scene is mutable single-episode state. Parse each scene document once
 with ``load_scene``, give each episode its own ``clone()`` of that template,
@@ -532,9 +533,10 @@ def _is_object(scene: Scene, name: Optional[str]) -> bool:
 
 
 def apply_outcome(scene: Scene, subtask: Optional[Subtask], code: Optional[ErrorCode],
-                  held: Optional[str]) -> None:
-    """Change the scene as one step's outcome says: the one way a step
-    changes the world, in live play and in log replay alike.
+                  held: Optional[str]) -> Optional[str]:
+    """Apply one step's outcome to the scene and return what the hand holds
+    after it: the one way a step changes the world and the hand, in live
+    play and in log replay alike.
 
     ``code`` is the step's error code (None on a success; ``subtask`` is
     None only on an F1 step) and ``held`` what the hand held before it. A
@@ -544,12 +546,20 @@ def apply_outcome(scene: Scene, subtask: Optional[Subtask], code: Optional[Error
     spot. Any other outcome changes nothing. Steps ``execute`` decided
     always meet these guards; a hand-made log that does not fit the scene
     changes nothing instead of corrupting it, so only objects ever move.
+
+    The hand follows the log even where the scene does not: a successful
+    Pick puts its target in the hand, whatever the hand held; a successful
+    Place and an E2 empty it; anything else leaves it as it was.
     """
-    if code is None:
-        action, target = subtask.action, subtask.target
-        entity = scene.entities.get(target)
-        if entity is None or entity.kind not in TARGET_KINDS[action]:
-            return
+    if code is not None:
+        if code is not ErrorCode.E2:
+            return held
+        if _is_object(scene, held):
+            scene.move(held, scene.agent.at)
+        return None
+    action, target = subtask.action, subtask.target
+    entity = scene.entities.get(target)
+    if entity is not None and entity.kind in TARGET_KINDS[action]:
         if action is ActionType.PICK:
             scene.move(target, HAND)
         elif action is ActionType.PLACE:
@@ -569,8 +579,9 @@ def apply_outcome(scene: Scene, subtask: Optional[Subtask], code: Optional[Error
             scene.entities[target] = Entity(entity.name, entity.kind, entity.location, state,
                                             entity.interactive)
             scene.drop_segments(target)
-    elif code is ErrorCode.E2 and _is_object(scene, held):
-        scene.move(held, scene.agent.at)
+    if action is ActionType.PICK:
+        return target
+    return None if action is ActionType.PLACE else held
 
 
 def execute(scene: Scene, subtask: Subtask, held: Optional[str]) -> Feedback:

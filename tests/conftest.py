@@ -23,7 +23,10 @@ from homebench.core import (
     failure,
     parse_action,
 )
-from homebench.loop import describe_output, render_feedback
+from homebench.loop import describe_output, render_feedback, replay_instructions
+from homebench.sim import load_scene
+
+from test_sim import scene_doc
 
 # With CI set (GitHub Actions sets it), property tests search harder; a local
 # run keeps each test's own example count.
@@ -103,6 +106,16 @@ def make_task(task_id="t1", keypaths=None, expert_length=None, scene="kitchen_ho
         expert_length=expert_length or longest,
         scene_ref=scene,
     )
+
+
+#: the test scene under the scene name ``make_task`` gives a task by default
+SCENES = {"kitchen_home": load_scene(scene_doc())}
+
+
+def replay(trajectory, task) -> list:
+    """``replay_instructions`` of ``trajectory`` on a fresh clone of its
+    task's scene in ``SCENES``."""
+    return replay_instructions(trajectory, task, SCENES[task.scene_ref].clone())
 
 
 def render_history(steps) -> str:

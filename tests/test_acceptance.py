@@ -32,6 +32,7 @@ from homebench.planners import load_scripted_plan
 from homebench.sim import execute, load_scene
 
 from conftest import (
+    SCENES,
     make_task,
     node,
     prefix_subsequence_oracle,
@@ -229,7 +230,7 @@ def test_criterion_6_dataset_formulas(tmp_path):
     assert successful == 930
 
     manifest = build_datasets(corpus, tasks, AugmentConfig(
-        out_dir=tmp_path / "bulk", seed=42, rewrites=3,
+        out_dir=tmp_path / "bulk", scenes=SCENES, seed=42, rewrites=3,
     ))
     assert manifest["sft"]["base"] == 930
     assert manifest["sft"]["total"] == 3720
@@ -240,7 +241,7 @@ def test_criterion_6_dataset_formulas(tmp_path):
     mixed = [random_trajectory(rng, task_id=f"m{i % 10}", run_index=i)
              for i in range(200)]
     manifest_a = build_datasets(mixed, mixed_tasks, AugmentConfig(
-        out_dir=tmp_path / "a", seed=9, dedup=False,
+        out_dir=tmp_path / "a", scenes=SCENES, seed=9, dedup=False,
     ))
     assert manifest_a["dpo"]["end_as_chosen_violations"] == 0
     with (tmp_path / "a" / "dpo.jsonl").open() as handle:
@@ -267,7 +268,7 @@ def test_criterion_6_dataset_formulas(tmp_path):
 
     # byte-identical dataset files across repeated seeded runs
     manifest_b = build_datasets(mixed, mixed_tasks, AugmentConfig(
-        out_dir=tmp_path / "b", seed=9, dedup=False,
+        out_dir=tmp_path / "b", scenes=SCENES, seed=9, dedup=False,
     ))
     assert manifest_a == manifest_b
     for name in ("sft.jsonl", "dpo.jsonl", "manifest.json"):

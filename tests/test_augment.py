@@ -53,7 +53,6 @@ from homebench.core import (
 from homebench.loop import (
     DEFAULT_TEMPLATE,
     EpisodeState,
-    ParseFailure,
     apply_feedback,
     parse_planner_output,
     render_template,
@@ -65,11 +64,13 @@ from homebench.planners import ScriptedPlanner, Transcribed
 from homebench.sim import load_scene
 
 from conftest import (
+    SCENES,
     examples,
     make_task,
     node,
     random_trajectory,
     render_history,
+    replay,
     text_by_dumps,
     traj,
 )
@@ -91,19 +92,19 @@ def test_sft_skips_failed_steps():
         ("Open", "drawer", True),
         ("Place", "drawer", True),
     ], budget=True)  # 4 steps, 1 failure
-    samples = sft_convert(trajectory, replay_instructions(trajectory, TASK))
+    samples = sft_convert(trajectory, replay(trajectory, TASK))
     assert len(samples) == 3
     assert all(json.loads(s.response)["subtask"][0] != "Place" or True for s in samples)
 
 
 def test_sft_all_failed_is_empty():
     trajectory = traj([("Pick", "apple", False, ErrorCode.E1)] * 3, budget=True)
-    assert sft_convert(trajectory, replay_instructions(trajectory, TASK)) == []
+    assert sft_convert(trajectory, replay(trajectory, TASK)) == []
 
 
 def test_sft_prompts_embed_growing_history():
     trajectory = traj([("Go to", f"spot_{i}", True) for i in range(9)])  # + End = 10
-    samples = sft_convert(trajectory, replay_instructions(trajectory, TASK))
+    samples = sft_convert(trajectory, replay(trajectory, TASK))
     assert len(samples) == 10
     for k, sample in enumerate(samples):
         history = sample.instruction.history
@@ -134,7 +135,7 @@ def test_sft_history_scrubbed_but_feedback_kept():
         ("Place", "drawer", False, ErrorCode.L3),
         ("Open", "drawer", True),
     ], budget=True)
-    samples = sft_convert(trajectory, replay_instructions(trajectory, TASK))
+    samples = sft_convert(trajectory, replay(trajectory, TASK))
     prompt_for_step3 = samples[1].instruction
     assert "Place" not in prompt_for_step3.history  # failed step scrubbed
     assert "1. Pick apple -> success" in prompt_for_step3.history
@@ -167,13 +168,13 @@ def history_steps(draw):
 def test_histories_extended_per_step_equal_the_rendered_ones(steps, end):
     if end:
         steps.append(StepRecord(PlannerOutput("done", "End", "", "M3"), SUCCESS))
-    state = EpisodeState("tidy")
+    state = EpisodeState("tidy", SCENES["kitchen_home"].clone())
     assert state.history == render_history([])
     for n, step in enumerate(steps, 1):
         apply_feedback(state, step)
         assert state.history == render_history(steps[:n])
     trajectory = Trajectory("t1", steps)
-    prompts = replay_instructions(trajectory, TASK)
+    prompts = replay(trajectory, TASK)
     assert [p.history for p in prompts] == [render_history(steps[:n]) for n in range(len(steps))]
     kept = [step for step in steps if step.feedback.ok]
     assert [s.instruction.history for s in sft_convert(trajectory, prompts)] == [
@@ -186,7 +187,7 @@ def test_histories_extended_per_step_equal_the_rendered_ones(steps, end):
 
 def test_expand_zero_is_identity():
     trajectory = traj([("Pick", "apple", True)])
-    samples = sft_convert(trajectory, replay_instructions(trajectory, TASK))
+    samples = sft_convert(trajectory, replay(trajectory, TASK))
     expanded, failures = expand_with_rewrites(samples, identity_rewriter, 0)
     assert expanded == samples
     assert failures == 0
@@ -194,7 +195,7 @@ def test_expand_zero_is_identity():
 
 def test_expand_identity_triplicates_with_fixed_fields():
     trajectory = traj([("Pick", "apple", True), ("Open", "drawer", True)])
-    samples = sft_convert(trajectory, replay_instructions(trajectory, TASK))
+    samples = sft_convert(trajectory, replay(trajectory, TASK))
     expanded, _ = expand_with_rewrites(samples, identity_rewriter, 2)
     assert len(expanded) == len(samples) * 3
     assert expanded[: len(samples)] == samples  # originals first
@@ -205,7 +206,7 @@ def test_expand_identity_triplicates_with_fixed_fields():
 
 def test_expand_rewrites_only_text_fields():
     trajectory = traj([("Pick", "apple", True)])
-    samples = sft_convert(trajectory, replay_instructions(trajectory, TASK))
+    samples = sft_convert(trajectory, replay(trajectory, TASK))
     expanded, _ = expand_with_rewrites(samples, lambda s: s.upper(), 1)
     original, rewritten = expanded[0], expanded[len(samples)]
     o_body, r_body = json.loads(original.response), json.loads(rewritten.response)
@@ -218,7 +219,7 @@ def test_expand_rewrites_only_text_fields():
 
 def test_expand_count_formula():
     trajectory = traj([("Go to", f"s{i}", True) for i in range(5)], budget=True)
-    samples = sft_convert(trajectory, replay_instructions(trajectory, TASK))
+    samples = sft_convert(trajectory, replay(trajectory, TASK))
     expanded, failures = expand_with_rewrites(samples, identity_rewriter, 3)
     assert len(expanded) == len(samples) * 4
     assert failures == 0
@@ -234,7 +235,7 @@ def test_expand_survives_rewriter_failures():
         return text
 
     trajectory = traj([("Pick", "apple", True), ("Open", "drawer", True)])
-    samples = sft_convert(trajectory, replay_instructions(trajectory, TASK))
+    samples = sft_convert(trajectory, replay(trajectory, TASK))
     expanded, failures = expand_with_rewrites(samples, flaky, 1)
     assert failures > 0
     assert len(expanded) == len(samples) * 2 - failures
@@ -297,7 +298,7 @@ def failing_every(k, rewriter):
 def test_expand_matches_replace_oracle(seed, kind, n, task_text, fail_every):
     trajectory = random_trajectory(random.Random(seed))
     task = make_task(task_id="t1", instruction=task_text)
-    samples = sft_convert(trajectory, replay_instructions(trajectory, task))
+    samples = sft_convert(trajectory, replay(trajectory, task))
 
     def fresh_rewriter():
         rewriter = REWRITERS[kind]()
@@ -318,7 +319,7 @@ def test_expand_matches_replace_oracle(seed, kind, n, task_text, fail_every):
 
 def test_cached_texts_follow_replace_and_leave_eq_hash_alone():
     trajectory = traj([("Pick", "apple", True), ("Open", "drawer", True)])
-    instruction = replay_instructions(trajectory, TASK)[1]
+    instruction = replay(trajectory, TASK)[1]
     output = trajectory.steps[1].output
     for value, render, changes in (
         (instruction, lambda i: render_template(DEFAULT_TEMPLATE, i),
@@ -348,7 +349,7 @@ def test_sift_basic_rule():
         ("Pick", "banana", False, ErrorCode.D1),
         ("Go to", "table", True),
     ], budget=True)
-    pairs = dpo_sift(trajectory, replay_instructions(trajectory, TASK))
+    pairs = dpo_sift(trajectory, replay(trajectory, TASK))
     assert len(pairs) == 1
     pair = pairs[0]
     assert pair.source is PairSource.SIFT
@@ -366,20 +367,20 @@ def test_sift_consecutive_failures():
         ("Pick", "b", False, ErrorCode.E1),
         ("Pick", "c", True),
     ], budget=True)
-    pairs = dpo_sift(trajectory, replay_instructions(trajectory, TASK))
+    pairs = dpo_sift(trajectory, replay(trajectory, TASK))
     assert len(pairs) == 1
     assert json.loads(pairs[0].rejected)["subtask"] == ["Pick", "b"]
 
 
 def test_sift_all_success_empty():
     trajectory = traj([("Pick", "a", True)] * 3)
-    assert dpo_sift(trajectory, replay_instructions(trajectory, TASK)) == []
+    assert dpo_sift(trajectory, replay(trajectory, TASK)) == []
 
 
 def test_sift_skips_end_as_chosen():
     trajectory = traj([("Pick", "a", False, ErrorCode.E1)])  # failure then End
     assert trajectory.steps[-1].output.is_end
-    assert dpo_sift(trajectory, replay_instructions(trajectory, TASK)) == []
+    assert dpo_sift(trajectory, replay(trajectory, TASK)) == []
 
 
 def test_sift_enumeration_over_short_status_strings():
@@ -395,7 +396,7 @@ def test_sift_enumeration_over_short_status_strings():
                 1 for i in range(length - 1)
                 if not statuses[i] and statuses[i + 1]
             )
-            prompts = replay_instructions(trajectory, TASK)
+            prompts = replay(trajectory, TASK)
             assert len(dpo_sift(trajectory, prompts)) == expected
 
 
@@ -403,7 +404,7 @@ def test_order_change_adjacent_successes():
     trajectory = traj([
         ("Pick", "a", True), ("Place", "drawer", True), ("Go to", "sofa", True),
     ], budget=True)
-    pairs = dpo_order_change(trajectory, replay_instructions(trajectory, TASK))
+    pairs = dpo_order_change(trajectory, replay(trajectory, TASK))
     assert len(pairs) == 2
     assert json.loads(pairs[0].chosen)["subtask"] == ["Pick", "a"]
     assert json.loads(pairs[0].rejected)["subtask"] == ["Place", "drawer"]
@@ -411,7 +412,7 @@ def test_order_change_adjacent_successes():
 
 def test_order_change_end_lands_rejected():
     trajectory = traj([("Pick", "a", True)])  # Pick then End
-    pairs = dpo_order_change(trajectory, replay_instructions(trajectory, TASK))
+    pairs = dpo_order_change(trajectory, replay(trajectory, TASK))
     assert len(pairs) == 1
     assert json.loads(pairs[0].rejected)["subtask"] == ["End"]
     assert json.loads(pairs[0].chosen)["subtask"] == ["Pick", "a"]
@@ -422,12 +423,12 @@ def test_order_change_alternating_none():
         ("Pick", "a", True), ("Pick", "b", False, ErrorCode.E1),
         ("Pick", "c", True), ("Pick", "d", False, ErrorCode.E1),
     ], budget=True)
-    assert dpo_order_change(trajectory, replay_instructions(trajectory, TASK)) == []
+    assert dpo_order_change(trajectory, replay(trajectory, TASK)) == []
 
 
 def test_action_change_seeded_golden():
     trajectory = traj([("Pick", "apple", True)], budget=True)
-    pairs = dpo_action_change(trajectory, replay_instructions(trajectory, TASK),
+    pairs = dpo_action_change(trajectory, replay(trajectory, TASK),
                               load_default_lexicon(),
                               random.Random(7))
     assert len(pairs) == 1
@@ -441,14 +442,14 @@ def test_action_change_seeded_golden():
 
 def test_action_change_skips_end():
     trajectory = traj([("Pick", "apple", True)])  # + End
-    pairs = dpo_action_change(trajectory, replay_instructions(trajectory, TASK),
+    pairs = dpo_action_change(trajectory, replay(trajectory, TASK),
                               ["grab"], random.Random(0))
     assert len(pairs) == 1  # only the Pick step
 
 
 def test_action_change_one_pair_per_success():
     trajectory = traj([("Go to", f"s{i}", True) for i in range(6)], budget=True)
-    pairs = dpo_action_change(trajectory, replay_instructions(trajectory, TASK),
+    pairs = dpo_action_change(trajectory, replay(trajectory, TASK),
                               ["grab", "take"], random.Random(0))
     assert len(pairs) == 6
 
@@ -456,7 +457,7 @@ def test_action_change_one_pair_per_success():
 def test_action_change_empty_lexicon():
     with pytest.raises(EmptyLexicon):
         trajectory = traj([("Pick", "a", True)])
-        dpo_action_change(trajectory, replay_instructions(trajectory, TASK), [],
+        dpo_action_change(trajectory, replay(trajectory, TASK), [],
                           random.Random(0))
 
 
@@ -464,7 +465,7 @@ def test_model_change_same_category_swaps():
     trajectory = traj([
         ("Go to", "sofa", True), ("Pick", "apple", True),
     ], budget=True)
-    pairs = dpo_model_change(trajectory, replay_instructions(trajectory, TASK))
+    pairs = dpo_model_change(trajectory, replay(trajectory, TASK))
     assert len(pairs) == 2
     first, second = (json.loads(p.rejected) for p in pairs)
     assert first["model"] == "PixNav"   # NoMaD -> PixNav
@@ -477,13 +478,12 @@ def test_model_change_skips_sole_category_member():
 
     steps = (step(ActionType.PICK, "apple", ok=True, model="M3"),)
     trajectory = Trajectory("t1", steps)
-    assert dpo_model_change(trajectory, replay_instructions(trajectory, TASK)) == []
+    assert dpo_model_change(trajectory, replay(trajectory, TASK)) == []
 
 
 def end_by_reparse(output: PlannerOutput) -> bool:
     """Reference End check on the text: parse the serialized output back."""
-    parsed = parse_planner_output(serialize_output(output))
-    return not isinstance(parsed, ParseFailure) and parsed.action_type is ActionType.END
+    return parse_planner_output(serialize_output(output)).action_type is ActionType.END
 
 
 @st.composite
@@ -523,7 +523,7 @@ def test_end_on_structured_output_equals_text_reparse(output):
     assert _is_end_text(serialize_output(output)) == expected
     # _pair refuses exactly the End-chosen pairs (the rejected side differs)
     rejected = dataclasses.replace(output, analysis=output.analysis + "!")
-    prompts = replay_instructions(traj([("Pick", "apple", True)], budget=True), TASK)
+    prompts = replay(traj([("Pick", "apple", True)], budget=True), TASK)
     pair = _pair(prompts, 0, output, rejected.text, PairSource.SIFT, "t1")
     assert (pair is None) == expected
 
@@ -585,7 +585,7 @@ def test_rejected_differs_only_in_mandated_field(rng):
     lexicon = load_default_lexicon()
     for _ in range(60):
         trajectory = random_trajectory(rng)
-        prompts = replay_instructions(trajectory, TASK)
+        prompts = replay(trajectory, TASK)
         for pair in dpo_action_change(trajectory, prompts, lexicon, rng):
             chosen, rejected = json.loads(pair.chosen), json.loads(pair.rejected)
             assert chosen["subtask"][0] != rejected["subtask"][0]
@@ -621,7 +621,7 @@ def test_build_datasets_counts_and_determinism(tmp_path, rng):
 
     def build(out):
         return build_datasets(trajectories, tasks, AugmentConfig(
-            out_dir=tmp_path / out, seed=11, rewrites=2,
+            out_dir=tmp_path / out, scenes=SCENES, seed=11, rewrites=2,
         ))
 
     manifest_a = build("a")
@@ -643,7 +643,7 @@ def test_build_datasets_per_source_formulas_against_enumeration(tmp_path):
                     for i in range(200)]
     tasks = {f"t{i}": make_task(task_id=f"t{i}") for i in range(9)}
     manifest = build_datasets(trajectories, tasks, AugmentConfig(
-        out_dir=tmp_path / "ds", seed=5, dedup=False,
+        out_dir=tmp_path / "ds", scenes=SCENES, seed=5, dedup=False,
     ))
 
     exp = {"sift": 0, "order_change": 0, "action_change": 0, "model_change": 0}
@@ -673,7 +673,7 @@ def test_build_datasets_per_source_formulas_against_enumeration(tmp_path):
 def test_build_datasets_end_never_chosen(tmp_path, rng):
     trajectories, tasks = corpus(rng, n=40)
     manifest = build_datasets(trajectories, tasks, AugmentConfig(
-        out_dir=tmp_path / "ds", seed=2,
+        out_dir=tmp_path / "ds", scenes=SCENES, seed=2,
     ))
     assert manifest["dpo"]["end_as_chosen_violations"] == 0
     from homebench.loop import parse_planner_output
@@ -688,10 +688,10 @@ def test_build_datasets_end_never_chosen(tmp_path, rng):
 def test_build_datasets_dedup_stable_under_double_ingestion(tmp_path, rng):
     trajectories, tasks = corpus(rng)
     once = build_datasets(trajectories, tasks, AugmentConfig(
-        out_dir=tmp_path / "once", seed=3,
+        out_dir=tmp_path / "once", scenes=SCENES, seed=3,
     ))
     twice = build_datasets(list(trajectories) + list(trajectories), tasks,
-                           AugmentConfig(out_dir=tmp_path / "twice", seed=3))
+                           AugmentConfig(out_dir=tmp_path / "twice", scenes=SCENES, seed=3))
     assert once["dpo"]["post_dedup"] == twice["dpo"]["post_dedup"]
     assert twice["dpo"]["pre_dedup"]["total"] == 2 * once["dpo"]["pre_dedup"]["total"]
 
@@ -702,7 +702,7 @@ def test_build_datasets_train_split(tmp_path, rng):
     tasks = {tid: dataclasses.replace(task, instruction=f"do the thing for <{tid}>")
              for tid, task in tasks.items()}
     manifest = build_datasets(trajectories, tasks, AugmentConfig(
-        out_dir=tmp_path / "ds", seed=9, train_split=0.7, rewrites=2,
+        out_dir=tmp_path / "ds", scenes=SCENES, seed=9, train_split=0.7, rewrites=2,
     ))
     split = manifest["split"]
     assert set(split["train_tasks"]) | set(split["val_tasks"]) == set(tasks)
@@ -801,10 +801,7 @@ def build_every_run(trajectories, tasks, config):
         task = tasks.get(trajectory.task_id)
         if task is None:
             raise MissingTask(trajectory.task_id)
-        template = (config.scenes or {}).get(task.scene_ref)
-        prompts = replay_instructions(
-            trajectory, task, template.clone() if template is not None else None,
-        )
+        prompts = replay_instructions(trajectory, task, config.scenes[task.scene_ref].clone())
         samples.extend(sft_convert(trajectory, prompts))
         pairs.extend(dpo_sift(trajectory, prompts))
         pairs.extend(dpo_order_change(trajectory, prompts))
@@ -896,9 +893,10 @@ def assert_same_files(trajectories, tasks, rewriter=None, **options):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         expected = build_every_run(trajectories, tasks, AugmentConfig(
-            out_dir=out / "every_run", rewriter=rewriter and rewriter(), **options))
+            out_dir=out / "every_run", scenes=SCENES, rewriter=rewriter and rewriter(),
+            **options))
         manifest = build_datasets(trajectories, tasks, AugmentConfig(
-            out_dir=out / "shared", rewriter=rewriter and rewriter(), **options))
+            out_dir=out / "shared", scenes=SCENES, rewriter=rewriter and rewriter(), **options))
         assert manifest == expected
         names = sorted(path.name for path in (out / "every_run").iterdir())
         assert sorted(path.name for path in (out / "shared").iterdir()) == names
@@ -906,9 +904,6 @@ def assert_same_files(trajectories, tasks, rewriter=None, **options):
             shared, every_run = (out / "shared" / name), (out / "every_run" / name)
             assert shared.read_bytes() == every_run.read_bytes(), name
     return manifest
-
-
-SCENES = {"kitchen_home": load_scene(scene_doc())}
 
 
 @st.composite
@@ -944,15 +939,13 @@ def repeating_corpora(draw):
 
 @settings(max_examples=examples(100), deadline=None)
 @given(corpus=repeating_corpora(), seed=st.integers(0, 2**16), rewrites=st.integers(0, 2),
-       reword=st.booleans(), dedup=st.booleans(), train_split=st.sampled_from([None, 0.5]),
-       with_scenes=st.booleans())
+       reword=st.booleans(), dedup=st.booleans(), train_split=st.sampled_from([None, 0.5]))
 def test_shared_repeats_write_the_files_of_every_run_derived(
-        corpus, seed, rewrites, reword, dedup, train_split, with_scenes):
+        corpus, seed, rewrites, reword, dedup, train_split):
     trajectories, tasks = corpus
     assert_same_files(
         trajectories, tasks, rewriter=(lambda: lambda text: text[::-1]) if reword else None,
         seed=seed, rewrites=rewrites, dedup=dedup, train_split=train_split,
-        scenes=SCENES if with_scenes else None,
     )
 
 
@@ -1021,7 +1014,7 @@ def test_remote_style_rewriter_still_asked_for_every_sample(tmp_path):
     trajectories = [dataclasses.replace(repeated, run_index=i) for i in range(4)]
     trajectories.append(traj([("Open", "drawer", True)], run_index=4))
     manifest = build_datasets(trajectories, {"t1": TASK}, AugmentConfig(
-        out_dir=tmp_path / "ds", seed=2, rewrites=2, rewriter=reword))
+        out_dir=tmp_path / "ds", scenes=SCENES, seed=2, rewrites=2, rewriter=reword))
     assert manifest["sft"]["base"] == 4 * 3 + 2
     assert len(calls) == 2 * manifest["sft"]["base"] * 2
     assert manifest["sft"]["total"] == 3 * manifest["sft"]["base"]

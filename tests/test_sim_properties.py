@@ -9,7 +9,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homebench import sim
-from homebench.core import ActionType, ErrorCode, ModelChoice, SchemaError, Subtask
+from homebench.core import (
+    SUCCESS,
+    ActionType,
+    ErrorCode,
+    ModelChoice,
+    PlannerOutput,
+    SchemaError,
+    StepRecord,
+    Subtask,
+    failure,
+)
 from homebench.loop import EpisodeState
 from homebench.sim import (
     DIRECTIONS,
@@ -199,6 +209,81 @@ def test_observe_matches_oracle_under_random_subtasks(data):
             assert observe(state.scene) == oracle_observe(state.scene)
         assert observe(sibling) == pristine
     assert_unchanged(template, shared, pristine)
+
+
+# ---------------------------------------------------------------------------
+# the hand
+
+
+def oracle_hand(step: StepRecord, held):
+    """The hand after ``step``, by the rule the episode fold kept beside the
+    scene before ``apply_outcome`` returned the hand: a successful Pick puts
+    its target in the hand (the log is authoritative, whatever the hand
+    held), a successful Place empties it, an E2 empties it (the held object
+    fell), and everything else leaves it alone."""
+    feedback = step.feedback
+    if feedback.ok:
+        action = step.output.subtask.action
+        if action is ActionType.PICK:
+            return step.output.target
+        if action is ActionType.PLACE:
+            return None
+    elif feedback.code is ErrorCode.E2:
+        return None
+    return held
+
+
+def output_of(action, target):
+    """The logged output of ``action`` on ``target``; None for the action is
+    an unparseable reply, whose ``subtask`` is None."""
+    if action is None:
+        return PlannerOutput("no reply", "", "", "")
+    return PlannerOutput("", action.label, "" if action is ActionType.END else target,
+                         ModelChoice.M3.label)
+
+
+#: in place of a step's held value: whatever the step before left in the hand
+CARRIED = object()
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(data=st.data())
+def test_apply_outcome_returns_the_hand_of_the_one_rule(data):
+    """Random steps, most of them hand-made to fit no scene, on random
+    scenes: the hand ``apply_outcome`` returns is the oracle's. Each scene
+    first plays a Pick of a spot, of a container (when it has one) and of an
+    unknown name, a Place with an empty hand, an E2 with nothing held and an
+    F1 step with no subtask."""
+    doc = data.draw(scene_docs())
+    scene = load_scene(doc)
+    names = list(scene.entities)
+    kinds = {kind: [n for n in names if scene.entities[n].kind is kind] for kind in EntityKind}
+    targets = names + ["nowhere"]
+    # (action, target, code, held): each a success that fits no scene, then
+    # an E2 and an F1 step
+    steps = [(ActionType.PICK, kinds[EntityKind.SPOT][0], None, CARRIED),
+             *[(ActionType.PICK, name, None, CARRIED) for name in kinds[EntityKind.CONTAINER][:1]],
+             (ActionType.PICK, "nowhere", None, CARRIED),
+             (ActionType.PLACE, data.draw(st.sampled_from(targets)), None, None),
+             (ActionType.PLACE, data.draw(st.sampled_from(targets)), ErrorCode.E2, None),
+             (None, "", ErrorCode.F1, CARRIED)]
+    actions = list(ActionType) + [None]
+    for _ in range(data.draw(st.integers(0, 25))):
+        action = data.draw(st.sampled_from(actions))
+        # a success needs a subtask; an F1 step may hold one or not
+        codes = [ErrorCode.F1] if action is None else [None] * 4 + list(ErrorCode)
+        steps.append((action, data.draw(st.sampled_from(targets)),
+                      data.draw(st.sampled_from(codes)),
+                      data.draw(st.sampled_from([CARRIED] * 4 + [None] + targets))))
+    hand = None
+    for action, target, code, held in steps:
+        if held is not CARRIED:
+            hand = held
+        step = StepRecord(output_of(action, target), SUCCESS if code is None else failure(code))
+        expected = oracle_hand(step, hand)
+        hand = apply_outcome(scene, step.output.subtask, code, hand)
+        assert hand == expected, (action, target, code, held)
+    assert observe(scene) == oracle_observe(scene)
 
 
 # ---------------------------------------------------------------------------
