@@ -46,6 +46,7 @@ from .loop import (
     extend_history,
     parse_planner_output,
     replay_instructions,
+    require_scene,
     stable_seed,
 )
 
@@ -378,10 +379,11 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
     byte-identical files. Preference pairs are deduplicated by their
     (prompt, chosen, rejected) texts unless ``dedup`` is off; the manifest
     records counts before and after. Each trajectory replays on a clone of
-    its task's template scene in ``config.scenes``. A trajectory whose steps
-    equal the previous one's (in task and run order) is not replayed: it
-    shares that trajectory's prompts, samples and pairs, and only its action
-    corruptions are drawn, from its own seed.
+    its task's template scene in ``config.scenes``; a trajectory whose task
+    or scene is missing is refused (MissingTask, MissingScene) before any
+    replay. A trajectory whose steps equal the previous one's (in task and
+    run order) is not replayed: it shares that trajectory's prompts, samples
+    and pairs, and only its action corruptions are drawn, from its own seed.
     """
     out_dir = Path(config.out_dir)
     rewriter = config.rewriter if config.rewriter is not None else identity_rewriter
@@ -390,6 +392,11 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
         raise EmptyLexicon("action corruption needs a non-empty lexicon")
 
     ordered = sorted(trajectories, key=lambda t: (t.task_id, t.run_index))
+    for trajectory in ordered:  # every task and its scene are found before any replay
+        task = tasks.get(trajectory.task_id)
+        if task is None:
+            raise MissingTask(trajectory.task_id)
+        require_scene(task, config.scenes)
     samples = []
     pairs = []
     # the last trajectory replayed and its derived work, which a run of the
@@ -397,9 +404,7 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
     replayed = None
     candidates = {}  # action -> its corruptions, for every trajectory's draws
     for trajectory in ordered:
-        task = tasks.get(trajectory.task_id)
-        if task is None:
-            raise MissingTask(trajectory.task_id)
+        task = tasks[trajectory.task_id]
         if (replayed is None or replayed.task_id != trajectory.task_id
                 or replayed.steps != trajectory.steps):
             replayed = trajectory

@@ -213,12 +213,16 @@ def _parse_logs(logs_dir: Path):
     trajectories = []
     corrupt = []
     memo = {}
-    # one directory, so sorting by name orders as sorting the paths would
-    for name, path in sorted((path.name, path) for path in logs_dir.glob("*.json")):
+    # one directory, so the names are unique and sorting compares only them
+    with os.scandir(logs_dir) as entries:
+        found = sorted((entry.name, entry.path) for entry in entries
+                       if entry.name.endswith(".json"))
+    for name, path in found:
         if name == "report.json":
             continue
         try:
-            trajectories.append(parse_trajectory_log(path.read_bytes(), memo))
+            with open(path, "rb") as handle:
+                trajectories.append(parse_trajectory_log(handle.read(), memo))
         except (HomebenchError, OSError) as exc:
             corrupt.append((name, str(exc)))
     return trajectories, corrupt

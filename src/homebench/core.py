@@ -52,6 +52,14 @@ class MissingTask(HomebenchError):
         super().__init__(f"a log names task {task_id!r}, which has no task file")
 
 
+class MissingScene(HomebenchError):
+    """A task's scene is not among the template scenes a caller passed."""
+
+    def __init__(self, task_id: str, scene_ref: str):
+        super().__init__(f"task {task_id!r} needs scene {scene_ref!r}, "
+                         "which is not among the scenes given")
+
+
 class EmptyLexicon(HomebenchError):
     """Action corruption requires a non-empty lexicon."""
 

@@ -26,6 +26,7 @@ from .core import (
     ConfigError,
     ErrorCode,
     Feedback,
+    MissingScene,
     PlannerOutput,
     PlannerTransportError,
     StepRecord,
@@ -336,6 +337,13 @@ def stable_seed(*parts) -> int:
 REPLY_MEMO_SIZE = 1024
 
 
+def require_scene(task: Task, scenes: dict) -> None:
+    """Refuse ``scenes`` (template scenes by scene reference) without the
+    scene of ``task``, with a MissingScene that names both."""
+    if task.scene_ref not in scenes:
+        raise MissingScene(task.id, task.scene_ref)
+
+
 def run_benchmark(
     tasks: Sequence[Task],
     planner_factory,
@@ -351,7 +359,8 @@ def run_benchmark(
     scene and fresh state, and return their trajectories.
 
     ``scenes`` maps each task's scene reference to a template Scene; every
-    episode plays on its own clone of it. ``planner_factory(task,
+    episode plays on its own clone of it, and a task whose scene is missing
+    is refused (MissingScene) before any episode plays. ``planner_factory(task,
     run_index)`` must hand back a planner that is private to that episode.
     A transport failure cuts off only its own episode (``cut_off``), and
     the benchmark continues. Trajectories come back in stable (task order,
@@ -363,6 +372,8 @@ def run_benchmark(
     that repeats one still in it is not parsed again, and the episodes
     share its frozen output, the F1 form of an unparseable reply too.
     """
+    for task in tasks:  # every scene is found before any episode plays
+        require_scene(task, scenes)
     specs = [
         (task, run_index)
         for task in tasks

@@ -130,23 +130,26 @@ def compute_ser(results: Iterable[EpisodeResult]):
     terminate it, and counting it as a success would push the rate past
     100%.
     """
-    results = list(results)
-    ended = sum(1 for r in results if r.ended)
-    successes = sum(1 for r in results if r.success and r.ended)
-    if ended == 0:
-        return Fraction(0), True
-    return _pct(successes, ended), False
+    return _ser_srr((r, 1) for r in results)[0]
 
 
 def compute_srr(results: Iterable[EpisodeResult]):
     """Success re-plan rate: replans inside successful runs over all replans,
     as a percentage; (0, True) when no replans happened anywhere."""
-    results = list(results)
-    total = sum(r.replans for r in results)
-    in_success = sum(r.replans for r in results if r.success)
-    if total == 0:
-        return Fraction(0), True
-    return _pct(in_success, total), False
+    return _ser_srr((r, 1) for r in results)[1]
+
+
+def _ser_srr(groups):
+    """SER and SRR, each as (rate, denominator is zero), over (result, runs)
+    groups, each result standing for ``runs`` runs."""
+    ended = ended_ok = replans = replans_ok = 0
+    for r, runs in groups:
+        if r.ended:
+            ended += runs
+            ended_ok += runs if r.success else 0
+        replans += r.replans * runs
+        replans_ok += r.replans * runs if r.success else 0
+    return (_pct(ended_ok, ended), not ended), (_pct(replans_ok, replans), not replans)
 
 
 @dataclass(frozen=True)
@@ -160,10 +163,10 @@ class _TaskScore:
     tp: Fraction
 
 
-def _task_table(results: Iterable[EpisodeResult], expert_lengths: dict,
+def _task_table(groups: Iterable[tuple], expert_lengths: dict,
                 literal: bool = False) -> dict:
-    """Group the runs by task once and average each task's runs, in task-id
-    order.
+    """Collect the (result, runs) groups by task once and average each
+    task's runs, in task-id order; a group's result counts ``runs`` times.
 
     Per successful run the PLWSR weight is expert / max(expert, actual), so a
     path longer than the expert's is penalized proportionally; failures
@@ -171,22 +174,23 @@ def _task_table(results: Iterable[EpisodeResult], expert_lengths: dict,
     length (which saturates at 1 for any path at least expert length).
     """
     by_task: dict = {}
-    for r in results:
-        by_task.setdefault(r.task_id, []).append(r)
+    for r, runs in groups:
+        by_task.setdefault(r.task_id, []).append((r, runs))
     table = {}
-    for task_id, runs in sorted(by_task.items()):
+    for task_id, task_groups in sorted(by_task.items()):
         expert = expert_lengths.get(task_id)
         if expert is None or expert < 1:
             raise MissingExpertLength(f"no expert length for task {task_id!r}")
+        n = sum(runs for _, runs in task_groups)
         weights = (
-            Fraction(r.length if literal else expert, max(expert, r.length))
-            for r in runs if r.success
+            Fraction(runs * (r.length if literal else expert), max(expert, r.length))
+            for r, runs in task_groups if r.success
         )
         table[task_id] = _TaskScore(
-            runs=len(runs),
-            sr=Fraction(sum(1 for r in runs if r.success), len(runs)),
-            plwsr=sum(weights, Fraction(0)) / len(runs),
-            tp=sum((r.tp for r in runs), Fraction(0)) / len(runs),
+            runs=n,
+            sr=Fraction(sum(runs for r, runs in task_groups if r.success), n),
+            plwsr=sum(weights, Fraction(0)) / n,
+            tp=sum((r.tp * runs for r, runs in task_groups), Fraction(0)) / n,
         )
     return table
 
@@ -213,7 +217,7 @@ def compute_sr_plwsr(
     """Success rate and path-length-weighted success rate, both as exact
     percentage rationals. Episodes average within their task first, then
     across tasks; see ``_task_table`` for the PLWSR weight."""
-    sr, plwsr, _ = _task_means(_task_table(results, expert_lengths, literal))
+    sr, plwsr, _ = _task_means(_task_table(((r, 1) for r in results), expert_lengths, literal))
     return sr, plwsr
 
 
@@ -231,12 +235,13 @@ class PartitionStats:
     failed_steps: int = 0
     total_steps: int = 0
 
-    def add(self, step: StepRecord):
-        self.total_steps += 1
+    def add(self, step: StepRecord, runs: int = 1):
+        """Tally ``step`` once for each of ``runs`` runs that hold it."""
+        self.total_steps += runs
         if not step.feedback.ok:
-            self.failed_steps += 1
+            self.failed_steps += runs
             code = step.feedback.code
-            self.counts[code] = self.counts.get(code, 0) + 1
+            self.counts[code] = self.counts.get(code, 0) + runs
 
     def count(self, code: ErrorCode) -> int:
         return self.counts.get(code, 0)
@@ -276,11 +281,16 @@ def aggregate_error_stats(pairs: Iterable) -> dict:
     ``pairs`` yields (trajectory, success: bool). Returns
     {"successful": PartitionStats, "failed": PartitionStats}.
     """
+    return _error_stats((pair, 1) for pair in pairs)
+
+
+def _error_stats(groups) -> dict:
+    """``aggregate_error_stats`` over ((trajectory, success), runs) groups."""
     stats = {"successful": PartitionStats(), "failed": PartitionStats()}
-    for trajectory, success in pairs:
+    for (trajectory, success), runs in groups:
         bucket = stats["successful" if success else "failed"]
         for step in trajectory.steps:
-            bucket.add(step)
+            bucket.add(step, runs)
     return stats
 
 
@@ -302,20 +312,25 @@ def per_action_stats(trajectories: Iterable[Trajectory]) -> dict:
     emission rejected for format never reached the executor, so it is not
     an attempt of any skill. Never-attempted actions are omitted.
     """
+    return _action_stats((t, 1) for t in trajectories)
+
+
+def _action_stats(groups) -> dict:
+    """``per_action_stats`` over (trajectory, runs) groups."""
     stats: dict = {}
-    for trajectory in trajectories:
+    for trajectory, runs in groups:
         for step in trajectory.steps:
             action = step.output.action_type
             if action is None or action is ActionType.END:
                 continue
             if step.feedback.code is ErrorCode.F1:
                 continue
-            entry = stats.setdefault(action, ActionStats())
-            entry.attempts += 1
+            entry = stats.get(action) or stats.setdefault(action, ActionStats())
+            entry.attempts += runs
             if step.feedback.ok:
-                entry.successes += 1
+                entry.successes += runs
             elif step.feedback.code.category is ErrorCategory.EXECUTION:
-                entry.e_errors += 1
+                entry.e_errors += runs
     return stats
 
 
@@ -390,20 +405,30 @@ def build_report(
 
     Run-level values average within each task first, then across tasks;
     SER and SRR are global ratios over all runs by definition.
+
+    A run whose task and steps equal the previous run's is scored as part
+    of that run's group: the group's first run is scored once and every
+    tally counts it once per run in the group. Every value is the exact
+    fraction a run-by-run scoring gives, so no byte of the report changes.
     """
-    results = []
+    groups = []  # (first run, its result, runs in the group)
     for trajectory in trajectories:
+        if groups:
+            first, result, runs = groups[-1]
+            if first.task_id == trajectory.task_id and first.steps == trajectory.steps:
+                groups[-1] = first, result, runs + 1
+                continue
         task = tasks.get(trajectory.task_id)
         if task is None:
             raise MissingTask(trajectory.task_id)
-        results.append(episode_result(trajectory, task))
+        groups.append((trajectory, episode_result(trajectory, task), 1))
+    results = [(result, runs) for _, result, runs in groups]
 
     table = _task_table(
         results, {t.id: t.expert_length for t in tasks.values()}, plwsr_literal
     )
     sr, plwsr, tp_mean = _task_means(table)
-    ser, ser_flag = compute_ser(results)
-    srr, srr_flag = compute_srr(results)
+    (ser, ser_flag), (srr, srr_flag) = _ser_srr(results)
     per_task = {
         task_id: {"runs": score.runs, "sr": round2(100 * score.sr), "tp": round2(100 * score.tp)}
         for task_id, score in table.items()
@@ -413,11 +438,8 @@ def build_report(
         carriers = {tid: score for tid, score in table.items() if attr in tasks[tid].attributes}
         per_attribute[attr] = _task_means(carriers)[0] if carriers else None
 
-    error_stats = aggregate_error_stats(
-        (trajectory, result.success)
-        for trajectory, result in zip(trajectories, results)
-    )
-    action_stats = per_action_stats(trajectories)
+    error_stats = _error_stats(((t, r.success), runs) for t, r, runs in groups)
+    action_stats = _action_stats((t, runs) for t, _, runs in groups)
 
     return BenchmarkReport(
         sr=sr,
@@ -432,7 +454,7 @@ def build_report(
         error_stats=error_stats,
         action_stats=action_stats,
         n_tasks=len(table),
-        n_runs=len(results),
+        n_runs=len(trajectories),
     )
 
 

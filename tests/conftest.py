@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
@@ -15,6 +16,8 @@ from homebench.core import (
     ActionType,
     ErrorCode,
     KeypathNode,
+    MissingExpertLength,
+    MissingTask,
     PlannerOutput,
     StepRecord,
     Task,
@@ -24,6 +27,15 @@ from homebench.core import (
     parse_action,
 )
 from homebench.loop import describe_output, render_feedback, replay_instructions
+from homebench.metrics import (
+    BenchmarkReport,
+    aggregate_error_stats,
+    compute_ser,
+    compute_srr,
+    episode_result,
+    per_action_stats,
+    round2,
+)
 from homebench.sim import load_scene
 
 from test_sim import scene_doc
@@ -134,6 +146,57 @@ def text_by_dumps(output: PlannerOutput) -> str:
     subtask = [output.action] if output.is_end else [output.action, output.target]
     return json.dumps({"analysis": output.analysis, "subtask": subtask, "model": output.model},
                       ensure_ascii=False)
+
+
+def report_per_run(trajectories, tasks, plwsr_literal=False) -> BenchmarkReport:
+    """Reference report: every run scored on its own and tallied once, with
+    no grouping of equal runs. Each run's task and the expert lengths are
+    looked up as ``build_report`` looks them up, so the same task is named
+    when one is missing."""
+    results = []
+    for trajectory in trajectories:
+        task = tasks.get(trajectory.task_id)
+        if task is None:
+            raise MissingTask(trajectory.task_id)
+        results.append(episode_result(trajectory, task))
+    expert_lengths = {t.id: t.expert_length for t in tasks.values()}
+    by_task = {}
+    for r in results:
+        by_task.setdefault(r.task_id, []).append(r)
+    table = {}  # task id -> (runs, SR, PLWSR, TP) as fractions of 1
+    for task_id, runs in sorted(by_task.items()):
+        expert = expert_lengths.get(task_id)
+        if expert is None or expert < 1:
+            raise MissingExpertLength(f"no expert length for task {task_id!r}")
+        weights = (Fraction(r.length if plwsr_literal else expert, max(expert, r.length))
+                   for r in runs if r.success)
+        table[task_id] = (len(runs), Fraction(sum(1 for r in runs if r.success), len(runs)),
+                          sum(weights, Fraction(0)) / len(runs),
+                          sum((r.tp for r in runs), Fraction(0)) / len(runs))
+
+    def mean(scores, column):
+        return 100 * sum((s[column] for s in scores), Fraction(0)) / len(scores)
+
+    per_attribute = {}
+    for attr in TaskAttribute:
+        carriers = [s for tid, s in table.items() if attr in tasks[tid].attributes]
+        per_attribute[attr] = mean(carriers, 1) if carriers else None
+    scores = list(table.values())
+    sr, plwsr, tp = (mean(scores, c) if scores else Fraction(0) for c in (1, 2, 3))
+    ser, ser_zero = compute_ser(results)
+    srr, srr_zero = compute_srr(results)
+    return BenchmarkReport(
+        sr=sr, plwsr=plwsr, tp_mean=tp, ser=ser, srr=srr,
+        ser_denominator_zero=ser_zero, srr_denominator_zero=srr_zero,
+        per_attribute_sr=per_attribute,
+        per_task={tid: {"runs": n, "sr": round2(100 * s), "tp": round2(100 * t)}
+                  for tid, (n, s, _, t) in table.items()},
+        error_stats=aggregate_error_stats(
+            (t, r.success) for t, r in zip(trajectories, results)),
+        action_stats=per_action_stats(trajectories),
+        n_tasks=len(table),
+        n_runs=len(results),
+    )
 
 
 def prefix_subsequence_oracle(pairs, keypath):

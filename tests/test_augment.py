@@ -35,6 +35,7 @@ from homebench.core import (
     ActionType,
     EmptyLexicon,
     ErrorCode,
+    MissingScene,
     MissingTask,
     ModelChoice,
     PlannerOutput,
@@ -668,6 +669,23 @@ def test_build_datasets_per_source_formulas_against_enumeration(tmp_path):
 
     for source, expected in exp.items():
         assert manifest["dpo"]["pre_dedup"][source] == expected, source
+
+
+def test_build_datasets_refuses_a_missing_scene_before_any_replay(tmp_path, rng, monkeypatch):
+    trajectories, tasks = corpus(rng)
+    # the last task in task order plays in a scene the config lacks
+    tasks["task6"] = make_task(task_id="task6", scene="bedroom")
+    replays = []
+    monkeypatch.setattr(augment, "replay_instructions",
+                        lambda *args: replays.append(args) or [])
+    for scenes, task_id, scene in ((SCENES, "task6", "bedroom"), ({}, "task0", "kitchen_home")):
+        with pytest.raises(MissingScene) as info:
+            build_datasets(trajectories, tasks, AugmentConfig(
+                out_dir=tmp_path / "ds", scenes=scenes, seed=1))
+        assert str(info.value) == (f"task {task_id!r} needs scene {scene!r}, "
+                                   "which is not among the scenes given")
+    assert replays == []
+    assert not (tmp_path / "ds").exists()
 
 
 def test_build_datasets_end_never_chosen(tmp_path, rng):

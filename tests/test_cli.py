@@ -1463,6 +1463,23 @@ def test_unreadable_log_entry_is_excluded_and_named(tmp_path, capsys, command):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_parse_logs_reads_every_json_entry_in_name_order(tmp_path):
+    # a hidden *.json file is a log too; other names, and report.json, are not
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    names = ["b.json", ".hidden.json", "a.json", "B.json"]  # written out of name order
+    for run_index, name in enumerate(names):
+        trajectory = traj([("Pick", "apple", True)], task_id="t1", run_index=run_index)
+        (logs / name).write_text(serialize_trajectory(trajectory), encoding="utf-8")
+    for name in ("c.JSON", "d.json.bak", "e.jsonl", "report.json"):
+        (logs / name).write_text(serialize_trajectory(traj([])), encoding="utf-8")
+    (logs / "sub.json").mkdir()
+    trajectories, corrupt = _parse_logs(logs)
+    assert [names[t.run_index] for t in trajectories] == [
+        ".hidden.json", "B.json", "a.json", "b.json"]
+    assert [name for name, _ in corrupt] == ["sub.json"]
+
+
 @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
                     reason="needs a user that file permissions apply to")
 def test_log_without_read_permission_is_excluded_and_named(tmp_path, capsys):

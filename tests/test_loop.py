@@ -10,6 +10,7 @@ from homebench.core import (
     ActionType,
     ConfigError,
     ErrorCode,
+    MissingScene,
     ModelChoice,
     PlannerOutput,
     PlannerTransportError,
@@ -642,6 +643,26 @@ def test_benchmark_cardinality():
     assert len(trajectories) == 30
     keys = [(t.task_id, t.run_index) for t in trajectories]
     assert len(set(keys)) == 30
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_benchmark_refuses_a_missing_scene_before_any_episode(jobs):
+    tasks, docs, _ = bench_fixtures()
+    tasks.append(make_task(task_id="task10", scene="bedroom"))
+    asked = []
+
+    def factory(task, run_index):
+        asked.append((task.id, run_index))
+        return ScriptedPlanner([plan_entry("End", "")])
+
+    with pytest.raises(MissingScene) as info:
+        run_benchmark(tasks, factory, docs, runs_per_task=2, jobs=jobs)
+    assert str(info.value) == ("task 'task10' needs scene 'bedroom', "
+                               "which is not among the scenes given")
+    assert asked == []
+    with pytest.raises(MissingScene, match="task 'task00' needs scene 's'"):
+        run_benchmark(tasks, factory, {}, runs_per_task=1)
+    assert asked == []
 
 
 def test_benchmark_deterministic_given_seed():

@@ -1,13 +1,18 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homebench.core import (
     ActionType,
     EmptyKeypathSet,
     ErrorCode,
+    HomebenchError,
     MissingExpertLength,
     TaskAttribute,
+    Trajectory,
 )
 from homebench.metrics import (
     EpisodeResult,
@@ -26,11 +31,14 @@ from homebench.metrics import (
 )
 
 from conftest import (
+    examples,
     make_task,
     node,
     prefix_subsequence_oracle,
     random_keypaths,
     random_trajectory,
+    report_per_run,
+    step,
     traj,
 )
 
@@ -539,3 +547,100 @@ def test_report_aggregates_match_oracle(rng, literal):
             assert doc["per_attribute_sr"][attr.value] is None
         successes += sum(1 for v in doc["per_task"].values() if v["sr"] > 0)
     assert successes > 0
+
+
+# ---------------------------------------------------------------------------
+# build_report scores each group of equal adjacent runs once; the per-run
+# report is the oracle
+
+_ACTIONS = ["Go to", "Pick", "Place", "Open"]
+_TARGETS = ["apple", "drawer"]
+
+
+@st.composite
+def _step_records(draw):
+    kind = draw(st.sampled_from(["success", "E", "L, D or F2", "f1", "f1 junk", "f1 end"]))
+    if kind == "f1 junk":
+        return step("Jump", "apple", ok=False, code=ErrorCode.F1)
+    if kind == "f1 end":  # an End rejected for its form does not end the run
+        return step(ActionType.END, "", ok=False, code=ErrorCode.F1)
+    action = draw(st.sampled_from(_ACTIONS))
+    target = draw(st.sampled_from(_TARGETS))
+    if kind == "success":
+        return step(action, target)
+    codes = {"f1": [ErrorCode.F1], "E": [ErrorCode.E1, ErrorCode.E2],
+             "L, D or F2": [c for c in ErrorCode if c.value[0] in "LD" or c is ErrorCode.F2]}[kind]
+    return step(action, target, ok=False, code=draw(st.sampled_from(codes)),
+                retries=draw(st.integers(0, 2)))
+
+
+@st.composite
+def _step_tuples(draw, keypaths):
+    """Random steps, or a walk of one of ``keypaths`` with random steps
+    before its nodes; then an End or none."""
+    if draw(st.booleans()):
+        steps = draw(st.lists(_step_records(), max_size=5))
+    else:
+        steps = []
+        for n in draw(st.sampled_from(keypaths)):
+            steps += draw(st.lists(_step_records(), max_size=2))
+            steps.append(step(n.action, n.target))
+    if draw(st.booleans()):
+        steps.append(step(ActionType.END, ""))
+    return tuple(steps)
+
+
+def _equal_copy(steps):
+    """Records equal to ``steps`` that share no object with them."""
+    return tuple(dataclasses.replace(s, output=dataclasses.replace(s.output),
+                                     feedback=dataclasses.replace(s.feedback))
+                 for s in steps)
+
+
+@st.composite
+def _corpora(draw):
+    """Tasks and runs whose steps come from a small pool, so runs repeat
+    inside a task and across tasks, next to each other and apart."""
+    attributes = list(TaskAttribute)
+    tasks = {}
+    for i in range(draw(st.integers(1, 3))):
+        keypaths = draw(st.lists(
+            st.lists(st.tuples(st.sampled_from(_ACTIONS), st.sampled_from(_TARGETS)),
+                     min_size=1, max_size=3), min_size=1, max_size=3))
+        longest = max(len(k) for k in keypaths)
+        tasks[f"t{i}"] = make_task(
+            task_id=f"t{i}",
+            keypaths=[[node(a, t) for a, t in k] for k in keypaths],
+            expert_length=longest + draw(st.integers(0, 3)),
+            attributes=draw(st.lists(st.sampled_from(attributes), min_size=1, max_size=2)))
+    keypaths = [k for task in tasks.values() for k in task.keypaths]
+    pool = draw(st.lists(_step_tuples(keypaths), min_size=1, max_size=3))
+    task_ids = sorted(tasks)
+    fault = draw(st.sampled_from([None, "missing task", "missing expert length"]))
+    if fault == "missing task":
+        task_ids.append("ghost")  # a run may name a task with no task file
+    elif fault == "missing expert length":
+        # filed under another id, so its expert length is not found
+        tasks["t0"] = dataclasses.replace(tasks["t0"], id="t0 elsewhere")
+    runs = draw(st.lists(st.tuples(st.sampled_from(task_ids), st.sampled_from(pool),
+                                   st.booleans()), min_size=1, max_size=12))
+    trajectories = [Trajectory(task_id, _equal_copy(steps) if copy else steps, run_index=i)
+                    for i, (task_id, steps, copy) in enumerate(runs)]
+    if draw(st.booleans()):
+        trajectories = draw(st.permutations(trajectories))
+    return tasks, trajectories
+
+
+def _report_or_fault(build, trajectories, tasks, literal):
+    try:
+        return build(trajectories, tasks, plwsr_literal=literal).to_dict()
+    except HomebenchError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(corpus=_corpora(), literal=st.booleans())
+def test_grouped_report_equals_the_per_run_report(corpus, literal):
+    tasks, trajectories = corpus
+    expected = _report_or_fault(report_per_run, trajectories, tasks, literal)
+    assert _report_or_fault(build_report, trajectories, tasks, literal) == expected

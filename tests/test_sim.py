@@ -362,6 +362,21 @@ def test_open_close_toggle():
     assert scene.entities["fridge"].open_state is OpenState.CLOSED
 
 
+@pytest.mark.parametrize("navigation, manipulation", [(1.0, 0.0), (0.0, 1.0)])
+def test_each_e1_rate_draws_for_its_own_skills(navigation, manipulation):
+    # a rate of 1 always fires and a rate of 0 never does, so a Go to that
+    # drew the manipulation rate, or a Pick the navigation one, flips
+    doc = scene_doc(failure_rates={"e1_manipulation": manipulation,
+                                   "e1_navigation": navigation, "e2_place": 0.0})
+    go_to = ErrorCode.E1 if navigation else None
+    pick = ErrorCode.E1 if manipulation else None
+    for seed in range(5):
+        scene = load_scene(doc, seed=seed)
+        for _ in range(4):
+            assert execute(scene, sub(GO_TO, "table", ModelChoice.NOMAD), EMPTY).code is go_to
+            assert execute(scene, sub(PICK, "apple"), EMPTY).code is pick
+
+
 def test_seeded_determinism_with_rates():
     doc = scene_doc(failure_rates={"e1_manipulation": 0.5, "e1_navigation": 0.2,
                                    "e2_place": 0.3})
