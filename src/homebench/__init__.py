@@ -22,7 +22,6 @@ from .core import (
     normalize_name,
     parse_task_file,
     parse_trajectory_log,
-    serialize_task,
     serialize_trajectory,
 )
 from .loop import (
@@ -36,9 +35,6 @@ from .loop import (
 from .metrics import (
     BenchmarkReport,
     build_report,
-    compute_ser,
-    compute_sr_plwsr,
-    compute_srr,
     compute_tp,
     count_replans,
     match_keypath,

@@ -31,10 +31,12 @@ from .core import (
 from .loop import run_benchmark
 from .metrics import (
     build_report,
+    error_breakdown,
     render_action_table,
     render_attribute_table,
     render_error_table,
     render_summary_table,
+    score_runs,
 )
 from .planners import (
     ConsolePlanner,
@@ -379,18 +381,18 @@ def cmd_report_errors(args, config: dict) -> int:
     if args.plot_data:
         _refuse_inside_logs("--plot-data", args.plot_data, logs_dir)
 
-    report = build_report(trajectories, tasks)
-    print(render_error_table(report.error_stats["successful"],
+    error_stats, action_stats = error_breakdown(score_runs(trajectories, tasks))
+    print(render_error_table(error_stats["successful"],
                              "Successful trajectories error statistics"))
     print()
-    print(render_error_table(report.error_stats["failed"],
+    print(render_error_table(error_stats["failed"],
                              "Failed trajectories error statistics"))
     print()
     print("Per-action execution statistics")
-    print(render_action_table(report.action_stats))
+    print(render_action_table(action_stats))
 
     if args.plot_data:
-        doc = report.to_dict()["error_stats"]
+        doc = {k: v.to_dict() for k, v in error_stats.items()}
         Path(args.plot_data).write_text(
             json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
         print(f"plot data written to {args.plot_data}")

@@ -41,10 +41,6 @@ class EmptyKeypathSet(HomebenchError):
     """Task progress is undefined without at least one keypath."""
 
 
-class MissingExpertLength(HomebenchError):
-    """PLWSR needs an expert trajectory length for every task."""
-
-
 class MissingTask(HomebenchError):
     """A trajectory log references a task id with no task file."""
 
@@ -511,6 +507,9 @@ class Task:
             raise SchemaError(f"task {self.id!r}: attributes must be non-empty")
         if not self.keypaths:
             raise SchemaError(f"task {self.id!r}: keypaths must be non-empty")
+        for i, keypath in enumerate(self.keypaths):
+            if not keypath:  # task progress would divide by its zero length
+                raise SchemaError(f"task {self.id!r}.keypaths[{i}]: keypath must be non-empty")
         longest = max(len(k) for k in self.keypaths)
         if self.expert_length < longest:
             raise SchemaError(
@@ -593,23 +592,6 @@ def parse_task_file(data) -> Task:
     scene_ref = _require_text(doc, "scene", where)
     keypaths = parse_keypaths(_require(doc, "keypaths", where), f"{where}.keypaths")
     return Task(task_id, instruction, frozenset(attributes), keypaths, expert_length, scene_ref)
-
-
-def serialize_task(task: Task) -> str:
-    """Canonical task document. parse/serialize round-trips byte-identically
-    on canonically formatted documents."""
-    doc = {
-        "id": task.id,
-        "instruction": task.instruction,
-        "attributes": sorted(a.value for a in task.attributes),
-        "expert_length": task.expert_length,
-        "scene": task.scene_ref,
-        "keypaths": [
-            [{"action": n.action.label, "target": n.target} for n in kp]
-            for kp in task.keypaths
-        ],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from .core import (
     ErrorCategory,
     ErrorCode,
     KeypathNode,
-    MissingExpertLength,
     MissingTask,
     StepRecord,
     Task,
@@ -98,7 +97,6 @@ class EpisodeResult:
     """
 
     task_id: str
-    run_index: int
     tp: Fraction
     success: bool
     ended: bool
@@ -111,7 +109,6 @@ def episode_result(trajectory: Trajectory, task: Task) -> EpisodeResult:
     ended = trajectory.terminated_by_end
     return EpisodeResult(
         task_id=trajectory.task_id,
-        run_index=trajectory.run_index,
         tp=tp,
         success=tp == 1,
         ended=ended,
@@ -120,28 +117,21 @@ def episode_result(trajectory: Trajectory, task: Task) -> EpisodeResult:
     )
 
 
-def compute_ser(results: Iterable[EpisodeResult]):
-    """Success end rate: successful runs over runs the agent itself ended,
-    as a percentage. A zero denominator yields (0, True) rather than an
-    error so batch reports survive degenerate planners.
-
-    A run that completes every keypath node but burns its remaining budget
-    without ever emitting End counts in neither side: the agent did not
-    terminate it, and counting it as a success would push the rate past
-    100%.
-    """
-    return _ser_srr((r, 1) for r in results)[0]
-
-
-def compute_srr(results: Iterable[EpisodeResult]):
-    """Success re-plan rate: replans inside successful runs over all replans,
-    as a percentage; (0, True) when no replans happened anywhere."""
-    return _ser_srr((r, 1) for r in results)[1]
-
-
 def _ser_srr(groups):
     """SER and SRR, each as (rate, denominator is zero), over (result, runs)
-    groups, each result standing for ``runs`` runs."""
+    groups, each result standing for ``runs`` runs. A zero denominator
+    yields (0, True) rather than an error so batch reports survive
+    degenerate planners.
+
+    Success end rate: successful runs over runs the agent itself ended, as
+    a percentage. A run that completes every keypath node but burns its
+    remaining budget without ever emitting End counts in neither side: the
+    agent did not terminate it, and counting it as a success would push the
+    rate past 100%.
+
+    Success re-plan rate: replans inside successful runs over all replans,
+    as a percentage.
+    """
     ended = ended_ok = replans = replans_ok = 0
     for r, runs in groups:
         if r.ended:
@@ -163,8 +153,7 @@ class _TaskScore:
     tp: Fraction
 
 
-def _task_table(groups: Iterable[tuple], expert_lengths: dict,
-                literal: bool = False) -> dict:
+def _task_table(groups: Iterable[tuple], tasks: dict, literal: bool = False) -> dict:
     """Collect the (result, runs) groups by task once and average each
     task's runs, in task-id order; a group's result counts ``runs`` times.
 
@@ -178,9 +167,7 @@ def _task_table(groups: Iterable[tuple], expert_lengths: dict,
         by_task.setdefault(r.task_id, []).append((r, runs))
     table = {}
     for task_id, task_groups in sorted(by_task.items()):
-        expert = expert_lengths.get(task_id)
-        if expert is None or expert < 1:
-            raise MissingExpertLength(f"no expert length for task {task_id!r}")
+        expert = tasks[task_id].expert_length
         n = sum(runs for _, runs in task_groups)
         weights = (
             Fraction(runs * (r.length if literal else expert), max(expert, r.length))
@@ -209,18 +196,6 @@ def _task_means(table: dict):
             mean(s.tp for s in scores))
 
 
-def compute_sr_plwsr(
-    results: Iterable[EpisodeResult],
-    expert_lengths: dict,
-    literal: bool = False,
-):
-    """Success rate and path-length-weighted success rate, both as exact
-    percentage rationals. Episodes average within their task first, then
-    across tasks; see ``_task_table`` for the PLWSR weight."""
-    sr, plwsr, _ = _task_means(_task_table(((r, 1) for r in results), expert_lengths, literal))
-    return sr, plwsr
-
-
 # ---------------------------------------------------------------------------
 # error statistics
 
@@ -235,7 +210,7 @@ class PartitionStats:
     failed_steps: int = 0
     total_steps: int = 0
 
-    def add(self, step: StepRecord, runs: int = 1):
+    def add(self, step: StepRecord, runs: int):
         """Tally ``step`` once for each of ``runs`` runs that hold it."""
         self.total_steps += runs
         if not step.feedback.ok:
@@ -275,17 +250,10 @@ class PartitionStats:
         }
 
 
-def aggregate_error_stats(pairs: Iterable) -> dict:
-    """Partition trajectories by success and tally their failed steps.
-
-    ``pairs`` yields (trajectory, success: bool). Returns
-    {"successful": PartitionStats, "failed": PartitionStats}.
-    """
-    return _error_stats((pair, 1) for pair in pairs)
-
-
 def _error_stats(groups) -> dict:
-    """``aggregate_error_stats`` over ((trajectory, success), runs) groups."""
+    """Partition runs by success and tally their steps, over ((trajectory,
+    success), runs) groups. Returns {"successful": PartitionStats, "failed":
+    PartitionStats}."""
     stats = {"successful": PartitionStats(), "failed": PartitionStats()}
     for (trajectory, success), runs in groups:
         bucket = stats["successful" if success else "failed"]
@@ -305,18 +273,14 @@ class ActionStats:
         return _pct(self.successes, self.attempts)
 
 
-def per_action_stats(trajectories: Iterable[Trajectory]) -> dict:
-    """Per-skill attempt/success counts plus each skill's share of all
+def _action_stats(groups) -> dict:
+    """Per-skill attempt/success/E-error counts over (trajectory, runs)
+    groups; ``action_error_share`` gives each skill's share of all
     E-category errors. One step is one attempt (its internal retries are
     not attempts of their own). End steps and F1 steps are excluded: an
     emission rejected for format never reached the executor, so it is not
     an attempt of any skill. Never-attempted actions are omitted.
     """
-    return _action_stats((t, 1) for t in trajectories)
-
-
-def _action_stats(groups) -> dict:
-    """``per_action_stats`` over (trajectory, runs) groups."""
     stats: dict = {}
     for trajectory, runs in groups:
         for step in trajectory.steps:
@@ -396,6 +360,38 @@ class BenchmarkReport:
         }
 
 
+def score_runs(trajectories: Sequence[Trajectory], tasks: dict) -> list:
+    """Score a batch of finished runs, in the order given, as a list of
+    (first run, its EpisodeResult, runs in the group) groups.
+
+    A run whose task and steps equal the previous run's joins that run's
+    group: the group's first run is scored once, and every tally over the
+    groups counts its result once per run in the group, which gives the
+    exact fractions a run-by-run scoring gives. A run whose task id has no
+    task in ``tasks``, or whose task there carries another id, raises
+    MissingTask.
+    """
+    groups = []
+    for trajectory in trajectories:
+        if groups:
+            first, result, runs = groups[-1]
+            if first.task_id == trajectory.task_id and first.steps == trajectory.steps:
+                groups[-1] = first, result, runs + 1
+                continue
+        task = tasks.get(trajectory.task_id)
+        if task is None or task.id != trajectory.task_id:
+            raise MissingTask(trajectory.task_id)
+        groups.append((trajectory, episode_result(trajectory, task), 1))
+    return groups
+
+
+def error_breakdown(groups: Sequence[tuple]) -> tuple:
+    """The error partitions by run success and the per-action counts of the
+    ``score_runs`` groups, as (error_stats, action_stats)."""
+    return (_error_stats(((t, r.success), runs) for t, r, runs in groups),
+            _action_stats((t, runs) for t, _, runs in groups))
+
+
 def build_report(
     trajectories: Sequence[Trajectory],
     tasks: dict,
@@ -404,29 +400,13 @@ def build_report(
     """Compute the full report for a batch of finished trajectories.
 
     Run-level values average within each task first, then across tasks;
-    SER and SRR are global ratios over all runs by definition.
-
-    A run whose task and steps equal the previous run's is scored as part
-    of that run's group: the group's first run is scored once and every
-    tally counts it once per run in the group. Every value is the exact
-    fraction a run-by-run scoring gives, so no byte of the report changes.
+    SER and SRR are global ratios over all runs by definition. Each group
+    of equal adjacent runs is scored once (see ``score_runs``), so no byte
+    of the report differs from a run-by-run scoring.
     """
-    groups = []  # (first run, its result, runs in the group)
-    for trajectory in trajectories:
-        if groups:
-            first, result, runs = groups[-1]
-            if first.task_id == trajectory.task_id and first.steps == trajectory.steps:
-                groups[-1] = first, result, runs + 1
-                continue
-        task = tasks.get(trajectory.task_id)
-        if task is None:
-            raise MissingTask(trajectory.task_id)
-        groups.append((trajectory, episode_result(trajectory, task), 1))
+    groups = score_runs(trajectories, tasks)
     results = [(result, runs) for _, result, runs in groups]
-
-    table = _task_table(
-        results, {t.id: t.expert_length for t in tasks.values()}, plwsr_literal
-    )
+    table = _task_table(results, tasks, plwsr_literal)
     sr, plwsr, tp_mean = _task_means(table)
     (ser, ser_flag), (srr, srr_flag) = _ser_srr(results)
     per_task = {
@@ -437,9 +417,7 @@ def build_report(
     for attr in TaskAttribute:
         carriers = {tid: score for tid, score in table.items() if attr in tasks[tid].attributes}
         per_attribute[attr] = _task_means(carriers)[0] if carriers else None
-
-    error_stats = _error_stats(((t, r.success), runs) for t, r, runs in groups)
-    action_stats = _action_stats((t, runs) for t, _, runs in groups)
+    error_stats, action_stats = error_breakdown(groups)
 
     return BenchmarkReport(
         sr=sr,

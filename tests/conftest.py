@@ -16,7 +16,6 @@ from homebench.core import (
     ActionType,
     ErrorCode,
     KeypathNode,
-    MissingExpertLength,
     MissingTask,
     PlannerOutput,
     StepRecord,
@@ -29,11 +28,10 @@ from homebench.core import (
 from homebench.loop import describe_output, render_feedback, replay_instructions
 from homebench.metrics import (
     BenchmarkReport,
-    aggregate_error_stats,
-    compute_ser,
-    compute_srr,
+    _action_stats,
+    _error_stats,
+    _ser_srr,
     episode_result,
-    per_action_stats,
     round2,
 )
 from homebench.sim import load_scene
@@ -120,6 +118,19 @@ def make_task(task_id="t1", keypaths=None, expert_length=None, scene="kitchen_ho
     )
 
 
+def task_document(task) -> dict:
+    """The task file document that parses back to ``task``."""
+    return {
+        "id": task.id,
+        "instruction": task.instruction,
+        "attributes": sorted(a.value for a in task.attributes),
+        "expert_length": task.expert_length,
+        "scene": task.scene_ref,
+        "keypaths": [[{"action": n.action.label, "target": n.target} for n in kp]
+                     for kp in task.keypaths],
+    }
+
+
 #: the test scene under the scene name ``make_task`` gives a task by default
 SCENES = {"kitchen_home": load_scene(scene_doc())}
 
@@ -150,24 +161,21 @@ def text_by_dumps(output: PlannerOutput) -> str:
 
 def report_per_run(trajectories, tasks, plwsr_literal=False) -> BenchmarkReport:
     """Reference report: every run scored on its own and tallied once, with
-    no grouping of equal runs. Each run's task and the expert lengths are
-    looked up as ``build_report`` looks them up, so the same task is named
-    when one is missing."""
+    no grouping of equal runs. Each run's task is looked up and checked as
+    ``build_report`` does it, so the same task is named when one is missing
+    or filed under another id."""
     results = []
     for trajectory in trajectories:
         task = tasks.get(trajectory.task_id)
-        if task is None:
+        if task is None or task.id != trajectory.task_id:
             raise MissingTask(trajectory.task_id)
         results.append(episode_result(trajectory, task))
-    expert_lengths = {t.id: t.expert_length for t in tasks.values()}
     by_task = {}
     for r in results:
         by_task.setdefault(r.task_id, []).append(r)
     table = {}  # task id -> (runs, SR, PLWSR, TP) as fractions of 1
     for task_id, runs in sorted(by_task.items()):
-        expert = expert_lengths.get(task_id)
-        if expert is None or expert < 1:
-            raise MissingExpertLength(f"no expert length for task {task_id!r}")
+        expert = tasks[task_id].expert_length
         weights = (Fraction(r.length if plwsr_literal else expert, max(expert, r.length))
                    for r in runs if r.success)
         table[task_id] = (len(runs), Fraction(sum(1 for r in runs if r.success), len(runs)),
@@ -183,17 +191,16 @@ def report_per_run(trajectories, tasks, plwsr_literal=False) -> BenchmarkReport:
         per_attribute[attr] = mean(carriers, 1) if carriers else None
     scores = list(table.values())
     sr, plwsr, tp = (mean(scores, c) if scores else Fraction(0) for c in (1, 2, 3))
-    ser, ser_zero = compute_ser(results)
-    srr, srr_zero = compute_srr(results)
+    (ser, ser_zero), (srr, srr_zero) = _ser_srr((r, 1) for r in results)
     return BenchmarkReport(
         sr=sr, plwsr=plwsr, tp_mean=tp, ser=ser, srr=srr,
         ser_denominator_zero=ser_zero, srr_denominator_zero=srr_zero,
         per_attribute_sr=per_attribute,
         per_task={tid: {"runs": n, "sr": round2(100 * s), "tp": round2(100 * t)}
                   for tid, (n, s, _, t) in table.items()},
-        error_stats=aggregate_error_stats(
-            (t, r.success) for t, r in zip(trajectories, results)),
-        action_stats=per_action_stats(trajectories),
+        error_stats=_error_stats(
+            ((t, r.success), 1) for t, r in zip(trajectories, results)),
+        action_stats=_action_stats((t, 1) for t in trajectories),
         n_tasks=len(table),
         n_runs=len(results),
     )

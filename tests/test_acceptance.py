@@ -21,8 +21,6 @@ from homebench.core import (
 from homebench.loop import parse_planner_output, run_benchmark, run_episode
 from homebench.metrics import (
     build_report,
-    compute_ser,
-    compute_srr,
     compute_tp,
     count_replans,
     episode_result,
@@ -38,6 +36,7 @@ from conftest import (
     prefix_subsequence_oracle,
     random_keypaths,
     random_trajectory,
+    task_document,
     traj,
 )
 from test_sim import scene_doc
@@ -176,10 +175,9 @@ def test_criterion_4_protocol_end_to_end():
 
     result = episode_result(trajectory, task)
     assert result.tp == 1  # TP = 100%
-    ser, ser_flag = compute_ser([result])
-    srr, srr_flag = compute_srr([result])
-    assert (ser, ser_flag) == (100, False)
-    assert (srr, srr_flag) == (100, False)
+    report = build_report([trajectory], {task.id: task})
+    assert (report.ser, report.ser_denominator_zero) == (100, False)
+    assert (report.srr, report.srr_denominator_zero) == (100, False)
     ok(4, "6-node scripted episode with one injected D1: TP/SER/SRR all 100, "
           "terminated by End, byte-identical across replays")
 
@@ -205,10 +203,9 @@ def test_criterion_5_budget_and_averaging(tmp_path, capsys):
             serialize_trajectory(trajectory), encoding="utf-8")
     tasks_dir = tmp_path / "tasks"
     tasks_dir.mkdir()
-    from homebench.core import serialize_task
-
     for task in tasks:
-        (tasks_dir / f"{task.id}.json").write_text(serialize_task(task), encoding="utf-8")
+        (tasks_dir / f"{task.id}.json").write_text(json.dumps(task_document(task)),
+                                                   encoding="utf-8")
     assert main(["evaluate", "--logs", str(logs), "--tasks", str(tasks_dir)]) == EXIT_OK
     capsys.readouterr()
     report = json.loads((logs / "report.json").read_text())
@@ -316,9 +313,7 @@ def test_criterion_7_aggregation_format_oracle(tmp_path, capsys):
                                            encoding="utf-8")
     tasks_dir = tmp_path / "tasks"
     tasks_dir.mkdir()
-    from homebench.core import serialize_task
-
-    (tasks_dir / "stats.json").write_text(serialize_task(task), encoding="utf-8")
+    (tasks_dir / "stats.json").write_text(json.dumps(task_document(task)), encoding="utf-8")
     assert main(["report-errors", "--logs", str(logs),
                  "--tasks", str(tasks_dir)]) == EXIT_OK
     output = capsys.readouterr().out

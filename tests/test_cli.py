@@ -17,12 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homebench import loop
+from homebench import loop, metrics
 from homebench.cli import EXIT_CONFIG, EXIT_OK, EXIT_TRANSPORT, _parse_logs, build_parser, main
-from homebench.core import ErrorCode, parse_trajectory_log, serialize_task, serialize_trajectory
+from homebench.core import ErrorCode, parse_trajectory_log, serialize_trajectory
 
 from chat_stub import PlanStub, serving
-from conftest import make_task, node, traj
+from conftest import make_task, node, task_document, traj
 from test_planners import StubHandler, completion
 
 
@@ -36,7 +36,7 @@ def write_logs(path: Path, trajectories):
 def write_tasks(path: Path, tasks):
     path.mkdir(parents=True, exist_ok=True)
     for task in tasks:
-        (path / f"{task.id}.json").write_text(serialize_task(task), encoding="utf-8")
+        (path / f"{task.id}.json").write_text(json.dumps(task_document(task)), encoding="utf-8")
 
 
 @pytest.fixture
@@ -277,7 +277,7 @@ def test_run_bad_task_field_type_is_named(tmp_path, capsys, path, value, where):
     # a JSON value of another type is refused, not coerced to its str()
     tasks = tmp_path / "tasks"
     tasks.mkdir()
-    doc = json.loads(serialize_task(make_task(task_id="t1")))
+    doc = task_document(make_task(task_id="t1"))
     _set(path, value)(doc)
     (tasks / "t1.json").write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "runs"
@@ -302,8 +302,8 @@ def test_run_bad_task_field_type_is_named(tmp_path, capsys, path, value, where):
 def test_run_bad_input_is_named(tmp_path, capsys, monkeypatch, argv, env, message):
     (tmp_path / "empty").mkdir()
     write_tasks(tmp_path / "tasks", [make_task(task_id="t1")])
-    (tmp_path / "tasks" / "t2.json").write_text(serialize_task(make_task(task_id="t1")),
-                                                encoding="utf-8")
+    (tmp_path / "tasks" / "t2.json").write_text(
+        json.dumps(task_document(make_task(task_id="t1"))), encoding="utf-8")
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     out = tmp_path / "out"
@@ -482,6 +482,34 @@ def test_report_errors_plot_data(tmp_path):
                  "--tasks", str(tmp_path / "tasks"), "--plot-data", str(plot)]) == EXIT_OK
     doc = json.loads(plot.read_text())
     assert doc["failed"]["percent"]["D1"] == 100.0
+
+
+def test_report_errors_plot_data_is_the_reports_error_stats(bundled_logs, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    plot = tmp_path / "plot.json"
+    assert main(["evaluate", "--logs", str(bundled_logs), "--out", str(report)]) == EXIT_OK
+    assert main(["report-errors", "--logs", str(bundled_logs),
+                 "--plot-data", str(plot)]) == EXIT_OK
+    error_stats = json.loads(report.read_text(encoding="utf-8"))["error_stats"]
+    assert error_stats["failed"]["failed_steps"] + error_stats["successful"]["failed_steps"] > 0
+    assert plot.read_text(encoding="utf-8") == (
+        json.dumps(error_stats, indent=2, ensure_ascii=False) + "\n")
+
+
+def test_report_errors_computes_no_task_table_or_rates(bundled_logs, capsys, monkeypatch):
+    argv = ["report-errors", "--logs", str(bundled_logs)]
+    assert main(argv) == EXIT_OK
+    expected = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("report-errors prints no per-task table, SER or SRR")
+
+    monkeypatch.setattr(metrics, "_task_table", refuse)
+    monkeypatch.setattr(metrics, "_ser_srr", refuse)
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    with pytest.raises(AssertionError):  # the patches are live: evaluate needs both
+        main(["evaluate", "--logs", str(bundled_logs), "--out", os.devnull])
 
 
 def _scored_logs(tmp_path):
@@ -774,7 +802,7 @@ def test_run_task_id_that_names_no_file_is_refused_before_any_episode(tmp_path, 
                                                                       task_id):
     tasks = tmp_path / "tasks"
     write_tasks(tasks, [make_task(task_id="t1")])
-    (tasks / "t2.json").write_text(serialize_task(make_task(task_id=task_id)),
+    (tasks / "t2.json").write_text(json.dumps(task_document(make_task(task_id=task_id))),
                                    encoding="utf-8")
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"outputs": []}), encoding="utf-8")

@@ -27,6 +27,8 @@ from homebench.core import (
     SchemaError,
     StepRecord,
     StepStatus,
+    Task,
+    TaskAttribute,
     Trajectory,
     failure,
     normalize_name,
@@ -35,11 +37,10 @@ from homebench.core import (
     parse_task_file,
     parse_trajectory_log,
     read_json,
-    serialize_task,
     serialize_trajectory,
 )
 
-from conftest import examples, random_trajectory, step, traj
+from conftest import examples, node, random_trajectory, step, traj
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +211,15 @@ def test_parse_task_id_that_names_no_file_is_refused(task_id):
     assert str(raised.value) == f"task {task_id!r}.id: a task id holds no '/' or NUL"
 
 
-def test_task_roundtrip_byte_identical():
-    text = serialize_task(parse_task_file(json.dumps(task_doc())))
-    assert serialize_task(parse_task_file(text)) == text
+@pytest.mark.parametrize("keypaths, index", [
+    (((),), 0),
+    (((node("Pick", "apple"),), ()), 1),
+], ids=["only", "second"])
+def test_task_with_an_empty_keypath_is_refused(keypaths, index):
+    # task progress over an empty keypath would divide by zero
+    with pytest.raises(SchemaError) as raised:
+        Task("x", "do", frozenset({TaskAttribute.LOGICAL}), keypaths, 1, "s")
+    assert str(raised.value) == f"task 'x'.keypaths[{index}]: keypath must be non-empty"
 
 
 # ---------------------------------------------------------------------------

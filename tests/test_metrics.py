@@ -10,23 +10,21 @@ from homebench.core import (
     EmptyKeypathSet,
     ErrorCode,
     HomebenchError,
-    MissingExpertLength,
+    MissingTask,
     TaskAttribute,
     Trajectory,
 )
 from homebench.metrics import (
     EpisodeResult,
+    _action_stats,
+    _error_stats,
+    _ser_srr,
     action_error_share,
-    aggregate_error_stats,
     build_report,
-    compute_ser,
-    compute_sr_plwsr,
-    compute_srr,
     compute_tp,
     count_replans,
     episode_result,
     match_keypath,
-    per_action_stats,
     round2,
 )
 
@@ -205,111 +203,113 @@ def test_replan_matches_enumeration(rng):
 # SER / SRR
 
 
-def result(task_id="t1", run_index=0, tp=1, ended=True, replans=0, length=3):
+def result(task_id="t1", tp=1, ended=True, replans=0, length=3):
     tp = Fraction(tp)
-    return EpisodeResult(task_id, run_index, tp, tp == 1, ended, replans, length)
+    return EpisodeResult(task_id, tp, tp == 1, ended, replans, length)
 
 
 def test_ser_worked_example():
     results = [
         result(tp=1, ended=True),
-        result(run_index=1, tp=1, ended=True),
-        result(run_index=2, tp=Fraction(1, 2), ended=True),
-        result(run_index=3, tp=Fraction(1, 2), ended=False),
+        result(tp=1, ended=True),
+        result(tp=Fraction(1, 2), ended=True),
+        result(tp=Fraction(1, 2), ended=False),
     ]
-    value, flag = compute_ser(results)
+    (value, flag), _ = _ser_srr((r, 1) for r in results)
     assert not flag
     assert round2(value) == 66.67
 
 
 def test_ser_all_successful_and_ended():
-    value, flag = compute_ser([result(), result(run_index=1)])
+    (value, flag), _ = _ser_srr([(result(), 1)] * 2)
     assert (value, flag) == (100, False)
 
 
 def test_ser_zero_denominator_flag():
-    value, flag = compute_ser([result(tp=0, ended=False)])
+    (value, flag), _ = _ser_srr([(result(tp=0, ended=False), 1)])
     assert (value, flag) == (0, True)
 
 
 def test_srr_worked_example():
     results = [
         result(tp=1, replans=2),
-        result(run_index=1, tp=Fraction(1, 2), replans=3),
+        result(tp=Fraction(1, 2), replans=3),
     ]
-    value, flag = compute_srr(results)
+    _, (value, flag) = _ser_srr((r, 1) for r in results)
     assert (value, flag) == (40, False)
 
 
 def test_srr_zero_denominator_flag():
-    value, flag = compute_srr([result(replans=0)])
+    _, (value, flag) = _ser_srr([(result(replans=0), 1)])
     assert (value, flag) == (0, True)
 
 
 def test_srr_all_replans_in_successes():
-    value, flag = compute_srr([result(replans=4), result(run_index=1, replans=1)])
+    _, (value, flag) = _ser_srr([(result(replans=4), 1), (result(replans=1), 1)])
     assert (value, flag) == (100, False)
 
 
 def test_ser_srr_permutation_invariant(rng):
     results = [
-        result(task_id=f"t{i % 3}", run_index=i, tp=rng.choice([0, 1]),
+        result(task_id=f"t{i % 3}", tp=rng.choice([0, 1]),
                ended=rng.random() < 0.5, replans=rng.randrange(4))
         for i in range(20)
     ]
     shuffled = results[:]
     rng.shuffle(shuffled)
-    assert compute_ser(results) == compute_ser(shuffled)
-    assert compute_srr(results) == compute_srr(shuffled)
+    assert _ser_srr((r, 1) for r in results) == _ser_srr((r, 1) for r in shuffled)
 
 
 # ---------------------------------------------------------------------------
 # SR / PLWSR
 
 
+def walk(length, ok=True, task_id="t1"):
+    """A self-ended run of ``length`` non-End steps whose last one is the
+    Pick of ``make_task``'s one keypath node, done when ``ok``."""
+    return traj([("Go to", "sofa", True)] * (length - 1) + [("Pick", "apple", ok)],
+                task_id=task_id)
+
+
+EXPERT_5 = {"t1": make_task(expert_length=5)}
+
+
 def test_plwsr_weight_longer_than_expert():
-    sr, plwsr = compute_sr_plwsr([result(length=10)], {"t1": 5})
-    assert sr == 100
-    assert plwsr == 50  # 5 / max(5, 10)
+    report = build_report([walk(10)], EXPERT_5)
+    assert report.sr == 100
+    assert report.plwsr == 50  # 5 / max(5, 10)
 
 
 def test_plwsr_weight_equal_lengths():
-    sr, plwsr = compute_sr_plwsr([result(length=5)], {"t1": 5})
-    assert plwsr == 100
+    assert build_report([walk(5)], EXPERT_5).plwsr == 100
 
 
 def test_plwsr_failure_weighs_zero():
-    sr, plwsr = compute_sr_plwsr([result(tp=0, length=5)], {"t1": 5})
-    assert (sr, plwsr) == (0, 0)
+    report = build_report([walk(5, ok=False)], EXPERT_5)
+    assert (report.sr, report.plwsr) == (0, 0)
 
 
 def test_plwsr_literal_reading_saturates():
-    _, plwsr = compute_sr_plwsr([result(length=10)], {"t1": 5}, literal=True)
-    assert plwsr == 100  # 10 / max(5, 10)
+    assert build_report([walk(10)], EXPERT_5, plwsr_literal=True).plwsr == 100  # 10 / max(5, 10)
 
 
 def test_plwsr_shorter_than_expert_full_weight():
-    _, plwsr = compute_sr_plwsr([result(length=3)], {"t1": 5})
-    assert plwsr == 100  # 5 / max(5, 3) = 1
+    assert build_report([walk(3)], EXPERT_5).plwsr == 100  # 5 / max(5, 3) = 1
 
 
 def test_sr_macro_averages_tasks_not_runs():
-    results = [
-        result(task_id="a", run_index=0, tp=1),
-        result(task_id="a", run_index=1, tp=0),
-        result(task_id="b", run_index=0, tp=1),
-        result(task_id="b", run_index=1, tp=1),
-    ]
-    sr, _ = compute_sr_plwsr(results, {"a": 3, "b": 3})
-    assert sr == 75  # mean(50, 100), not 3/4 of runs... same here, so check unbalanced
-    unbalanced = results + [result(task_id="b", run_index=2, tp=1)]
-    sr, _ = compute_sr_plwsr(unbalanced, {"a": 3, "b": 3})
-    assert sr == 75  # task b still contributes 100
+    tasks = {t: make_task(task_id=t, expert_length=3) for t in "ab"}
+    runs = [walk(3, task_id="a"), walk(3, ok=False, task_id="a"),
+            walk(3, task_id="b"), walk(3, task_id="b")]
+    assert build_report(runs, tasks).sr == 75  # mean(50, 100), also 3/4 of runs
+    unbalanced = runs + [walk(3, task_id="b")]
+    assert build_report(unbalanced, tasks).sr == 75  # task b still contributes 100
 
 
-def test_plwsr_missing_expert_length():
-    with pytest.raises(MissingExpertLength):
-        compute_sr_plwsr([result()], {})
+def test_build_report_refuses_a_task_filed_under_another_id():
+    # the task under key "t1" is "t2", so no task file is t1's
+    with pytest.raises(MissingTask, match="'t1'"):
+        build_report([traj([("Pick", "apple", True)])], {"t1": make_task(task_id="t2")})
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +327,7 @@ def test_error_breakdown_percentages():
     specs += [("dance", "x", False, ErrorCode.F1)] * 2
     specs += [("Go to", "sofa", True)] * (416 - 126 - 1)  # leave room for End
     trajectory = traj(specs)
-    stats = aggregate_error_stats([(trajectory, True)])["successful"]
+    stats = _error_stats([((trajectory, True), 1)])["successful"]
     assert stats.failed_steps == 126
     assert stats.total_steps == 416
     assert round2(stats.category_percent(ErrorCode.L1.category)) == 5.56
@@ -339,7 +339,7 @@ def test_error_breakdown_percentages():
 
 def test_error_breakdown_zero_failed_steps():
     trajectory = traj([("Pick", "a", True)])
-    stats = aggregate_error_stats([(trajectory, False)])["failed"]
+    stats = _error_stats([((trajectory, False), 1)])["failed"]
     assert stats.failed_steps == 0
     for code in ErrorCode:
         assert stats.percent(code) == 0
@@ -348,7 +348,7 @@ def test_error_breakdown_zero_failed_steps():
 
 def test_error_breakdown_single_failure_is_hundred():
     trajectory = traj([("Pick", "a", False, ErrorCode.D1)], budget=True)
-    stats = aggregate_error_stats([(trajectory, False)])["failed"]
+    stats = _error_stats([((trajectory, False), 1)])["failed"]
     assert stats.percent(ErrorCode.D1) == 100
     assert stats.category_percent(ErrorCode.D1.category) == 100
 
@@ -363,18 +363,18 @@ def test_action_error_share_ratio():
         ("Go to", "b", False, ErrorCode.E1),
         ("Pick", "a", True),
     ], budget=True)
-    stats = per_action_stats([trajectory])
+    stats = _action_stats([(trajectory, 1)])
     assert round2(action_error_share(stats, ActionType.PICK)) == 50.0
 
 
 def test_action_stats_omit_unattempted():
-    stats = per_action_stats([traj([("Pick", "a", True)])])
+    stats = _action_stats([(traj([("Pick", "a", True)]), 1)])
     assert ActionType.OPEN not in stats
     assert ActionType.END not in stats
 
 
 def test_action_stats_sr_all_success():
-    stats = per_action_stats([traj([("Open", "drawer", True)] * 3)])
+    stats = _action_stats([(traj([("Open", "drawer", True)] * 3), 1)])
     assert stats[ActionType.OPEN].sr == 100
     assert stats[ActionType.OPEN].attempts == 3
 
@@ -386,7 +386,7 @@ def test_action_stats_attempts_count_steps_not_retries():
     from homebench.core import Trajectory
     s = make_step("Pick", "a", ok=True, retries=2)
     trajectory = Trajectory("t1", (s,))
-    stats = per_action_stats([trajectory])
+    stats = _action_stats([(trajectory, 1)])
     assert stats[ActionType.PICK].attempts == 1
 
 
@@ -411,14 +411,10 @@ def test_episode_result_length_excludes_end():
 
 def test_episode_result_percentages_in_range(rng):
     task = make_task(keypaths=random_keypaths(rng), expert_length=10)
-    results = [
-        episode_result(random_trajectory(rng, task_id=task.id, run_index=i), task)
-        for i in range(30)
-    ]
-    ser, _ = compute_ser(results)
-    srr, _ = compute_srr(results)
-    sr, plwsr = compute_sr_plwsr(results, {task.id: task.expert_length})
-    for value in (ser, srr, sr, plwsr):
+    report = build_report(
+        [random_trajectory(rng, task_id=task.id, run_index=i) for i in range(30)],
+        {task.id: task})
+    for value in (report.ser, report.srr, report.sr, report.plwsr):
         assert 0 <= value <= 100
 
 
@@ -427,9 +423,9 @@ def test_ser_capped_when_success_lacks_end():
     # is in neither the numerator nor the denominator
     results = [
         result(tp=1, ended=False),               # complete but never ended
-        result(run_index=1, tp=1, ended=True),   # the only self-terminated run
+        result(tp=1, ended=True),   # the only self-terminated run
     ]
-    value, flag = compute_ser(results)
+    (value, flag), _ = _ser_srr((r, 1) for r in results)
     assert (value, flag) == (100, False)
     assert 0 <= value <= 100
 
@@ -447,7 +443,7 @@ def test_action_stats_exclude_f1_non_attempts():
         ("Pick", "apple", False, ErrorCode.F1),  # e.g. bad model choice
         ("Pick", "apple", True),
     ], budget=True)
-    stats = per_action_stats([trajectory])
+    stats = _action_stats([(trajectory, 1)])
     assert stats[ActionType.PICK].attempts == 1
     assert stats[ActionType.PICK].sr == 100
 
@@ -616,11 +612,11 @@ def _corpora(draw):
     keypaths = [k for task in tasks.values() for k in task.keypaths]
     pool = draw(st.lists(_step_tuples(keypaths), min_size=1, max_size=3))
     task_ids = sorted(tasks)
-    fault = draw(st.sampled_from([None, "missing task", "missing expert length"]))
+    fault = draw(st.sampled_from([None, "missing task", "task filed under another id"]))
     if fault == "missing task":
         task_ids.append("ghost")  # a run may name a task with no task file
-    elif fault == "missing expert length":
-        # filed under another id, so its expert length is not found
+    elif fault == "task filed under another id":
+        # the task under key "t0" is another task's, so t0 has none
         tasks["t0"] = dataclasses.replace(tasks["t0"], id="t0 elsewhere")
     runs = draw(st.lists(st.tuples(st.sampled_from(task_ids), st.sampled_from(pool),
                                    st.booleans()), min_size=1, max_size=12))
@@ -643,4 +639,8 @@ def _report_or_fault(build, trajectories, tasks, literal):
 def test_grouped_report_equals_the_per_run_report(corpus, literal):
     tasks, trajectories = corpus
     expected = _report_or_fault(report_per_run, trajectories, tasks, literal)
+    unfiled = [t.task_id for t in trajectories
+               if t.task_id not in tasks or tasks[t.task_id].id != t.task_id]
+    if unfiled:  # a missing task and a task filed under another id fail alike
+        assert expected == (MissingTask, str(MissingTask(unfiled[0])))
     assert _report_or_fault(build_report, trajectories, tasks, literal) == expected
