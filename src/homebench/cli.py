@@ -245,8 +245,9 @@ def _refuse_inside_logs(option: str, path: str, logs_dir: Path,
 
 def _load_corpus(args, config: dict):
     """Resolve --logs and --tasks, load the task map and parse the logs,
-    warning about the corrupt ones. Returns (logs_dir, tasks, trajectories,
-    corrupt) for the log-reading commands."""
+    warning about the corrupt ones and, on one line, about the tasks of the
+    map that no log runs. Returns (logs_dir, tasks, trajectories, corrupt,
+    missing task ids in sorted order) for the log-reading commands."""
     logs_dir = _require_dir(
         _setting(args.logs, "LOGS", config, "logs", None) or _fail_opt("--logs"), "logs")
     tasks_dir = _require_dir(
@@ -257,7 +258,11 @@ def _load_corpus(args, config: dict):
         print(f"warning: excluded {len(corrupt)} corrupt log(s):")
         for name, reason in corrupt:
             print(f"  {name}: {reason}")
-    return logs_dir, tasks, trajectories, corrupt
+    missing = sorted(set(tasks).difference(t.task_id for t in trajectories))
+    if missing:
+        print(f"warning: {len(missing)} task(s) have no log and are not scored: "
+              + ", ".join(missing))
+    return logs_dir, tasks, trajectories, corrupt, missing
 
 
 def _load_lexicon(path: Path) -> list:
@@ -352,7 +357,7 @@ def cmd_run(args, config: dict) -> int:
 
 
 def cmd_evaluate(args, config: dict) -> int:
-    logs_dir, tasks, trajectories, corrupt = _load_corpus(args, config)
+    logs_dir, tasks, trajectories, corrupt, missing = _load_corpus(args, config)
     if args.out:
         _refuse_inside_logs("--out", args.out, logs_dir, allowed="report.json")
     if not trajectories:
@@ -370,6 +375,8 @@ def cmd_evaluate(args, config: dict) -> int:
     out_path = Path(args.out) if args.out else logs_dir / "report.json"
     doc = report.to_dict()
     doc["excluded_logs"] = len(corrupt)
+    if missing:  # a full corpus keeps its bytes
+        doc["coverage"] = {"missing_tasks": missing}
     out_path.write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n",
                         encoding="utf-8")
     print(f"report written to {out_path}")
@@ -377,7 +384,7 @@ def cmd_evaluate(args, config: dict) -> int:
 
 
 def cmd_report_errors(args, config: dict) -> int:
-    logs_dir, tasks, trajectories, _ = _load_corpus(args, config)
+    logs_dir, tasks, trajectories, _, _ = _load_corpus(args, config)
     if args.plot_data:
         _refuse_inside_logs("--plot-data", args.plot_data, logs_dir)
 
@@ -404,7 +411,7 @@ def cmd_augment(args, config: dict) -> int:
         raise ConfigError(f"--rewrites must be at least 0, got {args.rewrites}")
     if args.train_split is not None and not 0 <= args.train_split <= 1:
         raise ConfigError(f"--train-split must be between 0 and 1, got {args.train_split}")
-    logs_dir, tasks, trajectories, _ = _load_corpus(args, config)
+    logs_dir, tasks, trajectories, _, _ = _load_corpus(args, config)
     scenes_dir = _require_dir(
         _setting(args.scenes, "SCENES", config, "scenes", _bundled("scenes")), "scenes")
     out_dir = Path(_setting(args.out, "OUT", config, "output", "datasets"))

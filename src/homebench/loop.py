@@ -26,6 +26,7 @@ from .core import (
     ConfigError,
     ErrorCode,
     Feedback,
+    InvariantError,
     MissingScene,
     PlannerOutput,
     PlannerTransportError,
@@ -56,15 +57,39 @@ DEFAULT_TEMPLATE = _load_text("templates/default.txt")
 # instruction assembly
 
 
+class _RenderedOnRead:
+    """A text field of a dataclass that may also be given a zero-argument
+    renderer: its first read calls the renderer and keeps the text, so
+    ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` see only text."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:  # no default: the field stays required
+            raise AttributeError(self.name)
+        value = instance.__dict__[self.name]
+        if not isinstance(value, str):
+            value = instance.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, instance, value):
+        instance.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class Instruction:
-    """One fully rendered planner prompt, kept in named parts so clients can
-    split it into chat roles. Equal episode states render to byte-identical
-    instructions.
+    """One planner prompt, kept in named parts so clients can split it into
+    chat roles. Equal episode states render to byte-identical instructions.
 
     ``feedback_code`` is the last step's error code, or None; scripted
-    planners branch on it. ``text`` is rendered on first read and kept; the
-    instance is frozen, so it never goes stale.
+    planners branch on it. ``text`` is rendered on first read and kept.
+
+    An instruction is read during the planner's ``next`` call it was made
+    for. ``assemble_instruction`` gives ``observations`` a renderer of the
+    episode's scene, which runs on the first read, so a planner that never
+    reads them costs no render; a first read after ``apply_feedback`` has
+    folded that step raises InvariantError rather than show a later scene.
     """
 
     system: str
@@ -72,7 +97,7 @@ class Instruction:
     inventory: str
     history: str
     feedback: str
-    observations: str
+    observations: str = _RenderedOnRead()
     feedback_code: Optional[ErrorCode] = None
 
     @functools.cached_property
@@ -146,16 +171,26 @@ class EpisodeState:
 def assemble_instruction(state: EpisodeState) -> Instruction:
     """Deterministic instruction rendered from the state's history and the
     scene as it is now. No scene state leaks into the prompt beyond the
-    observation texts."""
+    observation texts, which render on their first read (see
+    ``Instruction``): until the state folds its next step, or never."""
     steps = state.steps
     feedback = steps[-1].feedback if steps else None
+    folded = len(steps)
+
+    def observations() -> str:
+        if len(state.steps) != folded:
+            raise InvariantError(
+                f"the observations of the prompt before step {folded + 1} were first read "
+                f"after that step was folded; a planner reads its instruction in next()")
+        return render_observations(state.scene)
+
     return Instruction(
         system=DEFAULT_SYSTEM_INFO,
         task=state.task_text,
         inventory=state.held or "empty",
         history=state.history,
         feedback=render_feedback(feedback),
-        observations=render_observations(state.scene),
+        observations=observations,
         feedback_code=feedback.code if feedback else None,
     )
 
@@ -262,6 +297,13 @@ def apply_feedback(state: EpisodeState, step: StepRecord) -> EpisodeState:
 
 
 class Planner(Protocol):
+    """Answers each prompt of an episode with one raw reply text.
+
+    ``next`` reads the instruction during the call it is made for: its
+    observations render on their first read, and a first read after the
+    call, once the step has been folded, raises InvariantError.
+    """
+
     def next(self, instruction: Instruction) -> str:  # pragma: no cover - protocol
         ...
 
@@ -285,8 +327,12 @@ def run_episode(
     given state, so they are final immediately. ``execute`` decides each
     attempt, and the step folds into the state, scene and hand included,
     through ``apply_feedback``, as ``replay_instructions`` folds a logged
-    step. The observations are rendered from the scene when each prompt is
-    assembled. The episode stops at a valid End or when the budget runs out.
+    step. The episode stops at a valid End or when the budget runs out.
+
+    The planner reads each instruction during the ``next`` call it was
+    made for. Its observations render from the scene on their first read,
+    so a planner that never reads them (a scripted one) costs no render;
+    a first read after the step has been folded raises InvariantError.
 
     If the planner transport fails, the episode stops there: the trajectory
     returned holds the steps taken so far, and its ``cut_off`` is the
@@ -420,13 +466,16 @@ def replay_instructions(trajectory: Trajectory, task: Task, scene: Scene) -> lis
     ``scene`` is a fresh copy of the task's scene, which the replay changes.
     Each logged step folds into the state, scene and hand through
     ``apply_feedback``, as in ``run_episode``, so each prompt observes the
-    scene as it was at that step. Supervised prompts, whose history leaves
-    out the failed steps, are derived from these by replacing only the
-    history field (``augment.sft_convert``).
+    scene as it was at that step: its observations are read before the
+    fold, so every instruction returned holds its text. Supervised prompts,
+    whose history leaves out the failed steps, are derived from these by
+    replacing only the history field (``augment.sft_convert``).
     """
     state = EpisodeState(task.instruction, scene)
     instructions = []
     for step in trajectory.steps:
-        instructions.append(assemble_instruction(state))
+        instruction = assemble_instruction(state)
+        instruction.observations  # rendered now, from the scene before the fold
+        instructions.append(instruction)
         apply_feedback(state, step)
     return instructions

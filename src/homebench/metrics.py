@@ -9,7 +9,6 @@ rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -28,16 +27,19 @@ from .core import (
 
 
 def round2(value) -> float:
-    """Two-decimal half-up rounding for display (41.665 -> 41.67)."""
-    if isinstance(value, Fraction):
-        dec = Decimal(value.numerator) / Decimal(value.denominator)
-    else:
-        dec = Decimal(repr(float(value)))
-    return float(dec.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    """Two-decimal half-up rounding for display (41.665 -> 41.67), a half
+    rounding away from zero; a float is read as the decimal its repr
+    shows. Exact integer arithmetic: the hundredths are
+    floor((200|n| + d) / 2d) for a value n/d."""
+    if not isinstance(value, Fraction):
+        value = Fraction(repr(float(value)))
+    n, d = value.numerator, value.denominator
+    hundredths = (200 * abs(n) + d) // (2 * d)
+    return hundredths / 100 if n >= 0 else -(hundredths / 100)
 
 
 def _pct(numerator: int, denominator: int) -> Fraction:
-    return Fraction(100) * Fraction(numerator, denominator) if denominator else Fraction(0)
+    return Fraction(100 * numerator, denominator) if denominator else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +73,12 @@ def compute_tp(trajectory: Trajectory, keypaths: Sequence) -> Fraction:
     as an exact rational in [0, 1]."""
     if not keypaths:
         raise EmptyKeypathSet("task progress needs at least one keypath")
-    return max(Fraction(match_keypath(trajectory, k), len(k)) for k in keypaths)
+    best, best_length = 0, 1  # the best ratio as matched nodes over length
+    for keypath in keypaths:
+        matched = match_keypath(trajectory, keypath)
+        if matched * best_length > best * len(keypath):
+            best, best_length = matched, len(keypath)
+    return Fraction(best, best_length)
 
 
 def count_replans(trajectory: Trajectory) -> int:

@@ -25,7 +25,16 @@ from homebench.core import (
     failure,
     parse_action,
 )
-from homebench.loop import describe_output, render_feedback, replay_instructions
+from homebench.loop import (
+    DEFAULT_SYSTEM_INFO,
+    EpisodeState,
+    Instruction,
+    apply_feedback,
+    describe_output,
+    render_feedback,
+    render_observations,
+    replay_instructions,
+)
 from homebench.metrics import (
     BenchmarkReport,
     _action_stats,
@@ -149,6 +158,33 @@ def render_history(steps) -> str:
         for n, step in enumerate(steps, 1)
     ]
     return "\n".join(lines) if lines else "none"
+
+
+def assemble_eagerly(state) -> Instruction:
+    """Reference prompt: every part rendered from the state at once, the
+    observations included, as a text and never a renderer."""
+    steps = state.steps
+    feedback = steps[-1].feedback if steps else None
+    return Instruction(
+        system=DEFAULT_SYSTEM_INFO,
+        task=state.task_text,
+        inventory=state.held or "empty",
+        history=render_history(steps),
+        feedback=render_feedback(feedback),
+        observations=render_observations(state.scene),
+        feedback_code=feedback.code if feedback else None,
+    )
+
+
+def replay_eagerly(trajectory, task, scene) -> list:
+    """Reference replay: ``assemble_eagerly`` before each logged step is
+    folded into ``scene``."""
+    state = EpisodeState(task.instruction, scene)
+    prompts = []
+    for step in trajectory.steps:
+        prompts.append(assemble_eagerly(state))
+        apply_feedback(state, step)
+    return prompts
 
 
 def text_by_dumps(output: PlannerOutput) -> str:

@@ -22,7 +22,7 @@ from homebench.cli import EXIT_CONFIG, EXIT_OK, EXIT_TRANSPORT, _parse_logs, bui
 from homebench.core import ErrorCode, parse_trajectory_log, serialize_trajectory
 
 from chat_stub import PlanStub, serving
-from conftest import make_task, node, task_document, traj
+from conftest import examples, make_task, node, task_document, traj
 from test_planners import StubHandler, completion
 
 
@@ -510,6 +510,68 @@ def test_report_errors_computes_no_task_table_or_rates(bundled_logs, capsys, mon
     assert capsys.readouterr().out == expected
     with pytest.raises(AssertionError):  # the patches are live: evaluate needs both
         main(["evaluate", "--logs", str(bundled_logs), "--out", os.devnull])
+
+
+def _copy_logs(source: Path, target: Path, keep) -> None:
+    target.mkdir()
+    for name in keep:
+        shutil.copyfile(source / name, target / name)
+
+
+def _bundled_log_names(logs: Path) -> list:
+    return sorted(path.name for path in logs.glob("*__run*.json"))
+
+
+def _missing_line(missing) -> str:
+    return (f"warning: {len(missing)} task(s) have no log and are not scored: "
+            + ", ".join(missing))
+
+
+def test_log_readers_name_the_tasks_with_no_log(bundled_logs, tmp_path, capsys):
+    # one log of twelve tasks: SR 100 over 1 task, and the 11 others named
+    logs = tmp_path / "logs"
+    _copy_logs(bundled_logs, logs, ["brush_out__run0.json"])
+    missing = sorted(n.split("__run")[0] for n in _bundled_log_names(bundled_logs)
+                     if n != "brush_out__run0.json")
+    assert len(missing) == 11
+    for argv in (["evaluate", "--logs", str(logs)],
+                 ["report-errors", "--logs", str(logs)],
+                 ["augment", "--logs", str(logs), "--out", str(tmp_path / "ds")]):
+        assert main(argv) == EXIT_OK
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("warning:")]
+        assert lines == [_missing_line(missing)], argv  # the bench counts "warning: excluded "
+    report = json.loads((logs / "report.json").read_text(encoding="utf-8"))
+    assert (report["sr"], report["tasks"]) == (100.0, 1)
+    assert report["coverage"] == {"missing_tasks": missing}
+    assert list(report)[-2:] == ["excluded_logs", "coverage"]
+
+
+def test_full_corpus_report_has_no_coverage_key(bundled_logs, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--logs", str(bundled_logs), "--out", str(out)]) == EXIT_OK
+    assert "warning" not in capsys.readouterr().out
+    assert "coverage" not in json.loads(out.read_text(encoding="utf-8"))
+
+
+@settings(max_examples=examples(30), deadline=None)
+@given(data=st.data())
+def test_coverage_lists_exactly_the_tasks_left_with_no_log(bundled_logs, data):
+    names = _bundled_log_names(bundled_logs)
+    deleted = data.draw(st.sets(st.sampled_from(names)))
+    kept = [name for name in names if name not in deleted]
+    missing = sorted({n.split("__run")[0] for n in names}
+                     - {n.split("__run")[0] for n in kept})
+    with tempfile.TemporaryDirectory() as temp:
+        logs = Path(temp) / "logs"
+        _copy_logs(bundled_logs, logs, kept)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["evaluate", "--logs", str(logs)]) == EXIT_OK
+        report = json.loads((logs / "report.json").read_text(encoding="utf-8"))
+    assert report.get("coverage") == ({"missing_tasks": missing} if missing else None)
+    assert (_missing_line(missing) in stdout.getvalue().splitlines()) == bool(missing)
+    assert report["tasks"] + len(missing) == len(names)
 
 
 def _scored_logs(tmp_path):

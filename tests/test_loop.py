@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 
@@ -10,6 +11,7 @@ from homebench.core import (
     ActionType,
     ConfigError,
     ErrorCode,
+    InvariantError,
     MissingScene,
     ModelChoice,
     PlannerOutput,
@@ -21,10 +23,12 @@ from homebench.core import (
     serialize_output,
     serialize_trajectory,
 )
-from homebench import loop
+from homebench import loop, sim
+from homebench.cli import _bundled, _load_scenes, _load_task_map, _planner_factory
 from homebench.loop import (
     DEFAULT_SYSTEM_INFO,
     EpisodeState,
+    Instruction,
     apply_feedback,
     assemble_instruction,
     parse_planner_output,
@@ -36,7 +40,7 @@ from homebench.loop import (
 from homebench.planners import ScriptedPlanner, Transcribed
 from homebench.sim import EntityKind, OpenState, load_scene, observe
 
-from conftest import examples, make_task, traj
+from conftest import assemble_eagerly, examples, make_task, replay_eagerly, traj
 from test_sim import scene_doc
 from test_sim_properties import oracle_observe, scene_docs
 
@@ -111,6 +115,19 @@ def test_history_analysis_not_replayed():
     apply_feedback(state, StepRecord(out("Pick", "apple", analysis="SECRET-REASONING"),
                                      SUCCESS))
     assert "SECRET-REASONING" not in assemble_instruction(state).text
+
+
+def test_observations_render_on_first_read_as_text():
+    # ==, hash, repr and dataclasses.replace see the text a renderer gives
+    state = fresh_state()
+    apply_feedback(state, StepRecord(out("Pick", "apple"), SUCCESS))
+    eager = assemble_eagerly(state)
+    assert assemble_instruction(state) == eager
+    assert hash(assemble_instruction(state)) == hash(eager)
+    assert repr(assemble_instruction(state)) == repr(eager)
+    replaced = dataclasses.replace(assemble_instruction(state), history="none")
+    assert replaced.observations == eager.observations
+    assert Instruction(*["part"] * 6).observations == "part"
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +531,9 @@ def test_replayed_prompts_equal_live_prompts(data):
     assert observe(replayed) == observe(live)
 
 
-def test_one_observe_per_prompt(monkeypatch):
-    # observations are rendered when a prompt is assembled and nowhere else:
-    # not at episode start, not after the step that exhausts the budget
+def count_observe(monkeypatch) -> list:
+    """Count every observation render from here on, the loop's and the
+    simulator's own name alike."""
     calls = []
 
     def counting_observe(scene):
@@ -524,6 +541,16 @@ def test_one_observe_per_prompt(monkeypatch):
         return observe(scene)
 
     monkeypatch.setattr(loop, "observe", counting_observe)
+    monkeypatch.setattr(sim, "observe", counting_observe)
+    return calls
+
+
+def test_one_observe_per_prompt(monkeypatch):
+    # observations are rendered when a prompt is first read and nowhere
+    # else: not at episode start, not after the step that exhausts the budget
+    scene = load_scene(scene_doc(**FAILING_SCENE))
+    replay_scene = load_scene(scene_doc(**FAILING_SCENE))
+    calls = count_observe(monkeypatch)
     task = make_task(task_id="demo")
     planner = Transcribed(ScriptedPlanner([
         plan_entry("Open", "fridge", "Octo"),
@@ -532,15 +559,132 @@ def test_one_observe_per_prompt(monkeypatch):
         plan_entry("Go to", "table", "NoMaD"),
         plan_entry("Place", "drawer"),
     ]))
-    trajectory = run_episode(load_scene(scene_doc(**FAILING_SCENE)), planner, task, budget=5)
+    trajectory = run_episode(scene, planner, task, budget=5)
     assert trajectory.terminated_by_budget
     codes = [s.feedback.code for s in trajectory.steps]
     assert ErrorCode.E1 in codes and codes[-1] is ErrorCode.E2
     assert len(calls) == len(planner.transcript) == 5
 
     calls.clear()
-    replayed = replay_instructions(trajectory, task, scene=load_scene(scene_doc(**FAILING_SCENE)))
+    replayed = replay_instructions(trajectory, task, scene=replay_scene)
     assert len(calls) == len(replayed) == 5
+
+
+@st.composite
+def schedules(draw, doc):
+    """Outcome schedules for ``doc``: E1 and ok draws for Picks of its
+    interactive objects, and E1, E2 and ok draws for Places onto its
+    interactive containers and spots."""
+    interactive = [e for e in doc["entities"] if e.get("interactive", True)]
+    outcomes = {f"{ActionType.PICK.token} {e['name']}": ["ok", "E1"]
+                for e in interactive if e["kind"] == "object"}
+    for name in ([e["name"] for e in interactive if e["kind"] == "container"]
+                 + [s["name"] for s in doc["spots"]]):
+        outcomes[f"{ActionType.PLACE.token} {name}"] = ["ok", "E1", "E2"]
+    keys = draw(st.lists(st.sampled_from(sorted(outcomes)), max_size=3, unique=True))
+    return {key: draw(st.lists(st.sampled_from(outcomes[key]), min_size=1, max_size=4))
+            for key in keys}
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(data=st.data())
+def test_prompts_read_in_next_equal_eager_assembly(data):
+    """Random plans with error-code branches and F1 replies, on random
+    scenes with E1/E2 schedules and rates: every prompt a transcript records
+    (its observations first read inside ``next``) is the prompt an eager
+    assembly renders at that step, and the replayed instructions equal the
+    eager ones."""
+    doc = data.draw(scene_docs())
+    doc["outcome_schedule"] = data.draw(schedules(doc))
+    template = load_scene(doc)
+    plan = data.draw(plans(template))
+    codes = data.draw(st.sets(st.sampled_from(list(ErrorCode)), max_size=3))
+    branches = {code.value: data.draw(st.sampled_from(plan)) for code in codes}
+    task = make_task(task_id="generated", scene="generated")
+    planner = Transcribed(ScriptedPlanner(plan, branches))
+    trajectory = run_episode(template.clone(seed=data.draw(st.integers(0, 2**16))), planner,
+                             task, budget=data.draw(st.integers(1, 50)),
+                             retries=data.draw(st.integers(1, 3)))
+    expected = replay_eagerly(trajectory, task, load_scene(doc))
+    assert [entry["instruction"] for entry in planner.transcript] == [i.text for i in expected]
+    assert replay_instructions(trajectory, task, load_scene(doc)) == expected
+
+
+@pytest.mark.parametrize("transcribed", [False, True], ids=["scripted", "transcribed"])
+def test_bundled_play_renders_only_the_observations_read(monkeypatch, transcribed):
+    # a scripted planner reads only the feedback code, so its episodes
+    # render no observation after load_scene; a transcript reads each prompt
+    tasks = _load_task_map(_bundled("tasks"))
+    scenes = _load_scenes(_bundled("scenes"), tasks)
+    scripted = _planner_factory("scripted:", {}, tasks)
+    planners = []
+
+    def factory(task, run_index):
+        planner = scripted(task, run_index)
+        if transcribed:
+            planner = Transcribed(planner)
+        planners.append(planner)
+        return planner
+
+    calls = count_observe(monkeypatch)
+    trajectories = run_benchmark([tasks[t] for t in sorted(tasks)], factory, scenes,
+                                 runs_per_task=2, seed=7)
+    prompts = sum(len(t.steps) for t in trajectories)
+    assert len(trajectories) == 24 and prompts > 24
+    if transcribed:
+        assert len(calls) == sum(len(p.transcript) for p in planners) == prompts
+    else:
+        assert calls == []
+
+
+class Stashing:
+    """Answers from ``plan`` and keeps every instruction it was given."""
+
+    def __init__(self, plan):
+        self.planner = ScriptedPlanner(plan)
+        self.seen = []
+
+    def next(self, instruction):
+        self.seen.append(instruction)
+        return self.planner.next(instruction)
+
+
+STASHED_PLAN = [plan_entry("Open", "fridge", "Octo"), plan_entry("Pick", "apple"),
+                plan_entry("End", "")]
+
+
+def test_first_read_on_the_next_call_is_refused():
+    class ReadsLate(Stashing):
+        def next(self, instruction):
+            if self.seen:
+                self.seen[-1].observations  # the previous step is folded by now
+            return super().next(instruction)
+
+    with pytest.raises(InvariantError, match="before step 1 were first read after"):
+        run_episode(load_scene(scene_doc()), ReadsLate(STASHED_PLAN), make_task(task_id="demo"))
+
+
+def test_first_read_after_the_episode_is_refused():
+    planner = Stashing(STASHED_PLAN)
+    trajectory = run_episode(load_scene(scene_doc()), planner, make_task(task_id="demo"))
+    assert len(planner.seen) == len(trajectory.steps) == 3
+    for n, instruction in enumerate(planner.seen, 1):
+        with pytest.raises(InvariantError, match=f"before step {n} were first read after"):
+            instruction.observations
+        with pytest.raises(InvariantError):
+            instruction.text
+
+
+def test_read_during_next_is_kept_after_the_episode():
+    class ReadsInNext(Stashing):
+        def next(self, instruction):
+            instruction.text
+            return super().next(instruction)
+
+    task = make_task(task_id="demo")
+    planner = ReadsInNext(STASHED_PLAN)
+    trajectory = run_episode(load_scene(scene_doc()), planner, task)
+    assert planner.seen == replay_eagerly(trajectory, task, load_scene(scene_doc()))
 
 
 @pytest.mark.parametrize("retries", [1, 2, 3])

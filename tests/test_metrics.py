@@ -1,4 +1,5 @@
 import dataclasses
+from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 import pytest
@@ -434,6 +435,26 @@ def test_round2_half_up():
     assert round2(Fraction(1, 800) * 100) == 0.13  # 0.125 rounds up, not to even
     assert round2(Fraction(1, 3) * 100) == 33.33
     assert round2(41.665) == 41.67
+
+
+def round2_by_decimal(value: Fraction) -> float:
+    """Reference rounding: the quotient in the default 28-digit decimal
+    context, quantized half-up. That precision is exact enough for the
+    values drawn below, whose distance from a half is far above 1e-18."""
+    dec = Decimal(value.numerator) / Decimal(value.denominator)
+    return float(dec.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+
+
+@settings(max_examples=examples(500), deadline=None)
+@given(st.one_of(
+    st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**6)),
+    # exactly on a half of a hundredth, and a hair to either side of one
+    st.builds(lambda k: Fraction(2 * k + 1, 200), st.integers(-10**6, 10**6)),
+    st.builds(lambda k, d, sign: Fraction(2 * k + 1, 200) + sign * Fraction(1, d),
+              st.integers(-10**6, 10**6), st.integers(10**3, 10**9), st.sampled_from([1, -1])),
+))
+def test_round2_matches_decimal_half_up(value):
+    assert repr(round2(value)) == repr(round2_by_decimal(value))  # -0.0 too
 
 
 def test_action_stats_exclude_f1_non_attempts():
