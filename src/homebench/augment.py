@@ -39,6 +39,8 @@ from .core import (
     output_text,
     parse_action,
     read_json,
+    write_json,
+    write_output,
 )
 from .loop import (
     EMPTY_HISTORY,
@@ -366,11 +368,6 @@ def _jsonl_lines(items: Sequence, line: Callable, escaped: _Escaped) -> list:
     return lines
 
 
-def _write_jsonl(path: Path, lines: Iterable[str]) -> None:
-    with path.open("w", encoding="utf-8") as handle:
-        handle.writelines(lines)
-
-
 def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: AugmentConfig) -> dict:
     """Run the full pipeline over a trajectory corpus and write sft.jsonl,
     dpo.jsonl, and manifest.json into ``config.out_dir``.
@@ -456,26 +453,23 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
 
     # created only now, so a corpus refused above leaves no directory behind
     out_dir.mkdir(parents=True, exist_ok=True)
-    split = None
+    split, halves = None, ()  # halves: (file name part, its task ids)
     if config.train_split is not None:
-        train_ids, val_ids = split_task_ids(
-            (t.task_id for t in ordered), config.train_split, config.seed
-        )
+        train_ids, val_ids = split_task_ids((t.task_id for t in ordered), config.train_split,
+                                            config.seed)
         split = {
             "train_fraction": config.train_split,
             "train_tasks": train_ids,
             "val_tasks": val_ids,
         }
-        train_set = set(train_ids)
+        halves = (("train", set(train_ids)), ("val", set(val_ids)))
     escaped = _Escaped()  # a prompt is escaped once for both files
     for name, items, line in (("sft", samples, _sft_line), ("dpo", pairs, _dpo_line)):
         lines = _jsonl_lines(items, line, escaped)
-        _write_jsonl(out_dir / f"{name}.jsonl", lines)
-        if split is not None:
-            _write_jsonl(out_dir / f"{name}_train.jsonl",
-                         (line for x, line in zip(items, lines) if x.task_id in train_set))
-            _write_jsonl(out_dir / f"{name}_val.jsonl",
-                         (line for x, line in zip(items, lines) if x.task_id not in train_set))
+        write_output(out_dir / f"{name}.jsonl", lines)
+        for half, ids in halves:
+            write_output(out_dir / f"{name}_{half}.jsonl",
+                         (line for x, line in zip(items, lines) if x.task_id in ids))
 
     manifest = {
         "seed": config.seed,
@@ -491,7 +485,5 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
         },
         "split": split,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / "manifest.json", manifest)
     return manifest

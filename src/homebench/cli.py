@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import copy
 import io
-import json
 import os
 import sys
 from importlib import resources
@@ -27,6 +26,8 @@ from .core import (
     parse_trajectory_log,
     read_json,
     serialize_trajectory,
+    write_json,
+    write_output,
 )
 from .loop import run_benchmark
 from .metrics import (
@@ -340,15 +341,13 @@ def cmd_run(args, config: dict) -> int:
 
     finished = [t for t in trajectories if t.finished]
     if finished:  # a run with no log to write leaves no directory behind
-        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "transcripts" if args.transcripts else out_dir).mkdir(
+            parents=True, exist_ok=True)
     for t in finished:
         name = f"{t.task_id}__run{t.run_index}.json"
-        (out_dir / name).write_text(serialize_trajectory(t), encoding="utf-8")
+        write_output(out_dir / name, (serialize_trajectory(t),))
         if args.transcripts:
-            (out_dir / "transcripts").mkdir(exist_ok=True)
-            (out_dir / "transcripts" / name).write_text(
-                json.dumps(transcripts[t.task_id, t.run_index], indent=2, ensure_ascii=False)
-                + "\n", encoding="utf-8")
+            write_json(out_dir / "transcripts" / name, transcripts[t.task_id, t.run_index])
     failed = len(trajectories) - len(finished)
     print((f"wrote {len(finished)} trajectory log(s) to {out_dir}" if finished
            else "wrote no trajectory logs")
@@ -377,8 +376,7 @@ def cmd_evaluate(args, config: dict) -> int:
     doc["excluded_logs"] = len(corrupt)
     if missing:  # a full corpus keeps its bytes
         doc["coverage"] = {"missing_tasks": missing}
-    out_path.write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n",
-                        encoding="utf-8")
+    write_json(out_path, doc)
     print(f"report written to {out_path}")
     return EXIT_OK
 
@@ -399,9 +397,7 @@ def cmd_report_errors(args, config: dict) -> int:
     print(render_action_table(action_stats))
 
     if args.plot_data:
-        doc = {k: v.to_dict() for k, v in error_stats.items()}
-        Path(args.plot_data).write_text(
-            json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+        write_json(args.plot_data, {k: v.to_dict() for k, v in error_stats.items()})
         print(f"plot data written to {args.plot_data}")
     return EXIT_OK
 

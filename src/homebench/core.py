@@ -796,3 +796,28 @@ def load_tasks(paths: Iterable, keypath_overlay: Optional[dict] = None) -> dict:
             raise SchemaError(f"duplicate task id {task.id!r}")
         tasks[task.id] = task
     return tasks
+
+
+#: about how many characters of text ``write_output`` hands to one write; each
+#: write holds its chunk twice (text, then bytes): 1 MiB cost about 2 MB of peak RSS
+OUTPUT_CHUNK = 1 << 16
+
+
+def write_output(path, parts: Iterable[str]) -> None:
+    """Write the text ``parts`` to ``path`` as strict UTF-8, in place over any
+    file of that name (not atomically), in writes of about ``OUTPUT_CHUNK``
+    characters: a large file is never held whole, a small one is one write."""
+    with open(path, "wb") as handle:  # a write past the small buffer goes straight through
+        pending, size = [], 0
+        for part in parts:
+            pending.append(part)
+            size += len(part)
+            if size >= OUTPUT_CHUNK:
+                handle.write("".join(pending).encode("utf-8"))
+                pending, size = [], 0
+        handle.write("".join(pending).encode("utf-8"))
+
+
+def write_json(path, doc) -> None:
+    """``write_output`` of ``json.dumps(doc, indent=2, ensure_ascii=False)`` and "\\n"."""
+    write_output(path, (json.dumps(doc, indent=2, ensure_ascii=False), "\n"))

@@ -8,6 +8,7 @@ rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -149,20 +150,18 @@ def _ser_srr(groups):
     return (_pct(ended_ok, ended), not ended), (_pct(replans_ok, replans), not replans)
 
 
-@dataclass(frozen=True)
-class _TaskScore:
-    """One task's runs averaged: SR, PLWSR and TP as exact fractions in
-    [0, 1]."""
-
-    runs: int
-    sr: Fraction
-    plwsr: Fraction
-    tp: Fraction
+def _sum(terms) -> tuple:
+    """The exact sum of (numerator, denominator) integer terms, as one such
+    pair over the least common multiple of their denominators."""
+    terms = list(terms)
+    common = math.lcm(*(d for _, d in terms))
+    return sum(n * (common // d) for n, d in terms), common
 
 
 def _task_table(groups: Iterable[tuple], tasks: dict, literal: bool = False) -> dict:
     """Collect the (result, runs) groups by task once and average each
     task's runs, in task-id order; a group's result counts ``runs`` times.
+    Maps task id -> (runs, SR, PLWSR, TP), each rate an integer pair (n, d).
 
     Per successful run the PLWSR weight is expert / max(expert, actual), so a
     path longer than the expert's is penalized proportionally; failures
@@ -176,31 +175,21 @@ def _task_table(groups: Iterable[tuple], tasks: dict, literal: bool = False) -> 
     for task_id, task_groups in sorted(by_task.items()):
         expert = tasks[task_id].expert_length
         n = sum(runs for _, runs in task_groups)
-        weights = (
-            Fraction(runs * (r.length if literal else expert), max(expert, r.length))
-            for r, runs in task_groups if r.success
-        )
-        table[task_id] = _TaskScore(
-            runs=n,
-            sr=Fraction(sum(runs for r, runs in task_groups if r.success), n),
-            plwsr=sum(weights, Fraction(0)) / n,
-            tp=sum((r.tp * runs for r, runs in task_groups), Fraction(0)) / n,
+        table[task_id] = (
+            n,
+            _sum((runs, n) for r, runs in task_groups if r.success),
+            _sum((runs * (r.length if literal else expert), max(expert, r.length) * n)
+                 for r, runs in task_groups if r.success),
+            _sum((runs * r.tp.numerator, r.tp.denominator * n) for r, runs in task_groups),
         )
     return table
 
 
-def _task_means(table: dict):
-    """SR, PLWSR and TP as percentages over a per-task table, each task
-    weighing the same whatever its run count; zeros for an empty table."""
-    if not table:
-        return Fraction(0), Fraction(0), Fraction(0)
-
-    def mean(values):
-        return Fraction(100) * sum(values, Fraction(0)) / len(table)
-
-    scores = table.values()
-    return (mean(s.sr for s in scores), mean(s.plwsr for s in scores),
-            mean(s.tp for s in scores))
+def _task_mean(scores, column: int) -> Fraction:
+    """One rate (1 SR, 2 PLWSR, 3 TP) of ``_task_table`` rows as a percentage
+    averaged over the tasks, each weighing the same; 0 over no task."""
+    total, common = _sum(score[column] for score in scores)
+    return _pct(total, common * len(scores))
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +403,14 @@ def build_report(
     groups = score_runs(trajectories, tasks)
     results = [(result, runs) for _, result, runs in groups]
     table = _task_table(results, tasks, plwsr_literal)
-    sr, plwsr, tp_mean = _task_means(table)
+    sr, plwsr, tp_mean = (_task_mean(table.values(), column) for column in (1, 2, 3))
     (ser, ser_flag), (srr, srr_flag) = _ser_srr(results)
-    per_task = {
-        task_id: {"runs": score.runs, "sr": round2(100 * score.sr), "tp": round2(100 * score.tp)}
-        for task_id, score in table.items()
-    }
+    per_task = {task_id: {"runs": runs, "sr": round2(_pct(*sr_t)), "tp": round2(_pct(*tp_t))}
+                for task_id, (runs, sr_t, _, tp_t) in table.items()}
     per_attribute: dict = {}
     for attr in TaskAttribute:
-        carriers = {tid: score for tid, score in table.items() if attr in tasks[tid].attributes}
-        per_attribute[attr] = _task_means(carriers)[0] if carriers else None
+        carriers = [score for tid, score in table.items() if attr in tasks[tid].attributes]
+        per_attribute[attr] = _task_mean(carriers, 1) if carriers else None
     error_stats, action_stats = error_breakdown(groups)
 
     return BenchmarkReport(

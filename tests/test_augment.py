@@ -18,7 +18,6 @@ from homebench.augment import (
     _is_end_text,
     _pair,
     _variant_text,
-    _write_jsonl,
     build_datasets,
     dpo_action_change,
     dpo_model_change,
@@ -877,12 +876,12 @@ def build_every_run(trajectories, tasks, config):
     )
     for name, items, record in records:
         lines = [json.dumps(record(item), ensure_ascii=False) + "\n" for item in items]
-        _write_jsonl(out_dir / f"{name}.jsonl", lines)
+        write_lines(out_dir / f"{name}.jsonl", lines)
         if split is not None:
-            _write_jsonl(out_dir / f"{name}_train.jsonl",
-                         (line for x, line in zip(items, lines) if x.task_id in train_set))
-            _write_jsonl(out_dir / f"{name}_val.jsonl",
-                         (line for x, line in zip(items, lines) if x.task_id not in train_set))
+            write_lines(out_dir / f"{name}_train.jsonl",
+                        (line for x, line in zip(items, lines) if x.task_id in train_set))
+            write_lines(out_dir / f"{name}_val.jsonl",
+                        (line for x, line in zip(items, lines) if x.task_id not in train_set))
 
     manifest = {
         "seed": config.seed,
@@ -898,10 +897,13 @@ def build_every_run(trajectories, tasks, config):
         },
         "split": split,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    (out_dir / "manifest.json").write_bytes(
+        (json.dumps(manifest, indent=2, ensure_ascii=False) + "\n").encode("utf-8"))
     return manifest
+
+
+def write_lines(path, lines):
+    path.write_bytes("".join(lines).encode("utf-8"))
 
 
 def assert_same_files(trajectories, tasks, rewriter=None, **options):

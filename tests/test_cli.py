@@ -1705,3 +1705,41 @@ def test_run_refuses_file_as_out_before_any_episode(tmp_path, capsys):
     assert " run 0:" not in captured.out  # no episode started
     assert out.read_text(encoding="utf-8") == "keep"
     assert sorted(tmp_path.iterdir()) == [out]
+
+
+# ---------------------------------------------------------------------------
+# every output written whole, over what a file of its name held
+
+
+def _every_command(root: Path) -> None:
+    logs = str(root / "logs")
+    for argv in (
+        ["--seed", "7", "run", "--runs", "2", "--transcripts", "--out", logs],
+        ["evaluate", "--logs", logs],
+        ["evaluate", "--logs", logs, "--out", str(root / "report.json")],
+        ["report-errors", "--logs", logs, "--plot-data", str(root / "plot.json")],
+        ["--seed", "7", "augment", "--logs", logs, "--out", str(root / "ds"),
+         "--rewrites", "1", "--train-split", "0.75"],
+    ):
+        assert main(argv) == EXIT_OK, argv
+
+
+def _files(root: Path) -> dict:
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_a_second_pass_over_longer_files_writes_what_a_fresh_directory_gets(tmp_path, capsys):
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    _every_command(reused)
+    for name in _files(reused):  # every output of the first pass ends in junk
+        with open(reused / name, "ab") as handle:
+            handle.write(b"\x00junk \xff\n" * 3)
+    _every_command(reused)
+    _every_command(fresh)
+    written = _files(fresh)
+    assert _files(reused) == written
+    assert {"logs/cup_to_shelf__run1.json", "logs/transcripts/cup_to_shelf__run1.json",
+            "logs/report.json", "report.json", "plot.json", "ds/sft.jsonl", "ds/dpo_val.jsonl",
+            "ds/manifest.json"} <= set(written)
+    assert len(written) == 12 * 2 * 2 + 3 + 7  # logs, transcripts; reports, plot; datasets

@@ -5,11 +5,13 @@ import json
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from homebench import core
 from homebench.cli import _parse_logs
 from homebench.cli import main as cli_main
 from homebench.core import (
@@ -38,6 +40,7 @@ from homebench.core import (
     parse_trajectory_log,
     read_json,
     serialize_trajectory,
+    write_output,
 )
 
 from conftest import examples, node, random_trajectory, step, traj
@@ -913,3 +916,55 @@ def test_lookup_memos_are_bounded():
         for i in range(size + 10):
             lookup(f"junk {i}")
         assert lookup.cache_info().currsize == size
+
+
+# ---------------------------------------------------------------------------
+# the one output writer
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(parts=st.lists(st.text(max_size=6) | st.text(min_size=12, max_size=30)
+                      | st.sampled_from(["\n", "café ☕", "\u2028", "😀" * 9]), max_size=12),
+       chunk=st.integers(1, 10))
+def test_write_output_writes_the_joined_parts_as_utf8(parts, chunk):
+    # a chunk of 1 to 10 characters, so parts land on both sides of every
+    # write, and many are larger than the chunk
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(core, "OUTPUT_CHUNK", chunk):
+        path = Path(tmp) / "out.txt"
+        path.write_bytes(b"an older, longer file \xff" * 4)
+        write_output(path, iter(parts))
+        assert path.read_bytes() == "".join(parts).encode("utf-8")
+
+
+def test_write_output_joins_parts_into_writes_of_about_a_chunk(tmp_path, monkeypatch):
+    sizes = []
+
+    class Spy:  # the file object, with the size of each write noted
+        def __init__(self, *args):
+            self.handle = open(*args)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, data):
+            sizes.append(len(data))
+            return self.handle.write(data)
+
+    monkeypatch.setattr(core, "open", Spy, raising=False)
+    part = "{\"prompt\": \"x\"}\n" * 64  # 1,024 characters
+    count = 3 * (core.OUTPUT_CHUNK // len(part)) + 10
+    write_output(tmp_path / "big.jsonl", (part for _ in range(count)))
+    assert (tmp_path / "big.jsonl").read_bytes() == (part * count).encode("utf-8")
+    # no write holds the whole file, and none but the last is short of a chunk
+    assert len(sizes) == 4
+    assert all(core.OUTPUT_CHUNK <= size < core.OUTPUT_CHUNK + len(part) for size in sizes[:-1])
+    write_output(tmp_path / "small.json", ("{", "}\n"))
+    assert sizes[4:] == [3] and (tmp_path / "small.json").read_bytes() == b"{}\n"
+
+
+def test_write_output_encodes_strictly(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        write_output(tmp_path / "out.txt", ["fine", "a lone surrogate \ud800"])
