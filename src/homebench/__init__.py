@@ -33,7 +33,6 @@ from .loop import (
     run_episode,
 )
 from .metrics import (
-    BenchmarkReport,
     build_report,
     compute_tp,
     count_replans,

@@ -31,11 +31,11 @@ from .core import (
     ActionType,
     EmptyLexicon,
     InvariantError,
-    MissingTask,
     ModelChoice,
     PlannerOutput,
     RewriterTransportError,
     Trajectory,
+    logged_task,
     output_text,
     parse_action,
     read_json,
@@ -377,10 +377,11 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
     (prompt, chosen, rejected) texts unless ``dedup`` is off; the manifest
     records counts before and after. Each trajectory replays on a clone of
     its task's template scene in ``config.scenes``; a trajectory whose task
-    or scene is missing is refused (MissingTask, MissingScene) before any
-    replay. A trajectory whose steps equal the previous one's (in task and
-    run order) is not replayed: it shares that trajectory's prompts, samples
-    and pairs, and only its action corruptions are drawn, from its own seed.
+    or scene is missing, or whose task is filed under another id, is
+    refused (MissingTask, MissingScene) before any replay. A trajectory
+    whose steps equal the previous one's (in task and run order) is not
+    replayed: it shares that trajectory's prompts, samples and pairs, and
+    only its action corruptions are drawn, from its own seed.
     """
     out_dir = Path(config.out_dir)
     rewriter = config.rewriter if config.rewriter is not None else identity_rewriter
@@ -390,10 +391,7 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
 
     ordered = sorted(trajectories, key=lambda t: (t.task_id, t.run_index))
     for trajectory in ordered:  # every task and its scene are found before any replay
-        task = tasks.get(trajectory.task_id)
-        if task is None:
-            raise MissingTask(trajectory.task_id)
-        require_scene(task, config.scenes)
+        require_scene(logged_task(trajectory, tasks), config.scenes)
     samples = []
     pairs = []
     # the last trajectory replayed and its derived work, which a run of the

@@ -10,6 +10,7 @@ transport-level abort.
 from __future__ import annotations
 
 import argparse
+import collections
 import copy
 import io
 import os
@@ -246,9 +247,12 @@ def _refuse_inside_logs(option: str, path: str, logs_dir: Path,
 
 def _load_corpus(args, config: dict):
     """Resolve --logs and --tasks, load the task map and parse the logs,
-    warning about the corrupt ones and, on one line, about the tasks of the
-    map that no log runs. Returns (logs_dir, tasks, trajectories, corrupt,
-    missing task ids in sorted order) for the log-reading commands."""
+    warning about the corrupt ones and, one line each, about the tasks of
+    the map that no log runs and the logged tasks with fewer runs than the
+    most runs of any. Returns (logs_dir, tasks, trajectories, corrupt,
+    coverage) for the log-reading commands: ``coverage`` holds
+    ``missing_tasks`` (sorted task ids) and ``fewer_runs`` (task id -> runs,
+    in id order) where either is non-empty, so a full corpus has none."""
     logs_dir = _require_dir(
         _setting(args.logs, "LOGS", config, "logs", None) or _fail_opt("--logs"), "logs")
     tasks_dir = _require_dir(
@@ -259,11 +263,20 @@ def _load_corpus(args, config: dict):
         print(f"warning: excluded {len(corrupt)} corrupt log(s):")
         for name, reason in corrupt:
             print(f"  {name}: {reason}")
-    missing = sorted(set(tasks).difference(t.task_id for t in trajectories))
+    runs = collections.Counter(t.task_id for t in trajectories)
+    coverage = {}
+    missing = sorted(set(tasks).difference(runs))
     if missing:
         print(f"warning: {len(missing)} task(s) have no log and are not scored: "
               + ", ".join(missing))
-    return logs_dir, tasks, trajectories, corrupt, missing
+        coverage["missing_tasks"] = missing
+    most = max(runs.values(), default=0)
+    fewer = {task_id: n for task_id, n in sorted(runs.items()) if n < most}
+    if fewer:
+        print(f"warning: {len(fewer)} task(s) have fewer runs than the others: "
+              + ", ".join(f"{task_id} ({n})" for task_id, n in fewer.items()))
+        coverage["fewer_runs"] = fewer
+    return logs_dir, tasks, trajectories, corrupt, coverage
 
 
 def _load_lexicon(path: Path) -> list:
@@ -356,7 +369,7 @@ def cmd_run(args, config: dict) -> int:
 
 
 def cmd_evaluate(args, config: dict) -> int:
-    logs_dir, tasks, trajectories, corrupt, missing = _load_corpus(args, config)
+    logs_dir, tasks, trajectories, corrupt, coverage = _load_corpus(args, config)
     if args.out:
         _refuse_inside_logs("--out", args.out, logs_dir, allowed="report.json")
     if not trajectories:
@@ -368,15 +381,14 @@ def cmd_evaluate(args, config: dict) -> int:
     print("Per-attribute SR")
     print(render_attribute_table(report))
     print()
-    print(f"({report.n_runs} run(s) over {report.n_tasks} task(s); "
+    print(f"({report['runs']} run(s) over {report['tasks']} task(s); "
           f"{len(corrupt)} log(s) excluded)")
 
     out_path = Path(args.out) if args.out else logs_dir / "report.json"
-    doc = report.to_dict()
-    doc["excluded_logs"] = len(corrupt)
-    if missing:  # a full corpus keeps its bytes
-        doc["coverage"] = {"missing_tasks": missing}
-    write_json(out_path, doc)
+    report["excluded_logs"] = len(corrupt)
+    if coverage:  # a full corpus keeps its bytes
+        report["coverage"] = coverage
+    write_json(out_path, report)
     print(f"report written to {out_path}")
     return EXIT_OK
 
@@ -386,7 +398,7 @@ def cmd_report_errors(args, config: dict) -> int:
     if args.plot_data:
         _refuse_inside_logs("--plot-data", args.plot_data, logs_dir)
 
-    error_stats, action_stats = error_breakdown(score_runs(trajectories, tasks))
+    error_stats, per_action = error_breakdown(score_runs(trajectories, tasks))
     print(render_error_table(error_stats["successful"],
                              "Successful trajectories error statistics"))
     print()
@@ -394,10 +406,10 @@ def cmd_report_errors(args, config: dict) -> int:
                              "Failed trajectories error statistics"))
     print()
     print("Per-action execution statistics")
-    print(render_action_table(action_stats))
+    print(render_action_table(per_action))
 
     if args.plot_data:
-        write_json(args.plot_data, {k: v.to_dict() for k, v in error_stats.items()})
+        write_json(args.plot_data, error_stats)
         print(f"plot data written to {args.plot_data}")
     return EXIT_OK
 

@@ -486,9 +486,6 @@ class KeypathNode:
             raise InvariantError("keypath nodes require a target")
 
 
-Keypath = tuple  # tuple[KeypathNode, ...]
-
-
 @dataclass(frozen=True)
 class Task:
     """A benchmark task: instruction text, its attribute tags, the keypaths
@@ -498,7 +495,7 @@ class Task:
     id: str
     instruction: str
     attributes: frozenset
-    keypaths: tuple  # tuple[Keypath, ...]
+    keypaths: tuple  # of keypaths, each a tuple of KeypathNode
     expert_length: int
     scene_ref: str
 
@@ -516,6 +513,16 @@ class Task:
                 f"task {self.id!r}: expert_length {self.expert_length} is shorter "
                 f"than the longest keypath ({longest} nodes)"
             )
+
+
+def logged_task(trajectory: Trajectory, tasks: dict) -> Task:
+    """The task ``trajectory`` ran, from an id-keyed task map. A task id
+    with no task there, or whose task there carries another id, raises
+    MissingTask."""
+    task = tasks.get(trajectory.task_id)
+    if task is None or task.id != trajectory.task_id:
+        raise MissingTask(trajectory.task_id)
+    return task
 
 
 # ---------------------------------------------------------------------------

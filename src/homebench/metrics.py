@@ -1,9 +1,12 @@
 """Evaluation metrics over finished trajectories: task progress, success
 rates, termination and re-planning quality, and error-breakdown statistics.
 
-All functions are pure; percentages are kept as exact rationals until
-display time, where they are rendered to two decimals with half-up
-rounding.
+All functions are pure. A report is the document ``evaluate`` writes to
+report.json: ``build_report`` returns it, and ``error_breakdown`` returns its
+``error_stats`` and ``per_action`` parts. Tallies are exact integers and
+rates exact rationals until each value's one half-up rounding to two
+decimals (``round2``) as it enters the document; the plain-text tables
+print the document's values.
 """
 
 from __future__ import annotations
@@ -19,21 +22,18 @@ from .core import (
     ErrorCategory,
     ErrorCode,
     KeypathNode,
-    MissingTask,
     StepRecord,
     Task,
     TaskAttribute,
     Trajectory,
+    logged_task,
 )
 
 
-def round2(value) -> float:
-    """Two-decimal half-up rounding for display (41.665 -> 41.67), a half
-    rounding away from zero; a float is read as the decimal its repr
-    shows. Exact integer arithmetic: the hundredths are
-    floor((200|n| + d) / 2d) for a value n/d."""
-    if not isinstance(value, Fraction):
-        value = Fraction(repr(float(value)))
+def round2(value: Fraction) -> float:
+    """Two-decimal half-up rounding of an exact rational (41.665 -> 41.67),
+    a half rounding away from zero. Exact integer arithmetic: the
+    hundredths are floor((200|n| + d) / 2d) for a value n/d."""
     n, d = value.numerator, value.denominator
     hundredths = (200 * abs(n) + d) // (2 * d)
     return hundredths / 100 if n >= 0 else -(hundredths / 100)
@@ -198,9 +198,7 @@ def _task_mean(scores, column: int) -> Fraction:
 
 @dataclass
 class PartitionStats:
-    """Error counts within one partition (successful or failed runs), with
-    every count also expressed as a percentage of the partition's failed
-    steps. ``failed_step_share`` is failed steps over all steps."""
+    """Error counts within one partition (successful or failed runs)."""
 
     counts: dict = field(default_factory=dict)
     failed_steps: int = 0
@@ -214,48 +212,37 @@ class PartitionStats:
             code = step.feedback.code
             self.counts[code] = self.counts.get(code, 0) + runs
 
-    def count(self, code: ErrorCode) -> int:
-        return self.counts.get(code, 0)
-
-    def category_count(self, category: ErrorCategory) -> int:
-        return sum(n for code, n in self.counts.items() if code.category is category)
-
-    def percent(self, code: ErrorCode) -> Fraction:
-        return _pct(self.count(code), self.failed_steps)
-
-    def category_percent(self, category: ErrorCategory) -> Fraction:
-        return _pct(self.category_count(category), self.failed_steps)
-
-    @property
-    def failed_step_share(self) -> Fraction:
-        return _pct(self.failed_steps, self.total_steps)
-
     def to_dict(self) -> dict:
+        """The partition's document: each code's and each category's count,
+        and each as a percentage of the partition's failed steps;
+        ``failed_step_share`` is failed steps over all steps."""
+        failed = self.failed_steps
+        counts = {code.value: self.counts.get(code, 0) for code in ErrorCode}
+        categories = {
+            category.value: sum(n for code, n in self.counts.items() if code.category is category)
+            for category in ErrorCategory
+        }
         return {
-            "failed_steps": self.failed_steps,
+            "failed_steps": failed,
             "total_steps": self.total_steps,
-            "failed_step_share": round2(self.failed_step_share),
-            "counts": {code.value: self.count(code) for code in ErrorCode},
-            "percent": {code.value: round2(self.percent(code)) for code in ErrorCode},
-            "category_counts": {
-                cat.value: self.category_count(cat) for cat in ErrorCategory
-            },
-            "category_percent": {
-                cat.value: round2(self.category_percent(cat)) for cat in ErrorCategory
-            },
+            "failed_step_share": round2(_pct(failed, self.total_steps)),
+            "counts": counts,
+            "percent": {key: round2(_pct(n, failed)) for key, n in counts.items()},
+            "category_counts": categories,
+            "category_percent": {key: round2(_pct(n, failed)) for key, n in categories.items()},
         }
 
 
 def _error_stats(groups) -> dict:
     """Partition runs by success and tally their steps, over ((trajectory,
-    success), runs) groups. Returns {"successful": PartitionStats, "failed":
-    PartitionStats}."""
+    success), runs) groups. Returns the two partitions' documents,
+    {"successful": ..., "failed": ...}."""
     stats = {"successful": PartitionStats(), "failed": PartitionStats()}
     for (trajectory, success), runs in groups:
         bucket = stats["successful" if success else "failed"]
         for step in trajectory.steps:
             bucket.add(step, runs)
-    return stats
+    return {key: partition.to_dict() for key, partition in stats.items()}
 
 
 @dataclass
@@ -264,18 +251,15 @@ class ActionStats:
     successes: int = 0
     e_errors: int = 0
 
-    @property
-    def sr(self) -> Fraction:
-        return _pct(self.successes, self.attempts)
-
 
 def _action_stats(groups) -> dict:
-    """Per-skill attempt/success/E-error counts over (trajectory, runs)
-    groups; ``action_error_share`` gives each skill's share of all
-    E-category errors. One step is one attempt (its internal retries are
-    not attempts of their own). End steps and F1 steps are excluded: an
-    emission rejected for format never reached the executor, so it is not
-    an attempt of any skill. Never-attempted actions are omitted.
+    """The per-skill document over (trajectory, runs) groups: by skill
+    label, in ActionType order, its attempts, successes, SR and
+    ``e_error_share``, its share of all E-category errors. One step is one
+    attempt (its internal retries are not attempts of their own). End steps
+    and F1 steps are excluded: an emission rejected for format never
+    reached the executor, so it is not an attempt of any skill.
+    Never-attempted actions are omitted.
     """
     stats: dict = {}
     for trajectory, runs in groups:
@@ -291,69 +275,20 @@ def _action_stats(groups) -> dict:
                 entry.successes += runs
             elif step.feedback.code.category is ErrorCategory.EXECUTION:
                 entry.e_errors += runs
-    return stats
-
-
-def action_error_share(stats: dict, action: ActionType) -> Fraction:
     total_e = sum(entry.e_errors for entry in stats.values())
-    if action not in stats:
-        return Fraction(0)
-    return _pct(stats[action].e_errors, total_e)
+    return {
+        action.label: {
+            "attempts": entry.attempts,
+            "successes": entry.successes,
+            "sr": round2(_pct(entry.successes, entry.attempts)),
+            "e_error_share": round2(_pct(entry.e_errors, total_e)),
+        }
+        for action in ActionType if (entry := stats.get(action))
+    }
 
 
 # ---------------------------------------------------------------------------
 # benchmark report
-
-
-@dataclass
-class BenchmarkReport:
-    """Everything the evaluate command prints and writes: headline metrics,
-    per-attribute success rates, error breakdowns, and per-skill rates."""
-
-    sr: Fraction
-    plwsr: Fraction
-    tp_mean: Fraction
-    ser: Fraction
-    srr: Fraction
-    ser_denominator_zero: bool
-    srr_denominator_zero: bool
-    per_attribute_sr: dict
-    per_task: dict
-    error_stats: dict
-    action_stats: dict
-    n_tasks: int
-    n_runs: int
-
-    def to_dict(self) -> dict:
-        per_action = {}
-        for action in [a for a in ActionType if a in self.action_stats]:
-            entry = self.action_stats[action]
-            per_action[action.label] = {
-                "attempts": entry.attempts,
-                "successes": entry.successes,
-                "sr": round2(entry.sr),
-                "e_error_share": round2(action_error_share(self.action_stats, action)),
-            }
-        return {
-            "tasks": self.n_tasks,
-            "runs": self.n_runs,
-            "sr": round2(self.sr),
-            "plwsr": round2(self.plwsr),
-            "tp": round2(self.tp_mean),
-            "srr": round2(self.srr),
-            "ser": round2(self.ser),
-            "flags": {
-                "ser_denominator_zero": self.ser_denominator_zero,
-                "srr_denominator_zero": self.srr_denominator_zero,
-            },
-            "per_attribute_sr": {
-                attr.value: (round2(v) if v is not None else None)
-                for attr, v in self.per_attribute_sr.items()
-            },
-            "per_task": self.per_task,
-            "error_stats": {k: v.to_dict() for k, v in self.error_stats.items()},
-            "per_action": per_action,
-        }
 
 
 def score_runs(trajectories: Sequence[Trajectory], tasks: dict) -> list:
@@ -374,16 +309,14 @@ def score_runs(trajectories: Sequence[Trajectory], tasks: dict) -> list:
             if first.task_id == trajectory.task_id and first.steps == trajectory.steps:
                 groups[-1] = first, result, runs + 1
                 continue
-        task = tasks.get(trajectory.task_id)
-        if task is None or task.id != trajectory.task_id:
-            raise MissingTask(trajectory.task_id)
-        groups.append((trajectory, episode_result(trajectory, task), 1))
+        groups.append((trajectory, episode_result(trajectory, logged_task(trajectory, tasks)), 1))
     return groups
 
 
 def error_breakdown(groups: Sequence[tuple]) -> tuple:
-    """The error partitions by run success and the per-action counts of the
-    ``score_runs`` groups, as (error_stats, action_stats)."""
+    """The error partitions by run success and the per-action statistics of
+    the ``score_runs`` groups, as the report's (error_stats, per_action)
+    documents."""
     return (_error_stats(((t, r.success), runs) for t, r, runs in groups),
             _action_stats((t, runs) for t, _, runs in groups))
 
@@ -392,8 +325,9 @@ def build_report(
     trajectories: Sequence[Trajectory],
     tasks: dict,
     plwsr_literal: bool = False,
-) -> BenchmarkReport:
-    """Compute the full report for a batch of finished trajectories.
+) -> dict:
+    """The report of a batch of finished trajectories: the document
+    ``evaluate`` writes to report.json, before it adds what it excluded.
 
     Run-level values average within each task first, then across tasks;
     SER and SRR are global ratios over all runs by definition. Each group
@@ -403,39 +337,31 @@ def build_report(
     groups = score_runs(trajectories, tasks)
     results = [(result, runs) for _, result, runs in groups]
     table = _task_table(results, tasks, plwsr_literal)
-    sr, plwsr, tp_mean = (_task_mean(table.values(), column) for column in (1, 2, 3))
     (ser, ser_flag), (srr, srr_flag) = _ser_srr(results)
-    per_task = {task_id: {"runs": runs, "sr": round2(_pct(*sr_t)), "tp": round2(_pct(*tp_t))}
-                for task_id, (runs, sr_t, _, tp_t) in table.items()}
-    per_attribute: dict = {}
+    per_attribute = {}
     for attr in TaskAttribute:
         carriers = [score for tid, score in table.items() if attr in tasks[tid].attributes]
-        per_attribute[attr] = _task_mean(carriers, 1) if carriers else None
-    error_stats, action_stats = error_breakdown(groups)
-
-    return BenchmarkReport(
-        sr=sr,
-        plwsr=plwsr,
-        tp_mean=tp_mean,
-        ser=ser,
-        srr=srr,
-        ser_denominator_zero=ser_flag,
-        srr_denominator_zero=srr_flag,
-        per_attribute_sr=per_attribute,
-        per_task=per_task,
-        error_stats=error_stats,
-        action_stats=action_stats,
-        n_tasks=len(table),
-        n_runs=len(trajectories),
-    )
+        per_attribute[attr.value] = round2(_task_mean(carriers, 1)) if carriers else None
+    error_stats, per_action = error_breakdown(groups)
+    return {
+        "tasks": len(table),
+        "runs": len(trajectories),
+        "sr": round2(_task_mean(table.values(), 1)),
+        "plwsr": round2(_task_mean(table.values(), 2)),
+        "tp": round2(_task_mean(table.values(), 3)),
+        "srr": round2(srr),
+        "ser": round2(ser),
+        "flags": {"ser_denominator_zero": ser_flag, "srr_denominator_zero": srr_flag},
+        "per_attribute_sr": per_attribute,
+        "per_task": {task_id: {"runs": runs, "sr": round2(_pct(*sr)), "tp": round2(_pct(*tp))}
+                     for task_id, (runs, sr, _, tp) in table.items()},
+        "error_stats": error_stats,
+        "per_action": per_action,
+    }
 
 
 # ---------------------------------------------------------------------------
-# plain-text tables
-
-
-def _fmt(value) -> str:
-    return f"{round2(value):.2f}"
+# plain-text tables, printed from the report's documents
 
 
 def _table(headers: list, rows: list) -> str:
@@ -449,33 +375,28 @@ def _table(headers: list, rows: list) -> str:
     return "\n".join(lines)
 
 
-def render_summary_table(report: BenchmarkReport) -> str:
-    flags = []
-    if report.ser_denominator_zero:
-        flags.append("SER denominator zero")
-    if report.srr_denominator_zero:
-        flags.append("SRR denominator zero")
-    table = _table(
-        ["SR", "PLWSR", "TP", "SRR", "SER"],
-        [[_fmt(report.sr), _fmt(report.plwsr), _fmt(report.tp_mean),
-          _fmt(report.srr), _fmt(report.ser)]],
-    )
+def render_summary_table(report: dict) -> str:
+    flags = [f"{name} denominator zero" for name in ("SER", "SRR")
+             if report["flags"][f"{name.lower()}_denominator_zero"]]
+    table = _table(["SR", "PLWSR", "TP", "SRR", "SER"],
+                   [[f"{report[key]:.2f}" for key in ("sr", "plwsr", "tp", "srr", "ser")]])
     if flags:
         table += "\n(" + "; ".join(flags) + ")"
     return table
 
 
-def render_attribute_table(report: BenchmarkReport) -> str:
+def render_attribute_table(report: dict) -> str:
     headers = []
     row = []
     for attr in TaskAttribute:
         headers.append(attr.value.replace("_", "-").title())  # short_horizon -> Short-Horizon
-        value = report.per_attribute_sr.get(attr)
-        row.append(_fmt(value) if value is not None else "-")
+        value = report["per_attribute_sr"][attr.value]
+        row.append(f"{value:.2f}" if value is not None else "-")
     return _table(headers, [row])
 
 
-def render_error_table(stats: PartitionStats, title: str) -> str:
+def render_error_table(stats: dict, title: str) -> str:
+    """One partition of the report's ``error_stats``."""
     headers = [""]
     count_row = ["count"]
     pct_row = ["pct"]
@@ -483,24 +404,20 @@ def render_error_table(stats: PartitionStats, title: str) -> str:
         for code in ErrorCode:
             if code.category is category:
                 headers.append(code.value)
-                count_row.append(stats.count(code))
-                pct_row.append(_fmt(stats.percent(code)))
+                count_row.append(stats["counts"][code.value])
+                pct_row.append(f"{stats['percent'][code.value]:.2f}")
         headers.append(category.value)
-        count_row.append(stats.category_count(category))
-        pct_row.append(_fmt(stats.category_percent(category)))
+        count_row.append(stats["category_counts"][category.value])
+        pct_row.append(f"{stats['category_percent'][category.value]:.2f}")
     headers.append("All")
-    count_row.append(f"{stats.failed_steps}/{stats.total_steps}")
-    pct_row.append(_fmt(stats.failed_step_share))
+    count_row.append(f"{stats['failed_steps']}/{stats['total_steps']}")
+    pct_row.append(f"{stats['failed_step_share']:.2f}")
     return f"{title}\n" + _table(headers, [count_row, pct_row])
 
 
-def render_action_table(action_stats: dict) -> str:
-    headers = ["Action", "Attempts", "Successes", "SR", "P"]
-    rows = []
-    for action in [a for a in ActionType if a in action_stats]:
-        entry = action_stats[action]
-        rows.append([
-            action.label, entry.attempts, entry.successes,
-            _fmt(entry.sr), _fmt(action_error_share(action_stats, action)),
-        ])
-    return _table(headers, rows)
+def render_action_table(per_action: dict) -> str:
+    """The report's ``per_action`` document."""
+    rows = [[label, entry["attempts"], entry["successes"],
+             f"{entry['sr']:.2f}", f"{entry['e_error_share']:.2f}"]
+            for label, entry in per_action.items()]
+    return _table(["Action", "Attempts", "Successes", "SR", "P"], rows)

@@ -86,10 +86,8 @@ class ScriptedPlanner:
 
     def __init__(self, outputs, branches: Optional[dict] = None):
         self.outputs = [_entry_text(o) for o in outputs]
-        self.branches = {}
-        for code, entry in (branches or {}).items():
-            key = code if isinstance(code, ErrorCode) else ErrorCode(str(code))
-            self.branches[key] = _entry_text(entry)
+        self.branches = {ErrorCode(code): _entry_text(entry)
+                         for code, entry in (branches or {}).items()}
         self.cursor = 0
 
     def next(self, instruction: Instruction) -> str:
@@ -104,10 +102,10 @@ class ScriptedPlanner:
 
 
 def load_scripted_plan(data) -> ScriptedPlanner:
-    """Build a scripted planner from a plan document (bytes/str/dict):
+    """Build a scripted planner from a plan document (bytes or str):
     {"outputs": [...], "branches": {"D1": {...}}}. Entries may be raw
     strings or JSON objects (serialized verbatim at load)."""
-    doc = read_json(data, "plan document") if isinstance(data, (bytes, str)) else data
+    doc = read_json(data, "plan document")
     if not isinstance(doc, dict) or "outputs" not in doc:
         raise SchemaError("plan document must be an object with an outputs list")
     if not isinstance(doc["outputs"], list):

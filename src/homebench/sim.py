@@ -135,7 +135,7 @@ class Scene:
         """Fresh episode copy with its own dicts, pose, schedule, rates and
         rng (seeded with ``seed``, or the template's seed when None), sharing
         the template's entities and lists. Equal to reloading the same
-        document with ``load_scene(doc, seed=seed)``."""
+        document with its ``seed`` set to ``seed``."""
         scene_seed = self.seed if seed is None else int(seed)
         return Scene(
             id=self.id,
@@ -239,13 +239,13 @@ def _section(doc: dict, key: str, kind: type, *where):
     return kind() if value is None else _typed(value, kind, *(where or (key,)))
 
 
-def load_scene(data, seed: Optional[int] = None) -> Scene:
+def load_scene(data) -> Scene:
     """Build a Scene from a scene document (dict, JSON str, or bytes),
     observed once so that it holds the segments of its start view.
 
-    ``seed`` overrides the document's seed, letting a benchmark derive a
-    fresh deterministic stream per run. Faults are reported in document
-    order, section by section; a containment cycle is checked last.
+    Faults are reported in document order, section by section; a
+    containment cycle is checked last. ``Scene.clone`` gives each episode
+    its own copy, with its own seed.
     """
     doc = read_json(data, "scene document") if isinstance(data, (bytes, str)) else data
     if not isinstance(doc, dict):
@@ -405,7 +405,6 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
     doc_seed = doc.get("seed", 0)
     if type(doc_seed) is not int:  # bool is an int subclass, and not a seed
         raise SchemaError(f"seed: expected an integer, got {doc_seed!r}")
-    scene_seed = doc_seed if seed is None else int(seed)
     # every containment chain (the walk ``spot_of`` makes) must end at a
     # spot; ``rooted`` holds the locations already known to reach one
     rooted = set(spots)
@@ -427,8 +426,8 @@ def load_scene(data, seed: Optional[int] = None) -> Scene:
         agent=agent,
         schedule=schedule,
         rates=rates,
-        seed=scene_seed,
-        rng=random.Random(scene_seed),
+        seed=doc_seed,
+        rng=random.Random(doc_seed),
         children=children,
         positions={name: i for i, name in enumerate(entities)},
     )

@@ -36,11 +36,9 @@ from homebench.loop import (
     replay_instructions,
 )
 from homebench.metrics import (
-    BenchmarkReport,
-    _action_stats,
-    _error_stats,
     _ser_srr,
     episode_result,
+    error_breakdown,
     round2,
 )
 from homebench.sim import load_scene
@@ -195,11 +193,12 @@ def text_by_dumps(output: PlannerOutput) -> str:
                       ensure_ascii=False)
 
 
-def report_per_run(trajectories, tasks, plwsr_literal=False) -> BenchmarkReport:
+def report_per_run(trajectories, tasks, plwsr_literal=False) -> dict:
     """Reference report: every run scored on its own and tallied once, with
-    no grouping of equal runs. Each run's task is looked up and checked as
-    ``build_report`` does it, so the same task is named when one is missing
-    or filed under another id."""
+    no grouping of equal runs, as the document ``build_report`` returns.
+    Each run's task is looked up and checked as ``build_report`` does it,
+    so the same task is named when one is missing or filed under another
+    id."""
     results = []
     for trajectory in trajectories:
         task = tasks.get(trajectory.task_id)
@@ -224,22 +223,27 @@ def report_per_run(trajectories, tasks, plwsr_literal=False) -> BenchmarkReport:
     per_attribute = {}
     for attr in TaskAttribute:
         carriers = [s for tid, s in table.items() if attr in tasks[tid].attributes]
-        per_attribute[attr] = mean(carriers, 1) if carriers else None
+        per_attribute[attr.value] = round2(mean(carriers, 1)) if carriers else None
     scores = list(table.values())
     sr, plwsr, tp = (mean(scores, c) if scores else Fraction(0) for c in (1, 2, 3))
     (ser, ser_zero), (srr, srr_zero) = _ser_srr((r, 1) for r in results)
-    return BenchmarkReport(
-        sr=sr, plwsr=plwsr, tp_mean=tp, ser=ser, srr=srr,
-        ser_denominator_zero=ser_zero, srr_denominator_zero=srr_zero,
-        per_attribute_sr=per_attribute,
-        per_task={tid: {"runs": n, "sr": round2(100 * s), "tp": round2(100 * t)}
-                  for tid, (n, s, _, t) in table.items()},
-        error_stats=_error_stats(
-            ((t, r.success), 1) for t, r in zip(trajectories, results)),
-        action_stats=_action_stats((t, 1) for t in trajectories),
-        n_tasks=len(table),
-        n_runs=len(results),
-    )
+    error_stats, per_action = error_breakdown(
+        [(t, r, 1) for t, r in zip(trajectories, results)])
+    return {
+        "tasks": len(table),
+        "runs": len(results),
+        "sr": round2(sr),
+        "plwsr": round2(plwsr),
+        "tp": round2(tp),
+        "srr": round2(srr),
+        "ser": round2(ser),
+        "flags": {"ser_denominator_zero": ser_zero, "srr_denominator_zero": srr_zero},
+        "per_attribute_sr": per_attribute,
+        "per_task": {tid: {"runs": n, "sr": round2(100 * s), "tp": round2(100 * t)}
+                     for tid, (n, s, _, t) in table.items()},
+        "error_stats": error_stats,
+        "per_action": per_action,
+    }
 
 
 def prefix_subsequence_oracle(pairs, keypath):

@@ -687,6 +687,25 @@ def test_build_datasets_refuses_a_missing_scene_before_any_replay(tmp_path, rng,
     assert not (tmp_path / "ds").exists()
 
 
+@pytest.mark.parametrize("fault", ["missing task", "task filed under another id"])
+def test_build_datasets_refuses_a_log_with_no_task_of_its_id_before_any_replay(
+        tmp_path, rng, monkeypatch, fault):
+    trajectories, tasks = corpus(rng)
+    # the last task in task order has no task file of its own
+    if fault == "missing task":
+        del tasks["task6"]
+    else:  # its key holds another task, with its own instruction and scene
+        tasks["task6"] = make_task(task_id="task6 elsewhere", instruction="do another thing")
+    replays = []
+    monkeypatch.setattr(augment, "replay_instructions",
+                        lambda *args: replays.append(args) or [])
+    with pytest.raises(MissingTask, match="'task6'"):
+        build_datasets(trajectories, tasks, AugmentConfig(
+            out_dir=tmp_path / "ds", scenes=SCENES, seed=1))
+    assert replays == []
+    assert not (tmp_path / "ds").exists()
+
+
 def test_build_datasets_end_never_chosen(tmp_path, rng):
     trajectories, tasks = corpus(rng, n=40)
     manifest = build_datasets(trajectories, tasks, AugmentConfig(

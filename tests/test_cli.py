@@ -1,4 +1,5 @@
 import argparse
+import collections
 import contextlib
 import functools
 import io
@@ -18,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homebench import loop, metrics
-from homebench.cli import EXIT_CONFIG, EXIT_OK, EXIT_TRANSPORT, _parse_logs, build_parser, main
+from homebench.cli import (EXIT_CONFIG, EXIT_OK, EXIT_TRANSPORT, _bundled, _load_task_map,
+                          _parse_logs, build_parser, main)
 from homebench.core import ErrorCode, parse_trajectory_log, serialize_trajectory
 
 from chat_stub import PlanStub, serving
@@ -496,6 +498,18 @@ def test_report_errors_plot_data_is_the_reports_error_stats(bundled_logs, tmp_pa
         json.dumps(error_stats, indent=2, ensure_ascii=False) + "\n")
 
 
+def test_build_report_is_the_written_report(bundled_runs, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--logs", str(bundled_runs), "--out", str(out)]) == EXIT_OK
+    written = json.loads(out.read_text(encoding="utf-8"))
+    assert written.pop("excluded_logs") == 0
+    trajectories, corrupt = _parse_logs(bundled_runs)
+    tasks = _load_task_map(_bundled("tasks"))
+    assert corrupt == [] and len(trajectories) == 36
+    report = metrics.build_report(trajectories, tasks)
+    assert report == written and list(report) == list(written)
+
+
 def test_report_errors_computes_no_task_table_or_rates(bundled_logs, capsys, monkeypatch):
     argv = ["report-errors", "--logs", str(bundled_logs)]
     assert main(argv) == EXIT_OK
@@ -554,24 +568,57 @@ def test_full_corpus_report_has_no_coverage_key(bundled_logs, tmp_path, capsys):
     assert "coverage" not in json.loads(out.read_text(encoding="utf-8"))
 
 
+def _fewer_line(fewer) -> str:
+    return (f"warning: {len(fewer)} task(s) have fewer runs than the others: "
+            + ", ".join(f"{task_id} ({runs})" for task_id, runs in fewer.items()))
+
+
+def test_log_readers_name_the_tasks_with_fewer_runs(bundled_runs, tmp_path, capsys):
+    logs = tmp_path / "logs"
+    deleted = {"brush_out__run2.json", "cup_to_shelf__run0.json", "cup_to_shelf__run2.json"}
+    _copy_logs(bundled_runs, logs, [n for n in _bundled_log_names(bundled_runs)
+                                    if n not in deleted])
+    fewer = {"brush_out": 2, "cup_to_shelf": 1}
+    for argv in (["evaluate", "--logs", str(logs)],
+                 ["report-errors", "--logs", str(logs)],
+                 ["augment", "--logs", str(logs), "--out", str(tmp_path / "ds")]):
+        assert main(argv) == EXIT_OK
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("warning:")]
+        assert lines == [_fewer_line(fewer)], argv  # the bench counts "warning: excluded "
+    report = json.loads((logs / "report.json").read_text(encoding="utf-8"))
+    assert (report["runs"], report["tasks"]) == (33, 12)
+    assert report["coverage"] == {"fewer_runs": fewer}
+
+
 @settings(max_examples=examples(30), deadline=None)
 @given(data=st.data())
-def test_coverage_lists_exactly_the_tasks_left_with_no_log(bundled_logs, data):
-    names = _bundled_log_names(bundled_logs)
+def test_coverage_lists_exactly_the_tasks_and_runs_left_out(bundled_runs, data):
+    names = _bundled_log_names(bundled_runs)
     deleted = data.draw(st.sets(st.sampled_from(names)))
     kept = [name for name in names if name not in deleted]
-    missing = sorted({n.split("__run")[0] for n in names}
-                     - {n.split("__run")[0] for n in kept})
+    runs = collections.Counter(n.split("__run")[0] for n in kept)
+    missing = sorted({n.split("__run")[0] for n in names}.difference(runs))
+    most = max(runs.values(), default=0)
+    fewer = {task_id: n for task_id, n in sorted(runs.items()) if n < most}
     with tempfile.TemporaryDirectory() as temp:
         logs = Path(temp) / "logs"
-        _copy_logs(bundled_logs, logs, kept)
+        _copy_logs(bundled_runs, logs, kept)
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             assert main(["evaluate", "--logs", str(logs)]) == EXIT_OK
         report = json.loads((logs / "report.json").read_text(encoding="utf-8"))
-    assert report.get("coverage") == ({"missing_tasks": missing} if missing else None)
-    assert (_missing_line(missing) in stdout.getvalue().splitlines()) == bool(missing)
-    assert report["tasks"] + len(missing) == len(names)
+    coverage = {}
+    if missing:
+        coverage["missing_tasks"] = missing
+    if fewer:
+        coverage["fewer_runs"] = fewer
+    assert report.get("coverage") == (coverage or None)
+    assert list(report.get("coverage", {})) == list(coverage)
+    warnings = [line for line in stdout.getvalue().splitlines() if line.startswith("warning:")]
+    assert warnings == ([_missing_line(missing)] if missing else []) + (
+        [_fewer_line(fewer)] if fewer else [])
+    assert (report["tasks"], report["runs"]) == (len(runs), len(kept))
 
 
 def _scored_logs(tmp_path):
@@ -1290,6 +1337,14 @@ def bundled_logs(tmp_path_factory):
     """One seeded run of every bundled task: the valid logs the fuzz test damages."""
     out = tmp_path_factory.mktemp("bundled_logs")
     assert main(["--seed", "7", "run", "--runs", "1", "--out", str(out)]) == EXIT_OK
+    return out
+
+
+@pytest.fixture(scope="module")
+def bundled_runs(tmp_path_factory):
+    """Three seeded runs of every bundled task: the 36 logs the coverage tests delete from."""
+    out = tmp_path_factory.mktemp("bundled_runs")
+    assert main(["--seed", "7", "run", "--runs", "3", "--out", str(out)]) == EXIT_OK
     return out
 
 

@@ -11,11 +11,14 @@ are deterministic.
 import copy
 import json
 import math
+from fractions import Fraction
 from importlib import resources
+
+import pytest
 
 from homebench.core import ErrorCode, parse_task_file
 from homebench.loop import run_benchmark
-from homebench.metrics import build_report
+from homebench.metrics import build_report, round2, score_runs
 from homebench.planners import load_scripted_plan
 from homebench.sim import load_scene
 
@@ -49,30 +52,65 @@ def test_binomial_band_holds_the_mean_and_its_tails_are_small():
     assert 880 <= lo <= 895
 
 
-def test_cup_to_shelf_success_rate_matches_its_closed_form():
-    # cup_to_shelf plays Pick cup, Go to shelf, Place shelf, End; a failed
-    # Pick leaves the hand empty (L2 at the Place), a failed Go to leaves the
-    # shelf too far (D1), so only a run whose three steps all succeed succeeds
-    p_nav, p_man, q, r, n = 0.3, 0.4, 0.2, 3, 2000
+P_NAV, P_MAN, Q, R, N = 0.3, 0.4, 0.2, 3, 2000
+
+
+@pytest.fixture(scope="module")
+def cup_to_shelf():
+    """``N`` runs of cup_to_shelf at seed 14, with E1 rates ``P_NAV`` and
+    ``P_MAN``, E2 rate ``Q`` and ``R`` attempts per step, and its task.
+
+    cup_to_shelf plays Pick cup, Go to shelf, Place shelf, End; a failed Pick
+    leaves the hand empty (L2 at the Place), a failed Go to leaves the shelf
+    too far (D1), so only a run whose three steps all succeed succeeds."""
     task = parse_task_file(DATA.joinpath("tasks/cup_to_shelf.json").read_bytes())
     doc = json.loads(DATA.joinpath("scenes/office_annex.json").read_bytes())
-    doc["failure_rates"] = {"e1_navigation": p_nav, "e1_manipulation": p_man, "e2_place": q}
+    doc["failure_rates"] = {"e1_navigation": P_NAV, "e1_manipulation": P_MAN, "e2_place": Q}
     plan = load_scripted_plan(DATA.joinpath("plans/cup_to_shelf.json").read_bytes())
     trajectories = run_benchmark([task], lambda task, run_index: copy.copy(plan),
                                  {task.scene_ref: load_scene(doc)},
-                                 runs_per_task=n, retries=r, seed=14)
+                                 runs_per_task=N, retries=R, seed=14)
     assert [[s.output.action for s in t.steps] for t in trajectories] == (
-        [["Pick", "Go to", "Place", "End"]] * n)
+        [["Pick", "Go to", "Place", "End"]] * N)
+    return trajectories, task
 
-    successes = build_report(trajectories, {task.id: task}).sr * n / 100
+
+def assert_in_band(what: str, count: int, n: int, p: float) -> None:
+    lo, hi = binomial_band(n, p)
+    assert lo <= count <= hi, f"{what}: {count} of {n}, outside [{lo}, {hi}] for p = {p:.4f}"
+
+
+def test_cup_to_shelf_success_rate_matches_its_closed_form(cup_to_shelf):
+    trajectories, task = cup_to_shelf
+    tasks = {task.id: task}
+    successes = sum(runs for _, result, runs in score_runs(trajectories, tasks) if result.success)
+    assert build_report(trajectories, tasks)["sr"] == round2(Fraction(100 * successes, N))
     # a first attempt that failed E1 is retried, or ends the step as E1
     first_e1 = [sum(1 for t in trajectories
                     if t.steps[i].retries_used or t.steps[i].feedback.code is ErrorCode.E1)
                 for i in (0, 1)]
-    closed_form = (1 - p_man ** r) * (1 - p_nav ** r) * (1 - p_man ** r) * (1 - q)
+    closed_form = (1 - P_MAN ** R) * (1 - P_NAV ** R) * (1 - P_MAN ** R) * (1 - Q)
     assert round(closed_form, 3) == 0.682
-    for what, count, p in (("successful runs", successes, closed_form),
-                           ("Pick first attempts failing E1", first_e1[0], p_man),
-                           ("Go to first attempts failing E1", first_e1[1], p_nav)):
-        lo, hi = binomial_band(n, p)
-        assert lo <= count <= hi, f"{what}: {count} of {n}, outside [{lo}, {hi}] for p = {p:.4f}"
+    assert_in_band("successful runs", successes, N, closed_form)
+    assert_in_band("Pick first attempts failing E1", first_e1[0], N, P_MAN)
+    assert_in_band("Go to first attempts failing E1", first_e1[1], N, P_NAV)
+
+
+def test_cup_to_shelf_second_attempts_fail_at_the_rate_squared(cup_to_shelf):
+    # a step's third attempt is drawn only when its first two failed E1
+    trajectories, _ = cup_to_shelf
+    for i, what, p in ((0, "Pick", P_MAN), (1, "Go to", P_NAV)):
+        count = sum(1 for t in trajectories if t.steps[i].retries_used == 2)
+        assert_in_band(f"{what} second attempts failing E1", count, N, p ** 2)
+
+
+def test_cup_to_shelf_place_e2_count_matches_its_closed_form(cup_to_shelf):
+    # a Place reaches its draw when the Pick and the Go to both succeeded;
+    # then one of its attempts passes E1 with probability 1 - p_man^r, and
+    # only that attempt draws E2, once
+    trajectories, _ = cup_to_shelf
+    reached = [t for t in trajectories if t.steps[0].feedback.ok and t.steps[1].feedback.ok]
+    e2 = sum(1 for t in reached if t.steps[2].feedback.code is ErrorCode.E2)
+    assert not any(t.steps[2].feedback.code is ErrorCode.E2 for t in trajectories
+                   if t not in reached)
+    assert_in_band("reached Places failing E2", e2, len(reached), (1 - P_MAN ** R) * Q)

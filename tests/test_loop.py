@@ -1032,7 +1032,7 @@ def test_fuzzed_episodes_preserve_invariants(rng):
 
     task = make_task(task_id="fuzz")
     for seed in range(40):
-        scene = load_scene(doc, seed=seed)
+        scene = load_scene(doc).clone(seed=seed)
         trajectory = run_episode(scene, Chaotic(seed), task, budget=15)
         assert len(trajectory.steps) <= 15
         assert trajectory.terminated_by_end != trajectory.terminated_by_budget

@@ -20,7 +20,6 @@ from homebench.metrics import (
     _action_stats,
     _error_stats,
     _ser_srr,
-    action_error_share,
     build_report,
     compute_tp,
     count_replans,
@@ -277,34 +276,34 @@ EXPERT_5 = {"t1": make_task(expert_length=5)}
 
 def test_plwsr_weight_longer_than_expert():
     report = build_report([walk(10)], EXPERT_5)
-    assert report.sr == 100
-    assert report.plwsr == 50  # 5 / max(5, 10)
+    assert report["sr"] == 100
+    assert report["plwsr"] == 50  # 5 / max(5, 10)
 
 
 def test_plwsr_weight_equal_lengths():
-    assert build_report([walk(5)], EXPERT_5).plwsr == 100
+    assert build_report([walk(5)], EXPERT_5)["plwsr"] == 100
 
 
 def test_plwsr_failure_weighs_zero():
     report = build_report([walk(5, ok=False)], EXPERT_5)
-    assert (report.sr, report.plwsr) == (0, 0)
+    assert (report["sr"], report["plwsr"]) == (0, 0)
 
 
 def test_plwsr_literal_reading_saturates():
-    assert build_report([walk(10)], EXPERT_5, plwsr_literal=True).plwsr == 100  # 10 / max(5, 10)
+    assert build_report([walk(10)], EXPERT_5, plwsr_literal=True)["plwsr"] == 100  # 10 / max(5, 10)
 
 
 def test_plwsr_shorter_than_expert_full_weight():
-    assert build_report([walk(3)], EXPERT_5).plwsr == 100  # 5 / max(5, 3) = 1
+    assert build_report([walk(3)], EXPERT_5)["plwsr"] == 100  # 5 / max(5, 3) = 1
 
 
 def test_sr_macro_averages_tasks_not_runs():
     tasks = {t: make_task(task_id=t, expert_length=3) for t in "ab"}
     runs = [walk(3, task_id="a"), walk(3, ok=False, task_id="a"),
             walk(3, task_id="b"), walk(3, task_id="b")]
-    assert build_report(runs, tasks).sr == 75  # mean(50, 100), also 3/4 of runs
+    assert build_report(runs, tasks)["sr"] == 75  # mean(50, 100), also 3/4 of runs
     unbalanced = runs + [walk(3, task_id="b")]
-    assert build_report(unbalanced, tasks).sr == 75  # task b still contributes 100
+    assert build_report(unbalanced, tasks)["sr"] == 75  # task b still contributes 100
 
 
 def test_build_report_refuses_a_task_filed_under_another_id():
@@ -329,29 +328,27 @@ def test_error_breakdown_percentages():
     specs += [("Go to", "sofa", True)] * (416 - 126 - 1)  # leave room for End
     trajectory = traj(specs)
     stats = _error_stats([((trajectory, True), 1)])["successful"]
-    assert stats.failed_steps == 126
-    assert stats.total_steps == 416
-    assert round2(stats.category_percent(ErrorCode.L1.category)) == 5.56
-    assert round2(stats.category_percent(ErrorCode.D1.category)) == 44.44
-    assert round2(stats.category_percent(ErrorCode.F1.category)) == 19.05
-    assert round2(stats.category_percent(ErrorCode.E1.category)) == 30.95
-    assert round2(stats.failed_step_share) == 30.29
+    assert stats["failed_steps"] == 126
+    assert stats["total_steps"] == 416
+    assert stats["category_counts"] == {"L": 7, "D": 56, "F": 24, "E": 39}
+    assert stats["category_percent"] == {"L": 5.56, "D": 44.44, "F": 19.05, "E": 30.95}
+    assert stats["failed_step_share"] == 30.29
 
 
 def test_error_breakdown_zero_failed_steps():
     trajectory = traj([("Pick", "a", True)])
     stats = _error_stats([((trajectory, False), 1)])["failed"]
-    assert stats.failed_steps == 0
+    assert (stats["failed_steps"], stats["total_steps"]) == (0, 2)
     for code in ErrorCode:
-        assert stats.percent(code) == 0
-        assert stats.count(code) == 0
+        assert stats["counts"][code.value] == 0
+        assert stats["percent"][code.value] == 0  # 0 of 0 failed steps reads as 0
 
 
 def test_error_breakdown_single_failure_is_hundred():
     trajectory = traj([("Pick", "a", False, ErrorCode.D1)], budget=True)
     stats = _error_stats([((trajectory, False), 1)])["failed"]
-    assert stats.percent(ErrorCode.D1) == 100
-    assert stats.category_percent(ErrorCode.D1.category) == 100
+    assert stats["counts"]["D1"] == stats["category_counts"]["D"] == stats["failed_steps"] == 1
+    assert stats["percent"]["D1"] == stats["category_percent"]["D"] == 100
 
 
 # ---------------------------------------------------------------------------
@@ -365,19 +362,17 @@ def test_action_error_share_ratio():
         ("Pick", "a", True),
     ], budget=True)
     stats = _action_stats([(trajectory, 1)])
-    assert round2(action_error_share(stats, ActionType.PICK)) == 50.0
+    assert stats["Pick"]["e_error_share"] == stats["Go to"]["e_error_share"] == 50.0
 
 
 def test_action_stats_omit_unattempted():
     stats = _action_stats([(traj([("Pick", "a", True)]), 1)])
-    assert ActionType.OPEN not in stats
-    assert ActionType.END not in stats
+    assert list(stats) == ["Pick"]  # no Open, no End
 
 
 def test_action_stats_sr_all_success():
     stats = _action_stats([(traj([("Open", "drawer", True)] * 3), 1)])
-    assert stats[ActionType.OPEN].sr == 100
-    assert stats[ActionType.OPEN].attempts == 3
+    assert stats["Open"] == {"attempts": 3, "successes": 3, "sr": 100, "e_error_share": 0}
 
 
 def test_action_stats_attempts_count_steps_not_retries():
@@ -388,7 +383,7 @@ def test_action_stats_attempts_count_steps_not_retries():
     s = make_step("Pick", "a", ok=True, retries=2)
     trajectory = Trajectory("t1", (s,))
     stats = _action_stats([(trajectory, 1)])
-    assert stats[ActionType.PICK].attempts == 1
+    assert stats["Pick"]["attempts"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +410,7 @@ def test_episode_result_percentages_in_range(rng):
     report = build_report(
         [random_trajectory(rng, task_id=task.id, run_index=i) for i in range(30)],
         {task.id: task})
-    for value in (report.ser, report.srr, report.sr, report.plwsr):
+    for value in (report["ser"], report["srr"], report["sr"], report["plwsr"]):
         assert 0 <= value <= 100
 
 
@@ -434,7 +429,7 @@ def test_ser_capped_when_success_lacks_end():
 def test_round2_half_up():
     assert round2(Fraction(1, 800) * 100) == 0.13  # 0.125 rounds up, not to even
     assert round2(Fraction(1, 3) * 100) == 33.33
-    assert round2(41.665) == 41.67
+    assert round2(Fraction("41.665")) == 41.67
 
 
 def round2_by_decimal(value: Fraction) -> float:
@@ -465,8 +460,7 @@ def test_action_stats_exclude_f1_non_attempts():
         ("Pick", "apple", True),
     ], budget=True)
     stats = _action_stats([(trajectory, 1)])
-    assert stats[ActionType.PICK].attempts == 1
-    assert stats[ActionType.PICK].sr == 100
+    assert (stats["Pick"]["attempts"], stats["Pick"]["successes"], stats["Pick"]["sr"]) == (1, 1, 100)
 
 
 def test_error_partition_uses_each_trajectorys_own_result():
@@ -482,9 +476,9 @@ def test_error_partition_uses_each_trajectorys_own_result():
                   ("Open", "drawer", False, ErrorCode.L1)], task_id="dup",
                  budget=True)
     report = build_report([winner, loser], {"dup": task})
-    assert report.error_stats["successful"].count(ErrorCode.D1) == 1
-    assert report.error_stats["successful"].count(ErrorCode.L1) == 0
-    assert report.error_stats["failed"].count(ErrorCode.L1) == 1
+    assert report["error_stats"]["successful"]["counts"]["D1"] == 1
+    assert report["error_stats"]["successful"]["counts"]["L1"] == 0
+    assert report["error_stats"]["failed"]["counts"]["L1"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +549,7 @@ def test_report_aggregates_match_oracle(rng, literal):
         tasks["unscored"] = make_task(task_id="unscored", attributes=unused)
         rng.shuffle(trajectories)
 
-        doc = build_report(trajectories, tasks, plwsr_literal=literal).to_dict()
+        doc = build_report(trajectories, tasks, plwsr_literal=literal)
         expected = report_oracle(trajectories, tasks, literal)
         assert {key: doc[key] for key in expected} == expected
         assert list(doc["per_task"]) == list(expected["per_task"])
@@ -650,7 +644,7 @@ def _corpora(draw):
 
 def _report_or_fault(build, trajectories, tasks, literal):
     try:
-        return build(trajectories, tasks, plwsr_literal=literal).to_dict()
+        return build(trajectories, tasks, plwsr_literal=literal)
     except HomebenchError as exc:
         return type(exc), str(exc)
 

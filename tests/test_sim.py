@@ -264,7 +264,7 @@ def test_end_succeeds_and_leaves_the_scene_alone(held):
     doc = scene_doc(failure_rates={"e1_manipulation": 0.5, "e1_navigation": 0.5,
                                    "e2_place": 0.5},
                     outcome_schedule={"pick apple": ["E1", "ok"], "place counter": ["E2"]})
-    scene = load_scene(doc, seed=3)
+    scene = load_scene(doc).clone(seed=3)
     rng_state = scene.rng.getstate()
     schedule = {key: list(outcomes) for key, outcomes in scene.schedule.items()}
     entities = dict(scene.entities)
@@ -371,7 +371,7 @@ def test_each_e1_rate_draws_for_its_own_skills(navigation, manipulation):
     go_to = ErrorCode.E1 if navigation else None
     pick = ErrorCode.E1 if manipulation else None
     for seed in range(5):
-        scene = load_scene(doc, seed=seed)
+        scene = load_scene(doc).clone(seed=seed)
         for _ in range(4):
             assert execute(scene, sub(GO_TO, "table", ModelChoice.NOMAD), EMPTY).code is go_to
             assert execute(scene, sub(PICK, "apple"), EMPTY).code is pick
@@ -386,7 +386,7 @@ def test_seeded_determinism_with_rates():
     ]
 
     def run():
-        state = EpisodeState("", load_scene(doc, seed=99))
+        state = EpisodeState("", load_scene(doc).clone(seed=99))
         trace = []
         for action, target in sequence:
             outcome = play_step(state, action, target)
@@ -412,7 +412,7 @@ def test_conservation_under_random_sequences(rng):
     actions = [PICK, PLACE, OPEN, CLOSE, GO_TO]
     targets = ["apple", "banana", "fridge", "drawer", "counter", "table", "statue"]
     for trial in range(60):
-        state = EpisodeState("", load_scene(doc, seed=trial))
+        state = EpisodeState("", load_scene(doc).clone(seed=trial))
         for _ in range(25):
             action = rng.choice(actions)
             target = rng.choice(targets)
@@ -441,7 +441,7 @@ def test_execute_changes_nothing_but_the_draw(rng):
     actions = [PICK, PLACE, OPEN, CLOSE, GO_TO]
     targets = ["apple", "banana", "fridge", "drawer", "counter", "table", "statue"]
     for trial in range(40):
-        state = EpisodeState("", load_scene(doc, seed=trial))
+        state = EpisodeState("", load_scene(doc).clone(seed=trial))
         for _ in range(20):
             action, target = rng.choice(actions), rng.choice(targets)
             before = world(state.scene)
