@@ -103,6 +103,21 @@ def _require_dir(path, what: str) -> Path:
     return path
 
 
+def _tasks_dir(args, config: dict) -> Path:
+    return _require_dir(
+        _setting(args.tasks, "TASKS", config, "tasks", _bundled("tasks")), "tasks")
+
+
+def _scenes_dir(args, config: dict) -> Path:
+    return _require_dir(
+        _setting(args.scenes, "SCENES", config, "scenes", _bundled("scenes")), "scenes")
+
+
+def _logs_dir(args, config: dict) -> Path:
+    return _require_dir(
+        _setting(args.logs, "LOGS", config, "logs", None) or _fail_opt("--logs"), "logs")
+
+
 def _load_task_map(tasks_dir: Path) -> dict:
     overlay = None
     overlay_path = tasks_dir / "keypaths.json"
@@ -232,31 +247,45 @@ def _parse_logs(logs_dir: Path):
     return trajectories, corrupt
 
 
-def _refuse_inside_logs(option: str, path: str, logs_dir: Path,
-                        allowed: str | None = None) -> None:
-    """Every command reads the ``*.json`` files in the logs directory as
-    logs, skipping only ``report.json``. Refuse an output path inside it
-    (other than ``logs_dir/allowed``), which later commands would read back
-    as a corrupt log."""
-    target = Path(path).resolve()
-    logs = logs_dir.resolve()
-    if target.is_relative_to(logs) and not (allowed and target == logs / allowed):
-        raise ConfigError(f"{option} {path} is inside the logs directory {logs_dir}, "
-                          "where later commands would read it as a log")
+def _refuse_output_among_inputs(option: str, path, json_dirs, tasks_dir: Path,
+                                scenes_dir: Path | None = None,
+                                logs_dir: Path | None = None,
+                                allowed: str | None = None) -> None:
+    """Refuse an output that later commands would read back as an input.
+    ``path`` is the output given as ``option``; ``json_dirs`` are the
+    directories it puts ``*.json`` files in. Commands read every ``*.json``
+    file directly in the tasks directory as a task, and ``run`` and
+    ``augment`` every one in the scenes directory as a scene. The log
+    readers read every ``*.json`` file in the logs directory as a log,
+    skipping only ``report.json``, so nothing may be written inside it but
+    ``logs_dir/allowed``."""
+    if logs_dir is not None:
+        target, logs = Path(path).resolve(), logs_dir.resolve()
+        if target.is_relative_to(logs) and not (allowed and target == logs / allowed):
+            raise ConfigError(f"{option} {path} is inside the logs directory {logs_dir}, "
+                              "where later commands would read it as a log")
+    for json_dir in json_dirs:
+        for what, directory in (("task", tasks_dir), ("scene", scenes_dir)):
+            if directory is not None and Path(json_dir).resolve() == directory.resolve():
+                raise ConfigError(f"{option} {path} would put a .json file in the {what}s "
+                                  f"directory {directory}, where later commands would "
+                                  f"read it as a {what}")
 
 
-def _load_corpus(args, config: dict):
-    """Resolve --logs and --tasks, load the task map and parse the logs,
-    warning about the corrupt ones and, one line each, about the tasks of
-    the map that no log runs and the logged tasks with fewer runs than the
-    most runs of any. Returns (logs_dir, tasks, trajectories, corrupt,
-    coverage) for the log-reading commands: ``coverage`` holds
-    ``missing_tasks`` (sorted task ids) and ``fewer_runs`` (task id -> runs,
-    in id order) where either is non-empty, so a full corpus has none."""
-    logs_dir = _require_dir(
-        _setting(args.logs, "LOGS", config, "logs", None) or _fail_opt("--logs"), "logs")
-    tasks_dir = _require_dir(
-        _setting(args.tasks, "TASKS", config, "tasks", _bundled("tasks")), "tasks")
+def _json_dirs(path) -> list:
+    """The directory an output file puts a ``*.json`` file in, if it does."""
+    path = Path(path)
+    return [path.parent] if path.name.endswith(".json") else []
+
+
+def _load_corpus(logs_dir: Path, tasks_dir: Path):
+    """Load the task map and parse the logs, warning about the corrupt ones
+    and, one line each, about the tasks of the map that no log runs and the
+    logged tasks with fewer runs than the most runs of any. Returns (tasks,
+    trajectories, corrupt, coverage) for the log-reading commands:
+    ``coverage`` holds ``missing_tasks`` (sorted task ids) and
+    ``fewer_runs`` (task id -> runs, in id order) where either is non-empty,
+    so a full corpus has none."""
     tasks = _load_task_map(tasks_dir)
     trajectories, corrupt = _parse_logs(logs_dir)
     if corrupt:
@@ -276,7 +305,7 @@ def _load_corpus(args, config: dict):
         print(f"warning: {len(fewer)} task(s) have fewer runs than the others: "
               + ", ".join(f"{task_id} ({n})" for task_id, n in fewer.items()))
         coverage["fewer_runs"] = fewer
-    return logs_dir, tasks, trajectories, corrupt, coverage
+    return tasks, trajectories, corrupt, coverage
 
 
 def _load_lexicon(path: Path) -> list:
@@ -294,13 +323,14 @@ def _load_lexicon(path: Path) -> list:
 
 
 def cmd_run(args, config: dict) -> int:
-    tasks_dir = _require_dir(
-        _setting(args.tasks, "TASKS", config, "tasks", _bundled("tasks")), "tasks")
-    scenes_dir = _require_dir(
-        _setting(args.scenes, "SCENES", config, "scenes", _bundled("scenes")), "scenes")
+    tasks_dir = _tasks_dir(args, config)
+    scenes_dir = _scenes_dir(args, config)
     out_dir = Path(_setting(args.out, "OUT", config, "output", "runs"))
     if out_dir.exists() and not out_dir.is_dir():
         raise ConfigError(f"--out {out_dir} exists and is not a directory")
+    _refuse_output_among_inputs(
+        "--out", out_dir, [out_dir] + ([out_dir / "transcripts"] if args.transcripts else []),
+        tasks_dir, scenes_dir)
     planner_spec = _setting(args.planner, "PLANNER", config, "planner", "scripted:")
     runs = _setting(args.runs, "RUNS", config, "runs_per_task", 3, int)
     budget = _setting(args.budget, "BUDGET", config, "budget", 20, int)
@@ -369,9 +399,11 @@ def cmd_run(args, config: dict) -> int:
 
 
 def cmd_evaluate(args, config: dict) -> int:
-    logs_dir, tasks, trajectories, corrupt, coverage = _load_corpus(args, config)
+    logs_dir, tasks_dir = _logs_dir(args, config), _tasks_dir(args, config)
     if args.out:
-        _refuse_inside_logs("--out", args.out, logs_dir, allowed="report.json")
+        _refuse_output_among_inputs("--out", args.out, _json_dirs(args.out), tasks_dir,
+                                    logs_dir=logs_dir, allowed="report.json")
+    tasks, trajectories, corrupt, coverage = _load_corpus(logs_dir, tasks_dir)
     if not trajectories:
         print("warning: no parseable logs found; report contains zeros")
 
@@ -394,9 +426,11 @@ def cmd_evaluate(args, config: dict) -> int:
 
 
 def cmd_report_errors(args, config: dict) -> int:
-    logs_dir, tasks, trajectories, _, _ = _load_corpus(args, config)
+    logs_dir, tasks_dir = _logs_dir(args, config), _tasks_dir(args, config)
     if args.plot_data:
-        _refuse_inside_logs("--plot-data", args.plot_data, logs_dir)
+        _refuse_output_among_inputs("--plot-data", args.plot_data, _json_dirs(args.plot_data),
+                                    tasks_dir, logs_dir=logs_dir)
+    tasks, trajectories, _, _ = _load_corpus(logs_dir, tasks_dir)
 
     error_stats, per_action = error_breakdown(score_runs(trajectories, tasks))
     print(render_error_table(error_stats["successful"],
@@ -419,11 +453,11 @@ def cmd_augment(args, config: dict) -> int:
         raise ConfigError(f"--rewrites must be at least 0, got {args.rewrites}")
     if args.train_split is not None and not 0 <= args.train_split <= 1:
         raise ConfigError(f"--train-split must be between 0 and 1, got {args.train_split}")
-    logs_dir, tasks, trajectories, _, _ = _load_corpus(args, config)
-    scenes_dir = _require_dir(
-        _setting(args.scenes, "SCENES", config, "scenes", _bundled("scenes")), "scenes")
+    logs_dir, tasks_dir = _logs_dir(args, config), _tasks_dir(args, config)
+    scenes_dir = _scenes_dir(args, config)
     out_dir = Path(_setting(args.out, "OUT", config, "output", "datasets"))
-    _refuse_inside_logs("--out", str(out_dir), logs_dir)
+    _refuse_output_among_inputs("--out", out_dir, [out_dir], tasks_dir, scenes_dir, logs_dir)
+    tasks, trajectories, _, _ = _load_corpus(logs_dir, tasks_dir)
     seed = _setting(args.seed, "SEED", config, "seed", 0, int)
     if not trajectories:
         raise ConfigError(f"no parseable logs in {logs_dir}")

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import re
+import stat
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring
@@ -810,19 +812,32 @@ def load_tasks(paths: Iterable, keypath_overlay: Optional[dict] = None) -> dict:
 OUTPUT_CHUNK = 1 << 16
 
 
+def _keep_the_file(path, flags: int) -> int:
+    """``open``'s opener: its own flags (binary, close-on-exec) without
+    ``O_TRUNC``, so an existing file keeps its blocks for the new bytes."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def write_output(path, parts: Iterable[str]) -> None:
-    """Write the text ``parts`` to ``path`` as strict UTF-8, in place over any
-    file of that name (not atomically), in writes of about ``OUTPUT_CHUNK``
-    characters: a large file is never held whole, a small one is one write."""
-    with open(path, "wb") as handle:  # a write past the small buffer goes straight through
-        pending, size = [], 0
-        for part in parts:
-            pending.append(part)
-            size += len(part)
-            if size >= OUTPUT_CHUNK:
-                handle.write("".join(pending).encode("utf-8"))
-                pending, size = [], 0
-        handle.write("".join(pending).encode("utf-8"))
+    """Write the text ``parts`` to ``path`` as strict UTF-8, over any file of
+    that name in place (not atomically), in writes of about ``OUTPUT_CHUNK``
+    characters: a large file is never held whole, a small one is one write.
+    Then cut what is left of a longer older file, even when a write failed
+    partway, so a regular file holds the bytes written and none of what it
+    held before; a pipe or a device is written and never cut."""
+    with open(path, "wb", opener=_keep_the_file) as handle:
+        try:  # a write past the small buffer goes straight through
+            pending, size = [], 0
+            for part in parts:
+                pending.append(part)
+                size += len(part)
+                if size >= OUTPUT_CHUNK:
+                    handle.write("".join(pending).encode("utf-8"))
+                    pending, size = [], 0
+            handle.write("".join(pending).encode("utf-8"))
+        finally:
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                handle.truncate()  # at the end of what was written
 
 
 def write_json(path, doc) -> None:

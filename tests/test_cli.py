@@ -617,7 +617,8 @@ def test_coverage_lists_exactly_the_tasks_and_runs_left_out(bundled_runs, data):
     assert list(report.get("coverage", {})) == list(coverage)
     warnings = [line for line in stdout.getvalue().splitlines() if line.startswith("warning:")]
     assert warnings == ([_missing_line(missing)] if missing else []) + (
-        [_fewer_line(fewer)] if fewer else [])
+        [_fewer_line(fewer)] if fewer else []) + (
+        [] if kept else ["warning: no parseable logs found; report contains zeros"])
     assert (report["tasks"], report["runs"]) == (len(runs), len(kept))
 
 
@@ -660,6 +661,61 @@ def test_report_json_in_logs_stays_allowed(tmp_path, capsys):
     assert main(["evaluate", *corpus]) == EXIT_OK
     assert "warning: excluded" not in capsys.readouterr().out
     assert json.loads((logs / "report.json").read_text())["excluded_logs"] == 0
+
+
+@pytest.mark.parametrize("command, option, output, what", [
+    ("run", "--out", "{tasks}", "tasks"),
+    ("run", "--out", "{scenes}", "scenes"),
+    ("evaluate", "--out", "{tasks}/r.json", "tasks"),
+    ("evaluate", "--out", "{tasks}/keypaths.json", "tasks"),
+    ("report-errors", "--plot-data", "{tasks}/plot.json", "tasks"),
+    ("augment", "--out", "{tasks}", "tasks"),
+    ("augment", "--out", "{scenes}", "scenes"),
+])
+def test_output_among_the_inputs_is_refused(tmp_path, capsys, command, option, output, what):
+    """A .json file written straight into the tasks directory (or, for the
+    commands that load scenes, the scenes directory) would read back as a
+    bad task or a scene, so the path is refused before any work."""
+    augment_fixture(tmp_path)
+    dirs = {"tasks": tmp_path / "tasks", "scenes": _bundled_copy(tmp_path, "scenes"),
+            "logs": tmp_path / "logs"}
+    argv = [command, "--tasks", str(dirs["tasks"])]
+    argv += ["--scenes", str(dirs["scenes"])] if command in ("run", "augment") else []
+    argv += ["--runs", "1"] if command == "run" else ["--logs", str(dirs["logs"])]
+    target = output.format(**dirs)
+    before = _files(tmp_path)
+    assert main(argv + [option, target]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert (f"error: {option} {target} would put a .json file in the {what} directory "
+            f"{dirs[what]}, where later commands would read it as a {what[:-1]}"
+            in captured.err.splitlines())
+    assert captured.out == ""  # no episode, no log read
+    assert _files(tmp_path) == before
+
+
+def test_run_transcripts_among_the_tasks_are_refused(tmp_path, capsys):
+    tasks = tmp_path / "transcripts"
+    shutil.copytree(_bundled("tasks"), tasks)
+    argv = ["run", "--runs", "1", "--tasks", str(tasks), "--out", str(tmp_path)]
+    assert main(argv + ["--transcripts"]) == EXIT_CONFIG
+    assert (f"error: --out {tmp_path} would put a .json file in the tasks directory {tasks}"
+            in capsys.readouterr().err)
+    assert sorted(tmp_path.iterdir()) == [tasks]
+
+
+def test_outputs_below_the_tasks_directory_stay_allowed(tmp_path, capsys, monkeypatch):
+    tasks = _bundled_copy(tmp_path, "tasks")
+    before = _files(tasks)
+    monkeypatch.chdir(tasks)
+    (tasks / "plots").mkdir()
+    corpus = ["--tasks", ".", "--logs", "runs"]
+    assert main(["--seed", "7", "run", "--runs", "1", "--tasks", ".", "--out", "runs"]) == EXIT_OK
+    assert main(["evaluate", *corpus]) == EXIT_OK
+    assert main(["report-errors", *corpus, "--plot-data", "plots/plot.json"]) == EXIT_OK
+    assert main(["augment", *corpus, "--out", "datasets"]) == EXIT_OK
+    assert main(["evaluate", *corpus, "--out", "plots/report.json"]) == EXIT_OK
+    assert "warning" not in capsys.readouterr().out
+    assert {name: data for name, data in _files(tasks).items() if "/" not in name} == before
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@ import copy
 import functools
 import itertools
 import json
+import os
 import random
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -940,8 +942,8 @@ def test_write_output_joins_parts_into_writes_of_about_a_chunk(tmp_path, monkeyp
     sizes = []
 
     class Spy:  # the file object, with the size of each write noted
-        def __init__(self, *args):
-            self.handle = open(*args)
+        def __init__(self, *args, **kwargs):
+            self.handle = open(*args, **kwargs)
 
         def __enter__(self):
             return self
@@ -952,6 +954,12 @@ def test_write_output_joins_parts_into_writes_of_about_a_chunk(tmp_path, monkeyp
         def write(self, data):
             sizes.append(len(data))
             return self.handle.write(data)
+
+        def fileno(self):
+            return self.handle.fileno()
+
+        def truncate(self):
+            return self.handle.truncate()
 
     monkeypatch.setattr(core, "open", Spy, raising=False)
     part = "{\"prompt\": \"x\"}\n" * 64  # 1,024 characters
@@ -968,3 +976,62 @@ def test_write_output_joins_parts_into_writes_of_about_a_chunk(tmp_path, monkeyp
 def test_write_output_encodes_strictly(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         write_output(tmp_path / "out.txt", ["fine", "a lone surrogate \ud800"])
+
+
+@pytest.mark.parametrize("older", [b"", b"{", b"abc", b"an older, longer file \xff\n" * 40],
+                         ids=["empty", "shorter", "as-long", "longer"])
+def test_write_output_overwrites_in_place_and_cuts_the_tail(tmp_path, older):
+    path = tmp_path / "out.json"
+    path.write_bytes(older)
+    inode = path.stat().st_ino
+    write_output(path, ["{", "}\n"])  # longer, shorter or as long as the older file
+    assert path.read_bytes() == b"{}\n"
+    assert path.stat().st_ino == inode
+
+
+def test_write_output_that_fails_partway_leaves_only_what_it_wrote(tmp_path, monkeypatch):
+    monkeypatch.setattr(core, "OUTPUT_CHUNK", 3)
+    path = tmp_path / "out.jsonl"
+    path.write_bytes(b"an older, longer file \xff\n" * 40)
+    with pytest.raises(UnicodeEncodeError):
+        write_output(path, ["abc", "def", "g", "h\ud800", "never"])
+    # the first two chunks went out; none of the older file is left behind them
+    assert path.read_bytes() == b"abcdef"
+
+
+def test_write_output_opens_without_truncating(tmp_path, monkeypatch):
+    flags = []
+    real_open = os.open
+
+    def spy(path, flag, *args):
+        flags.append(flag)
+        return real_open(path, flag, *args)
+
+    monkeypatch.setattr(os, "open", spy)
+    write_output(tmp_path / "out.json", ["{}\n"])
+    assert len(flags) == 1
+    assert not flags[0] & os.O_TRUNC
+    assert flags[0] & os.O_CREAT and flags[0] & os.O_WRONLY
+    assert flags[0] & getattr(os, "O_CLOEXEC", 0) == getattr(os, "O_CLOEXEC", 0)
+
+
+def test_write_output_to_the_null_device_cuts_nothing():
+    write_output(os.devnull, ["nothing ", "kept\n"])  # ftruncate would raise EINVAL here
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_write_output_to_a_pipe_cuts_nothing(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def drain():
+        with open(fifo, "rb") as reader:
+            received.append(reader.read())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    write_output(fifo, ["through ", "a pipe\n"])  # ftruncate would raise ESPIPE here
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [b"through a pipe\n"]

@@ -258,6 +258,25 @@ def test_go_to_schedule_key_fires_on_a_non_interactive_target():
     assert execute(scene, sub(GO_TO, "statue", ModelChoice.PIXNAV), EMPTY).ok
 
 
+def test_scheduled_outcomes_come_before_any_rate_draw():
+    # at an E1 rate of 1.0 every drawn Pick and Place fails, so the success
+    # and the E2 below are the schedule's; using one leaves the rng alone
+    doc = scene_doc(failure_rates={"e1_manipulation": 1.0, "e1_navigation": 0.0,
+                                   "e2_place": 0.0},
+                    outcome_schedule={"pick apple": ["ok"], "place counter": ["E2"]})
+    scene = load_scene(doc).clone(seed=3)
+    rng_state = scene.rng.getstate()
+    assert act(scene, sub(PICK, "apple"), EMPTY).ok
+    assert scene.rng.getstate() == rng_state
+    assert act(scene, sub(PLACE, "counter"), "apple").code is ErrorCode.E2
+    assert scene.rng.getstate() == rng_state
+    assert scene.entities["apple"].location == "counter"
+    # each schedule used up, the rate decides
+    assert act(scene, sub(PICK, "apple"), EMPTY).code is ErrorCode.E1
+    assert scene.rng.getstate() != rng_state
+    assert execute(scene, sub(PLACE, "counter"), "apple").code is ErrorCode.E1
+
+
 @pytest.mark.parametrize("held", [EMPTY, "apple"])
 def test_end_succeeds_and_leaves_the_scene_alone(held):
     # the loop sends End through execute like any other subtask
