@@ -247,35 +247,31 @@ def _parse_logs(logs_dir: Path):
     return trajectories, corrupt
 
 
-def _refuse_output_among_inputs(option: str, path, json_dirs, tasks_dir: Path,
-                                scenes_dir: Path | None = None,
-                                logs_dir: Path | None = None,
-                                allowed: str | None = None) -> None:
-    """Refuse an output that later commands would read back as an input.
-    ``path`` is the output given as ``option``; ``json_dirs`` are the
-    directories it puts ``*.json`` files in. Commands read every ``*.json``
-    file directly in the tasks directory as a task, and ``run`` and
-    ``augment`` every one in the scenes directory as a scene. The log
-    readers read every ``*.json`` file in the logs directory as a log,
-    skipping only ``report.json``, so nothing may be written inside it but
-    ``logs_dir/allowed``."""
-    if logs_dir is not None:
-        target, logs = Path(path).resolve(), logs_dir.resolve()
-        if target.is_relative_to(logs) and not (allowed and target == logs / allowed):
-            raise ConfigError(f"{option} {path} is inside the logs directory {logs_dir}, "
-                              "where later commands would read it as a log")
-    for json_dir in json_dirs:
-        for what, directory in (("task", tasks_dir), ("scene", scenes_dir)):
-            if directory is not None and Path(json_dir).resolve() == directory.resolve():
-                raise ConfigError(f"{option} {path} would put a .json file in the {what}s "
-                                  f"directory {directory}, where later commands would "
-                                  f"read it as a {what}")
+def _refuse_inside_logs(option: str, path: str, logs_dir: Path,
+                        allowed: str | None = None) -> None:
+    """Every command reads the ``*.json`` files in the logs directory as
+    logs, skipping only ``report.json``. Refuse an output path inside it
+    (other than ``logs_dir/allowed``), which later commands would read back
+    as a corrupt log."""
+    target = Path(path).resolve()
+    logs = logs_dir.resolve()
+    if target.is_relative_to(logs) and not (allowed and target == logs / allowed):
+        raise ConfigError(f"{option} {path} is inside the logs directory {logs_dir}, "
+                          "where later commands would read it as a log")
 
 
-def _json_dirs(path) -> list:
-    """The directory an output file puts a ``*.json`` file in, if it does."""
-    path = Path(path)
-    return [path.parent] if path.name.endswith(".json") else []
+def _refuse_json_dir(option: str, path, json_dir, tasks_dir: Path,
+                     scenes_dir: Path | None = None) -> None:
+    """Commands read every ``*.json`` file directly in the tasks directory
+    as a task, and ``run`` and ``augment`` every one in the scenes directory
+    as a scene. Refuse the output ``path`` when ``json_dir``, where it puts
+    a ``*.json`` file, is one of them."""
+    json_dir = Path(json_dir).resolve()
+    for what, directory in (("task", tasks_dir), ("scene", scenes_dir)):
+        if directory is not None and json_dir == directory.resolve():
+            raise ConfigError(f"{option} {path} would put a .json file in the {what}s "
+                              f"directory {directory}, where later commands would "
+                              f"read it as a {what}")
 
 
 def _load_corpus(logs_dir: Path, tasks_dir: Path):
@@ -328,9 +324,9 @@ def cmd_run(args, config: dict) -> int:
     out_dir = Path(_setting(args.out, "OUT", config, "output", "runs"))
     if out_dir.exists() and not out_dir.is_dir():
         raise ConfigError(f"--out {out_dir} exists and is not a directory")
-    _refuse_output_among_inputs(
-        "--out", out_dir, [out_dir] + ([out_dir / "transcripts"] if args.transcripts else []),
-        tasks_dir, scenes_dir)
+    _refuse_json_dir("--out", out_dir, out_dir, tasks_dir, scenes_dir)
+    if args.transcripts:
+        _refuse_json_dir("--out", out_dir, out_dir / "transcripts", tasks_dir, scenes_dir)
     planner_spec = _setting(args.planner, "PLANNER", config, "planner", "scripted:")
     runs = _setting(args.runs, "RUNS", config, "runs_per_task", 3, int)
     budget = _setting(args.budget, "BUDGET", config, "budget", 20, int)
@@ -401,8 +397,9 @@ def cmd_run(args, config: dict) -> int:
 def cmd_evaluate(args, config: dict) -> int:
     logs_dir, tasks_dir = _logs_dir(args, config), _tasks_dir(args, config)
     if args.out:
-        _refuse_output_among_inputs("--out", args.out, _json_dirs(args.out), tasks_dir,
-                                    logs_dir=logs_dir, allowed="report.json")
+        _refuse_inside_logs("--out", args.out, logs_dir, allowed="report.json")
+        if Path(args.out).name.endswith(".json"):
+            _refuse_json_dir("--out", args.out, Path(args.out).parent, tasks_dir)
     tasks, trajectories, corrupt, coverage = _load_corpus(logs_dir, tasks_dir)
     if not trajectories:
         print("warning: no parseable logs found; report contains zeros")
@@ -428,8 +425,10 @@ def cmd_evaluate(args, config: dict) -> int:
 def cmd_report_errors(args, config: dict) -> int:
     logs_dir, tasks_dir = _logs_dir(args, config), _tasks_dir(args, config)
     if args.plot_data:
-        _refuse_output_among_inputs("--plot-data", args.plot_data, _json_dirs(args.plot_data),
-                                    tasks_dir, logs_dir=logs_dir)
+        _refuse_inside_logs("--plot-data", args.plot_data, logs_dir)
+        if Path(args.plot_data).name.endswith(".json"):
+            _refuse_json_dir("--plot-data", args.plot_data, Path(args.plot_data).parent,
+                             tasks_dir)
     tasks, trajectories, _, _ = _load_corpus(logs_dir, tasks_dir)
 
     error_stats, per_action = error_breakdown(score_runs(trajectories, tasks))
@@ -456,7 +455,8 @@ def cmd_augment(args, config: dict) -> int:
     logs_dir, tasks_dir = _logs_dir(args, config), _tasks_dir(args, config)
     scenes_dir = _scenes_dir(args, config)
     out_dir = Path(_setting(args.out, "OUT", config, "output", "datasets"))
-    _refuse_output_among_inputs("--out", out_dir, [out_dir], tasks_dir, scenes_dir, logs_dir)
+    _refuse_inside_logs("--out", str(out_dir), logs_dir)
+    _refuse_json_dir("--out", out_dir, out_dir, tasks_dir, scenes_dir)
     tasks, trajectories, _, _ = _load_corpus(logs_dir, tasks_dir)
     seed = _setting(args.seed, "SEED", config, "seed", 0, int)
     if not trajectories:

@@ -824,7 +824,8 @@ def write_output(path, parts: Iterable[str]) -> None:
     characters: a large file is never held whole, a small one is one write.
     Then cut what is left of a longer older file, even when a write failed
     partway, so a regular file holds the bytes written and none of what it
-    held before; a pipe or a device is written and never cut."""
+    held before. A new, emptied or no longer file, a pipe and a device are
+    not cut: they pay no ``ftruncate``."""
     with open(path, "wb", opener=_keep_the_file) as handle:
         try:  # a write past the small buffer goes straight through
             pending, size = [], 0
@@ -835,8 +836,9 @@ def write_output(path, parts: Iterable[str]) -> None:
                     handle.write("".join(pending).encode("utf-8"))
                     pending, size = [], 0
             handle.write("".join(pending).encode("utf-8"))
-        finally:
-            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+        finally:  # the size counts the older file and what was flushed
+            info = os.fstat(handle.fileno())
+            if stat.S_ISREG(info.st_mode) and info.st_size > handle.tell():
                 handle.truncate()  # at the end of what was written
 
 

@@ -938,39 +938,45 @@ def test_write_output_writes_the_joined_parts_as_utf8(parts, chunk):
         assert path.read_bytes() == "".join(parts).encode("utf-8")
 
 
+class _HandleSpy:
+    """``core.open``'s file object, noting each write's size and each cut's
+    position in ``calls``."""
+
+    def __init__(self, calls, *args, **kwargs):
+        self.calls = calls
+        self.handle = open(*args, **kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, data):
+        self.calls.append(("write", len(data)))
+        return self.handle.write(data)
+
+    def truncate(self):
+        self.calls.append(("truncate", self.handle.tell()))
+        return self.handle.truncate()
+
+    def __getattr__(self, name):
+        return getattr(self.handle, name)
+
+
 def test_write_output_joins_parts_into_writes_of_about_a_chunk(tmp_path, monkeypatch):
-    sizes = []
-
-    class Spy:  # the file object, with the size of each write noted
-        def __init__(self, *args, **kwargs):
-            self.handle = open(*args, **kwargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.handle.close()
-
-        def write(self, data):
-            sizes.append(len(data))
-            return self.handle.write(data)
-
-        def fileno(self):
-            return self.handle.fileno()
-
-        def truncate(self):
-            return self.handle.truncate()
-
-    monkeypatch.setattr(core, "open", Spy, raising=False)
+    calls = []
+    monkeypatch.setattr(core, "open", functools.partial(_HandleSpy, calls), raising=False)
     part = "{\"prompt\": \"x\"}\n" * 64  # 1,024 characters
     count = 3 * (core.OUTPUT_CHUNK // len(part)) + 10
     write_output(tmp_path / "big.jsonl", (part for _ in range(count)))
     assert (tmp_path / "big.jsonl").read_bytes() == (part * count).encode("utf-8")
+    sizes = [size for call, size in calls if call == "write"]
     # no write holds the whole file, and none but the last is short of a chunk
     assert len(sizes) == 4
     assert all(core.OUTPUT_CHUNK <= size < core.OUTPUT_CHUNK + len(part) for size in sizes[:-1])
     write_output(tmp_path / "small.json", ("{", "}\n"))
-    assert sizes[4:] == [3] and (tmp_path / "small.json").read_bytes() == b"{}\n"
+    assert calls[4:] == [("write", 3)] and (tmp_path / "small.json").read_bytes() == b"{}\n"
 
 
 def test_write_output_encodes_strictly(tmp_path):
@@ -978,15 +984,21 @@ def test_write_output_encodes_strictly(tmp_path):
         write_output(tmp_path / "out.txt", ["fine", "a lone surrogate \ud800"])
 
 
-@pytest.mark.parametrize("older", [b"", b"{", b"abc", b"an older, longer file \xff\n" * 40],
-                         ids=["empty", "shorter", "as-long", "longer"])
-def test_write_output_overwrites_in_place_and_cuts_the_tail(tmp_path, older):
+@pytest.mark.parametrize("older", [None, b"", b"{", b"abc", b"an older, longer file \xff\n" * 40],
+                         ids=["absent", "empty", "shorter", "as-long", "longer"])
+def test_write_output_overwrites_in_place_and_cuts_only_a_longer_tail(tmp_path, monkeypatch,
+                                                                      older):
     path = tmp_path / "out.json"
-    path.write_bytes(older)
-    inode = path.stat().st_ino
+    if older is not None:
+        path.write_bytes(older)
+    inode = path.stat().st_ino if older is not None else None
+    calls = []
+    monkeypatch.setattr(core, "open", functools.partial(_HandleSpy, calls), raising=False)
     write_output(path, ["{", "}\n"])  # longer, shorter or as long as the older file
     assert path.read_bytes() == b"{}\n"
-    assert path.stat().st_ino == inode
+    assert inode in (None, path.stat().st_ino)
+    # only a file that held more than the new bytes is cut
+    assert calls == [("write", 3)] + ([("truncate", 3)] if older and len(older) > 3 else [])
 
 
 def test_write_output_that_fails_partway_leaves_only_what_it_wrote(tmp_path, monkeypatch):
