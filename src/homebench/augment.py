@@ -7,10 +7,9 @@ inside each prompt). Preference pairs come from four generators: re-plan
 sifting, order changes, action corruptions, and same-category model swaps.
 End outputs only ever appear on the rejected side.
 
-A run that logged the same steps as the previous run of its task shares that
-run's replayed prompts, samples and sift, order and model pairs; only its
-action corruptions are drawn afresh. The written files are byte-identical to
-deriving every run on its own.
+Each group of ``metrics.repeated_runs`` is replayed and derived once; only
+the action corruptions are drawn afresh for every run. The written files
+are byte-identical to deriving every run on its own.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from .loop import (
     require_scene,
     stable_seed,
 )
+from .metrics import repeated_runs
 
 
 def _is_end_text(text: str) -> bool:
@@ -378,10 +378,10 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
     records counts before and after. Each trajectory replays on a clone of
     its task's template scene in ``config.scenes``; a trajectory whose task
     or scene is missing, or whose task is filed under another id, is
-    refused (MissingTask, MissingScene) before any replay. A trajectory
-    whose steps equal the previous one's (in task and run order) is not
-    replayed: it shares that trajectory's prompts, samples and pairs, and
-    only its action corruptions are drawn, from its own seed.
+    refused (MissingTask, MissingScene) before any replay. Each group of
+    ``repeated_runs`` is replayed once, and its runs, in run order, share
+    its samples and pairs; only their action corruptions are drawn, each
+    from its own run's seed.
     """
     out_dir = Path(config.out_dir)
     rewriter = config.rewriter if config.rewriter is not None else identity_rewriter
@@ -389,35 +389,28 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
     if not lexicon:
         raise EmptyLexicon("action corruption needs a non-empty lexicon")
 
-    ordered = sorted(trajectories, key=lambda t: (t.task_id, t.run_index))
-    for trajectory in ordered:  # every task and its scene are found before any replay
-        require_scene(logged_task(trajectory, tasks), config.scenes)
+    groups = repeated_runs(trajectories)
+    for group in groups:  # every task and its scene are found before any replay
+        require_scene(logged_task(group[0], tasks), config.scenes)
     samples = []
     pairs = []
-    # the last trajectory replayed and its derived work, which a run of the
-    # same task that logged equal steps reuses (the runs of a task are adjacent)
-    replayed = None
     candidates = {}  # action -> its corruptions, for every trajectory's draws
-    for trajectory in ordered:
-        task = tasks[trajectory.task_id]
-        if (replayed is None or replayed.task_id != trajectory.task_id
-                or replayed.steps != trajectory.steps):
-            replayed = trajectory
-            prompts = replay_instructions(trajectory, task,
-                                          config.scenes[task.scene_ref].clone())
-            run_samples = sft_convert(trajectory, prompts)
-            run_pairs = dpo_sift(trajectory, prompts) + dpo_order_change(trajectory, prompts)
-            model_pairs = dpo_model_change(trajectory, prompts)
-        samples.extend(run_samples)
-        pairs.extend(run_pairs)
-        # corruption draws are seeded per trajectory identity, so ingesting
-        # the same log twice yields the same pairs (and dedup removes them);
-        # they corrupt the replayed run's equal steps, whose texts are cached
-        draw_rng = random.Random(
-            stable_seed(config.seed, trajectory.task_id, trajectory.run_index)
-        )
-        pairs.extend(dpo_action_change(replayed, prompts, lexicon, draw_rng, candidates))
-        pairs.extend(model_pairs)
+    for group in groups:
+        first = group[0]
+        task = tasks[first.task_id]
+        prompts = replay_instructions(first, task, config.scenes[task.scene_ref].clone())
+        run_samples = sft_convert(first, prompts)
+        run_pairs = dpo_sift(first, prompts) + dpo_order_change(first, prompts)
+        model_pairs = dpo_model_change(first, prompts)
+        for trajectory in group:
+            samples.extend(run_samples)
+            pairs.extend(run_pairs)
+            # corruption draws are seeded per trajectory identity, so ingesting
+            # the same log twice yields the same pairs (and dedup removes them)
+            draw_rng = random.Random(stable_seed(config.seed, trajectory.task_id,
+                                                 trajectory.run_index))
+            pairs.extend(dpo_action_change(first, prompts, lexicon, draw_rng, candidates))
+            pairs.extend(model_pairs)
 
     base_count = len(samples)
     samples, rewrite_failures = expand_with_rewrites(samples, rewriter, config.rewrites)
@@ -453,8 +446,8 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
     out_dir.mkdir(parents=True, exist_ok=True)
     split, halves = None, ()  # halves: (file name part, its task ids)
     if config.train_split is not None:
-        train_ids, val_ids = split_task_ids((t.task_id for t in ordered), config.train_split,
-                                            config.seed)
+        train_ids, val_ids = split_task_ids((t.task_id for t in trajectories),
+                                            config.train_split, config.seed)
         split = {
             "train_fraction": config.train_split,
             "train_tasks": train_ids,
@@ -474,7 +467,7 @@ def build_datasets(trajectories: Sequence[Trajectory], tasks: dict, config: Augm
         "rewrites": config.rewrites,
         "rewrite_failures": rewrite_failures,
         "lexicon_sha256": lexicon_hash,
-        "trajectories": len(ordered),
+        "trajectories": len(trajectories),
         "sft": {"base": base_count, "total": len(samples)},
         "dpo": {
             "pre_dedup": pre_dedup,

@@ -226,7 +226,9 @@ def _planner_factory(spec: str, config: dict, tasks: dict):
 def _parse_logs(logs_dir: Path):
     """Parse every log file in a directory; malformed or unreadable ones (a
     directory named ``*.json``, a file without read permission) are reported
-    and excluded rather than aborting the batch. report.json (evaluate's
+    and excluded rather than aborting the batch. An entry that is neither a
+    file nor a directory (a FIFO, a device, a socket) is excluded without
+    being opened, since opening it can block. report.json (evaluate's
     default output) is not a log. The logs share one memo of parsed steps,
     which lives as long as this call: each distinct step is parsed once."""
     trajectories = []
@@ -234,10 +236,13 @@ def _parse_logs(logs_dir: Path):
     memo = {}
     # one directory, so the names are unique and sorting compares only them
     with os.scandir(logs_dir) as entries:
-        found = sorted((entry.name, entry.path) for entry in entries
-                       if entry.name.endswith(".json"))
-    for name, path in found:
+        found = sorted((entry.name, entry.path, entry.is_file() or entry.is_dir())
+                       for entry in entries if entry.name.endswith(".json"))
+    for name, path, openable in found:
         if name == "report.json":
+            continue
+        if not openable:
+            corrupt.append((name, "not a regular file"))
             continue
         try:
             with open(path, "rb") as handle:
@@ -414,6 +419,8 @@ def cmd_evaluate(args, config: dict) -> int:
           f"{len(corrupt)} log(s) excluded)")
 
     out_path = Path(args.out) if args.out else logs_dir / "report.json"
+    if args.plwsr_literal:  # a default report keeps its bytes
+        report["plwsr_literal"] = True
     report["excluded_logs"] = len(corrupt)
     if coverage:  # a full corpus keeps its bytes
         report["coverage"] = coverage

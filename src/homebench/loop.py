@@ -405,9 +405,12 @@ def run_benchmark(
     scene and fresh state, and return their trajectories.
 
     ``scenes`` maps each task's scene reference to a template Scene; every
-    episode plays on its own clone of it, and a task whose scene is missing
-    is refused (MissingScene) before any episode plays. ``planner_factory(task,
-    run_index)`` must hand back a planner that is private to that episode.
+    episode plays on its own clone of it, seeded with ``stable_seed(seed,
+    task.id, run_index)``, where the template's own seed stands in for a
+    ``seed`` of None, so the runs of a task draw independently. A task
+    whose scene is missing is refused (MissingScene) before any episode
+    plays. ``planner_factory(task, run_index)`` must hand back a planner
+    that is private to that episode.
     A transport failure cuts off only its own episode (``cut_off``), and
     the benchmark continues. Trajectories come back in stable (task order,
     run index) order regardless of ``jobs``, and ``progress(trajectory)``
@@ -429,8 +432,9 @@ def run_benchmark(
 
     def one(spec):
         task, run_index = spec
-        scene_seed = None if seed is None else stable_seed(seed, task.id, run_index)
-        scene = scenes[task.scene_ref].clone(seed=scene_seed)
+        template = scenes[task.scene_ref]
+        base = template.seed if seed is None else seed
+        scene = template.clone(seed=stable_seed(base, task.id, run_index))
         return run_episode(scene, planner_factory(task, run_index), task, budget=budget,
                            retries=retries, run_index=run_index, parse=parse)
 

@@ -291,26 +291,32 @@ def _action_stats(groups) -> dict:
 # benchmark report
 
 
-def score_runs(trajectories: Sequence[Trajectory], tasks: dict) -> list:
-    """Score a batch of finished runs, in the order given, as a list of
-    (first run, its EpisodeResult, runs in the group) groups.
-
-    A run whose task and steps equal the previous run's joins that run's
-    group: the group's first run is scored once, and every tally over the
-    groups counts its result once per run in the group, which gives the
-    exact fractions a run-by-run scoring gives. A run whose task id has no
-    task in ``tasks``, or whose task there carries another id, raises
-    MissingTask.
+def repeated_runs(trajectories: Iterable[Trajectory]) -> list:
+    """The runs in (task id, run index) order, as lists of repeats: a run
+    joins the list before it when it has that list's task id and equal
+    steps. ``evaluate``, ``report-errors`` and ``augment`` all take their
+    groups from here, so they agree on them whatever order the logs come in.
     """
     groups = []
-    for trajectory in trajectories:
-        if groups:
-            first, result, runs = groups[-1]
-            if first.task_id == trajectory.task_id and first.steps == trajectory.steps:
-                groups[-1] = first, result, runs + 1
-                continue
-        groups.append((trajectory, episode_result(trajectory, logged_task(trajectory, tasks)), 1))
+    for run in sorted(trajectories, key=lambda t: (t.task_id, t.run_index)):
+        if groups and groups[-1][0].task_id == run.task_id and groups[-1][0].steps == run.steps:
+            groups[-1].append(run)
+        else:
+            groups.append([run])
     return groups
+
+
+def score_runs(trajectories: Sequence[Trajectory], tasks: dict) -> list:
+    """Score each ``repeated_runs`` group once, as a list of (first run, its
+    EpisodeResult, runs in the group): every tally over the groups counts a
+    result once per run, which gives the exact fractions of a run-by-run
+    scoring. The first run in the order given whose task id has no task in
+    ``tasks``, or whose task there carries another id, raises MissingTask.
+    """
+    for trajectory in trajectories:
+        logged_task(trajectory, tasks)
+    return [(group[0], episode_result(group[0], tasks[group[0].task_id]), len(group))
+            for group in repeated_runs(trajectories)]
 
 
 def error_breakdown(groups: Sequence[tuple]) -> tuple:
@@ -331,8 +337,8 @@ def build_report(
 
     Run-level values average within each task first, then across tasks;
     SER and SRR are global ratios over all runs by definition. Each group
-    of equal adjacent runs is scored once (see ``score_runs``), so no byte
-    of the report differs from a run-by-run scoring.
+    of ``repeated_runs`` is scored once (see ``score_runs``), so no byte of
+    the report differs from a run-by-run scoring.
     """
     groups = score_runs(trajectories, tasks)
     results = [(result, runs) for _, result, runs in groups]

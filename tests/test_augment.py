@@ -60,6 +60,7 @@ from homebench.loop import (
     run_episode,
     stable_seed,
 )
+from homebench.metrics import repeated_runs, score_runs
 from homebench.planners import ScriptedPlanner, Transcribed
 from homebench.sim import load_scene
 
@@ -988,6 +989,20 @@ def test_shared_repeats_write_the_files_of_every_run_derived(
     )
 
 
+@settings(max_examples=examples(100), deadline=None)
+@given(corpus=repeating_corpora(), data=st.data())
+def test_repeated_runs_are_the_same_lists_in_any_order(corpus, data):
+    trajectories, _ = corpus
+    groups = repeated_runs(trajectories)
+    assert repeated_runs(data.draw(st.permutations(trajectories))) == groups
+    assert [(t.task_id, t.run_index) for group in groups for t in group] == sorted(
+        (t.task_id, t.run_index) for t in trajectories)
+    for group in groups:
+        assert all((t.task_id, t.steps) == (group[0].task_id, group[0].steps) for t in group)
+    for before, after in zip(groups, groups[1:]):  # no list could have taken the next one's runs
+        assert (before[0].task_id, before[0].steps) != (after[0].task_id, after[0].steps)
+
+
 @pytest.fixture(scope="module")
 def bundled_corpus(tmp_path_factory):
     """The logs of 25 seeded runs of every bundled task."""
@@ -1013,6 +1028,18 @@ def test_bundled_repeats_replay_once_per_task(bundled_corpus, tmp_path, monkeypa
     manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["trajectories"] == 300
     assert len(replayed) == len(set(replayed)) == 12
+
+
+def test_bundled_runs_score_as_one_group_per_task_in_any_order(bundled_corpus):
+    from homebench.cli import _bundled, _load_task_map, _parse_logs
+
+    tasks = _load_task_map(_bundled("tasks"))
+    trajectories, corrupt = _parse_logs(bundled_corpus)  # in log-name order
+    assert (len(trajectories), corrupt) == (300, [])
+    shuffled = random.Random(7).sample(trajectories, len(trajectories))
+    for runs in (trajectories, shuffled):
+        groups = score_runs(runs, tasks)
+        assert [(first.task_id, n) for first, _, n in groups] == [(t, 25) for t in sorted(tasks)]
 
 
 def test_bundled_datasets_escape_each_distinct_text_once(bundled_corpus, tmp_path, monkeypatch):

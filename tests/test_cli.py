@@ -7,6 +7,7 @@ import json
 import operator
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 import threading
@@ -1254,6 +1255,10 @@ def test_evaluate_plwsr_literal_flag(tmp_path):
                  "--tasks", str(tmp_path / "tasks"), "--plwsr-literal"]) == EXIT_OK
     literal = json.loads((tmp_path / "logs" / "report.json").read_text())
     assert literal["plwsr"] == 100.0
+    # a literal report says so; a default one has no such key, so its bytes are kept
+    assert "plwsr_literal" not in default
+    assert literal.pop("plwsr_literal") is True
+    assert literal == {**default, "plwsr": 100.0}
 
 
 # ---------------------------------------------------------------------------
@@ -1662,6 +1667,24 @@ def test_unreadable_log_entry_is_excluded_and_named(tmp_path, capsys, command):
     assert "excluded 1 corrupt log(s):" in captured.out
     assert any(line.startswith("  sub.json: [Errno ") for line in captured.out.splitlines())
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("command", ["evaluate", "report-errors", "augment"])
+def test_fifo_named_like_a_log_is_excluded_without_opening(tmp_path, command):
+    # opening a FIFO for reading waits for a writer, so the command runs in
+    # its own process, which the timeout stops if it hangs
+    argv = _log_command(command, tmp_path)
+    os.mkfifo(tmp_path / "logs" / "pipe.json")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from homebench.cli import main; "
+            "sys.exit(main(sys.argv[2:]))")
+    proc = subprocess.run([sys.executable, "-c", code, src, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "warning: excluded 1 corrupt log(s):" in lines
+    assert "  pipe.json: not a regular file" in lines
 
 
 def test_parse_logs_reads_every_json_entry_in_name_order(tmp_path):

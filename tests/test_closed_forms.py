@@ -11,6 +11,7 @@ are deterministic.
 import copy
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
@@ -18,7 +19,7 @@ import pytest
 
 from homebench.core import ErrorCode, parse_task_file
 from homebench.loop import run_benchmark
-from homebench.metrics import build_report, round2, score_runs
+from homebench.metrics import build_report, episode_result, round2, score_runs
 from homebench.planners import load_scripted_plan
 from homebench.sim import load_scene
 
@@ -55,9 +56,8 @@ def test_binomial_band_holds_the_mean_and_its_tails_are_small():
 P_NAV, P_MAN, Q, R, N = 0.3, 0.4, 0.2, 3, 2000
 
 
-@pytest.fixture(scope="module")
-def cup_to_shelf():
-    """``N`` runs of cup_to_shelf at seed 14, with E1 rates ``P_NAV`` and
+def play_cup_to_shelf(seed):
+    """``N`` runs of cup_to_shelf at ``seed``, with E1 rates ``P_NAV`` and
     ``P_MAN``, E2 rate ``Q`` and ``R`` attempts per step, and its task.
 
     cup_to_shelf plays Pick cup, Go to shelf, Place shelf, End; a failed Pick
@@ -69,10 +69,15 @@ def cup_to_shelf():
     plan = load_scripted_plan(DATA.joinpath("plans/cup_to_shelf.json").read_bytes())
     trajectories = run_benchmark([task], lambda task, run_index: copy.copy(plan),
                                  {task.scene_ref: load_scene(doc)},
-                                 runs_per_task=N, retries=R, seed=14)
+                                 runs_per_task=N, retries=R, seed=seed)
     assert [[s.output.action for s in t.steps] for t in trajectories] == (
         [["Pick", "Go to", "Place", "End"]] * N)
     return trajectories, task
+
+
+@pytest.fixture(scope="module")
+def cup_to_shelf():
+    return play_cup_to_shelf(14)
 
 
 def assert_in_band(what: str, count: int, n: int, p: float) -> None:
@@ -114,3 +119,19 @@ def test_cup_to_shelf_place_e2_count_matches_its_closed_form(cup_to_shelf):
     assert not any(t.steps[2].feedback.code is ErrorCode.E2 for t in trajectories
                    if t not in reached)
     assert_in_band("reached Places failing E2", e2, len(reached), (1 - P_MAN ** R) * Q)
+
+
+@pytest.mark.parametrize("seed", [None, 14])
+def test_adjacent_runs_draw_independently(seed):
+    # a chi-square test of independence (1 degree of freedom) on the 2x2
+    # table of each run's success against the next run's; runs that reuse
+    # one seed are copies, and every pair lands in one cell
+    trajectories, task = play_cup_to_shelf(seed)
+    outcomes = [episode_result(t, task).success for t in trajectories]
+    pairs = Counter(zip(outcomes, outcomes[1:]))
+    a, b, c, d = (pairs[True, True], pairs[True, False], pairs[False, True], pairs[False, False])
+    margins = (a + b, c + d, a + c, b + d)
+    assert min(margins) > 0, f"adjacent runs are alike: {dict(pairs)}"
+    statistic = (N - 1) * (a * d - b * c) ** 2 / math.prod(margins)
+    p_value = math.erfc(math.sqrt(statistic / 2))  # P(chi-square, 1 df, > statistic)
+    assert p_value > ALPHA, f"{dict(pairs)}: chi-square {statistic:.1f}, p = {p_value:.2g}"

@@ -831,6 +831,37 @@ def test_benchmark_jobs_order_stable():
         [(t.task_id, t.run_index) for t in parallel]
 
 
+def rated_bundled():
+    """The bundled tasks in id order, a factory of their scripted plans, and
+    their scenes with E1 rates 0.3 (manipulation) and 0.2 (navigation) and
+    an E2 rate of 0.2."""
+    tasks = _load_task_map(_bundled("tasks"))
+    scenes = _load_scenes(_bundled("scenes"), tasks)
+    for scene in scenes.values():
+        scene.rates.update(e1_manipulation=0.3, e1_navigation=0.2, e2_place=0.2)
+    return [tasks[t] for t in sorted(tasks)], _planner_factory("scripted:", {}, tasks), scenes
+
+
+def test_runs_of_a_task_differ_without_a_seed():
+    # the template's seed stands in for a missing seed, and each run still
+    # derives its own from it, so the runs of a task are not copies
+    tasks, factory, scenes = rated_bundled()
+    distinct = {}
+    for trajectory in run_benchmark(tasks, factory, scenes, runs_per_task=5):
+        distinct.setdefault(trajectory.task_id, set()).add(trajectory.steps)
+    assert len(distinct) == 12
+    assert all(len(runs) > 1 for runs in distinct.values()), {
+        task_id: len(runs) for task_id, runs in distinct.items()}
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_rated_runs_log_the_same_at_jobs_1_and_2(seed):
+    tasks, factory, scenes = rated_bundled()
+    logs = [[serialize_trajectory(t) for t in run_benchmark(
+        tasks, factory, scenes, runs_per_task=3, seed=seed, jobs=jobs)] for jobs in (1, 2)]
+    assert logs[0] == logs[1]
+
+
 def test_benchmark_isolates_transport_failures():
     tasks, docs, _ = bench_fixtures()
 

@@ -561,7 +561,7 @@ def test_report_aggregates_match_oracle(rng, literal):
 
 
 # ---------------------------------------------------------------------------
-# build_report scores each group of equal adjacent runs once; the per-run
+# build_report scores each group of repeated_runs once; the per-run
 # report is the oracle
 
 _ACTIONS = ["Go to", "Pick", "Place", "Open"]
