@@ -229,10 +229,13 @@ def _parse_logs(logs_dir: Path):
     and excluded rather than aborting the batch. An entry that is neither a
     file nor a directory (a FIFO, a device, a socket) is excluded without
     being opened, since opening it can block. report.json (evaluate's
-    default output) is not a log. The logs share one memo of parsed steps,
-    which lives as long as this call: each distinct step is parsed once."""
+    default output) is not a log. Returns the trajectories, the corrupt
+    logs as (name, reason) and the names of the trajectories' logs. The logs
+    share one memo of parsed steps, which lives as long as this call: each
+    distinct step is parsed once."""
     trajectories = []
     corrupt = []
+    names = []
     memo = {}
     # one directory, so the names are unique and sorting compares only them
     with os.scandir(logs_dir) as entries:
@@ -247,9 +250,10 @@ def _parse_logs(logs_dir: Path):
         try:
             with open(path, "rb") as handle:
                 trajectories.append(parse_trajectory_log(handle.read(), memo))
+            names.append(name)
         except (HomebenchError, OSError) as exc:
             corrupt.append((name, str(exc)))
-    return trajectories, corrupt
+    return trajectories, corrupt, names
 
 
 def _refuse_inside_logs(option: str, path: str, logs_dir: Path,
@@ -282,13 +286,21 @@ def _refuse_json_dir(option: str, path, json_dir, tasks_dir: Path,
 def _load_corpus(logs_dir: Path, tasks_dir: Path):
     """Load the task map and parse the logs, warning about the corrupt ones
     and, one line each, about the tasks of the map that no log runs and the
-    logged tasks with fewer runs than the most runs of any. Returns (tasks,
+    logged tasks with fewer runs than the most runs of any. Two logs of one
+    (task id, run index) pair are a ConfigError naming both. Returns (tasks,
     trajectories, corrupt, coverage) for the log-reading commands:
     ``coverage`` holds ``missing_tasks`` (sorted task ids) and
     ``fewer_runs`` (task id -> runs, in id order) where either is non-empty,
     so a full corpus has none."""
     tasks = _load_task_map(tasks_dir)
-    trajectories, corrupt = _parse_logs(logs_dir)
+    trajectories, corrupt, names = _parse_logs(logs_dir)
+    logged = {}  # (task id, run index) -> the name of its log
+    for name, trajectory in zip(names, trajectories):
+        pair = (trajectory.task_id, trajectory.run_index)
+        if pair in logged:
+            raise ConfigError(f"logs {logged[pair]} and {name} both hold run {pair[1]} "
+                              f"of task {pair[0]!r}")
+        logged[pair] = name
     if corrupt:
         print(f"warning: excluded {len(corrupt)} corrupt log(s):")
         for name, reason in corrupt:

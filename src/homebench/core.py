@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import re
 import stat
 from dataclasses import dataclass, field
 from enum import Enum
@@ -136,16 +135,13 @@ def read_json(data, what: str, error: type = SchemaError):
 # names
 
 
-_NAME_SEPS = re.compile(r"[\s\-_]+")
-
-
 def normalize_name(raw: str) -> str:
     """Normalize an entity/spot name: lowercase, trimmed, with internal runs
     of whitespace, hyphens, or underscores collapsed to single underscores.
 
     Total and idempotent: normalize_name(normalize_name(x)) == normalize_name(x).
     """
-    return _NAME_SEPS.sub("_", raw.strip().lower()).strip("_")
+    return "_".join(raw.lower().replace("-", " ").replace("_", " ").split())
 
 
 # ---------------------------------------------------------------------------

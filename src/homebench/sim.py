@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -88,7 +87,7 @@ HAND = "@hand"
 DEFAULT_RATES = {"e1_manipulation": 0.1, "e1_navigation": 0.05, "e2_place": 0.05}
 
 
-@dataclass
+@dataclass(slots=True)
 class Entity:
     name: str
     kind: EntityKind
@@ -277,13 +276,16 @@ def load_scene(data) -> Scene:
                 raise SchemaError(f"spots[{i}].directions: unknown direction {direction!r}")
             if not isinstance(names, list):
                 raise SchemaError(f"spots[{i}].directions.{direction}: expected a list of spots")
-            for j, n in enumerate(names):
-                if not isinstance(n, str):
+            try:  # only a non-string entry fails; the scan below names it
+                parsed[direction] = tuple(map(normalized, names))
+            except (AttributeError, TypeError):
+                for j, n in enumerate(names):
                     _typed(n, str, "spots", i, "directions", direction, j)
-            parsed[direction] = tuple(map(normalized, names))
         directions[name] = parsed
 
-    # the types are checked inline; ``_typed`` is called only to raise
+    # the types are checked inline; ``_typed`` is called only to raise.
+    # ``children`` indexes the non-spot entities by location as they come
+    children: dict = {}
     for i, ent_doc in enumerate(_section(doc, "entities", list)):
         if not isinstance(ent_doc, dict):
             raise SchemaError(f"entities[{i}]: expected an object")
@@ -302,10 +304,11 @@ def load_scene(data) -> Scene:
         kind = _KINDS.get(kind_raw)
         if kind is None:
             raise SchemaError(f"entities[{i}].kind: unknown kind {kind_raw!r}")
-        if kind is EntityKind.SPOT:
+        # the text, not the member: looking up an Enum member costs ~0.1 µs on Python 3.11
+        if kind_raw == "spot":
             raise SchemaError(f"entities[{i}].kind: declare spots in the spots section")
         open_state = None
-        if kind is EntityKind.CONTAINER:
+        if kind_raw == "container":
             open_raw = get("open_state", "closed")
             if not isinstance(open_raw, str):
                 _typed(open_raw, str, "entities", i, "open_state")
@@ -324,29 +327,27 @@ def load_scene(data) -> Scene:
         if not isinstance(interactive, bool):
             _typed(interactive, bool, "entities", i, "interactive")
         entities[name] = Entity(name, kind, location, open_state, interactive)
+        children.setdefault(location, []).append(name)
 
-    # locations must resolve to a declared spot or container; the spots come
-    # first in ``entities``, and ``children`` indexes the rest by location
-    children: dict = {}
-    for name, entity in itertools.islice(entities.items(), len(spot_order), None):
-        location = entity.location
+    # locations must resolve to a declared spot or container; a location's
+    # first child is the first entity, in document order, placed there
+    for location, placed in children.items():
         parent = entities.get(location)
         if parent is None or parent.kind is EntityKind.OBJECT:
             raise SchemaError(
-                f"entity {name!r}: location {location!r} is not a spot or container"
+                f"entity {placed[0]!r}: location {location!r} is not a spot or container"
             )
-        children.setdefault(location, []).append(name)
 
     # every spot's direction table must place every spot exactly once
-    spots, every_spot = set(spot_order), sorted(spot_order)
+    spots = set(spot_order)
     for spot, table in directions.items():
         assigned = [n for direction in DIRECTIONS for n in table.get(direction, ())]
-        for n in assigned:
-            if n not in spots:
-                raise SchemaError(
-                    f"spot {spot!r}: direction table entry {n!r} is not a spot"
-                )
-        if sorted(assigned) != every_spot:
+        if len(assigned) != len(spots) or set(assigned) != spots:
+            for n in assigned:
+                if n not in spots:
+                    raise SchemaError(
+                        f"spot {spot!r}: direction table entry {n!r} is not a spot"
+                    )
             raise SchemaError(
                 f"spot {spot!r}: direction table must place every spot exactly once"
             )
@@ -406,16 +407,14 @@ def load_scene(data) -> Scene:
     if type(doc_seed) is not int:  # bool is an int subclass, and not a seed
         raise SchemaError(f"seed: expected an integer, got {doc_seed!r}")
     # every containment chain (the walk ``spot_of`` makes) must end at a
-    # spot; ``rooted`` holds the locations already known to reach one
+    # spot; ``rooted`` holds the locations already known to reach one, and
+    # the walk from a location names the first entity placed there
     rooted = set(spots)
-    for name, entity in itertools.islice(entities.items(), len(spot_order), None):
-        location = entity.location
-        if location in rooted:
-            continue
+    for location, placed in children.items():
         chain = []
         while location not in rooted:
             if location in chain:
-                raise SchemaError(f"entity {name!r}: containment cycle at {location!r}")
+                raise SchemaError(f"entity {placed[0]!r}: containment cycle at {location!r}")
             chain.append(location)
             location = entities[location].location
         rooted.update(chain)

@@ -1034,7 +1034,7 @@ def test_bundled_runs_score_as_one_group_per_task_in_any_order(bundled_corpus):
     from homebench.cli import _bundled, _load_task_map, _parse_logs
 
     tasks = _load_task_map(_bundled("tasks"))
-    trajectories, corrupt = _parse_logs(bundled_corpus)  # in log-name order
+    trajectories, corrupt, _ = _parse_logs(bundled_corpus)  # in log-name order
     assert (len(trajectories), corrupt) == (300, [])
     shuffled = random.Random(7).sample(trajectories, len(trajectories))
     for runs in (trajectories, shuffled):

@@ -504,7 +504,7 @@ def test_build_report_is_the_written_report(bundled_runs, tmp_path, capsys):
     assert main(["evaluate", "--logs", str(bundled_runs), "--out", str(out)]) == EXIT_OK
     written = json.loads(out.read_text(encoding="utf-8"))
     assert written.pop("excluded_logs") == 0
-    trajectories, corrupt = _parse_logs(bundled_runs)
+    trajectories, corrupt, _ = _parse_logs(bundled_runs)
     tasks = _load_task_map(_bundled("tasks"))
     assert corrupt == [] and len(trajectories) == 36
     report = metrics.build_report(trajectories, tasks)
@@ -590,6 +590,35 @@ def test_log_readers_name_the_tasks_with_fewer_runs(bundled_runs, tmp_path, caps
     report = json.loads((logs / "report.json").read_text(encoding="utf-8"))
     assert (report["runs"], report["tasks"]) == (33, 12)
     assert report["coverage"] == {"fewer_runs": fewer}
+
+
+@pytest.mark.parametrize("name, other_steps, message", [
+    ("a_copy.json", False,
+     "logs a_copy.json and cup_to_shelf__run1.json both hold run 1 of task 'cup_to_shelf'"),
+    ("zz_merged.json", True,
+     "logs cup_to_shelf__run1.json and zz_merged.json both hold run 1 of task 'cup_to_shelf'"),
+], ids=["exact-copy", "other-steps"])
+def test_log_readers_refuse_two_logs_of_one_run(bundled_runs, tmp_path, capsys, name,
+                                               other_steps, message):
+    # two files of one (task id, run index) pair, as when two log sets are
+    # merged: each log reader stops before it scores or writes anything
+    logs = tmp_path / "logs"
+    _copy_logs(bundled_runs, logs, _bundled_log_names(bundled_runs))
+    if other_steps:
+        write_logs(tmp_path / "merged", [traj([("Pick", "cup", True)],
+                                              task_id="cup_to_shelf", run_index=1)])
+        shutil.copyfile(tmp_path / "merged" / "cup_to_shelf__run1.json", logs / name)
+    else:
+        shutil.copyfile(logs / "cup_to_shelf__run1.json", logs / name)
+    plot, ds = tmp_path / "plot.json", tmp_path / "ds"
+    for argv in (["evaluate", "--logs", str(logs)],
+                 ["report-errors", "--logs", str(logs), "--plot-data", str(plot)],
+                 ["--seed", "7", "augment", "--logs", str(logs), "--out", str(ds)]):
+        assert main(argv) == EXIT_CONFIG, argv
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n", argv
+        assert captured.out == "", argv
+    assert not (logs / "report.json").exists() and not plot.exists() and not ds.exists()
 
 
 @settings(max_examples=examples(30), deadline=None)
@@ -1192,7 +1221,7 @@ def test_reply_memo_changes_no_remote_log_or_transcript(tmp_path, monkeypatch, r
 def test_parse_logs_builds_each_distinct_step_once(tmp_path, capsys):
     out = tmp_path / "runs"
     assert main(["--seed", "7", "run", "--runs", "25", "--out", str(out)]) == EXIT_OK
-    trajectories, corrupt = _parse_logs(out)
+    trajectories, corrupt, _ = _parse_logs(out)
     assert (len(trajectories), corrupt) == (300, [])
     logged = [json.dumps({k: v for k, v in step.items() if k != "index"}, sort_keys=True)
               for path in sorted(out.glob("*.json"))
@@ -1201,7 +1230,7 @@ def test_parse_logs_builds_each_distinct_step_once(tmp_path, capsys):
     assert (len(records), len(set(logged))) == (len(logged), 83) == (2075, 83)
     assert len({id(step) for step in records}) == 83
     # a second call builds its own records
-    again, _ = _parse_logs(out)
+    again, _, _ = _parse_logs(out)
     assert again == trajectories
     assert not {id(step) for step in records} & {id(step) for t in again for step in t.steps}
 
@@ -1698,8 +1727,8 @@ def test_parse_logs_reads_every_json_entry_in_name_order(tmp_path):
     for name in ("c.JSON", "d.json.bak", "e.jsonl", "report.json"):
         (logs / name).write_text(serialize_trajectory(traj([])), encoding="utf-8")
     (logs / "sub.json").mkdir()
-    trajectories, corrupt = _parse_logs(logs)
-    assert [names[t.run_index] for t in trajectories] == [
+    trajectories, corrupt, parsed = _parse_logs(logs)
+    assert [names[t.run_index] for t in trajectories] == parsed == [
         ".hidden.json", "B.json", "a.json", "b.json"]
     assert [name for name, _ in corrupt] == ["sub.json"]
 

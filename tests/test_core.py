@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import re
 import tempfile
 import threading
 from pathlib import Path
@@ -77,6 +78,22 @@ def test_normalize_random_idempotence_and_case():
         once = normalize_name(raw)
         assert normalize_name(once) == once
         assert normalize_name(raw.upper()) == once
+
+
+_NAME_SEPS = re.compile(r"[\s\-_]+")
+
+
+def regex_normalize_name(raw: str) -> str:
+    """The name rule in its regex form, the oracle for ``normalize_name``."""
+    return _NAME_SEPS.sub("_", raw.strip().lower()).strip("_")
+
+
+@settings(max_examples=examples(500), deadline=None)
+@given(raw=st.text() | st.text(alphabet="-_ \t\n\r\x0b\x0c\x1c\x85\xa0\u3000\u0130\u1e9ea"))
+def test_normalize_name_equals_the_regex_form(raw):
+    # separators of every kind, and letters whose lowercase is longer or
+    # another letter
+    assert normalize_name(raw) == regex_normalize_name(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +880,7 @@ def test_shared_memo_log_parsing_matches_the_oracle(data):
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in zip(names, corpus):
             (Path(tmp) / name).write_text(text, encoding="utf-8")
-        trajectories, corrupt = _parse_logs(Path(tmp))
+        trajectories, corrupt, _ = _parse_logs(Path(tmp))
     assert trajectories == [outcome[0] for outcome in expected
                             if isinstance(outcome[0], Trajectory)]
     assert corrupt == [(name, outcome[1]) for name, outcome in zip(names, expected)

@@ -19,6 +19,7 @@ from homebench.core import (
     StepRecord,
     Subtask,
     failure,
+    normalize_name,
 )
 from homebench.loop import EpisodeState
 from homebench.sim import (
@@ -504,6 +505,13 @@ BAD_VALUE_ERRORS = [
      "outcome_schedule: key 'open apple': Open never acts on 'apple' (kind object)"),
     (("outcome_schedule", "Place  Banana"), ["E2"],
      "outcome_schedule: key 'Place  Banana' must look like 'pick apple'"),
+    # a repeated spot, then a non-spot; a non-string after valid entries
+    (("spots", 0, "directions", "front"), ["counter", "Counter", "sofa"],
+     "spot 'counter': direction table entry 'sofa' is not a spot"),
+    (("spots", 0, "directions", "front"), ["counter", "table", 3],
+     "spots[0].directions.front[2]: expected a JSON string"),
+    (("spots", 1, "directions", "back"), ["counter", None, []],
+     "spots[1].directions.back[1]: expected a JSON string"),
 ]
 
 
@@ -587,13 +595,20 @@ TWO_FAULT_ERRORS = [
      "entity 'banana': location 'nowhere' is not a spot or container"),
     (two_faults((2, "location", "Banana"), *FRIDGE_DRAWER_CYCLE, order=[0, 3, 1, 4, 2]),
      "entity 'apple': location 'banana' is not a spot or container"),
+    (two_faults((4, "location", "nowhere"), (2, "location", "No-where")),
+     "entity 'apple': location 'no_where' is not a spot or container"),
+    (two_faults((4, "location", "attic"), (1, "location", "zone"), (2, "location", "attic")),
+     "entity 'banana': location 'zone' is not a spot or container"),
+    (two_faults((4, "location", "apple"), (3, "location", "Apple")),
+     "entity 'drawer': location 'apple' is not a spot or container"),
 ]
 
 
 @pytest.mark.parametrize("doc, message", TWO_FAULT_ERRORS, ids=[
     "name-then-kind-same-entity", "kind-then-later-name", "name-then-later-kind",
     "kind-then-interactive-same-entity", "interactive-then-later-kind",
-    "kind-then-later-interactive", "location-then-cycle", "cycle-entities-first"])
+    "kind-then-later-interactive", "location-then-cycle", "cycle-entities-first",
+    "shared-bad-location", "first-placed-bad-location", "object-holds-two"])
 def test_load_scene_reports_the_first_of_two_faults(doc, message):
     with pytest.raises(SchemaError) as raised:
         load_scene(doc)
@@ -615,6 +630,52 @@ def test_dead_schedule_keys_are_reported_in_document_order(schedule, message):
     with pytest.raises(SchemaError) as raised:
         load_scene(scene_doc(outcome_schedule=schedule))
     assert str(raised.value) == message
+
+
+def scanned_location_fault(doc):
+    """The message ``load_scene`` gives for the locations of ``doc``, found
+    entity by entity: the first entity whose location is not a spot or
+    container, else the first whose containment chain loops; None if none."""
+    kinds = {normalize_name(s["name"]): "spot" for s in doc["spots"]}
+    kinds.update((normalize_name(e["name"]), e["kind"]) for e in doc["entities"])
+    located = {normalize_name(e["name"]): normalize_name(e["location"])
+               for e in doc["entities"]}
+    for name, location in located.items():
+        if kinds.get(location) not in ("spot", "container"):
+            return f"entity {name!r}: location {location!r} is not a spot or container"
+    for name, location in located.items():
+        seen = []
+        while kinds[location] != "spot":
+            if location in seen:
+                return f"entity {name!r}: containment cycle at {location!r}"
+            seen.append(location)
+            location = located[location]
+    return None
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(doc=scene_docs(), data=st.data())
+def test_location_faults_name_the_entity_a_scan_names(doc, data):
+    # bad locations (unknown names or objects), or a ring of containers,
+    # injected into a random scene
+    entities = doc["entities"]
+    assume(entities)
+    containers = [e for e in entities if e["kind"] == "container"]
+    objects = [e["name"] for e in entities if e["kind"] == "object"]
+    if containers and data.draw(st.booleans()):
+        ring = data.draw(st.lists(st.sampled_from(containers), min_size=1, max_size=3,
+                                  unique_by=lambda e: e["name"]))
+        for entity, holder in zip(ring, ring[1:] + ring[:1]):
+            entity["location"] = holder["name"].upper()
+    else:
+        bad = st.sampled_from(["nowhere", "No Where", "attic-2", *objects])
+        for entity in data.draw(st.lists(st.sampled_from(entities), min_size=1, max_size=3)):
+            entity["location"] = data.draw(bad)
+    expected = scanned_location_fault(doc)
+    assert expected is not None
+    with pytest.raises(SchemaError) as raised:
+        load_scene(doc)
+    assert str(raised.value) == expected
 
 
 def test_containment_cycle_alone_is_reported():
