@@ -20,7 +20,6 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from importlib import resources
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -29,6 +28,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .core import (
     ActionType,
     EmptyLexicon,
+    IdentityEnum,
     InvariantError,
     ModelChoice,
     PlannerOutput,
@@ -70,7 +70,7 @@ class ConversationSample:
     task_id: str = ""
 
 
-class PairSource(Enum):
+class PairSource(IdentityEnum):
     SIFT = "sift"
     ORDER_CHANGE = "order_change"
     ACTION_CHANGE = "action_change"

@@ -23,6 +23,7 @@ from .core import (
     ConfigError,
     HomebenchError,
     SchemaError,
+    _refuse_unknown_keys,
     load_tasks,
     parse_trajectory_log,
     read_json,
@@ -59,6 +60,10 @@ MAX_FILE_NAME_BYTES = 255
 
 ENV_PREFIX = "HOMEBENCH_"
 
+#: the keys of a config file: one per option that has one, and the remote profiles
+CONFIG_KEYS = ("tasks", "scenes", "logs", "output", "planner", "runs_per_task", "budget",
+               "retries", "seed", "jobs", "profiles")
+
 
 def _bundled(subdir: str) -> Path:
     return Path(str(resources.files("homebench").joinpath(f"data/{subdir}")))
@@ -93,6 +98,7 @@ def _load_config_file(path) -> dict:
     doc = read_json(path.read_bytes(), "config file", ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
+    _refuse_unknown_keys(doc, CONFIG_KEYS, "config file", ConfigError)
     return doc
 
 

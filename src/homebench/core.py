@@ -148,9 +148,19 @@ def normalize_name(raw: str) -> str:
 # closed enumerations
 
 
-class ActionType(Enum):
+class IdentityEnum(Enum):
+    """Base of the package's enumerations, whose singleton members hash by
+    identity, as they compare: ``Enum.__hash__``, ``.value`` and a lookup
+    on the class (``ActionType.END``) each cost about 0.1 µs on Python 3.11,
+    so the step path uses none of them. No output iterates a set of members."""
+
+    __hash__ = object.__hash__
+
+
+class ActionType(IdentityEnum):
     """The six skills the executor supports. Any other action string is a
-    format violation (F1)."""
+    format violation (F1). ``label`` is the value, and ``token`` its
+    lowercase underscore form, used in schedule keys: "go_to"."""
 
     GO_TO = "Go to"
     PICK = "Pick"
@@ -159,14 +169,12 @@ class ActionType(Enum):
     CLOSE = "Close"
     END = "End"
 
-    @property
-    def label(self) -> str:
-        return self.value
+    def __init__(self, label: str):
+        self.label = label
+        self.token = label.lower().replace(" ", "_")
 
-    @property
-    def token(self) -> str:
-        """Lowercase underscore form, used in schedule keys: "go_to"."""
-        return self.value.lower().replace(" ", "_")
+
+_END = ActionType.END  # bound once, as ``IdentityEnum`` says
 
 
 _ACTION_ALIASES = {
@@ -188,14 +196,14 @@ def parse_action(raw: str) -> Optional[ActionType]:
     return _ACTION_ALIASES.get(normalize_name(raw))
 
 
-class ModelCategory(Enum):
+class ModelCategory(IdentityEnum):
     MANIPULATION = "Manipulation"
     NAVIGATION = "Navigation"
     UNIFIED = "Unified"
 
 
-class ModelChoice(Enum):
-    """Low-level models the planner may dispatch to."""
+class ModelChoice(IdentityEnum):
+    """Low-level models the planner may dispatch to; ``label`` is the value."""
 
     M3 = "M3"
     RT1X = "RT-1-X"
@@ -203,9 +211,8 @@ class ModelChoice(Enum):
     NOMAD = "NoMaD"
     PIXNAV = "PixNav"
 
-    @property
-    def label(self) -> str:
-        return self.value
+    def __init__(self, label: str):
+        self.label = label
 
     @property
     def category(self) -> ModelCategory:
@@ -235,14 +242,14 @@ def parse_model(raw: str) -> Optional[ModelChoice]:
     return _MODEL_ALIASES.get(normalize_name(raw).replace("_", ""))
 
 
-class ErrorCategory(Enum):
+class ErrorCategory(IdentityEnum):
     LOGICAL = "L"
     DISTANCE = "D"
     FORMAT = "F"
     EXECUTION = "E"
 
 
-class ErrorCode(Enum):
+class ErrorCode(IdentityEnum):
     """Closed ten-value error taxonomy."""
 
     L1 = "L1"  # hand already full on pick/open/close
@@ -256,9 +263,8 @@ class ErrorCode(Enum):
     E1 = "E1"  # skill failed despite valid preconditions
     E2 = "E2"  # placement went wrong, object lost from hand
 
-    @property
-    def category(self) -> ErrorCategory:
-        return ErrorCategory(self.value[0])
+    def __init__(self, value: str):
+        self.category = ErrorCategory(value[0])
 
 
 #: Canonical feedback message per error code. F2 and L4 deliberately share a
@@ -277,7 +283,7 @@ CANONICAL_MESSAGES = {
 }
 
 
-class TaskAttribute(Enum):
+class TaskAttribute(IdentityEnum):
     SHORT_HORIZON = "short_horizon"
     LONG_HORIZON = "long_horizon"
     OPEN_ENDED = "open_ended"
@@ -285,7 +291,7 @@ class TaskAttribute(Enum):
     HUMAN_STYLE = "human_style"
 
 
-class StepStatus(Enum):
+class StepStatus(IdentityEnum):
     SUCCESS = "success"
     FAILURE = "failure"
 
@@ -307,7 +313,7 @@ class Subtask:
     model: ModelChoice
 
     def __post_init__(self):
-        if (self.target == "") != (self.action is ActionType.END):
+        if (self.target == "") != (self.action is _END):
             raise InvariantError(
                 f"target must be non-empty iff action is not End "
                 f"(got action={self.action.label!r}, target={self.target!r})"
@@ -335,14 +341,14 @@ class PlannerOutput:
         model = parse_model(self.model) if self.model else None
         subtask = None
         if (action is not None and model is not None
-                and (self.target == "") == (action is ActionType.END)):
+                and (self.target == "") == (action is _END)):
             subtask = Subtask(action, self.target, model)
         object.__setattr__(self, "action_type", action)
         object.__setattr__(self, "subtask", subtask)
 
     @property
     def is_end(self) -> bool:
-        return self.action_type is ActionType.END and self.target == ""
+        return self.action_type is _END and self.target == ""
 
     @functools.cached_property
     def text(self) -> str:
@@ -396,16 +402,17 @@ class Feedback:
         return "" if self.code is None else CANONICAL_MESSAGES[self.code]
 
 
-def failure(code: ErrorCode) -> Feedback:
-    return Feedback(code)
-
-
 SUCCESS = Feedback()
 
 # value -> member tables for the log parser, and the 11 valid feedbacks by code
 _STATUSES = {status.value: status for status in StepStatus}
 _CODES = {code.value: code for code in ErrorCode}
-_FEEDBACKS = {None: SUCCESS, **{code: failure(code) for code in ErrorCode}}
+_FEEDBACKS = {None: SUCCESS, **{code: Feedback(code) for code in ErrorCode}}
+
+
+def failure(code: ErrorCode) -> Feedback:
+    """The one failure value of ``code``."""
+    return _FEEDBACKS[code]
 
 
 @dataclass(frozen=True)
@@ -478,7 +485,7 @@ class KeypathNode:
     target: str
 
     def __post_init__(self):
-        if self.action is ActionType.END:
+        if self.action is _END:
             raise InvariantError("keypath nodes never contain End")
         if not self.target:
             raise InvariantError("keypath nodes require a target")
@@ -533,6 +540,19 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _refuse_unknown_keys(obj: dict, known: tuple, where: str, error: type = SchemaError):
+    """Refuse the first key of ``obj`` that is not in ``known``, with
+    ``error`` naming it and the closest known key, if one is close: a
+    misspelled key never plays silently with a default."""
+    for key in obj:
+        if key not in known:
+            import difflib  # only a refused key pays for it
+
+            close = difflib.get_close_matches(key, known, n=1)
+            hint = f" (did you mean {close[0]!r}?)" if close else ""
+            raise error(f"{where}: unknown key {key!r}{hint}")
+
+
 def _require_text(obj: dict, key: str, where: str) -> str:
     value = _require(obj, key, where)
     if not isinstance(value, str):
@@ -547,7 +567,7 @@ def _parse_keypath_node(node, where: str) -> KeypathNode:
     action = parse_action(raw_action)
     if action is None:
         raise SchemaError(f"{where}.action: unknown action {raw_action!r}")
-    if action is ActionType.END:
+    if action is _END:
         raise SchemaError(f"{where}.action: keypath nodes never contain End")
     target = normalize_name(_require_text(node, "target", where))
     if not target:

@@ -22,6 +22,7 @@ from importlib import resources
 from typing import Optional, Protocol, Sequence
 
 from .core import (
+    CANONICAL_MESSAGES,
     ActionType,
     ConfigError,
     ErrorCode,
@@ -125,12 +126,13 @@ def describe_output(output: PlannerOutput) -> str:
     return f"{output.action} {output.target}".rstrip()
 
 
+#: a step's feedback line by its error code (None on a success)
+_FEEDBACK_TEXT = {None: "success", **{code: f"failure ({code.value}): {message}"
+                                      for code, message in CANONICAL_MESSAGES.items()}}
+
+
 def render_feedback(feedback: Optional[Feedback]) -> str:
-    if feedback is None:
-        return "none"
-    if feedback.ok:
-        return "success"
-    return f"failure ({feedback.code.value}): {feedback.message}"
+    return "none" if feedback is None else _FEEDBACK_TEXT[feedback.code]
 
 
 #: the history of a prompt that no step precedes
@@ -296,6 +298,11 @@ def apply_feedback(state: EpisodeState, step: StepRecord) -> EpisodeState:
 # episodes
 
 
+# bound once: a lookup on an Enum class costs about 0.1 µs (see ``core.IdentityEnum``)
+_E1, _END = ErrorCode.E1, ActionType.END
+_FAIL_F1 = failure(ErrorCode.F1)
+
+
 class Planner(Protocol):
     """Answers each prompt of an episode with one raw reply text.
 
@@ -357,16 +364,16 @@ def run_episode(
         subtask = output.subtask
         retries_used = 0
         if subtask is None:
-            feedback = failure(ErrorCode.F1)
+            feedback = _FAIL_F1
         else:
             # the first attempt is unconditional, so feedback is always bound
             feedback = execute(scene, subtask, state.held)
-            while feedback.code is ErrorCode.E1 and retries_used + 1 < retries:
+            while feedback.code is _E1 and retries_used + 1 < retries:
                 retries_used += 1
                 feedback = execute(scene, subtask, state.held)
 
         apply_feedback(state, StepRecord(output, feedback, retries_used))
-        if subtask is not None and subtask.action is ActionType.END:
+        if subtask is not None and subtask.action is _END:
             break
 
     return Trajectory(task.id, state.steps, run_index)

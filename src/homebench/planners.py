@@ -73,6 +73,10 @@ def _entry_text(entry) -> str:
     return json.dumps(entry, ensure_ascii=False)
 
 
+#: what an exhausted plan replies
+_PLAN_DONE = serialize_output(make_end_output("Nothing left in the plan."))
+
+
 class ScriptedPlanner:
     """Replays a fixed list of raw output texts, one per query.
 
@@ -95,7 +99,7 @@ class ScriptedPlanner:
         if code is not None and code in self.branches:
             return self.branches[code]
         if self.cursor >= len(self.outputs):
-            return serialize_output(make_end_output("Nothing left in the plan."))
+            return _PLAN_DONE
         text = self.outputs[self.cursor]
         self.cursor += 1
         return text

@@ -9,7 +9,10 @@ A Scene is mutable single-episode state. Parse each scene document once
 with ``load_scene``, give each episode its own ``clone()`` of that template,
 and never share one episode's copy across threads. ``load_scene`` observes
 the template once, so it carries the segments of its start view and the
-first ``observe`` of each clone renders nothing.
+first ``observe`` of each clone renders nothing. A clone builds its rng from
+its own seed on the first draw, so a scene whose rates are all 0 seeds none.
+The step path compares against members, and returns failure values, bound
+once as module constants (``_SPOT``, ``_FAIL_L3``; see ``core.IdentityEnum``).
 
 A clone shares the template's ``Entity`` objects and location lists, so a
 write replaces one and never mutates it: ``Scene.move`` (the one way an
@@ -26,7 +29,6 @@ import bisect
 import functools
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional, Union
 
 from .core import (
@@ -34,8 +36,10 @@ from .core import (
     ActionType,
     ErrorCode,
     Feedback,
+    IdentityEnum,
     SchemaError,
     Subtask,
+    _refuse_unknown_keys,
     failure,
     normalize_name,
     read_json,
@@ -46,21 +50,34 @@ class DuplicateName(SchemaError):
     """Two scene entities normalize to the same name."""
 
 
-class EntityKind(Enum):
+class EntityKind(IdentityEnum):
     OBJECT = "object"
     CONTAINER = "container"
     SPOT = "spot"
 
 
-class OpenState(Enum):
+class OpenState(IdentityEnum):
     OPEN = "open"
     CLOSED = "closed"
 
 
-class DistanceBand(Enum):
+class DistanceBand(IdentityEnum):
     TOO_CLOSE = "too_close"
     REACHABLE = "reachable"
     TOO_FAR = "too_far"
+
+
+_OBJECT, _CONTAINER, _SPOT = EntityKind  # an Enum unpacks in member order
+_OPEN, _CLOSED = OpenState
+_TOO_CLOSE, _REACHABLE, _TOO_FAR = DistanceBand
+_GO_TO, _PICK, _PLACE, _END = ActionType.GO_TO, ActionType.PICK, ActionType.PLACE, ActionType.END
+_E2 = ErrorCode.E2
+_FAIL_F2, _FAIL_L1, _FAIL_L2, _FAIL_L3, _FAIL_L4, _FAIL_D1, _FAIL_D2 = (
+    failure(ErrorCode[name]) for name in ("F2", "L1", "L2", "L3", "L4", "D1", "D2"))
+#: each outcome ``_outcome_draw`` returns, as the feedback ``execute`` returns
+_DRAWN = {"ok": SUCCESS, "E1": failure(ErrorCode.E1), "E2": failure(_E2)}
+#: the open state a successful Open or Close leaves
+_STATE_AFTER = {ActionType.OPEN: _OPEN, ActionType.CLOSE: _CLOSED}
 
 
 #: The entity kinds each skill acts on: Go to reaches anything, only an
@@ -96,7 +113,7 @@ class Entity:
     interactive: bool = True
 
     def __post_init__(self):
-        if (self.open_state is not None) != (self.kind is EntityKind.CONTAINER):
+        if (self.open_state is not None) != (self.kind is _CONTAINER):
             raise SchemaError(
                 f"entity {self.name!r}: open_state belongs to containers only"
             )
@@ -116,7 +133,9 @@ class Scene:
     The values of ``entities`` and ``children`` may be shared with the
     template and its other clones, so a write replaces them. ``segments``
     caches each spot's part of the observations for ``observe``; a template
-    from ``load_scene`` holds those of its start view, and clones copy them."""
+    from ``load_scene`` holds those of its start view, and clones copy them.
+    ``rng`` is ``random.Random(seed)``, built on its first read, so a scene
+    that never draws never seeds one."""
 
     id: str
     entities: dict  # normalized name -> Entity (spots first), insertion-ordered
@@ -125,17 +144,19 @@ class Scene:
     schedule: dict  # "action_token target" -> list of pending outcome strings
     rates: dict
     seed: int
-    rng: random.Random
     children: dict  # location -> names of the non-spot entities there, in insertion order
     positions: dict  # name -> insertion index in ``entities``
     segments: dict = field(default_factory=dict, compare=False, repr=False)  # spot -> text
 
+    @functools.cached_property
+    def rng(self) -> random.Random:
+        return random.Random(self.seed)
+
     def clone(self, seed: Optional[int] = None) -> "Scene":
         """Fresh episode copy with its own dicts, pose, schedule, rates and
-        rng (seeded with ``seed``, or the template's seed when None), sharing
-        the template's entities and lists. Equal to reloading the same
-        document with its ``seed`` set to ``seed``."""
-        scene_seed = self.seed if seed is None else int(seed)
+        rng (seeded with ``seed``, or the template's seed when None, on its
+        first read), sharing the template's entities and lists. Equal to
+        reloading the same document with its ``seed`` set to ``seed``."""
         return Scene(
             id=self.id,
             entities=dict(self.entities),
@@ -143,8 +164,7 @@ class Scene:
             agent=AgentPose(self.agent.at, dict(self.agent.band_overrides)),
             schedule={key: list(pending) for key, pending in self.schedule.items()},
             rates=dict(self.rates),
-            seed=scene_seed,
-            rng=random.Random(scene_seed),
+            seed=self.seed if seed is None else int(seed),
             children=dict(self.children),
             positions=self.positions,
             segments=dict(self.segments),
@@ -175,7 +195,7 @@ class Scene:
         """Root spot an entity sits at (following container nesting), or None
         for a held object."""
         entity = self.entities[name]
-        if entity.kind is EntityKind.SPOT:
+        if entity.kind is _SPOT:
             return name
         seen = set()
         location = entity.location
@@ -184,7 +204,7 @@ class Scene:
                 raise SchemaError(f"entity {name!r}: containment cycle at {location!r}")
             seen.add(location)
             parent = self.entities[location]
-            if parent.kind is EntityKind.SPOT:
+            if parent.kind is _SPOT:
                 return location
             location = parent.location
         return None
@@ -194,8 +214,8 @@ class Scene:
             return self.agent.band_overrides[name]
         root = self.spot_of(name)
         if root is None:  # in hand
-            return DistanceBand.REACHABLE
-        return DistanceBand.REACHABLE if root == self.agent.at else DistanceBand.TOO_FAR
+            return _REACHABLE
+        return _REACHABLE if root == self.agent.at else _TOO_FAR
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +230,10 @@ def _parse_band(raw: str, where: str) -> DistanceBand:
 
 
 _JSON_TYPES = {list: "list", dict: "object", str: "string", bool: "boolean"}
+
+#: the top-level keys of a scene document; any other is refused
+SCENE_KEYS = ("id", "spots", "entities", "agent_start", "bands", "outcome_schedule",
+              "failure_rates", "seed")
 
 
 _KINDS = {kind.value: kind for kind in EntityKind}
@@ -242,13 +266,15 @@ def load_scene(data) -> Scene:
     """Build a Scene from a scene document (dict, JSON str, or bytes),
     observed once so that it holds the segments of its start view.
 
-    Faults are reported in document order, section by section; a
-    containment cycle is checked last. ``Scene.clone`` gives each episode
+    Faults are reported in document order, section by section, after an
+    unknown top-level key (one not in ``SCENE_KEYS``); a containment cycle
+    is checked last. ``Scene.clone`` gives each episode
     its own copy, with its own seed.
     """
     doc = read_json(data, "scene document") if isinstance(data, (bytes, str)) else data
     if not isinstance(doc, dict):
         raise SchemaError("scene document must be a JSON object")
+    _refuse_unknown_keys(doc, SCENE_KEYS, "scene document")
 
     scene_id = _typed(doc.get("id", "scene"), str, "id")
     entities: dict = {}
@@ -265,7 +291,7 @@ def load_scene(data) -> Scene:
         if name in entities:
             raise DuplicateName(f"spots[{i}].name: duplicate entity name {name!r}")
         entities[name] = Entity(
-            name, EntityKind.SPOT, "",
+            name, _SPOT, "",
             interactive=_typed(spot_doc.get("interactive", True), bool, "spots", i, "interactive"),
         )
         spot_order.append(name)
@@ -304,11 +330,10 @@ def load_scene(data) -> Scene:
         kind = _KINDS.get(kind_raw)
         if kind is None:
             raise SchemaError(f"entities[{i}].kind: unknown kind {kind_raw!r}")
-        # the text, not the member: looking up an Enum member costs ~0.1 µs on Python 3.11
-        if kind_raw == "spot":
+        if kind is _SPOT:
             raise SchemaError(f"entities[{i}].kind: declare spots in the spots section")
         open_state = None
-        if kind_raw == "container":
+        if kind is _CONTAINER:
             open_raw = get("open_state", "closed")
             if not isinstance(open_raw, str):
                 _typed(open_raw, str, "entities", i, "open_state")
@@ -333,7 +358,7 @@ def load_scene(data) -> Scene:
     # first child is the first entity, in document order, placed there
     for location, placed in children.items():
         parent = entities.get(location)
-        if parent is None or parent.kind is EntityKind.OBJECT:
+        if parent is None or parent.kind is _OBJECT:
             raise SchemaError(
                 f"entity {placed[0]!r}: location {location!r} is not a spot or container"
             )
@@ -382,7 +407,7 @@ def load_scene(data) -> Scene:
         if entity.kind not in TARGET_KINDS[action]:
             raise SchemaError(f"outcome_schedule: key {key!r}: {action.label} never acts "
                               f"on {target!r} (kind {entity.kind.value})")
-        if action is not ActionType.GO_TO and not entity.interactive:
+        if action is not _GO_TO and not entity.interactive:
             raise SchemaError(f"outcome_schedule: key {key!r}: {action.label} never acts "
                               f"on {target!r} (not interactive)")
         if not isinstance(outcomes, list):
@@ -426,7 +451,6 @@ def load_scene(data) -> Scene:
         schedule=schedule,
         rates=rates,
         seed=doc_seed,
-        rng=random.Random(doc_seed),
         children=children,
         positions={name: i for i, name in enumerate(entities)},
     )
@@ -438,18 +462,15 @@ def load_scene(data) -> Scene:
 # observations
 
 
-_BAND_TEXT = {
-    DistanceBand.REACHABLE: "reachable",
-    DistanceBand.TOO_FAR: "too far",
-    DistanceBand.TOO_CLOSE: "too close",
-}
+_BAND_TEXT = {_REACHABLE: "reachable", _TOO_FAR: "too far", _TOO_CLOSE: "too close"}
+_STATE_TEXT = {_OPEN: "open", _CLOSED: "closed"}
 
 
 def _render_entity(entity: Entity, band: DistanceBand, children: dict) -> str:
     text = _BAND_TEXT[band]
-    if entity.kind is EntityKind.CONTAINER:
-        bits = [entity.open_state.value, text]
-        if entity.open_state is OpenState.OPEN:
+    if entity.kind is _CONTAINER:
+        bits = [_STATE_TEXT[entity.open_state], text]
+        if entity.open_state is _OPEN:
             contents = children.get(entity.name)
             if contents:
                 bits.append("contains: " + ", ".join(contents))
@@ -473,7 +494,7 @@ def observe(scene: Scene) -> tuple:
             if segment is None:
                 # a spot and everything listed under it share that spot as
                 # their root, so each band is its override or the spot's distance
-                near = DistanceBand.REACHABLE if spot == at else DistanceBand.TOO_FAR
+                near = _REACHABLE if spot == at else _TOO_FAR
                 segment = segments[spot] = "; ".join([
                     _render_entity(entities[name], overrides.get(name, near), children)
                     for name in (spot, *children.get(spot, ()))])
@@ -491,7 +512,7 @@ def resolve_target(scene: Scene, name: str) -> Union[Entity, Feedback]:
     value, not an exception."""
     entity = scene.entities.get(normalize_name(name))
     if entity is None:
-        return failure(ErrorCode.F2)
+        return _FAIL_F2
     return entity
 
 
@@ -502,13 +523,13 @@ def _outcome_draw(scene: Scene, action: ActionType, target: str) -> str:
     pending = scene.schedule.get(key)
     if pending:
         return pending.pop(0)
-    if action is ActionType.GO_TO:
+    if action is _GO_TO:
         rate = scene.rates["e1_navigation"]
     else:
         rate = scene.rates["e1_manipulation"]
     if rate > 0 and scene.rng.random() < rate:
         return "E1"
-    if action is ActionType.PLACE:
+    if action is _PLACE:
         e2 = scene.rates["e2_place"]
         if e2 > 0 and scene.rng.random() < e2:
             return "E2"
@@ -519,7 +540,7 @@ def _enclosing_closed_container(scene: Scene, entity: Entity) -> bool:
     location = entity.location
     while location not in (HAND, ""):
         parent = scene.entities[location]
-        if parent.kind is EntityKind.CONTAINER and parent.open_state is OpenState.CLOSED:
+        if parent.kind is _CONTAINER and parent.open_state is _CLOSED:
             return True
         location = parent.location
     return False
@@ -527,7 +548,7 @@ def _enclosing_closed_container(scene: Scene, entity: Entity) -> bool:
 
 def _is_object(scene: Scene, name: Optional[str]) -> bool:
     entity = scene.entities.get(name) if name else None
-    return entity is not None and entity.kind is EntityKind.OBJECT
+    return entity is not None and entity.kind is _OBJECT
 
 
 def apply_outcome(scene: Scene, subtask: Optional[Subtask], code: Optional[ErrorCode],
@@ -550,7 +571,7 @@ def apply_outcome(scene: Scene, subtask: Optional[Subtask], code: Optional[Error
     Place and an E2 empty it; anything else leaves it as it was.
     """
     if code is not None:
-        if code is not ErrorCode.E2:
+        if code is not _E2:
             return held
         if _is_object(scene, held):
             scene.move(held, scene.agent.at)
@@ -558,12 +579,12 @@ def apply_outcome(scene: Scene, subtask: Optional[Subtask], code: Optional[Error
     action, target = subtask.action, subtask.target
     entity = scene.entities.get(target)
     if entity is not None and entity.kind in TARGET_KINDS[action]:
-        if action is ActionType.PICK:
+        if action is _PICK:
             scene.move(target, HAND)
-        elif action is ActionType.PLACE:
+        elif action is _PLACE:
             if _is_object(scene, held):
                 scene.move(held, target)
-        elif action is ActionType.GO_TO:
+        elif action is _GO_TO:
             agent = scene.agent
             # the target's spot is the new ``at`` (or the old one, if it is held)
             scene.drop_segments(agent.at, target, *agent.band_overrides)
@@ -571,15 +592,14 @@ def apply_outcome(scene: Scene, subtask: Optional[Subtask], code: Optional[Error
             if root is not None:
                 agent.at = root
             agent.band_overrides.clear()
-            agent.band_overrides[target] = DistanceBand.REACHABLE
+            agent.band_overrides[target] = _REACHABLE
         else:  # Open or Close
-            state = OpenState.OPEN if action is ActionType.OPEN else OpenState.CLOSED
-            scene.entities[target] = Entity(entity.name, entity.kind, entity.location, state,
-                                            entity.interactive)
+            scene.entities[target] = Entity(entity.name, entity.kind, entity.location,
+                                            _STATE_AFTER[action], entity.interactive)
             scene.drop_segments(target)
-    if action is ActionType.PICK:
+    if action is _PICK:
         return target
-    return None if action is ActionType.PLACE else held
+    return None if action is _PLACE else held
 
 
 def execute(scene: Scene, subtask: Subtask, held: Optional[str]) -> Feedback:
@@ -599,34 +619,29 @@ def execute(scene: Scene, subtask: Subtask, held: Optional[str]) -> Feedback:
     post-step observations is the caller's job (``observe``).
     """
     action = subtask.action
-    if action is ActionType.END:
+    if action is _END:
         return SUCCESS
     target = resolve_target(scene, subtask.target)
     if isinstance(target, Feedback):
         return target
 
-    if action is not ActionType.GO_TO:
+    if action is not _GO_TO:
         if target.kind not in TARGET_KINDS[action] or not target.interactive:
-            return failure(ErrorCode.L4)
-        if action is ActionType.PLACE:
+            return _FAIL_L4
+        if action is _PLACE:
             if held is None:
-                return failure(ErrorCode.L2)
+                return _FAIL_L2
         elif held is not None:
-            return failure(ErrorCode.L1)
-        if action is ActionType.PICK and _enclosing_closed_container(scene, target):
-            return failure(ErrorCode.L3)
-        if (
-            action is ActionType.PLACE
-            and target.kind is EntityKind.CONTAINER
-            and target.open_state is OpenState.CLOSED
-        ):
-            return failure(ErrorCode.L3)
+            return _FAIL_L1
+        if action is _PICK and _enclosing_closed_container(scene, target):
+            return _FAIL_L3
+        if action is _PLACE and target.kind is _CONTAINER and target.open_state is _CLOSED:
+            return _FAIL_L3
 
         band = scene.band(target.name)
-        if band is DistanceBand.TOO_CLOSE:
-            return failure(ErrorCode.D2)
-        if band is DistanceBand.TOO_FAR:
-            return failure(ErrorCode.D1)
+        if band is _TOO_CLOSE:
+            return _FAIL_D2
+        if band is _TOO_FAR:
+            return _FAIL_D1
 
-    drawn = _outcome_draw(scene, action, target.name)
-    return SUCCESS if drawn == "ok" else failure(ErrorCode(drawn))
+    return _DRAWN[_outcome_draw(scene, action, target.name)]

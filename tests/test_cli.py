@@ -148,6 +148,13 @@ def _set(path, value):
     return edit
 
 
+def _rename(key, new_key):
+    """Edit a scene document: move its top-level ``key`` to ``new_key``."""
+    def edit(doc):
+        doc[new_key] = doc.pop(key)
+    return edit
+
+
 def _both(*edits):
     def edit(doc):
         for one in edits:
@@ -187,11 +194,14 @@ def _both(*edits):
     (_both(_set(["entities", 0, "interactive"], False),
            _set(["outcome_schedule"], {"open fridge": ["E1"]})),
      "outcome_schedule: key 'open fridge': Open never acts on 'fridge' (not interactive)"),
+    # a misspelled key would play with the default rates; it is named instead
+    (_rename("failure_rates", "failure_rate"),
+     "scene document: unknown key 'failure_rate' (did you mean 'failure_rates'?)"),
 ], ids=["rate-text", "rate-above-one", "rate-negative", "rates-list", "seed-text",
         "schedule-entry-number", "spots-number", "direction-number", "bands-list",
         "interactive-text", "spot-interactive-text", "name-object", "location-number",
         "direction-entry-number", "agent-start-null", "schedule-unknown-entity",
-        "schedule-dead-kind", "schedule-not-interactive"])
+        "schedule-dead-kind", "schedule-not-interactive", "rates-misspelled"])
 def test_bad_scene_field_is_named(tmp_path, capsys, command, edit, message):
     scenes = tmp_path / "scenes"
     scenes.mkdir()
@@ -892,6 +902,35 @@ def test_config_file_bad_value_names_the_key(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "error: bad value for config key 'runs_per_task': 'x'" in err.splitlines()
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"runz": 1, "seeeed": 3}, "config file: unknown key 'runz'"),
+    ({"seeeed": 3}, "config file: unknown key 'seeeed' (did you mean 'seed'?)"),
+])
+def test_config_file_unknown_key_is_named(tmp_path, capsys, doc, message):
+    # a misspelled key would leave its option at the default without a word
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "runs"
+    code = main(["--config", str(config), "run", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_report_in_a_scenes_directory_is_no_scene(tmp_path, capsys):
+    # evaluate resolves no scenes directory, so nothing stops its report
+    # landing in one; the next run refuses it rather than play an empty scene
+    scenes, logs, out = tmp_path / "scenes", tmp_path / "logs", tmp_path / "out"
+    shutil.copytree(_bundled("scenes"), scenes)
+    assert main(["--seed", "7", "run", "--runs", "1", "--out", str(logs)]) == EXIT_OK
+    assert main(["evaluate", "--logs", str(logs), "--out", str(scenes / "r.json")]) == EXIT_OK
+    capsys.readouterr()
+    code = main(["run", "--runs", "1", "--scenes", str(scenes), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: scene 'r': scene document: unknown key 'tasks'\n"
+    assert not out.exists()
 
 
 def test_config_file_infinite_count_names_the_key(tmp_path, capsys):

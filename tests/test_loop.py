@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import sys
@@ -1080,3 +1081,42 @@ def test_fuzzed_episodes_preserve_invariants(rng):
             if step.feedback.code is ErrorCode.F2:
                 # grounding failures only come from the executor, on real lookups
                 assert step.output.subtask is not None
+
+
+# ---------------------------------------------------------------------------
+# the step path runs no code of the enum module
+
+
+def _enum_code(code) -> bool:
+    """Code of the enum module, or ``types.DynamicClassAttribute.__get__``,
+    through which ``.value`` runs on Python 3.10."""
+    return code.co_filename.endswith("enum.py") or (
+        code.co_filename.endswith("types.py") and code.co_name == "__get__")
+
+
+def test_the_step_path_runs_no_enum_code():
+    # a member's hash, its .value and Class(value) run Python code of the
+    # enum module, about 0.1 µs a call on Python 3.11; a step runs none. The
+    # bundled corpus at nonzero rates draws E1 and E2, and its plans meet
+    # L3 and D1, whose branches the scripted planner replays
+    rates = {"e1_manipulation": 0.3, "e1_navigation": 0.2, "e2_place": 0.2}
+    tasks = _load_task_map(_bundled("tasks"))
+    scenes = {}
+    for path in sorted(_bundled("scenes").glob("*.json")):
+        scenes[path.stem] = load_scene({**json.loads(path.read_bytes()), "failure_rates": rates})
+    factory = _planner_factory("scripted:", {}, tasks)
+    frames = collections.Counter()  # by function name
+
+    def profile(frame, event, arg):
+        if event == "call" and _enum_code(frame.f_code):
+            frames[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        trajectories = run_benchmark(list(tasks.values()), factory, scenes, runs_per_task=4,
+                                     seed=7)
+    finally:
+        sys.setprofile(None)
+    codes = {step.feedback.code for t in trajectories for step in t.steps}
+    assert {ErrorCode.E1, ErrorCode.E2, ErrorCode.L3, ErrorCode.D1} <= codes
+    assert frames == {}

@@ -1,6 +1,7 @@
 """Property tests for observation rendering and per-episode scene clones."""
 
 import json
+import random
 from importlib import resources
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from homebench.sim import (
     EntityKind,
     OpenState,
     apply_outcome,
+    execute,
     load_scene,
     observe,
 )
@@ -327,6 +329,42 @@ def test_clone_mutations_stay_private():
     assert observe(sibling) == observe(load_scene(scene_doc()))
     assert template.positions is clone.positions
     assert template.directions is clone.directions
+
+
+#: the attempts the lazy-rng test plays at the start spot, each of which
+#: reaches the draw: a Go to draws on the navigation rate, a Pick on the
+#: manipulation rate, and a Place on both that and the E2 rate
+DRAWN_ATTEMPTS = {
+    "go_to": (Subtask(ActionType.GO_TO, "table", ModelChoice.NOMAD), None),
+    "pick": (Subtask(ActionType.PICK, "apple", ModelChoice.RT1X), None),
+    "place": (Subtask(ActionType.PLACE, "counter", ModelChoice.RT1X), "apple"),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(template_seed=st.integers(0, 2**63 - 1), seed=st.integers(0, 2**63 - 1),
+       rates=st.tuples(*[st.sampled_from([0.0, 0.3, 0.7, 1.0])] * 3),
+       schedule=st.lists(st.sampled_from(["ok", "E1", "E2"]), max_size=3),
+       attempts=st.lists(st.sampled_from(sorted(DRAWN_ATTEMPTS)), min_size=1, max_size=12))
+def test_a_clone_seeds_its_rng_from_its_own_seed_on_first_read(template_seed, seed, rates,
+                                                               schedule, attempts):
+    # the rng is built when first read, from the clone's seed: the draws do
+    # not depend on when that is, and equal those of the document reloaded
+    # with that seed
+    doc = scene_doc(seed=template_seed, outcome_schedule={"place counter": schedule},
+                    failure_rates=dict(zip(("e1_manipulation", "e1_navigation", "e2_place"),
+                                           rates)))
+    template = load_scene(doc)
+    assert template.clone(seed).rng.getstate() == random.Random(seed).getstate()
+    lazy, read = template.clone(seed), template.clone(seed)
+    read.rng.getstate()  # built before the first draw
+    reloaded = load_scene({**doc, "seed": seed})
+
+    def draws(scene):
+        return [execute(scene, *DRAWN_ATTEMPTS[name]).code for name in attempts]
+
+    assert draws(lazy) == draws(read) == draws(reloaded)
+    assert lazy.rng.getstate() == read.rng.getstate() == reloaded.rng.getstate()
 
 
 TEMPLATE_DOCS = {
